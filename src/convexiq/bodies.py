@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -283,10 +283,6 @@ def resolve(body: Body) -> Body:
     raise InvalidArgument(f"not a body: {type(body).__name__}")
 
 
-def body_dim(body: Body) -> int:
-    return resolve(body).n if isinstance(body, NamedBody) else body.n
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -424,6 +420,15 @@ def minkowski_sum(p: Body, q: Body) -> VPolytope:
         raise DimensionMismatch("summands live in different dimensions")
     sums = (pv[:, None, :] + qv[None, :, :]).reshape(-1, pv.shape[1])
     return convex_hull(sums)
+
+
+def unconditional_hull(base) -> VPolytope:
+    """Hull of every coordinate sign flip of a base point set (2^n images
+    of each point): an unconditional polytope."""
+    base = _as_point_array(base, "base points")
+    n = base.shape[1]
+    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * n), indexing="ij")).reshape(n, -1).T
+    return convex_hull((base[:, None, :] * signs[None, :, :]).reshape(-1, n))
 
 
 def vertices_of(body: Body) -> np.ndarray:

@@ -67,18 +67,15 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 
 def _check_params(args, ineq_id: str) -> dict:
+    """The given flags among the parameters the entry takes; vector
+    parameters arrive as comma-separated strings."""
     params: dict = {}
-    entry = inequalities.CATALOG[ineq_id]
-    if "u" in entry.extra_params and args.u is not None:
-        params["u"] = _parse_float_list(args.u, "--u")
-    if "a" in entry.extra_params and args.a is not None:
-        params["a"] = _parse_float_list(args.a, "--a")
-    if "p" in entry.extra_params and args.p is not None:
-        params["p"] = args.p
-    if "c2" in entry.extra_params and args.c2 is not None:
-        params["c2"] = args.c2
-    if "c3" in entry.extra_params and args.c3 is not None:
-        params["c3"] = args.c3
+    for name in inequalities.CATALOG[ineq_id].params:
+        raw = getattr(args, name)
+        if isinstance(raw, str):
+            raw = _parse_float_list(raw, f"--{name}")
+        if raw is not None:
+            params[name] = raw
     return params
 
 

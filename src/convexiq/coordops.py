@@ -7,20 +7,15 @@ projections and intrinsic measures of the projected body are natural.
 """
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 from . import bodies as _b
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, convex_hull,
-                     minkowski_sum, resolve, scale_body)
+                     resolve, scale_body)
 from .errors import InvalidArgument, UnsupportedOperation
-from .symmetry import SignedPermutation, hyperoctahedral_group, apply_symmetry
+from .symmetry import SignedPermutation, apply_symmetry
 
 ON_PLANE_TOL = 1e-10
-# Accumulated Minkowski point clouds are re-hulled at this size.
-SUM_POINT_GUARD = 50_000
 
 
 def _sum_budget(n: int) -> tuple[int, int]:
@@ -150,7 +145,7 @@ def section_drop(p: Body, i: int):
 # group averaging
 
 
-def g_symmetral(body: Body, batch: int = 8) -> VPolytope:
+def g_symmetral(body: Body) -> VPolytope:
     """Minkowski average (1/|G|) sum_{g in G} gK over all signed
     permutations.
 
@@ -158,9 +153,7 @@ def g_symmetral(body: Body, batch: int = 8) -> VPolytope:
     reflections (n pairwise averages), and the permutation average climbs
     the subgroup chain S_1 < S_2 < ... < S_n using transposition coset
     representatives (j summands at level j).  That replaces the flat
-    2^n n!-term sum with 2n - 1 small Minkowski averages; point clouds
-    are re-hulled at least every ``batch`` summands (sooner if they grow
-    past a guard).
+    2^n n!-term sum with 2n - 1 small Minkowski averages.
     """
     body = resolve(body)
     n = body.n
@@ -168,68 +161,36 @@ def g_symmetral(body: Body, batch: int = 8) -> VPolytope:
         raise UnsupportedOperation(
             f"group averaging refused for n={n} (2^n n! blow-up; cap 5)")
     ident = tuple(range(n))
-    acc = VPolytope(_b.vertices_of(body))
-    for i in range(n):
-        signs = tuple(-1 if j == i else 1 for j in range(n))
-        acc = _minkowski_average(
-            acc, [SignedPermutation(ident, (1,) * n),
-                  SignedPermutation(ident, signs)], batch)
+    levels = [[SignedPermutation(ident, (1,) * n),
+               SignedPermutation(ident, tuple(-1 if j == i else 1 for j in range(n)))]
+              for i in range(n)]
     for j in range(2, n + 1):
         taus = []
         for i in range(1, j + 1):
             perm = list(ident)
             perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
             taus.append(SignedPermutation(tuple(perm), (1,) * n))
-        acc = _minkowski_average(acc, taus, batch)
-    return acc
-
-
-def _minkowski_average(p: VPolytope, elements, batch: int) -> VPolytope:
-    total = _accumulate_sum(p, elements, batch)
-    return scale_body(total, 1.0 / len(elements))
-
-
-def _accumulate_sum(p: VPolytope, elements, batch: int) -> VPolytope:
-    """Minkowski sum of {g p : g in elements} with periodic re-hulling."""
-    vert_budget, row_budget = _sum_budget(p.n)
-    acc = None
-    raw = False  # acc is an unhulled point cloud
-    pending = 0
-    for g in elements:
-        image = apply_symmetry(p, g)
-        if acc is None:
-            acc = image
-            pending = 1
-            continue
-        if raw and acc.vertices.shape[0] * image.vertex_count > row_budget:
-            acc = convex_hull(acc.vertices)
-            raw = False
-            pending = 1
-        if not raw:
-            # Raw clouds stay under SUM_POINT_GUARD rows; only hulled
-            # accumulators can push the exact sum past the safe budget.
-            if acc.vertices.shape[0] > vert_budget:
+        levels.append(taus)
+    vert_budget, row_budget = _sum_budget(n)
+    acc = VPolytope(_b.vertices_of(body))
+    for elements in levels:
+        images = [apply_symmetry(acc, g) for g in elements]
+        total = images[0]
+        for image in images[1:]:
+            if total.vertex_count > vert_budget:
                 raise UnsupportedOperation(
                     f"Minkowski accumulation exceeded {vert_budget} vertices "
-                    f"in dimension {p.n}; the exact sum is too complex for "
+                    f"in dimension {n}; the exact sum is too complex for "
                     "this implementation")
-            rows = acc.vertices.shape[0] * image.vertex_count
+            rows = total.vertex_count * image.vertex_count
             if rows > row_budget:
                 raise UnsupportedOperation(
                     f"Minkowski accumulation needs a {rows}-point cloud "
-                    f"in dimension {p.n} (budget {row_budget}); the exact "
+                    f"in dimension {n} (budget {row_budget}); the exact "
                     "sum is too complex for this implementation")
-        pv, iv = acc.vertices, image.vertices
-        pts = (pv[:, None, :] + iv[None, :, :]).reshape(-1, p.n)
-        pending += 1
-        if pending >= batch or pts.shape[0] > SUM_POINT_GUARD:
-            acc = convex_hull(pts)
-            raw = False
-            pending = 1
-        else:
-            acc = VPolytope(pts)  # raw cloud; hulled on the next flush
-            raw = True
-    return convex_hull(acc.vertices)
+            total = _b.minkowski_sum(total, image)
+        acc = scale_body(total, 1.0 / len(elements))
+    return acc
 
 
 # ---------------------------------------------------------------------------

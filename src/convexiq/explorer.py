@@ -16,11 +16,11 @@ import numpy as np
 from . import bodies as _b
 from . import inequalities as ineq
 from . import measures, symmetry
-from .bodies import (Body, VPolytope, Zonotope, convex_hull, cross_polytope,
-                     resolve, scale_body, support_many)
+from .bodies import (Body, Zonotope, convex_hull, cross_polytope, resolve,
+                     scale_body, support_many, unconditional_hull)
 from .coordops import project_drop
 from .errors import InvalidArgument, UndefinedValue, UnsupportedMeasure
-from .measures import Measured, vm
+from .measures import vm
 from .quadrature import QuadratureSpec
 
 J_GRID_POINTS = 64
@@ -389,12 +389,12 @@ class SearchResult:
 
 
 _PROBLEM_TABLE = {
-    # problem -> (inequality id, normalization degree fn, takes constant)
-    "cg33": ("cg_upper", lambda n, m: m, False),
-    "prob4": ("prob4_family", lambda n, m: m, True),
-    "prob5": ("prob5_family", lambda n, m: m + 1, True),
-    "heron_n3": ("heron_n3", lambda n, m: 2, False),
-    "eq11_midrange": ("reverse_cs", lambda n, m: m, False),
+    # problem -> (inequality id, normalization degree fn)
+    "cg33": ("cg_upper", lambda n, m: m),
+    "prob4": ("prob4_family", lambda n, m: m),
+    "prob5": ("prob5_family", lambda n, m: m + 1),
+    "heron_n3": ("heron_n3", lambda n, m: 2),
+    "eq11_midrange": ("reverse_cs", lambda n, m: m),
 }
 
 
@@ -418,21 +418,18 @@ def validate_config(config: SearchConfig) -> SearchConfig:
     if not 0 <= int(config.seed) < 2 ** 64:
         raise InvalidArgument("seed must be an unsigned 64-bit integer")
 
+    entry = ineq.CATALOG[_PROBLEM_TABLE[config.problem][0]]
     m = config.m
-    if config.problem == "heron_n3":
-        if n != 3:
-            raise InvalidArgument("heron_n3 is a three-dimensional problem")
-        m = None
-    elif config.problem == "cg33":
-        if m is None or not 1 <= m <= n - 1:
-            raise InvalidArgument("cg33 needs m in 1..n-1")
-    elif config.problem in ("prob4", "prob5"):
-        if m is None or not 1 <= m <= n - 2:
-            raise InvalidArgument(f"{config.problem} needs m in 1..n-2")
-    elif config.problem == "eq11_midrange":
+    if config.problem == "heron_n3" and n != 3:
+        raise InvalidArgument("heron_n3 is a three-dimensional problem")
+    if config.problem == "eq11_midrange":
         if m is None or not 2 <= m <= n - 3:
             raise InvalidArgument(
                 "eq11_midrange targets m in 2..n-3 (needs n >= 5)")
+    elif not entry.needs_m:
+        m = None
+    elif m is None or not entry.accepts_m(n, m):
+        raise InvalidArgument(f"{config.problem} needs m in {entry.m_range}")
 
     if config.problem == "prob4" and config.family == "zonotope":
         raise InvalidArgument(
@@ -443,7 +440,7 @@ def validate_config(config: SearchConfig) -> SearchConfig:
             "eq11_midrange search supports the zonotope family only "
             "(mid-range intrinsic volumes of general polytopes are out of scope)")
 
-    needs_constant = _PROBLEM_TABLE[config.problem][2]
+    needs_constant = entry.constant is not None
     if needs_constant and config.constant is None:
         raise InvalidArgument(f"{config.problem} needs a candidate constant")
     if not needs_constant and config.constant is not None:
@@ -490,11 +487,7 @@ def _state_body(config: SearchConfig, state: np.ndarray) -> Body:
     if config.family == "zonotope":
         return Zonotope(np.zeros(config.n), state)
     if config.family == "unconditional-polytope":
-        signs = np.array(
-            np.meshgrid(*([[-1.0, 1.0]] * config.n), indexing="ij")
-        ).reshape(config.n, -1).T
-        cloud = (state[:, None, :] * signs[None, :, :]).reshape(-1, config.n)
-        return convex_hull(cloud)
+        return unconditional_hull(state)
     return convex_hull(state)
 
 
@@ -508,7 +501,7 @@ def _objective(config: SearchConfig, state: np.ndarray):
     """Evaluate the problem inequality on the unit-normalized body of a
     state; returns (slack, report, normalized state) or None for a
     degenerate state."""
-    ineq_id, degree_fn, _ = _PROBLEM_TABLE[config.problem]
+    ineq_id, degree_fn = _PROBLEM_TABLE[config.problem]
     deg = degree_fn(config.n, config.m)
     body = _state_body(config, state)
     spec = _quad_spec(config)
@@ -518,11 +511,8 @@ def _objective(config: SearchConfig, state: np.ndarray):
     lam = size ** (-1.0 / deg)
     state = state * lam
     body = scale_body(body, lam)
-    params = {}
-    if config.problem == "prob4":
-        params["c2"] = config.constant
-    elif config.problem == "prob5":
-        params["c3"] = config.constant
+    constant = ineq.CATALOG[ineq_id].constant
+    params = {} if constant is None else {constant: config.constant}
     report = ineq.evaluate(ineq_id, body, m=config.m, params=params, spec=spec)
     return report.oriented_slack, report, body, state
 

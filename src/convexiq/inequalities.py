@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, affine_dim,
                      as_vector, convex_hull, resolve)
 from .coordops import EMPTY, project_drop, section_drop
 from .errors import InvalidArgument, UnsupportedMeasure
-from .measures import Measured, kappa, vm
+from .measures import Measured, vm
 from .quadrature import QuadratureSpec
 
 PROVEN = "proven"
@@ -141,10 +142,6 @@ def body_fingerprint(body: Body) -> str:
 # measure helpers
 
 
-def _vm_body(body: Body, m: int, spec) -> Measured:
-    return vm(body, m, spec)
-
-
 def _vm_proj(body: Body, i: int, m: int, spec) -> Measured:
     return vm(project_drop(body, i), m, spec)
 
@@ -162,7 +159,7 @@ def _origin_interior(body: Body) -> bool:
         return (body.active_dim == body.n and
                 float(np.linalg.norm(body.center)) < body.radius - 1e-12)
     if isinstance(body, DiskHull):
-        return False  # K1 is 3-dimensional but the origin is interior; see below
+        return True  # K1 contains the cross-polytope conv{+-e_i}
     if isinstance(body, Zonotope):
         if affine_dim(body) < body.n:
             return False
@@ -191,26 +188,26 @@ def _unit_grid(n: int, count: int = 128) -> np.ndarray:
 
 def _ev_loomis_whitney(body, n, m, params, spec):
     projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
-    vol = _vm_body(body, n, spec)
+    vol = vm(body, n, spec)
     return [Link("projection-product", m_prod(projs), m_pow(vol, n - 1))]
 
 
 def _ev_meyer(body, n, m, params, spec):
     sects = [_vm_sect(body, i, n - 1, spec) for i in range(n)]
-    vol = _vm_body(body, n, spec)
+    vol = vm(body, n, spec)
     c = math.factorial(n - 1) / float(n ** (n - 1))
     return [Link("dual-product", m_pow(vol, n - 1), m_scale(m_prod(sects), c))]
 
 
 def _ev_bm_upper(body, n, m, params, spec):
     projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
-    top = _vm_body(body, n - 1, spec)
+    top = vm(body, n - 1, spec)
     return [Link("projection-sum", m_add(*projs), top)]
 
 
 def _ev_cg_upper(body, n, m, params, spec):
     projs = [_vm_proj(body, i, m, spec) for i in range(n)]
-    val = _vm_body(body, m, spec)
+    val = vm(body, m, spec)
     return [Link("scaled-projection-sum",
                  m_scale(m_add(*projs), 1.0 / (n - m)), val)]
 
@@ -218,7 +215,7 @@ def _ev_cg_upper(body, n, m, params, spec):
 def _ev_sqrt_n_lower(body, n, m, params, spec):
     projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
     sects = [_vm_sect(body, i, n - 1, spec) for i in range(n)]
-    top = _vm_body(body, n - 1, spec)
+    top = vm(body, n - 1, spec)
     psum = m_scale(m_add(*projs), 1.0 / math.sqrt(n))
     ssum = m_scale(m_add(*sects), 1.0 / math.sqrt(n))
     return [Link("projections", top, psum), Link("sections", psum, ssum)]
@@ -227,7 +224,7 @@ def _ev_sqrt_n_lower(body, n, m, params, spec):
 def _ev_weighted_bm(body, n, m, params, spec):
     a = params["a"]
     projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
-    top = _vm_body(body, n - 1, spec)
+    top = vm(body, n - 1, spec)
     if top.value <= 0:
         raise InvalidArgument("weighted bound needs a body with positive V_{n-1}")
     ratio = m_mul(m_add(*[m_scale(p, ai) for p, ai in zip(projs, a)]),
@@ -239,7 +236,7 @@ def _ev_weighted_bm(body, n, m, params, spec):
 def _ev_square_lower(body, n, m, params, spec):
     projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
     sects = [_vm_sect(body, i, n - 1, spec) for i in range(n)]
-    top = _vm_body(body, n - 1, spec)
+    top = vm(body, n - 1, spec)
     return [Link("projections", m_mul(top, top), m_sum_sq(projs)),
             Link("sections", m_sum_sq(projs), m_sum_sq(sects))]
 
@@ -290,7 +287,7 @@ def _ev_zonoid_lower(body, n, m, params, spec):
     if not isinstance(resolve(body), Zonotope):
         raise InvalidArgument("this bound is stated for zonotopes")
     projs = [_vm_proj(body, i, m, spec) for i in range(n)]
-    val = _vm_body(body, m, spec)
+    val = vm(body, m, spec)
     return [Link("zonotope-square", m_mul(val, val),
                  m_scale(m_sum_sq(projs), 1.0 / (n - m)))]
 
@@ -305,7 +302,7 @@ def mth_lower_constant(n: int, m: int) -> float:
 
 def _ev_mth_lower(body, n, m, params, spec):
     projs = [_vm_proj(body, i, m, spec) for i in range(n)]
-    val = _vm_body(body, m, spec)
+    val = vm(body, m, spec)
     c = mth_lower_constant(n, m)
     return [Link("gamma-square", m_mul(val, val), m_scale(m_sum_sq(projs), c))]
 
@@ -333,7 +330,7 @@ def _ev_easy_bounds(body, n, m, params, spec):
     p = params["p"]
     projs = [_vm_proj(body, i, m, spec) for i in range(n)]
     sects = [_vm_sect(body, i, m, spec) for i in range(n)]
-    val = _vm_body(body, m, spec)
+    val = vm(body, m, spec)
     pmean = lambda xs: m_pow(m_scale(m_add(*[m_pow(x, p) for x in xs]), 1.0 / n),
                              1.0 / p)
     mp = pmean(projs)
@@ -344,14 +341,14 @@ def _ev_easy_bounds(body, n, m, params, spec):
 def _ev_trivmax(body, n, m, params, spec):
     projs = [_vm_proj(body, i, m, spec) for i in range(n)]
     sects = [_vm_sect(body, i, m, spec) for i in range(n)]
-    val = _vm_body(body, m, spec)
+    val = vm(body, m, spec)
     return [Link("projections", val, m_max(projs)),
             Link("sections", m_max(projs), m_max(sects))]
 
 
 def _ev_bm_v1_lower(body, n, m, params, spec):
     projs = [_vm_proj(body, i, 1, spec) for i in range(n)]
-    val = _vm_body(body, 1, spec)
+    val = vm(body, 1, spec)
     c0 = min_mean_width_ratio(n, spec)
     return [Link("width-sum", val, m_mul(c0, m_add(*projs)))]
 
@@ -360,7 +357,7 @@ def _ev_heron(body, n, m, params, spec):
     if n != 3:
         raise InvalidArgument("the Heron-type bound is three-dimensional")
     a = [_vm_sect(body, i, 1, spec) for i in range(3)]
-    top = _vm_body(body, 2, spec)
+    top = vm(body, 2, spec)
     sq = m_sum_sq(a)
     quads = m_add(*[m_pow(x, 4.0) for x in a])
     rhs = m_add(m_scale(m_mul(sq, sq), 1.0 / 16.0), m_scale(quads, -1.0 / 8.0))
@@ -371,7 +368,7 @@ def _ev_prob4(body, n, m, params, spec):
     c2 = params["c2"]
     projs = [_vm_proj(body, i, m, spec) for i in range(n)]
     sects = [_vm_sect(body, i, m, spec) for i in range(n)]
-    val = _vm_body(body, m, spec)
+    val = vm(body, m, spec)
     return [Link("projections", m_mul(val, val), m_scale(m_sum_sq(projs), c2)),
             Link("sections", m_scale(m_sum_sq(projs), c2),
                  m_scale(m_sum_sq(sects), c2))]
@@ -380,7 +377,7 @@ def _ev_prob4(body, n, m, params, spec):
 def _ev_prob5(body, n, m, params, spec):
     c3 = params["c3"]
     sects = [_vm_sect(body, i, m, spec) for i in range(n)]
-    val = _vm_body(body, m + 1, spec)
+    val = vm(body, m + 1, spec)
     lhs = m_pow(val, float(m * n))
     rhs = m_scale(m_prod([m_pow(s, float(m + 1)) for s in sects]), c3)
     return [Link("section-product", lhs, rhs)]
@@ -390,78 +387,143 @@ def _ev_prob5(body, n, m, params, spec):
 # catalog table
 
 
+def _positive_real(what: str):
+    def coerce(value, n):
+        value = float(value)
+        if value <= 0:
+            raise InvalidArgument(f"{what} must be positive")
+        return value
+    return coerce
+
+
+def _weights(value, n):
+    a = [float(x) for x in value]
+    if len(a) != n or any(x <= 0 for x in a):
+        raise InvalidArgument("weights a must be n positive reals")
+    return a
+
+
+@dataclass(frozen=True)
+class ParamRule:
+    """Default, coercion and validation of one named parameter.
+
+    ``default`` maps the dimension n to the value used when the caller
+    omits the parameter; ``None`` makes it required.  ``scalar`` marks a
+    single real (a vector otherwise).
+    """
+
+    default: Callable[[int], object] | None
+    coerce: Callable[[object, int], object]
+    scalar: bool = True
+    missing: str = "{id} requires parameter {name!r}"
+
+
+PARAM_RULES: dict[str, ParamRule] = {
+    "a": ParamRule(lambda n: [1.0] * n, _weights, scalar=False),
+    "p": ParamRule(lambda n: 2.0, _positive_real("exponent p")),
+    "u": ParamRule(None, lambda u, n: [float(x) for x in as_vector(u, n)],
+                   scalar=False, missing="{id} requires a direction u"),
+    "c2": ParamRule(None, _positive_real("constant c2")),
+    "c3": ParamRule(None, _positive_real("constant c3")),
+}
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
+    """Everything the library states about one inequality.
+
+    ``status`` holds for every admissible m except those in
+    ``proven_m``, where it is proven; entries there count from n when
+    not positive (-2 means m = n-2).  ``m_below`` bounds the index to
+    1..n-m_below; ``None`` means the entry takes no m.  ``params`` names
+    the :data:`PARAM_RULES` the entry reads.  ``origin_check`` warns when
+    the origin is not interior (section bounds may then fail
+    legitimately).
+    """
+
     id: str
     evaluator: object
-    needs_m: bool = False
-    m_range: str = ""            # documented range, checked in _check_m
-    extra_params: tuple = ()
+    status: str
+    proven_m: tuple = ()
+    m_below: int | None = None
+    params: tuple = ()
+    origin_check: bool = False
     equality_families: tuple = ()
 
+    @property
+    def needs_m(self) -> bool:
+        return self.m_below is not None
 
-CATALOG: dict[str, CatalogEntry] = {}
+    @property
+    def m_range(self) -> str:
+        return f"1..n-{self.m_below}"
+
+    def accepts_m(self, n: int, m: int) -> bool:
+        return 1 <= m <= n - self.m_below
+
+    @property
+    def constant(self) -> str | None:
+        """Name of the required scalar parameter, if the entry has one."""
+        for name in self.params:
+            rule = PARAM_RULES[name]
+            if rule.default is None and rule.scalar:
+                return name
+        return None
+
+    def status_at(self, n: int, m: int | None) -> str:
+        if m is not None and m in {k if k > 0 else n + k for k in self.proven_m}:
+            return PROVEN
+        return self.status
 
 
-def _register(entry: CatalogEntry):
-    CATALOG[entry.id] = entry
-
-
-_register(CatalogEntry("loomis_whitney", _ev_loomis_whitney,
-                       equality_families=("coordinate-box",)))
-_register(CatalogEntry("meyer", _ev_meyer,
-                       equality_families=("coordinate-cross-polytope",)))
-_register(CatalogEntry("bm_upper", _ev_bm_upper,
-                       equality_families=("coordinate-box",)))
-_register(CatalogEntry("cg_upper", _ev_cg_upper, needs_m=True, m_range="1..n-1",
-                       equality_families=("coordinate-box",)))
-_register(CatalogEntry("sqrt_n_lower", _ev_sqrt_n_lower,
-                       equality_families=("regular-coordinate-cross-polytope",)))
-_register(CatalogEntry("weighted_bm", _ev_weighted_bm, extra_params=("a",)))
-_register(CatalogEntry("square_lower", _ev_square_lower,
-                       equality_families=("coordinate-cross-polytope", "flat")))
-_register(CatalogEntry("pythagorean", _ev_pythagorean, needs_m=True,
-                       m_range="1..n-1", extra_params=("u",)))
-_register(CatalogEntry("zonoid_lower", _ev_zonoid_lower, needs_m=True,
-                       m_range="1..n-2",
-                       equality_families=("diagonal-generators", "flat")))
-_register(CatalogEntry("mth_lower", _ev_mth_lower, needs_m=True, m_range="1..n-2"))
-_register(CatalogEntry("reverse_cs", _ev_reverse_cs, needs_m=True, m_range="1..n-2"))
-_register(CatalogEntry("cond_eq111", _ev_cond_eq111, needs_m=True, m_range="1..n-2"))
-_register(CatalogEntry("easy_bounds", _ev_easy_bounds, needs_m=True,
-                       m_range="1..n-1", extra_params=("p",)))
-_register(CatalogEntry("trivmax", _ev_trivmax, needs_m=True, m_range="1..n-1"))
-_register(CatalogEntry("bm_v1_lower", _ev_bm_v1_lower,
-                       equality_families=("regular-coordinate-cross-polytope",)))
-_register(CatalogEntry("heron_n3", _ev_heron,
-                       equality_families=("o-symmetric-coordinate-cross-polytope",)))
-_register(CatalogEntry("prob4_family", _ev_prob4, needs_m=True, m_range="1..n-2",
-                       extra_params=("c2",)))
-_register(CatalogEntry("prob5_family", _ev_prob5, needs_m=True, m_range="1..n-2",
-                       extra_params=("c3",)))
+CATALOG: dict[str, CatalogEntry] = {entry.id: entry for entry in (
+    CatalogEntry("loomis_whitney", _ev_loomis_whitney, PROVEN,
+                 equality_families=("coordinate-box",)),
+    CatalogEntry("meyer", _ev_meyer, PROVEN, origin_check=True,
+                 equality_families=("coordinate-cross-polytope",)),
+    CatalogEntry("bm_upper", _ev_bm_upper, PROVEN,
+                 equality_families=("coordinate-box",)),
+    CatalogEntry("cg_upper", _ev_cg_upper, CONJECTURE, proven_m=(1, -2, -1),
+                 m_below=1, equality_families=("coordinate-box",)),
+    CatalogEntry("sqrt_n_lower", _ev_sqrt_n_lower, PROVEN,
+                 equality_families=("regular-coordinate-cross-polytope",)),
+    CatalogEntry("weighted_bm", _ev_weighted_bm, PROVEN, params=("a",)),
+    CatalogEntry("square_lower", _ev_square_lower, PROVEN,
+                 equality_families=("coordinate-cross-polytope", "flat")),
+    CatalogEntry("pythagorean", _ev_pythagorean, PROVEN, m_below=1,
+                 params=("u",)),
+    CatalogEntry("zonoid_lower", _ev_zonoid_lower, PROVEN, m_below=2,
+                 equality_families=("diagonal-generators", "flat")),
+    CatalogEntry("mth_lower", _ev_mth_lower, PROVEN, m_below=2),
+    CatalogEntry("reverse_cs", _ev_reverse_cs, CONJECTURE, proven_m=(1, -2),
+                 m_below=2),
+    CatalogEntry("cond_eq111", _ev_cond_eq111, CONDITIONAL, m_below=2),
+    CatalogEntry("easy_bounds", _ev_easy_bounds, PROVEN, m_below=1,
+                 params=("p",)),
+    CatalogEntry("trivmax", _ev_trivmax, PROVEN, m_below=1),
+    CatalogEntry("bm_v1_lower", _ev_bm_v1_lower, PROVEN,
+                 equality_families=("regular-coordinate-cross-polytope",)),
+    CatalogEntry("heron_n3", _ev_heron, CONJECTURE,
+                 equality_families=("o-symmetric-coordinate-cross-polytope",)),
+    CatalogEntry("prob4_family", _ev_prob4, OPEN, m_below=2, params=("c2",)),
+    CatalogEntry("prob5_family", _ev_prob5, OPEN, m_below=2, params=("c3",)),
+)}
 
 
 def catalog_ids() -> list[str]:
     return sorted(CATALOG)
 
 
+def _catalog_entry(ineq_id: str) -> CatalogEntry:
+    if ineq_id not in CATALOG:
+        raise InvalidArgument(
+            f"unknown inequality id {ineq_id!r}; known: {', '.join(catalog_ids())}")
+    return CATALOG[ineq_id]
+
+
 def inequality_status(ineq_id: str, n: int, m: int | None) -> str:
     """Proof status of a catalog inequality at the given (n, m)."""
-    if ineq_id in ("loomis_whitney", "meyer", "bm_upper", "sqrt_n_lower",
-                   "weighted_bm", "square_lower", "pythagorean", "mth_lower",
-                   "trivmax", "easy_bounds", "bm_v1_lower", "zonoid_lower"):
-        return PROVEN
-    if ineq_id == "cg_upper":
-        return PROVEN if m in (1, n - 1, n - 2) else CONJECTURE
-    if ineq_id == "reverse_cs":
-        return PROVEN if m in (1, n - 2) else CONJECTURE
-    if ineq_id == "cond_eq111":
-        return CONDITIONAL
-    if ineq_id == "heron_n3":
-        return CONJECTURE
-    if ineq_id in ("prob4_family", "prob5_family"):
-        return OPEN
-    raise InvalidArgument(f"unknown inequality id {ineq_id!r}")
+    return _catalog_entry(ineq_id).status_at(n, m)
 
 
 def _check_m(entry: CatalogEntry, n: int, m) -> int | None:
@@ -470,13 +532,26 @@ def _check_m(entry: CatalogEntry, n: int, m) -> int | None:
     if m is None:
         raise InvalidArgument(f"{entry.id} requires the index m ({entry.m_range})")
     m = int(m)
-    lo, hi = 1, n - 1
-    if entry.m_range == "1..n-2":
-        hi = n - 2
-    if not lo <= m <= hi:
+    if not entry.accepts_m(n, m):
         raise InvalidArgument(
             f"{entry.id}: m={m} outside {entry.m_range} for n={n}")
     return m
+
+
+def _check_params(entry: CatalogEntry, n: int, params: dict | None) -> dict:
+    """Fill the entry's defaults, then coerce and validate every known
+    parameter present."""
+    params = dict(params or {})
+    for name in entry.params:
+        if name not in params:
+            rule = PARAM_RULES[name]
+            if rule.default is None:
+                raise InvalidArgument(rule.missing.format(id=entry.id, name=name))
+            params[name] = rule.default(n)
+    for name, rule in PARAM_RULES.items():
+        if name in params:
+            params[name] = rule.coerce(params[name], n)
+    return params
 
 
 def evaluate(ineq_id: str, body: Body, m: int | None = None,
@@ -489,48 +564,19 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
     Violated conjectures do not raise; callers inspect ``satisfied`` and
     ``status``.
     """
-    if ineq_id not in CATALOG:
-        raise InvalidArgument(
-            f"unknown inequality id {ineq_id!r}; known: {', '.join(catalog_ids())}")
-    entry = CATALOG[ineq_id]
+    entry = _catalog_entry(ineq_id)
     body = resolve(body)
     n = body.n
     if n < 2:
         raise InvalidArgument("inequalities need ambient dimension >= 2")
     m_checked = _check_m(entry, n, m)
-    params = dict(params or {})
+    params = _check_params(entry, n, params)
     warnings: list[str] = []
-    for name in entry.extra_params:
-        if name not in params:
-            if name == "p":
-                params["p"] = 2.0
-            elif name == "a":
-                params["a"] = [1.0] * n
-            elif name == "u":
-                raise InvalidArgument("pythagorean requires a direction u")
-            else:
-                raise InvalidArgument(f"{ineq_id} requires parameter {name!r}")
-    if "a" in params:
-        a = [float(x) for x in params["a"]]
-        if len(a) != n or any(x <= 0 for x in a):
-            raise InvalidArgument("weights a must be n positive reals")
-        params["a"] = a
-    if "p" in params:
-        params["p"] = float(params["p"])
-        if params["p"] <= 0:
-            raise InvalidArgument("exponent p must be positive")
-    if "u" in params:
-        params["u"] = [float(x) for x in as_vector(params["u"], n)]
-    for cname in ("c2", "c3"):
-        if cname in params:
-            params[cname] = float(params[cname])
-            if params[cname] <= 0:
-                raise InvalidArgument(f"constant {cname} must be positive")
-    if ineq_id == "meyer" and not _origin_interior(body):
+    if entry.origin_check and not _origin_interior(body):
         warnings.append("origin not interior: the section bound may fail legitimately")
 
     links = entry.evaluator(body, n, m_checked, params, spec)
-    status = inequality_status(ineq_id, n, m_checked)
+    status = entry.status_at(n, m_checked)
     fingerprint = body_fingerprint(body)
 
     if links is None:  # conditional hypothesis failed

@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from .bodies import (MAX_DIM, MIN_DIM, Ball, Body, DiskHull, NamedBody,
-                     VPolytope, Zonotope, convex_hull)
+                     VPolytope, Zonotope, convex_hull, unconditional_hull)
 from .errors import InvalidArgument, ParseError
 
 BODY_SCHEMA = "body/1"
@@ -322,9 +322,5 @@ def generate_corpus(spec: CorpusSpec) -> list[tuple[str, Body]]:
             out.append((name, Zonotope(np.zeros(spec.n), gens)))
         else:  # unconditional
             base = spec.scale * (np.abs(rng.standard_normal((size, spec.n))) + 0.1)
-            signs = np.array(
-                np.meshgrid(*([[-1.0, 1.0]] * spec.n), indexing="ij")
-            ).reshape(spec.n, -1).T
-            cloud = (base[:, None, :] * signs[None, :, :]).reshape(-1, spec.n)
-            out.append((name, convex_hull(cloud)))
+            out.append((name, unconditional_hull(base)))
     return out

@@ -3,7 +3,9 @@
 Exact paths:
 
 * volume and surface area of polytopes (qhull);
-* V_1 of full-dimensional 3-polytopes via edge exterior angles;
+* V_1 of full-dimensional 3-polytopes via edge exterior angles, each
+  ridge angle taken as atan2(|n_s x n_t|, n_s . n_t) so that edges between
+  nearly coplanar facets keep their share;
 * every V_m of a zonotope via subset Gram determinants;
 * closed forms for balls;
 * lower-dimensional polytopes are reduced isometrically to their affine
@@ -29,16 +31,13 @@ import numpy as np
 
 from . import bodies as _b
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, affine_dim,
-                     as_vpolytope, constant_axes, drop_axes, resolve,
-                     to_affine_coords)
+                     constant_axes, drop_axes, resolve, to_affine_coords)
 from .errors import InvalidArgument, UnsupportedMeasure
 from .quadrature import (QuadratureEstimate, QuadratureSpec,
                          integrate_sphere_with_error)
 
 # Relative error attributed to closed-form / exact combinatorial paths.
 EXACT_REL_ERR = 1e-10
-# Two adjacent facet normals closer than this (in 1 - cos) are coplanar.
-COPLANAR_SNAP = 1e-10
 # Guard on the number of generator subsets enumerated for a zonotope.
 MAX_SUBSETS = 2_000_000
 
@@ -126,8 +125,10 @@ def v1_polytope_exact(p: VPolytope) -> float:
     """V_1 of a full-dimensional 3-polytope from edge exterior angles.
 
     Every edge contributes length * (angle between the two adjacent outer
-    normals) / (2 pi).  Qhull's triangulated surface is walked ridge by
-    ridge; ridges interior to a facet have angle 0 and are snapped away.
+    normals) / (2 pi).  All ridges of qhull's triangulated surface are
+    summed at once; a ridge inside a facet has angle 0 and so contributes
+    nothing.  The angle is taken as atan2(|n_s x n_t|, n_s . n_t), which
+    stays accurate for nearly coplanar facets.
     """
     if p.n != 3:
         raise UnsupportedMeasure("edge-angle V_1 path is specific to n = 3")
@@ -136,23 +137,17 @@ def v1_polytope_exact(p: VPolytope) -> float:
             "degenerate 3-polytope: use the quadrature path or the affine view")
     hull = p.qhull
     normals = hull.equations[:, :3]
-    simplices = hull.simplices
-    neighbors = hull.neighbors
-    total = 0.0
-    for s in range(simplices.shape[0]):
-        for k in range(3):
-            t = neighbors[s, k]
-            if t < s:
-                continue  # each ridge once
-            dot = float(np.dot(normals[s], normals[t]))
-            if dot >= 1.0 - COPLANAR_SNAP:
-                continue  # same facet: triangulation ridge, not an edge
-            dot = max(-1.0, min(1.0, dot))
-            ridge = [v for j, v in enumerate(simplices[s]) if j != k]
-            length = float(np.linalg.norm(
-                hull.points[ridge[0]] - hull.points[ridge[1]]))
-            total += length * math.acos(dot) / (2.0 * math.pi)
-    return total
+    # Each ridge once: simplex s and its neighbour t > s across the
+    # ridge opposite vertex k of s.
+    s, k = np.nonzero(hull.neighbors > np.arange(hull.neighbors.shape[0])[:, None])
+    t = hull.neighbors[s, k]
+    angle = np.arctan2(np.linalg.norm(np.cross(normals[s], normals[t]), axis=1),
+                       np.einsum("ij,ij->i", normals[s], normals[t]))
+    tri = hull.simplices[s]
+    a = hull.points[tri[np.arange(s.size), (k + 1) % 3]]
+    b = hull.points[tri[np.arange(s.size), (k + 2) % 3]]
+    length = np.linalg.norm(a - b, axis=1)
+    return float(np.sum(length * angle)) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +343,6 @@ def _vm_polytope_measured(p: VPolytope, m: int, spec) -> Measured:
     raise UnsupportedMeasure(
         f"V_{m} of a full-dimensional polytope in R^{d} has no exact or "
         f"quadrature path (supported: m in {{1, {d-1}, {d}}})")
-
-
-def vm_polytope(p: VPolytope, m: int, spec: QuadratureSpec | None = None) -> float:
-    """Dispatcher restricted to polytopes; returns the plain value."""
-    if not isinstance(p, VPolytope):
-        raise InvalidArgument("vm_polytope expects a vertex polytope")
-    return vm(p, m, spec).value
 
 
 # ---------------------------------------------------------------------------

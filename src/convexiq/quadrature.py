@@ -10,7 +10,7 @@ with surface element  prod_j sin^(n-1-j)(p_j) dp_1 ... dp_{n-2} dt.
 
 For n >= 4 the per-angle resolution is clamped so that the full tensor
 grid stays below a node budget; the clamp is reported through the
-effective resolution and shows up honestly in self-calibration errors.
+effective resolution.
 """
 from __future__ import annotations
 
@@ -179,11 +179,3 @@ def integrate_sphere_with_error(f, n: int, spec: QuadratureSpec) -> QuadratureEs
         if err <= spec.target_error:
             return QuadratureEstimate(nxt, err, nxt_res)
         res, prev = nxt_res, nxt
-
-
-def self_calibration_error(n: int, resolution: int) -> float:
-    """Relative error of integrating the constant 1 against the closed-form
-    sphere surface measure."""
-    est = integrate_sphere(lambda pts: np.ones(pts.shape[0]), n, resolution)
-    exact = sphere_surface_measure(n)
-    return abs(est - exact) / exact

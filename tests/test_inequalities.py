@@ -294,6 +294,9 @@ def test_section_warning_when_origin_outside(spec3):
     assert any("origin not interior" in w for w in r.warnings)
     r = iq.evaluate("meyer", bodies.cross_polytope(3), spec=spec3)
     assert r.warnings == ()
+    # K1 contains conv{+-e_i}, so the origin is interior
+    r = iq.evaluate("meyer", bodies.k1(), spec=spec3)
+    assert r.warnings == ()
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,14 @@ def test_v1_exact_vs_quadrature(rng, spec3):
         assert abs(quad.value - exact) <= 10 * quad.error + 1e-9
 
 
+def test_v1_edge_route_keeps_nearly_coplanar_edges():
+    """A generator almost in the e1-e2 plane makes facets meet at a
+    dihedral angle with 1 - cos ~ 1e-11; their edges still carry V_1."""
+    z = Zonotope(np.zeros(3), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                        [0.0, 0.0, 1.0], [1.0, 1.0, 1e-5]]))
+    assert abs(vm_zonotope(z, 1) - v1_polytope_exact(as_vpolytope(z))) <= 1e-12
+
+
 def test_v1_quadrature_ball(spec3):
     est = v1_quadrature(ball(3), spec3)
     assert est.value == pytest.approx(4.0, rel=1e-6)
