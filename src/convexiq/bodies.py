@@ -70,13 +70,21 @@ def _dedup_points(pts: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     Deterministic: rows are visited in lexicographic order and the first
     representative of each cluster survives, so the result is already
     sorted.  Near-duplicates can only sit within ``tol`` of each other in
-    the leading coordinate, which bounds the backward scan.
+    the scan column, which bounds the backward scan.  The scan column is
+    the first one whose end values differ: the columns before it are
+    constant, so it is sorted too.  (Sections and projections zero a
+    coordinate, so a constant leading column would make the scan
+    quadratic.)
     """
     pts = np.asarray(pts, dtype=float)
     if pts.shape[0] <= 1:
         return np.array(pts, copy=True)
     sp = pts[np.lexsort(pts.T[::-1])]
-    xs = sp[:, 0]
+    col = 0
+    if sp[0, 0] == sp[-1, 0]:
+        differ = np.flatnonzero(sp[0] != sp[-1])
+        col = int(differ[0]) if differ.size else 0
+    xs = sp[:, col]
     kept: list[int] = []
     for i in range(sp.shape[0]):
         dup = False
@@ -95,6 +103,23 @@ def _lexsorted(pts: np.ndarray) -> np.ndarray:
     """Rows sorted lexicographically by first coordinate, then second, ..."""
     order = np.lexsort(pts.T[::-1])
     return pts[order]
+
+
+def derived(body, key, compute):
+    """The value ``compute()`` derived from ``body``, computed once per
+    body instance.
+
+    Bodies are frozen dataclasses over write-protected arrays, so a value
+    derived from one holds for the instance's whole life.  It is stored
+    in the instance's ``__dict__`` under ``key`` (the operation and its
+    arguments) and dies with the instance.  Failures are not stored.
+    """
+    store = body.__dict__.setdefault("_derived", {})
+    try:
+        return store[key]
+    except KeyError:
+        value = store[key] = compute()
+        return value
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -277,7 +302,7 @@ Body = Union[VPolytope, Zonotope, Ball, DiskHull, NamedBody]
 def resolve(body: Body) -> Body:
     """Expand named wrappers; other bodies pass through."""
     if isinstance(body, NamedBody):
-        return body.expand()
+        return derived(body, "expand", body.expand)
     if isinstance(body, (VPolytope, Zonotope, Ball, DiskHull)):
         return body
     raise InvalidArgument(f"not a body: {type(body).__name__}")
@@ -456,21 +481,25 @@ def as_vpolytope(body: Body, ball_points: int = 512) -> VPolytope:
     if isinstance(body, VPolytope):
         return body
     if isinstance(body, Zonotope):
-        k = body.generator_count
-        if k > MAX_ZONOTOPE_EXPAND_GENERATORS:
-            raise UnsupportedOperation(
-                f"refusing to expand a zonotope with {k} generators "
-                f"(cap {MAX_ZONOTOPE_EXPAND_GENERATORS})")
-        if k == 0:
-            return VPolytope(body.center[None, :])
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
-        pts = body.center + signs @ body.generators
-        return convex_hull(pts)
+        return derived(body, "vpolytope", lambda: _expand_zonotope(body))
     if isinstance(body, DiskHull):
         return body.as_polytope()
     if isinstance(body, Ball):
         return _ball_polytope(body, ball_points)
     raise InvalidArgument(f"not a body: {type(body).__name__}")
+
+
+def _expand_zonotope(z: Zonotope) -> VPolytope:
+    k = z.generator_count
+    if k > MAX_ZONOTOPE_EXPAND_GENERATORS:
+        raise UnsupportedOperation(
+            f"refusing to expand a zonotope with {k} generators "
+            f"(cap {MAX_ZONOTOPE_EXPAND_GENERATORS})")
+    if k == 0:
+        return VPolytope(z.center[None, :])
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
+    pts = z.center + signs @ z.generators
+    return convex_hull(pts)
 
 
 def _ball_polytope(b: Ball, count: int) -> VPolytope:
@@ -511,6 +540,10 @@ def _ball_polytope(b: Ball, count: int) -> VPolytope:
 def affine_dim(body: Body) -> int:
     """Dimension of the affine hull (singular values cut at 1e-9)."""
     body = resolve(body)
+    return derived(body, "affine_dim", lambda: _affine_dim(body))
+
+
+def _affine_dim(body: Body) -> int:
     if isinstance(body, VPolytope):
         centered = body.vertices - body.vertices[0]
         if body.vertex_count == 1:

@@ -79,9 +79,17 @@ def project(body: Body, i: int) -> Body:
 
 
 def project_drop(body: Body, i: int) -> Body:
-    """Projection onto e_i^perp in deleted-coordinate form (ambient n-1)."""
+    """Projection onto e_i^perp in deleted-coordinate form (ambient n-1).
+
+    Computed once per body instance and axis (:func:`bodies.derived`), so
+    every caller gets the same object and shares its derived values.
+    """
     body = resolve(body)
     i = _check_axis(body.n, i)
+    return _b.derived(body, ("project_drop", i), lambda: _project_drop(body, i))
+
+
+def _project_drop(body: Body, i: int) -> Body:
     keep = [j for j in range(body.n) if j != i]
     if isinstance(body, VPolytope):
         return convex_hull(body.vertices[:, keep])
@@ -103,9 +111,13 @@ def section(p: Body, i: int):
     union is hulled (interior interpolation points are removed by the
     hull, so enumerating all straddling pairs is safe and avoids edge
     bookkeeping).  Returns ``EMPTY`` when the plane misses the body.
+    K1 (a :class:`DiskHull`) lies in the unit ball and contains the unit
+    disk of e_i^perp, so its section is that disk, exactly.
     """
     p = resolve(p)
-    if isinstance(p, (Zonotope, DiskHull)):
+    if isinstance(p, DiskHull):
+        return Ball(np.zeros(3), 1.0, frozenset({_check_axis(3, i)}))
+    if isinstance(p, Zonotope):
         p = _b.as_vpolytope(p)
     if not isinstance(p, VPolytope):
         raise UnsupportedOperation(
@@ -134,10 +146,18 @@ def section(p: Body, i: int):
 
 
 def section_drop(p: Body, i: int):
-    """Section in deleted-coordinate form (ambient n-1)."""
+    """Section in deleted-coordinate form (ambient n-1), computed once per
+    body instance and axis, like :func:`project_drop`."""
+    p = resolve(p)
+    return _b.derived(p, ("section_drop", i), lambda: _section_drop(p, i))
+
+
+def _section_drop(p: Body, i: int):
     s = section(p, i)
     if s is EMPTY:
         return EMPTY
+    if isinstance(s, Ball):     # K1's section, flat along axis i
+        return project_drop(s, i)
     return _b.drop_axes(s, [i])
 
 

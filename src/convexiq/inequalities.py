@@ -132,10 +132,11 @@ class IneqReport:
 
 
 def body_fingerprint(body: Body) -> str:
-    """Stable short hash of the canonical serialized body."""
+    """Stable short hash of the canonical serialized body (once per body
+    instance)."""
     from . import io as _io  # local import to avoid a cycle
-    payload = _io.dumps_body(body)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _b.derived(body, "fingerprint", lambda: hashlib.sha256(
+        _io.dumps_body(body).encode()).hexdigest()[:16])
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +540,21 @@ def _check_m(entry: CatalogEntry, n: int, m) -> int | None:
 
 
 def _check_params(entry: CatalogEntry, n: int, params: dict | None) -> dict:
-    """Fill the entry's defaults, then coerce and validate every known
-    parameter present."""
+    """Reject parameters the entry does not take, fill its defaults, then
+    coerce and validate each of its parameters."""
     params = dict(params or {})
+    unknown = [name for name in params if name not in entry.params]
+    if unknown:
+        raise InvalidArgument(
+            f"{entry.id} does not take parameter(s) {', '.join(map(repr, unknown))} "
+            f"(takes: {', '.join(entry.params) or 'none'})")
     for name in entry.params:
+        rule = PARAM_RULES[name]
         if name not in params:
-            rule = PARAM_RULES[name]
             if rule.default is None:
                 raise InvalidArgument(rule.missing.format(id=entry.id, name=name))
             params[name] = rule.default(n)
-    for name, rule in PARAM_RULES.items():
-        if name in params:
-            params[name] = rule.coerce(params[name], n)
+        params[name] = rule.coerce(params[name], n)
     return params
 
 

@@ -40,6 +40,8 @@ from .quadrature import (QuadratureEstimate, QuadratureSpec,
 EXACT_REL_ERR = 1e-10
 # Guard on the number of generator subsets enumerated for a zonotope.
 MAX_SUBSETS = 2_000_000
+# Generator subsets whose Gram determinants are taken in one stacked call.
+DET_BATCH = 4096
 
 
 def kappa(j: int) -> float:
@@ -190,10 +192,14 @@ def vm_zonotope(z: Zonotope, m: int) -> float:
         return 2.0 * float(np.sum(np.linalg.norm(g, axis=1)))
     gram = g @ g.T
     total = 0.0
-    for sub in itertools.combinations(range(k), m):
-        d = float(np.linalg.det(gram[np.ix_(sub, sub)]))
-        if d > 0.0:
-            total += math.sqrt(d)
+    subsets = itertools.combinations(range(k), m)
+    # Determinants in stacked batches; the square roots are summed one by
+    # one in subset order, which keeps the rounding of a plain loop.
+    for _ in range(0, math.comb(k, m), DET_BATCH):
+        idx = np.array(list(itertools.islice(subsets, DET_BATCH)))
+        for d in np.linalg.det(gram[idx[:, :, None], idx[:, None, :]]).tolist():
+            if d > 0.0:
+                total += math.sqrt(d)
     return (2.0 ** m) * total
 
 
@@ -281,9 +287,14 @@ def vm(body: Body, m: int, spec: QuadratureSpec | None = None) -> Measured:
     """V_m of a body with an error estimate.
 
     Raises UnsupportedMeasure for combinations with no implemented path
-    (full-dimensional polytopes in n >= 4 with 2 <= m <= n-2).
+    (full-dimensional polytopes in n >= 4 with 2 <= m <= n-2).  Each
+    (m, spec) is measured once per body instance (:func:`bodies.derived`).
     """
     body = resolve(body)
+    return _b.derived(body, ("vm", m, spec), lambda: _vm(body, m, spec))
+
+
+def _vm(body: Body, m: int, spec: QuadratureSpec | None) -> Measured:
     n = body.n
     if m == 0:
         return Measured.of_exact(1.0)

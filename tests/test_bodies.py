@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from convexiq import (Ball, DiskHull, NamedBody, VPolytope, Zonotope,
                       as_vpolytope, ball, convex_hull, cross_polytope, cube,
                       k1, k2, minkowski_sum, support, support_many)
-from convexiq.bodies import (affine_dim, resolve, same_vertices, scale_body,
-                             translate_body, vertices_of)
+from convexiq.bodies import (DEDUP_TOL, _dedup_points, affine_dim, resolve,
+                             same_vertices, scale_body, translate_body,
+                             vertices_of)
 from convexiq.errors import InvalidArgument, UnsupportedOperation
 
 from conftest import random_polytope
@@ -115,6 +116,29 @@ def test_convex_hull_dedups_noise():
     base = cross_polytope(3).vertices
     noisy = np.vstack([base, base + 1e-13])
     assert convex_hull(noisy).vertex_count == 6
+
+
+def _greedy_dedup(pts, tol):
+    """Reference: visit the rows in lexicographic order and keep a row
+    unless it lies within tol (max-norm) of a row already kept."""
+    kept = []
+    for row in pts[np.lexsort(pts.T[::-1])]:
+        if not any(np.max(np.abs(row - k)) <= tol for k in kept):
+            kept.append(row)
+    return np.array(kept)
+
+
+def test_dedup_matches_greedy_reference(rng):
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        centers = rng.integers(-2, 3, size=(int(rng.integers(1, 8)), n)).astype(float)
+        pts = centers[rng.integers(0, centers.shape[0], size=40)]
+        # offsets inside, at and beyond the tolerance
+        pts += (rng.choice([0.0, 0.5, 1.0, 2.0], size=pts.shape) * DEDUP_TOL
+                * rng.choice([-1.0, 1.0], size=pts.shape))
+        const = int(rng.integers(0, n + 1))   # constant leading columns
+        pts[:, :const] = rng.integers(-1, 2, size=const)
+        assert np.array_equal(_dedup_points(pts), _greedy_dedup(pts, DEDUP_TOL))
 
 
 def test_convex_hull_degenerate_rank():

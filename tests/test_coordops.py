@@ -131,6 +131,18 @@ def test_unconditional_section_equals_projection():
                 )
 
 
+def test_k1_sections_are_unit_disks():
+    """K1 lies in the unit ball and contains each coordinate unit disk, so
+    its coordinate sections are those disks, with closed-form measures."""
+    for i in range(3):
+        sec = coordops.section(bodies.k1(), i)
+        assert isinstance(sec, bodies.Ball)
+        assert (sec.radius, sec.zeroed) == (1.0, frozenset({i}))
+        area = measures.vm(coordops.section_drop(bodies.k1(), i), 2)
+        assert area.exact
+        assert area.value == pytest.approx(np.pi, rel=1e-15)
+
+
 def test_empty_body_is_rejected():
     for fn in (coordops.project, coordops.section, coordops.project_drop):
         with pytest.raises(InvalidArgument):

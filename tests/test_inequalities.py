@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from convexiq import bodies, inequalities as iq, quadrature
+from convexiq import bodies, coordops, inequalities as iq, quadrature
 from convexiq.errors import InvalidArgument, UnsupportedMeasure
 
 from conftest import random_polytope, random_zonotope
@@ -445,3 +445,40 @@ def test_tolerance_override(spec3):
     r = iq.evaluate("loomis_whitney", bodies.cube(3), spec=spec3,
                     tolerance=0.5)
     assert r.tolerance == 0.5
+
+
+# ---------------------------------------------------------------------------
+# one geometry pass per body
+
+
+def test_battery_hulls_each_projection_and_section_once(monkeypatch, rng, spec3):
+    hulled = []
+    real = bodies.convex_hull
+
+    def counting(points):
+        hulled.append(np.asarray(points, dtype=float).tobytes())
+        return real(points)
+
+    for module in (bodies, coordops):
+        monkeypatch.setattr(module, "convex_hull", counting)
+    # the cross-polytope's points keep the origin interior: every section
+    # is non-empty
+    p = real(np.vstack([rng.standard_normal((9, 3)), 0.5 * np.eye(3), -0.5 * np.eye(3)]))
+    battery = [("bm_upper", None), ("cg_upper", 1), ("cg_upper", 2),
+               ("square_lower", None), ("easy_bounds", 1), ("trivmax", 2),
+               ("reverse_cs", 1)]
+    for ineq_id, m in battery:
+        iq.evaluate(ineq_id, p, m=m, spec=spec3)
+    assert len(hulled) == 6      # three projections and three sections
+    assert len(set(hulled)) == 6
+
+
+def test_evaluate_rejects_parameters_the_entry_does_not_take():
+    with pytest.raises(InvalidArgument, match="does not take parameter"):
+        iq.evaluate("loomis_whitney", bodies.cube(3), params={"zzz": 1})
+    with pytest.raises(InvalidArgument, match="does not take parameter"):
+        iq.evaluate("loomis_whitney", bodies.cube(3), params={"c2": -1})
+    with pytest.raises(InvalidArgument, match="does not take parameter"):
+        iq.evaluate("easy_bounds", bodies.cube(3), m=1, params={"p": 2.0, "a": [1.0] * 3})
+    r = iq.evaluate("easy_bounds", bodies.cube(3), m=1, params={"p": 3})
+    assert r.params == {"p": 3.0, "m": 1}

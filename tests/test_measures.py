@@ -10,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexiq import QuadratureSpec, Zonotope, cross_polytope, cube, vm
-from convexiq.bodies import as_vpolytope, ball, convex_hull, k1, k2
+from convexiq.bodies import (VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
+                             scale_body, support, translate_body)
+from convexiq.coordops import project_drop
 from convexiq.errors import InvalidArgument, UnsupportedMeasure
-from convexiq.measures import (FlatSet, Measured, flat_measure, flat_set,
-                               hausdorff_flat, intrinsic_coefficient, kappa,
-                               project_flat, surface_area, v1_polytope_exact,
-                               v1_quadrature, vm_ball, vm_zonotope, volume)
+from convexiq.measures import (DET_BATCH, FlatSet, Measured, flat_measure,
+                               flat_set, hausdorff_flat, intrinsic_coefficient,
+                               kappa, project_flat, surface_area,
+                               v1_polytope_exact, v1_quadrature, vm_ball,
+                               vm_zonotope, volume)
 
 from conftest import gram_surface_area, mc_volume, random_polytope
 
@@ -245,3 +248,67 @@ def test_measured_error_fields():
     assert a.exact and a.error <= 1e-8
     b = Measured.of_quadrature(10.0, 1e-3)
     assert not b.exact and b.error >= 1e-3
+
+
+def _vm_zonotope_loop(z, m):
+    """Reference: one determinant per generator subset, in subset order."""
+    g = z.generators
+    gram = g @ g.T
+    total = 0.0
+    for sub in combinations(range(g.shape[0]), m):
+        d = float(np.linalg.det(gram[np.ix_(sub, sub)]))
+        if d > 0.0:
+            total += math.sqrt(d)
+    return (2.0 ** m) * total
+
+
+def test_vm_zonotope_batches_match_the_loop(rng):
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(2, n + 1))
+        k = int(rng.integers(m, 15))
+        z = Zonotope(np.zeros(n), rng.standard_normal((k, n)))
+        assert vm_zonotope(z, m) == _vm_zonotope_loop(z, m)
+    # more subsets than one batch, and parallel generators (det <= 0)
+    g = rng.standard_normal((16, 6))
+    g[1] = 2.0 * g[0]
+    z = Zonotope(np.zeros(6), g)
+    assert math.comb(16, 6) > DET_BATCH
+    assert vm_zonotope(z, 6) == _vm_zonotope_loop(z, 6)
+
+
+# ---------------------------------------------------------------------------
+# per-body cache
+
+
+def test_cached_vm_equals_a_fresh_copy(rng, spec3):
+    p = random_polytope(rng, 3)
+    z = Zonotope(np.zeros(4), rng.standard_normal((6, 4)))
+    cases = [(p, VPolytope(p.vertices.copy())),
+             (z, Zonotope(z.center.copy(), z.generators.copy()))]
+    cases += [(project_drop(p, i), project_drop(VPolytope(p.vertices.copy()), i))
+              for i in range(3)]
+    for body, fresh in cases:
+        for m in range(1, body.n + 1):
+            first = vm(body, m, spec3)
+            assert vm(body, m, spec3) is first
+            assert vm(fresh, m, spec3) == first
+
+
+def test_scaled_and_translated_bodies_do_not_inherit_the_cache(rng, spec3):
+    p = random_polytope(rng, 3)
+    z = Zonotope(rng.standard_normal(3), rng.standard_normal((5, 3)))
+    t = np.array([0.5, -1.0, 2.0])
+    for body in (p, z):
+        before = [vm(body, m, spec3).value for m in (1, 2, 3)]
+        shadows = [project_drop(body, i) for i in range(3)]
+        scaled = scale_body(body, 2.0)
+        for m, value in zip((1, 2, 3), before):
+            assert vm(scaled, m, spec3).value == pytest.approx(2.0 ** m * value, rel=1e-9)
+        moved = translate_body(body, t)
+        for i, shadow in enumerate(shadows):
+            moved_shadow = project_drop(moved, i)
+            assert moved_shadow is not shadow
+            u = rng.standard_normal(2)
+            assert support(moved_shadow, u) == pytest.approx(
+                support(shadow, u) + float(np.delete(t, i) @ u), rel=1e-9, abs=1e-9)
