@@ -433,8 +433,7 @@ def convex_hull(points) -> VPolytope:
         hull = ConvexHull(coords)
     except QhullError:
         hull = ConvexHull(coords, qhull_options="QJ")
-    extreme = _dedup_points(pts[hull.vertices])
-    return VPolytope(_lexsorted(extreme))
+    return VPolytope(_dedup_points(pts[hull.vertices]))
 
 
 def minkowski_sum(p: Body, q: Body) -> VPolytope:
@@ -580,7 +579,7 @@ def drop_axes(p: VPolytope, axes) -> VPolytope:
     keep = [i for i in range(p.n) if i not in axes]
     if not keep:
         raise InvalidArgument("cannot drop every coordinate")
-    return VPolytope(_lexsorted(_dedup_points(p.vertices[:, keep])))
+    return VPolytope(_dedup_points(p.vertices[:, keep]))
 
 
 def to_affine_coords(p: VPolytope) -> VPolytope:
@@ -592,7 +591,7 @@ def to_affine_coords(p: VPolytope) -> VPolytope:
     centered = p.vertices - p.vertices.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     coords = centered @ vt[:d].T
-    return VPolytope(_lexsorted(_dedup_points(coords)))
+    return VPolytope(_dedup_points(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +604,7 @@ def scale_body(body: Body, factor: float) -> Body:
         raise InvalidArgument("scale factor must be non-negative and finite")
     body = resolve(body)
     if isinstance(body, VPolytope):
-        return VPolytope(_lexsorted(_dedup_points(factor * body.vertices)))
+        return VPolytope(_dedup_points(factor * body.vertices))
     if isinstance(body, Zonotope):
         return Zonotope(factor * body.center, factor * body.generators)
     if isinstance(body, Ball):

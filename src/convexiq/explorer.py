@@ -7,8 +7,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -583,15 +581,6 @@ def _trajectory_summary(slack_arrays, chunk: int = 1000) -> tuple:
     return tuple(out)
 
 
-def thread_budget() -> int:
-    """Worker cap from the environment; 1 means serial."""
-    raw = os.environ.get("CONVEXIQ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def search(config: SearchConfig) -> SearchResult:
     """Random-restart hill descent on the oriented slack of the
     configured problem; deterministic for a fixed config.
@@ -601,15 +590,7 @@ def search(config: SearchConfig) -> SearchResult:
     """
     config = validate_config(config)
     streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    workers = min(thread_budget(), config.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda rs: _run_restart(config, rs[0], rs[1]),
-                enumerate(streams)))
-    else:
-        results = [_run_restart(config, r, s) for r, s in enumerate(streams)]
-    results.sort(key=lambda r: r["restart"])
+    results = [_run_restart(config, r, s) for r, s in enumerate(streams)]
 
     def _tie_break(res):
         slack, report, _ = res["best"]

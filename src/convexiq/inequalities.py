@@ -11,6 +11,7 @@ normalized bodies), quadrature paths carry their self-reported bounds.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -250,11 +251,13 @@ def _ev_pythagorean(body, n, m, params, spec):
 
 
 def _vm_arbitrary_projection(body: Body, u, m: int, spec) -> Measured:
-    """V_m(K | u^perp) for a unit direction u.
+    """V_m(K | u^perp), measured by :func:`measures.vm` on the projection.
 
-    Zonotopes project to zonotopes (generators projected), so every m is
-    exact.  Polytopes support m = n-1 through the facet brightness
-    formula.  Balls are closed-form.
+    Along a coordinate direction +-e_i the projection is ``project_drop``'s
+    (cached, so it is the same body as that coordinate's term).  Otherwise
+    it is built in an orthonormal basis of u^perp, in R^{n-1} like
+    ``project_drop``: vertices or generators times the basis.  There K1 is
+    replaced by its inscribed polytope, whose error the result carries.
     """
     body = resolve(body)
     n = body.n
@@ -263,24 +266,37 @@ def _vm_arbitrary_projection(body: Body, u, m: int, spec) -> Measured:
     if norm == 0:
         raise InvalidArgument("projection direction must be non-zero")
     u = u / norm
-    if isinstance(body, Zonotope):
-        g = body.generators - np.outer(body.generators @ u, u)
-        z = Zonotope(np.zeros(n), g)
-        return Measured.of_exact(measures.vm_zonotope(z, m) if g.shape[0] >= 1 else 0.0)
-    if isinstance(body, Ball):
-        shadow = Ball(np.zeros(max(body.active_dim - 1, 1)), body.radius) \
-            if body.active_dim > 1 else None
-        if shadow is None or m > shadow.n:
-            return Measured.of_exact(0.0)
-        return Measured.of_exact(measures.vm_ball(shadow, m))
-    if isinstance(body, VPolytope):
-        if m != n - 1:
-            raise UnsupportedMeasure(
-                "arbitrary-direction projections of polytopes are supported "
-                "for m = n-1 only (facet brightness formula)")
-        return Measured.of_exact(measures.brightness_polytope(body, u))
+    axes = np.flatnonzero(u)
+    if axes.size == 1:
+        return vm(project_drop(body, int(axes[0])), m, spec)
     if isinstance(body, DiskHull):
-        return _vm_arbitrary_projection(body.as_polytope(), u, m, spec)
+        return measures.with_polygon_error(
+            body, vm(_project_along(body.as_polytope(), u), m, spec))
+    return vm(_project_along(body, u), m, spec)
+
+
+def _project_along(body: Body, u: np.ndarray) -> Body:
+    """The projection of a body onto u^perp (unit u, not a coordinate
+    axis) in the coordinates of an orthonormal basis of u^perp."""
+    n = body.n
+    basis = np.linalg.svd(u[None, :])[2][1:]
+    if isinstance(body, VPolytope):
+        return convex_hull(body.vertices @ basis.T)
+    if isinstance(body, Zonotope):
+        return Zonotope(body.center @ basis.T, body.generators @ basis.T)
+    if isinstance(body, Ball):
+        # A ball projects to a ball only along its span (one dimension
+        # fewer) or across it (itself); V_m sees only dimension and radius.
+        flat = np.zeros(n, dtype=bool)
+        flat[list(body.zeroed)] = True
+        if not np.any(u[flat]):
+            d = body.active_dim - 1
+        elif not np.any(u[~flat]):
+            d = body.active_dim
+        else:
+            raise UnsupportedMeasure(
+                "an oblique projection of a flattened ball is an ellipsoid")
+        return Ball(np.zeros(n - 1), body.radius, frozenset(range(n - 1 - d)))
     raise InvalidArgument(f"not a body: {type(body).__name__}")
 
 
@@ -698,11 +714,13 @@ def segment_from_projections(a) -> SegmentResult:
     return SegmentResult(True, seg, None, tuple(float(v) / 2.0 for v in x))
 
 
+@functools.cache
 def min_mean_width_ratio(n: int, spec: QuadratureSpec | None = None) -> Measured:
     """The sharp constant min_K V_1(K) / sum_i V_1(K|e_i^perp), attained by
     the coordinate cross-polytope.
 
-    Exact at n = 3 (arccos(1/3)/pi); quadrature-backed for n >= 4.
+    Exact at n = 3 (arccos(1/3)/pi); quadrature-backed for n >= 4, and
+    then computed once per (n, spec).
     """
     if n < 3:
         raise InvalidArgument("the width-ratio constant needs n >= 3 "

@@ -39,10 +39,6 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.perm)
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(tuple(range(n)), (1,) * n)
-
     def apply(self, x) -> np.ndarray:
         v = bodies.as_vector(x, self.n)
         return np.array(self.signs, dtype=float) * v[list(self.perm)]
@@ -56,23 +52,6 @@ class SignedPermutation:
         for i, (j, s) in enumerate(zip(self.perm, self.signs)):
             m[i, j] = s
         return m
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Composition self o other (apply ``other`` first)."""
-        if other.n != self.n:
-            raise InvalidArgument("cannot compose signed permutations of different sizes")
-        perm = tuple(other.perm[j] for j in self.perm)
-        signs = tuple(self.signs[i] * other.signs[self.perm[i]]
-                      for i in range(self.n))
-        return SignedPermutation(perm, signs)
-
-    def inverse(self) -> "SignedPermutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        perm = tuple(inv)
-        signs = tuple(self.signs[perm[j]] for j in range(self.n))
-        return SignedPermutation(perm, signs)
 
 
 def hyperoctahedral_group(n: int) -> list[SignedPermutation]:

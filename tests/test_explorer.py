@@ -275,27 +275,6 @@ def test_search_records_proven_violations_of_bad_constants():
     assert v.restart == 0
 
 
-def test_search_matches_across_thread_budgets(monkeypatch):
-    serial = explorer.search(CFG)
-    monkeypatch.setenv("CONVEXIQ_THREADS", "2")
-    threaded = explorer.search(CFG)
-    assert threaded.best_slack == serial.best_slack
-    assert threaded.trajectory == serial.trajectory
-    assert threaded.best_report.body_fingerprint == \
-        serial.best_report.body_fingerprint
-
-
-def test_thread_budget(monkeypatch):
-    monkeypatch.delenv("CONVEXIQ_THREADS", raising=False)
-    assert explorer.thread_budget() == 1
-    monkeypatch.setenv("CONVEXIQ_THREADS", "4")
-    assert explorer.thread_budget() == 4
-    monkeypatch.setenv("CONVEXIQ_THREADS", "0")
-    assert explorer.thread_budget() == 1
-    monkeypatch.setenv("CONVEXIQ_THREADS", "garbage")
-    assert explorer.thread_budget() == 1
-
-
 def test_search_midrange_zonotopes():
     # conjectured range (m strictly between 1 and n-2): the descent runs on
     # exact zonotope routes and, with at least three projections active for

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+function the library defines is referenced somewhere.
 
 No linter is a test dependency, so this walks the sources with ``ast``.
 A name counts as used when it is loaded anywhere in the module (string
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "convexiq").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "convexiq").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -37,3 +40,21 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_no_unreferenced_functions():
+    """A non-dunder function or method of the library that no name,
+    attribute or string in the library or its tests mentions is dead."""
+    refs, defs = set(), []
+    for path in SRC + TESTS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add(node.value)
+            elif path in SRC and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((path.name, node.lineno, node.name))
+    assert [d for d in defs if not (d[2].startswith("__") and d[2].endswith("__"))
+            and d[2] not in refs] == []

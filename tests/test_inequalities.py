@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from convexiq import bodies, coordops, inequalities as iq, quadrature
+from convexiq import bodies, coordops, inequalities as iq, measures, quadrature
 from convexiq.errors import InvalidArgument, UnsupportedMeasure
 
 from conftest import random_polytope, random_zonotope
@@ -133,14 +133,102 @@ def test_pythagorean_requires_direction(spec3):
 
 
 def test_pythagorean_polytope_needs_top_degree(spec3):
-    with pytest.raises(UnsupportedMeasure):
-        iq.evaluate("pythagorean", bodies.cube(3), m=1,
+    # every degree evaluates: each coordinate shadow of the cube is a
+    # 2 x 2 square with V_1 = 4
+    r = iq.evaluate("pythagorean", bodies.cube(3), m=1,
                     params={"u": [0.0, 0.0, 1.0]}, spec=spec3)
+    assert r.lhs == pytest.approx(48.0, rel=1e-12)
+    assert r.rhs == pytest.approx(16.0, rel=1e-12)
     # zonotopes project exactly in every degree
     z = bodies.Zonotope(np.zeros(3), np.diag([1.0, 2.0, 3.0]))
     r = iq.evaluate("pythagorean", z, m=1, params={"u": [0.0, 0.0, 1.0]},
                     spec=spec3)
     assert r.satisfied
+
+
+def _brightness(p, u) -> float:
+    """Reference shadow: the (n-1)-volume of the projection of a
+    full-dimensional polytope onto u^perp, half the sum of
+    |<u, nu_F>| area(F) over the facets."""
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    hull = p.qhull
+    total = 0.0
+    for s in range(hull.simplices.shape[0]):
+        verts = hull.points[hull.simplices[s]]
+        edges = verts[1:] - verts[0]
+        area = math.sqrt(max(float(np.linalg.det(edges @ edges.T)), 0.0)) \
+            / math.factorial(p.n - 1)
+        total += area * abs(float(np.dot(u, hull.equations[s, :p.n])))
+    return 0.5 * total
+
+
+def test_oblique_shadow_matches_facet_brightness(rng):
+    for n in (3, 4, 5):
+        for _ in range(20):
+            p = random_polytope(rng, n)
+            u = rng.standard_normal(n)
+            got = iq._vm_arbitrary_projection(p, u, n - 1, None)
+            assert got.exact
+            assert got.value == pytest.approx(_brightness(p, u), rel=1e-12)
+
+
+def test_oblique_shadows_of_cube_in_every_degree(spec3):
+    # along the main diagonal the cube's shadow is a regular hexagon of
+    # side 2 sqrt(2/3): V_1 = 2 sqrt(6)
+    r = iq.evaluate("pythagorean", bodies.cube(3), m=1,
+                    params={"u": [1.0, 1.0, 1.0]}, spec=spec3)
+    assert r.rhs == pytest.approx(24.0, rel=1e-12)
+    assert r.lhs == pytest.approx(48.0, rel=1e-12)
+    # cube(4) as a polytope and as a zonotope: independent routes agree
+    u = [1.0, 2.0, 3.0, 4.0]
+    z = bodies.Zonotope(np.zeros(4), np.eye(4))
+    for m in (1, 2, 3):
+        got = iq._vm_arbitrary_projection(bodies.cube(4), u, m, None)
+        want = iq._vm_arbitrary_projection(z, u, m, None)
+        assert got.exact and want.exact
+        assert got.value == pytest.approx(want.value, rel=1e-12), m
+    for m in (1, 2):
+        r = iq.evaluate("pythagorean", bodies.cube(4), m=m, params={"u": u},
+                        spec=quadrature.QuadratureSpec.for_dimension(4))
+        assert r.satisfied and r.quadrature_error is None
+
+
+def test_pythagorean_unit_disk_shadows(spec3):
+    disk = bodies.Ball(np.zeros(3), 1.0, zeroed={0})
+
+    def shadow(u):
+        return iq.evaluate("pythagorean", disk, m=2, params={"u": u},
+                           spec=spec3).rhs
+
+    assert shadow([1.0, 0.0, 0.0]) == pytest.approx(math.pi ** 2, rel=1e-14)
+    assert shadow([-1.0, 0.0, 0.0]) == pytest.approx(math.pi ** 2, rel=1e-14)
+    assert shadow([0.0, 0.0, 1.0]) == 0.0
+    with pytest.raises(UnsupportedMeasure, match="ellipsoid"):
+        shadow([1.0, 1.0, 0.0])
+    # oblique directions inside the span or across it stay balls
+    full = iq._vm_arbitrary_projection(bodies.ball(3), [1.0, 2.0, 3.0], 2, None)
+    assert full.value == pytest.approx(math.pi, rel=1e-14)
+    flat = bodies.Ball(np.zeros(4), 1.0, zeroed={0, 1})
+    across = iq._vm_arbitrary_projection(flat, [1.0, 1.0, 0.0, 0.0], 2, None)
+    assert across.value == pytest.approx(math.pi, rel=1e-14)
+    along = iq._vm_arbitrary_projection(flat, [0.0, 0.0, 1.0, 1.0], 1, None)
+    assert along.value == pytest.approx(2.0, rel=1e-14)
+
+
+def test_pythagorean_k1_shadows(spec3):
+    face_on = iq.evaluate("pythagorean", bodies.k1(), m=2,
+                          params={"u": [1.0, 0.0, 0.0]}, spec=spec3)
+    assert face_on.rhs == pytest.approx(math.pi ** 2, rel=1e-14)
+    assert face_on.quadrature_error is None
+    u = [1.0, 2.0, 3.0]
+    oblique = iq.evaluate("pythagorean", bodies.k1(), m=2, params={"u": u},
+                          spec=spec3)
+    assert oblique.quadrature_error is not None
+    assert oblique.quadrature_error >= 40.0 / 256 ** 2 * oblique.rhs
+    coarse = iq._vm_arbitrary_projection(bodies.k1(), u, 2, spec3)
+    fine = iq._vm_arbitrary_projection(bodies.k1(1024), u, 2, spec3)
+    assert not coarse.exact
+    assert coarse.value <= fine.value <= coarse.value + coarse.error
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +408,23 @@ def test_width_ratio_constant_exact_in_dimension_three():
     assert c.exact
     assert c.error <= 1e-9   # nominal roundoff only
     assert c.value == pytest.approx(math.acos(1.0 / 3.0) / math.pi, abs=1e-15)
+
+
+def test_width_ratio_constant_is_computed_once(monkeypatch):
+    calls = []
+    real = measures.integrate_sphere_with_error
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "integrate_sphere_with_error", counted)
+    spec = quadrature.QuadratureSpec(resolution=17)
+    first = iq.min_mean_width_ratio(4, spec)
+    assert calls == [4]          # cross_polytope(3) has an exact V_1
+    calls.clear()
+    assert iq.min_mean_width_ratio(4, spec) == first
+    assert calls == []
 
 
 def test_width_ratio_constant_decreases():
