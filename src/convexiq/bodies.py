@@ -8,7 +8,9 @@ A "body" is one of:
 * :class:`Ball` -- Euclidean ball, optionally flattened along coordinate
   axes (so that coordinate projections of balls stay symbolic);
 * :class:`DiskHull` -- the convex hull of the three unit coordinate disks
-  in R^3 (exact support function, polytopal approximation on demand);
+  in R^3 (exact support function; its inscribed polytope, reached only
+  through :meth:`DiskHull.as_polytope`, carries a stated error where the
+  measures use it);
 * :class:`NamedBody` -- thin serializable wrapper around a named
   construction (``cross``, ``cube``, ``K1``, ``K2``).
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
@@ -240,8 +242,9 @@ class DiskHull:
     """Convex hull of the three unit coordinate disks B^3 \\cap e_i^perp.
 
     The support function is exact: h(u) = sqrt(|u|^2 - min_i u_i^2).
-    ``fineness`` controls the inscribed polytopal approximation (vertices
-    per disk) used when a vertex representation is required.
+    ``fineness`` sets the vertices per disk of the inscribed polytope
+    :meth:`as_polytope`; the measures taken on it add its deficit to their
+    error (:func:`measures.with_polygon_error`).
     """
 
     fineness: int = 256
@@ -346,22 +349,18 @@ def k2() -> VPolytope:
     return scale_body(cross_polytope(3), math.sqrt(math.pi / 2.0))
 
 
-_DISK_HULL_CACHE: dict[int, VPolytope] = {}
-
-
+@cache
 def _disk_hull_polytope(fineness: int) -> VPolytope:
-    if fineness not in _DISK_HULL_CACHE:
-        t = 2.0 * np.pi * np.arange(fineness) / fineness
-        cos, sin = np.cos(t), np.sin(t)
-        pts = []
-        for i in range(3):
-            j, kk = [a for a in range(3) if a != i]
-            disk = np.zeros((fineness, 3))
-            disk[:, j] = cos
-            disk[:, kk] = sin
-            pts.append(disk)
-        _DISK_HULL_CACHE[fineness] = convex_hull(np.vstack(pts))
-    return _DISK_HULL_CACHE[fineness]
+    t = 2.0 * np.pi * np.arange(fineness) / fineness
+    cos, sin = np.cos(t), np.sin(t)
+    pts = []
+    for i in range(3):
+        j, kk = [a for a in range(3) if a != i]
+        disk = np.zeros((fineness, 3))
+        disk[:, j] = cos
+        disk[:, kk] = sin
+        pts.append(disk)
+    return convex_hull(np.vstack(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +437,8 @@ def convex_hull(points) -> VPolytope:
 
 def minkowski_sum(p: Body, q: Body) -> VPolytope:
     """Minkowski sum of two polytopal bodies (hull of pairwise vertex sums)."""
-    pv = vertices_of(p)
-    qv = vertices_of(q)
+    pv = as_vpolytope(p).vertices
+    qv = as_vpolytope(q).vertices
     if pv.shape[1] != qv.shape[1]:
         raise DimensionMismatch("summands live in different dimensions")
     sums = (pv[:, None, :] + qv[None, :, :]).reshape(-1, pv.shape[1])
@@ -455,37 +454,20 @@ def unconditional_hull(base) -> VPolytope:
     return convex_hull((base[:, None, :] * signs[None, :, :]).reshape(-1, n))
 
 
-def vertices_of(body: Body) -> np.ndarray:
-    """Vertex array of a polytopal body (zonotopes expanded, disk hulls
-    approximated at their configured fineness)."""
-    body = resolve(body)
-    if isinstance(body, VPolytope):
-        return body.vertices
-    if isinstance(body, Zonotope):
-        return as_vpolytope(body).vertices
-    if isinstance(body, DiskHull):
-        return body.as_polytope().vertices
-    raise UnsupportedOperation(
-        f"{type(body).__name__} has no exact vertex representation")
-
-
-def as_vpolytope(body: Body, ball_points: int = 512) -> VPolytope:
-    """Polytopal version of a body.
+def as_vpolytope(body: Body) -> VPolytope:
+    """The vertex representation of a polytopal body.
 
     Zonotopes are expanded exactly (sign enumeration of generators, capped
-    at 2**16 points).  Balls become inscribed polytopes and disk hulls use
-    their inscribed approximation; both of those are approximations.
+    at 2**16 points) once per instance.  Balls and K1 have no vertex
+    representation and raise :class:`UnsupportedOperation`.
     """
     body = resolve(body)
     if isinstance(body, VPolytope):
         return body
     if isinstance(body, Zonotope):
         return derived(body, "vpolytope", lambda: _expand_zonotope(body))
-    if isinstance(body, DiskHull):
-        return body.as_polytope()
-    if isinstance(body, Ball):
-        return _ball_polytope(body, ball_points)
-    raise InvalidArgument(f"not a body: {type(body).__name__}")
+    raise UnsupportedOperation(
+        f"{type(body).__name__} has no exact vertex representation")
 
 
 def _expand_zonotope(z: Zonotope) -> VPolytope:
@@ -499,37 +481,6 @@ def _expand_zonotope(z: Zonotope) -> VPolytope:
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
     pts = z.center + signs @ z.generators
     return convex_hull(pts)
-
-
-def _ball_polytope(b: Ball, count: int) -> VPolytope:
-    d = b.active_dim
-    axes = sorted(set(range(b.n)) - set(b.zeroed))
-    if b.radius == 0.0 or d == 0:
-        return VPolytope(b.center[None, :])
-    if d == 1:
-        pts = np.zeros((2, b.n))
-        pts[0, axes[0]] = -b.radius
-        pts[1, axes[0]] = b.radius
-        return convex_hull(b.center + pts)
-    if d == 2:
-        t = 2.0 * np.pi * np.arange(count) / count
-        sub = np.stack([np.cos(t), np.sin(t)], axis=1)
-    elif d == 3:
-        # Fibonacci sphere: deterministic, near-uniform.
-        i = np.arange(count) + 0.5
-        phi = np.arccos(1.0 - 2.0 * i / count)
-        theta = np.pi * (1.0 + math.sqrt(5.0)) * i
-        sub = np.stack([np.sin(phi) * np.cos(theta),
-                        np.sin(phi) * np.sin(theta),
-                        np.cos(phi)], axis=1)
-    else:
-        rng = np.random.default_rng(20240 + d)
-        raw = rng.standard_normal((count, d))
-        sub = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    pts = np.zeros((sub.shape[0], b.n))
-    for col, ax in enumerate(axes):
-        pts[:, ax] = sub[:, col]
-    return convex_hull(b.center + b.radius * pts)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +550,8 @@ def to_affine_coords(p: VPolytope) -> VPolytope:
 
 
 def scale_body(body: Body, factor: float) -> Body:
-    """Dilate a body about the origin by a non-negative factor."""
+    """Dilate a body about the origin by a non-negative factor (K1 raises
+    :class:`UnsupportedOperation`)."""
     if not (factor >= 0 and math.isfinite(factor)):
         raise InvalidArgument("scale factor must be non-negative and finite")
     body = resolve(body)
@@ -609,11 +561,8 @@ def scale_body(body: Body, factor: float) -> Body:
         return Zonotope(factor * body.center, factor * body.generators)
     if isinstance(body, Ball):
         return Ball(factor * body.center, factor * body.radius, body.zeroed)
-    if isinstance(body, DiskHull):
-        if factor == 1.0:
-            return body
-        return scale_body(body.as_polytope(), factor)
-    raise InvalidArgument(f"not a body: {type(body).__name__}")
+    raise UnsupportedOperation(
+        "a DiskHull (K1) is represented at unit scale only")
 
 
 def translate_body(body: Body, t) -> Body:
@@ -627,9 +576,8 @@ def translate_body(body: Body, t) -> Body:
         if any(abs(t[i]) > 0 for i in body.zeroed):
             raise InvalidArgument("cannot translate a flattened ball off its slab")
         return Ball(body.center + t, body.radius, body.zeroed)
-    if isinstance(body, DiskHull):
-        return translate_body(body.as_polytope(), t)
-    raise InvalidArgument(f"not a body: {type(body).__name__}")
+    raise UnsupportedOperation(
+        "a DiskHull (K1) is represented at the origin only")
 
 
 def same_vertices(p: VPolytope, q: VPolytope, tol: float = 1e-9) -> bool:

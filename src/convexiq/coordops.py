@@ -7,6 +7,8 @@ projections and intrinsic measures of the projected body are natural.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import bodies as _b
@@ -104,25 +106,31 @@ def _project_drop(body: Body, i: int) -> Body:
 
 
 def section(p: Body, i: int):
-    """The slice {x in P : x_i = 0} of a polytopal body.
+    """The slice {x in P : x_i = 0} of a body.
 
-    Vertices are classified against the hyperplane at 1e-10; crossing
-    segments between straddling vertex pairs are interpolated and the
-    union is hulled (interior interpolation points are removed by the
-    hull, so enumerating all straddling pairs is safe and avoids edge
-    bookkeeping).  Returns ``EMPTY`` when the plane misses the body.
+    A polytope's vertices (a zonotope's after expansion) are classified
+    against the hyperplane at 1e-10; crossing segments between straddling
+    vertex pairs are interpolated and the union is hulled (interior
+    interpolation points are removed by the hull, so enumerating all
+    straddling pairs is safe and avoids edge bookkeeping).  Returns
+    ``EMPTY`` when the plane misses the body.
+    A ball's section is a ball flat along axis i, in closed form.
     K1 (a :class:`DiskHull`) lies in the unit ball and contains the unit
     disk of e_i^perp, so its section is that disk, exactly.
     """
     p = resolve(p)
-    if isinstance(p, DiskHull):
-        return Ball(np.zeros(3), 1.0, frozenset({_check_axis(3, i)}))
-    if isinstance(p, Zonotope):
-        p = _b.as_vpolytope(p)
-    if not isinstance(p, VPolytope):
-        raise UnsupportedOperation(
-            f"sections are implemented for polytopal bodies, not {type(p).__name__}")
     i = _check_axis(p.n, i)
+    if isinstance(p, DiskHull):
+        return Ball(np.zeros(3), 1.0, frozenset({i}))
+    if isinstance(p, Ball):
+        if i in p.zeroed:
+            return p
+        c = abs(float(p.center[i]))
+        if c > p.radius:
+            return EMPTY
+        return Ball(p.center, math.sqrt((p.radius - c) * (p.radius + c)),
+                    p.zeroed | {i})
+    p = _b.as_vpolytope(p)
     coords = p.vertices[:, i]
     on = np.abs(coords) <= ON_PLANE_TOL
     pos = coords > ON_PLANE_TOL
@@ -156,7 +164,7 @@ def _section_drop(p: Body, i: int):
     s = section(p, i)
     if s is EMPTY:
         return EMPTY
-    if isinstance(s, Ball):     # K1's section, flat along axis i
+    if isinstance(s, Ball):     # flat along axis i
         return project_drop(s, i)
     return _b.drop_axes(s, [i])
 
@@ -192,7 +200,7 @@ def g_symmetral(body: Body) -> VPolytope:
             taus.append(SignedPermutation(tuple(perm), (1,) * n))
         levels.append(taus)
     vert_budget, row_budget = _sum_budget(n)
-    acc = VPolytope(_b.vertices_of(body))
+    acc = _b.as_vpolytope(body)
     for elements in levels:
         images = [apply_symmetry(acc, g) for g in elements]
         total = images[0]
@@ -227,11 +235,7 @@ def steiner_symmetrize(p: Body, i: int, slabs: int = 256) -> VPolytope:
     (plus chords through every projected vertex, which pins the creases)
     is an inscribed polytope converging at O(1/slabs^2) in volume.
     """
-    p = resolve(p)
-    if isinstance(p, (Zonotope, DiskHull)):
-        p = _b.as_vpolytope(p)
-    if not isinstance(p, VPolytope):
-        raise UnsupportedOperation("Steiner symmetrization expects a polytopal body")
+    p = _b.as_vpolytope(p)
     if p.n != 3:
         raise UnsupportedOperation("Steiner symmetrization is implemented for n = 3")
     if slabs < 16:

@@ -397,7 +397,11 @@ _PROBLEM_TABLE = {
 
 
 def validate_config(config: SearchConfig) -> SearchConfig:
-    """Normalize defaults and reject invalid problem/family pairings."""
+    """Normalize defaults and reject invalid problem/family pairings.
+
+    A pairing whose bodies have no measure route is rejected by
+    :func:`search` at its first evaluation, with the same error type.
+    """
     if config.problem not in SEARCH_PROBLEMS:
         raise InvalidArgument(
             f"unknown problem {config.problem!r}; known: {', '.join(SEARCH_PROBLEMS)}")
@@ -455,21 +459,10 @@ def validate_config(config: SearchConfig) -> SearchConfig:
     elif family_size < n:
         raise InvalidArgument("family size must be at least n")
 
-    out = replace(config, n=n, m=m, family_size=int(family_size),
-                  seed=int(config.seed), iterations=int(config.iterations),
-                  restarts=int(config.restarts),
-                  proposal_scale=float(config.proposal_scale))
-
-    # Probe one evaluation so unsupported measure combinations surface as
-    # configuration errors rather than mid-run failures.
-    rng = np.random.default_rng(np.random.SeedSequence(out.seed, spawn_key=(2 ** 30,)))
-    state = _initial_state(out, rng)
-    try:
-        _objective(out, state)
-    except UnsupportedMeasure as exc:
-        raise InvalidArgument(
-            f"problem/family pairing not computable: {exc}") from exc
-    return out
+    return replace(config, n=n, m=m, family_size=int(family_size),
+                   seed=int(config.seed), iterations=int(config.iterations),
+                   restarts=int(config.restarts),
+                   proposal_scale=float(config.proposal_scale))
 
 
 def _initial_state(config: SearchConfig, rng: np.random.Generator) -> np.ndarray:
@@ -517,13 +510,17 @@ def _objective(config: SearchConfig, state: np.ndarray):
 
 def _run_restart(config: SearchConfig, restart: int, seed_seq) -> dict:
     rng = np.random.default_rng(seed_seq)
-    state = _initial_state(config, rng)
-    current = _objective(config, state)
-    attempts = 0
-    while current is None and attempts < 64:
-        state = _initial_state(config, rng)
-        current = _objective(config, state)
-        attempts += 1
+    current = None
+    try:
+        for _ in range(65):
+            state = _initial_state(config, rng)
+            current = _objective(config, state)
+            if current is not None:
+                break
+    except UnsupportedMeasure as exc:
+        # The family's bodies have no measure route for this problem.
+        raise InvalidArgument(
+            f"problem/family pairing not computable: {exc}") from exc
     if current is None:
         raise InvalidArgument(
             "could not draw a non-degenerate starting body for the search family")

@@ -162,26 +162,10 @@ def _origin_interior(body: Body) -> bool:
                 float(np.linalg.norm(body.center)) < body.radius - 1e-12)
     if isinstance(body, DiskHull):
         return True  # K1 contains the cross-polytope conv{+-e_i}
-    if isinstance(body, Zonotope):
-        if affine_dim(body) < body.n:
-            return False
-        dirs = _unit_grid(body.n)
-        h = _b.support_many(body, dirs)
-        hneg = _b.support_many(body, -dirs)
-        return bool(np.all(h > 1e-10) and np.all(hneg > 1e-10))
-    if isinstance(body, VPolytope):
-        if affine_dim(body) < body.n:
-            return False
-        eq = body.qhull.equations
-        return bool(np.max(eq[:, -1]) < -1e-12)
-    return False
-
-
-def _unit_grid(n: int, count: int = 128) -> np.ndarray:
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal((count, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return np.vstack([u, np.eye(n), -np.eye(n)])
+    if affine_dim(body) < body.n:
+        return False
+    eq = _b.as_vpolytope(body).qhull.equations
+    return bool(np.max(eq[:, -1]) < -1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from convexiq import (Ball, DiskHull, NamedBody, VPolytope, Zonotope,
                       as_vpolytope, ball, convex_hull, cross_polytope, cube,
                       k1, k2, minkowski_sum, support, support_many)
 from convexiq.bodies import (DEDUP_TOL, _dedup_points, affine_dim, resolve,
-                             same_vertices, scale_body, translate_body,
-                             vertices_of)
+                             same_vertices, scale_body, translate_body)
+from convexiq.coordops import g_symmetral, steiner_symmetrize
 from convexiq.errors import InvalidArgument, UnsupportedOperation
 
 from conftest import random_polytope
@@ -80,7 +80,7 @@ def test_k1_contains_unit_disks(rng):
         mask[i] = False
         disk_support = np.linalg.norm(dirs[:, mask], axis=1)
         assert np.all(h >= disk_support - 1e-12)
-    verts = vertices_of(body)
+    verts = body.as_polytope().vertices
     np.testing.assert_allclose(np.linalg.norm(verts, axis=1), 1.0, atol=1e-12)
 
 
@@ -247,6 +247,22 @@ def test_zonotope_expansion_matches_support(rng):
 def test_unit_generators_make_cube():
     z = Zonotope(np.zeros(3), np.eye(3))
     assert same_vertices(as_vpolytope(z), cube(3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: as_vpolytope(ball(3)),
+    lambda: as_vpolytope(k1()),
+    lambda: scale_body(k1(), 2.0),
+    lambda: translate_body(k1(), [0.1, 0.0, 0.0]),
+    lambda: minkowski_sum(k1(), cube(3)),
+    lambda: g_symmetral(k1()),
+    lambda: steiner_symmetrize(k1(), 0),
+])
+def test_curved_bodies_have_no_polytope_stand_in(call):
+    """Balls and K1 are never swapped for an inscribed polytope whose
+    measures would then pass for exact."""
+    with pytest.raises(UnsupportedOperation):
+        call()
 
 
 # ---------------------------------------------------------------------------

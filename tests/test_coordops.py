@@ -143,6 +143,20 @@ def test_k1_sections_are_unit_disks():
         assert area.value == pytest.approx(np.pi, rel=1e-15)
 
 
+def test_ball_sections_are_balls():
+    b = bodies.ball(3, center=[0.0, 0.0, 0.6])
+    sec = coordops.section(b, 2)
+    assert isinstance(sec, bodies.Ball)
+    assert sec.zeroed == frozenset({2})
+    assert sec.radius == pytest.approx(0.8, rel=1e-15)
+    assert np.array_equal(sec.center, np.zeros(3))
+    assert coordops.section(sec, 2) is sec      # already flat along axis 2
+    dropped = coordops.section_drop(b, 2)
+    assert (dropped.n, dropped.zeroed) == (2, frozenset())
+    assert measures.vm(dropped, 2).value == pytest.approx(0.64 * np.pi, rel=1e-14)
+    assert coordops.section(bodies.ball(3, center=[0.0, 0.0, 2.0]), 2) is coordops.EMPTY
+
+
 def test_empty_body_is_rejected():
     for fn in (coordops.project, coordops.section, coordops.project_drop):
         with pytest.raises(InvalidArgument):

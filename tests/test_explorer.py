@@ -216,6 +216,14 @@ def test_validate_config_rejections(bad):
         explorer.validate_config(explorer.SearchConfig(**bad))
 
 
+def test_search_rejects_a_pairing_with_no_measure_route():
+    # V_2 of a full-dimensional 4-polytope has no route.
+    with pytest.raises(InvalidArgument, match="not computable"):
+        explorer.search(explorer.SearchConfig(
+            problem="cg33", n=4, m=2, family="cross-perturbation",
+            iterations=1, restarts=1))
+
+
 def test_config_hash_tracks_content():
     a = explorer.SearchConfig(problem="cg33", n=3, m=1, seed=7)
     b = explorer.SearchConfig(problem="cg33", n=3, m=1, seed=7)

@@ -387,6 +387,22 @@ def test_section_warning_when_origin_outside(spec3):
     assert r.warnings == ()
 
 
+def test_origin_check_is_exact_for_zonotopes(spec3):
+    """A rotated cube whose face stops 0.01 short of the origin."""
+    R = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    z = bodies.Zonotope(-1.01 * R[0], R)
+    r = iq.evaluate("meyer", z, spec=spec3)
+    assert any("origin not interior" in w for w in r.warnings)
+
+
+def test_meyer_on_the_ball_is_exact(spec3):
+    r = iq.evaluate("meyer", bodies.ball(3), spec=spec3)
+    assert r.lhs == pytest.approx((4.0 * math.pi / 3.0) ** 2, rel=1e-14)
+    assert r.rhs == pytest.approx(2.0 / 9.0 * math.pi ** 3, rel=1e-14)
+    assert r.quadrature_error is None
+    assert r.warnings == ()
+
+
 # ---------------------------------------------------------------------------
 # constants
 

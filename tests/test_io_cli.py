@@ -399,6 +399,13 @@ def test_cli_search_config_errors(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 65
 
 
+def test_cli_search_rejects_a_pairing_with_no_measure_route(tmp_path, capsys):
+    cfg = _write_config(tmp_path, n=4, m=2, family="cross-perturbation",
+                        iterations=1, restarts=1)
+    assert cli.main(["search", "--config", cfg, "--out", str(tmp_path)]) == 64
+    assert "not computable" in capsys.readouterr().err
+
+
 def test_cli_search_writes_findings_for_bad_constant(tmp_path):
     cfg = _write_config(tmp_path, problem="prob4", constant=1000.0,
                         family="cross-perturbation", iterations=10,
