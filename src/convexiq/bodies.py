@@ -71,12 +71,15 @@ def _dedup_points(pts: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
 
     Deterministic: rows are visited in lexicographic order and the first
     representative of each cluster survives, so the result is already
-    sorted.  Near-duplicates can only sit within ``tol`` of each other in
-    the scan column, which bounds the backward scan.  The scan column is
-    the first one whose end values differ: the columns before it are
-    constant, so it is sorted too.  (Sections and projections zero a
-    coordinate, so a constant leading column would make the scan
-    quadratic.)
+    sorted.  Close pairs are found by a vectorized sweep of the scan
+    column: round k compares every row with the row k places later, and
+    the sweep ends at the first k where no such pair is within tol in
+    that column (so it runs as many rounds as the largest tol-window
+    holds rows).  The scan column is the first one whose end values
+    differ: the columns before it are constant, so it is sorted too.
+    (Sections and projections zero a coordinate; a constant scan column
+    would put every row in one window.)  The greedy visit then only
+    walks the rows that have a close predecessor.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.shape[0] <= 1:
@@ -87,17 +90,23 @@ def _dedup_points(pts: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
         differ = np.flatnonzero(sp[0] != sp[-1])
         col = int(differ[0]) if differ.size else 0
     xs = sp[:, col]
-    kept: list[int] = []
-    for i in range(sp.shape[0]):
-        dup = False
-        j = len(kept) - 1
-        while j >= 0 and xs[i] - xs[kept[j]] <= tol:
-            if np.max(np.abs(sp[i] - sp[kept[j]])) <= tol:
-                dup = True
-                break
-            j -= 1
-        if not dup:
-            kept.append(i)
+    found = []
+    for k in range(1, sp.shape[0]):
+        near = np.flatnonzero(xs[k:] - xs[:-k] <= tol)
+        if not near.size:
+            break
+        near = near[np.max(np.abs(sp[near + k] - sp[near]), axis=1) <= tol]
+        found.append(np.stack([near, near + k], axis=1))
+    if not any(f.size for f in found):
+        return sp
+    # Group each row's close predecessors; visit rows in order.
+    pairs = np.vstack(found)
+    pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+    later, starts = np.unique(pairs[:, 1], return_index=True)
+    bounds = np.append(starts, pairs.shape[0])
+    kept = np.ones(sp.shape[0], dtype=bool)
+    for j, lo, hi in zip(later.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        kept[j] = not kept[pairs[lo:hi, 0]].any()
     return sp[kept]
 
 

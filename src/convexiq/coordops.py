@@ -7,29 +7,42 @@ projections and intrinsic measures of the projected body are natural.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from . import bodies as _b
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, convex_hull,
-                     resolve, scale_body)
+                     resolve)
 from .errors import InvalidArgument, UnsupportedOperation
-from .symmetry import SignedPermutation, apply_symmetry
+from .symmetry import SignedPermutation
 
 ON_PLANE_TOL = 1e-10
+# Relative excess of the symmetral's support over a hull facet that
+# counts as a missing vertex (g_symmetral's stop rule).
+SUPPORT_TOL = 1e-12
+# Entries of the (directions x vertices) product one support-oracle call
+# in g_symmetral may hold, and rows of one block of its seed orbit.
+ORACLE_BATCH = 1 << 20
+ORBIT_BLOCK = 1 << 16
+# |a_i| of a unit facet normal below which the facet is parallel to e_i
+# (steiner_symmetrize).
+VERTICAL_TOL = 1e-12
+# Segment pairs one crossing test in steiner_symmetrize may hold.
+CROSSING_BLOCK = 1 << 18
 
 
-def _sum_budget(n: int) -> tuple[int, int]:
-    """(max accumulated vertices, max product rows) for exact Minkowski sums.
+def _sum_budget(n: int) -> int:
+    """Most candidate points :func:`g_symmetral` hulls in dimension n.
 
-    Exact symmetrals of complex bodies blow up combinatorially, and qhull
-    memory grows much faster with point count in dimension >= 4 than in 3;
-    give up cleanly instead of exhausting memory.
+    Exact symmetrals of complex bodies have combinatorially many
+    vertices, and qhull memory grows much faster with point count in
+    dimension >= 4 than in 3.  The candidate set is checked against this
+    cap before every hull, so a refusal comes before the expensive work.
     """
-    if n <= 3:
-        return 120_000, 40_000_000
-    return 2_000, 200_000
+    return 120_000 if n <= 3 else 2_000
 
 
 class EmptyBody:
@@ -173,21 +186,15 @@ def _section_drop(p: Body, i: int):
 # group averaging
 
 
-def g_symmetral(body: Body) -> VPolytope:
-    """Minkowski average (1/|G|) sum_{g in G} gK over all signed
-    permutations.
+def _group_levels(n: int) -> list[list[SignedPermutation]]:
+    """The chain of small averages whose composition is the average over
+    all signed permutations.
 
-    The average factorizes: the sign flips form a product of per-axis
-    reflections (n pairwise averages), and the permutation average climbs
-    the subgroup chain S_1 < S_2 < ... < S_n using transposition coset
-    representatives (j summands at level j).  That replaces the flat
-    2^n n!-term sum with 2n - 1 small Minkowski averages.
+    The sign flips form a product of per-axis reflections (n levels of
+    two elements), and the permutation average climbs the subgroup chain
+    S_1 < S_2 < ... < S_n using transposition coset representatives (j
+    elements at level j): 2n - 1 levels instead of one 2^n n!-term sum.
     """
-    body = resolve(body)
-    n = body.n
-    if n > 5:
-        raise UnsupportedOperation(
-            f"group averaging refused for n={n} (2^n n! blow-up; cap 5)")
     ident = tuple(range(n))
     levels = [[SignedPermutation(ident, (1,) * n),
                SignedPermutation(ident, tuple(-1 if j == i else 1 for j in range(n)))]
@@ -199,84 +206,167 @@ def g_symmetral(body: Body) -> VPolytope:
             perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
             taus.append(SignedPermutation(tuple(perm), (1,) * n))
         levels.append(taus)
-    vert_budget, row_budget = _sum_budget(n)
-    acc = _b.as_vpolytope(body)
-    for elements in levels:
-        images = [apply_symmetry(acc, g) for g in elements]
-        total = images[0]
-        for image in images[1:]:
-            if total.vertex_count > vert_budget:
+    return levels
+
+
+def _average_argmax(vertices: np.ndarray, levels, u: np.ndarray) -> np.ndarray:
+    """For each row of u, a point of the chain's average maximizing <., u>.
+
+    A Minkowski sum's support point is the sum of its summands' support
+    points, so each level sums its images' points in element order and
+    scales by 1/|level|.  Those are the float operations of summing the
+    level's images pairwise, so each point has the bytes of the
+    corresponding vertex of the pairwise sum.
+    """
+    if not levels:
+        return vertices[np.argmax(u @ vertices.T, axis=1)]
+    elements = levels[-1]
+    count = u.shape[0]
+    w = np.empty((len(elements) * count, u.shape[1]))
+    for k, g in enumerate(elements):
+        # <g x, u> = <x, w> with w[perm[i]] = signs[i] u[i]
+        w[k * count:(k + 1) * count, list(g.perm)] = u * np.array(g.signs, dtype=float)
+    pts = _average_argmax(vertices, levels[:-1], w)
+    total = elements[0].apply_points(pts[:count])
+    for k, g in enumerate(elements[1:], 1):
+        total = total + g.apply_points(pts[k * count:(k + 1) * count])
+    return (1.0 / len(elements)) * total
+
+
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a, lexicographically sorted."""
+    a = _b._lexsorted(a)
+    return a[np.concatenate([[True], np.any(a[1:] != a[:-1], axis=1)])]
+
+
+def g_symmetral(body: Body) -> VPolytope:
+    """Minkowski average (1/|G|) sum_{g in G} gK over all signed
+    permutations, as an exact vertex list.
+
+    Built from a support oracle (:func:`_average_argmax` over the level
+    chain of :func:`_group_levels`), never from a vertex-sum cloud.  The
+    candidates start as the oracle points of the group orbit of K's facet
+    normals and vertex directions.  Each round hulls them and adds the
+    oracle point of every hull facet (a, b) with h(a) > b + SUPPORT_TOL *
+    scale.  When no facet is violated the hull is the average: it lies
+    inside the average, and every facet inequality of the hull holds on
+    the average.  The candidate count is checked against
+    :func:`_sum_budget` before every hull.
+    """
+    body = resolve(body)
+    n = body.n
+    if n > 5:
+        raise UnsupportedOperation(
+            f"group averaging refused for n={n} (2^n n! blow-up; cap 5)")
+    k = _b.as_vpolytope(body)
+    levels = _group_levels(n)
+    perms = np.array(list(itertools.permutations(range(n))))
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    order = perms.shape[0] * signs.shape[0]
+    batch = max(1, ORACLE_BATCH // (order * k.vertex_count))
+    cap = _sum_budget(n)
+
+    def grow(cands, dirs, bound):
+        """cands plus the oracle points of dirs that exceed bound,
+        refused past the cap."""
+        for s in range(0, dirs.shape[0], batch):
+            u = dirs[s:s + batch]
+            pts = _average_argmax(k.vertices, levels, u)
+            pts = pts[np.einsum("ij,ij->i", pts, u) > bound[s:s + batch]]
+            cands = _distinct_rows(np.vstack([cands, pts]))
+            if cands.shape[0] > cap:
                 raise UnsupportedOperation(
-                    f"Minkowski accumulation exceeded {vert_budget} vertices "
-                    f"in dimension {n}; the exact sum is too complex for "
-                    "this implementation")
-            rows = total.vertex_count * image.vertex_count
-            if rows > row_budget:
-                raise UnsupportedOperation(
-                    f"Minkowski accumulation needs a {rows}-point cloud "
-                    f"in dimension {n} (budget {row_budget}); the exact "
-                    "sum is too complex for this implementation")
-            total = _b.minkowski_sum(total, image)
-        acc = scale_body(total, 1.0 / len(elements))
-    return acc
+                    f"the symmetral needs more than {cap} candidate points "
+                    f"in dimension {n}; the exact average is too complex "
+                    "for this implementation")
+        return cands
+
+    if _b.affine_dim(k) == 0:
+        return VPolytope(_average_argmax(k.vertices, levels, np.zeros((1, n))))
+    seeds = k.vertices
+    if _b.affine_dim(k) == n:
+        seeds = _distinct_rows(np.vstack([k.qhull.equations[:, :n], seeds]))
+    cands = np.zeros((0, n))
+    per = max(1, ORBIT_BLOCK // order)   # seeds per orbit block
+    for s in range(0, seeds.shape[0], per):
+        # every signed permutation x -> signs * x[perm] of each seed
+        orbit = seeds[s:s + per][:, perms][:, :, None, :] * signs
+        orbit = _distinct_rows(orbit.reshape(-1, n))
+        cands = grow(cands, orbit, np.full(orbit.shape[0], -np.inf))
+    while True:
+        qh = ConvexHull(cands)
+        eq = _distinct_rows(qh.equations)
+        scale = float(np.max(np.abs(cands)))
+        grown = grow(cands, eq[:, :n], SUPPORT_TOL * scale - eq[:, n])
+        if grown.shape[0] == cands.shape[0]:
+            return VPolytope(_b._dedup_points(cands[qh.vertices]))
+        cands = grown
 
 
 # ---------------------------------------------------------------------------
 # Steiner symmetrization (n = 3)
 
 
-def steiner_symmetrize(p: Body, i: int, slabs: int = 256) -> VPolytope:
-    """Slab-discretized Steiner symmetrization of a 3-polytope in
-    direction e_i: chords of P parallel to e_i are re-centered on
-    e_i^perp.
+def _crossings(flat: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Points where a planar segment of e crosses one of f.
 
-    The chord function of a polytope is piecewise linear and concave, so
-    the hull of re-centered chords sampled on a grid over the projection
-    (plus chords through every projected vertex, which pins the creases)
-    is an inscribed polytope converging at O(1/slabs^2) in volume.
+    ``flat`` holds planar points and e, f are (k, 2) index pairs into it.
+    Parallel pairs are skipped: they meet, if at all, at endpoints.
+    """
+    p, d = flat[e[:, 0]], flat[e[:, 1]] - flat[e[:, 0]]
+    q, g = flat[f[:, 0]][None], (flat[f[:, 1]] - flat[f[:, 0]])[None]
+    out = [np.zeros((0, 2))]
+    step = max(1, CROSSING_BLOCK // f.shape[0])
+    for s in range(0, e.shape[0], step):
+        # p + a d = q + b g, solved by 2-d cross products
+        ps, ds = p[s:s + step, None], d[s:s + step, None]
+        r = q - ps
+        den = ds[..., 0] * g[..., 1] - ds[..., 1] * g[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (r[..., 0] * g[..., 1] - r[..., 1] * g[..., 0]) / den
+            b = (r[..., 0] * ds[..., 1] - r[..., 1] * ds[..., 0]) / den
+        rows, cols = np.nonzero((den != 0) & (a >= 0) & (a <= 1) & (b >= 0) & (b <= 1))
+        out.append(p[s + rows] + a[rows, cols, None] * d[s + rows])
+    return np.vstack(out)
+
+
+def steiner_symmetrize(p: Body, i: int) -> VPolytope:
+    """Steiner symmetrization of a 3-polytope in direction e_i: every
+    chord of P parallel to e_i is re-centered on e_i^perp.
+
+    Exact: over the projection, the top of P is linear on each projected
+    upper facet and the bottom on each projected lower facet, so the chord
+    length l is linear on every cell of the overlay of the two.  The
+    cells' corners are the projected vertices and the crossings of a
+    projected upper edge with a projected lower edge, and the symmetral
+    is the hull of +-l/2 above those points.
     """
     p = _b.as_vpolytope(p)
     if p.n != 3:
         raise UnsupportedOperation("Steiner symmetrization is implemented for n = 3")
-    if slabs < 16:
-        raise InvalidArgument("slabs must be at least 16")
     if _b.affine_dim(p) < 3:
         raise UnsupportedOperation("Steiner symmetrization needs a full-dimensional body")
     i = _check_axis(3, i)
     others = [j for j in range(3) if j != i]
-    eq = p.qhull.equations  # rows (a, b): a.x + b <= 0 inside
-    a_i = eq[:, i]
-    a_other = eq[:, others]
-    b = eq[:, 3]
+    hull = p.qhull
+    eq = hull.equations  # rows (a, b): a.x + b <= 0 inside
+    up = eq[:, i] > VERTICAL_TOL
+    down = eq[:, i] < -VERTICAL_TOL
 
-    lo = p.vertices[:, others].min(axis=0)
-    hi = p.vertices[:, others].max(axis=0)
-    g0 = np.linspace(lo[0], hi[0], slabs)
-    g1 = np.linspace(lo[1], hi[1], slabs)
-    grid = np.stack([a.ravel() for a in np.meshgrid(g0, g1)], axis=1)
-    ys = np.vstack([grid, p.vertices[:, others]])
+    def edges(simplices):
+        pairs = simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        return _distinct_rows(np.sort(pairs, axis=1))
 
-    # Chord of the line {y + t e_i} against every facet half-space:
-    # a_other . y + a_i t + b <= 0.
-    rhs = -(ys @ a_other.T) - b[None, :]  # constraint: a_i t <= rhs
-    t_hi = np.full(ys.shape[0], np.inf)
-    t_lo = np.full(ys.shape[0], -np.inf)
-    feasible = np.ones(ys.shape[0], dtype=bool)
-    for f in range(eq.shape[0]):
-        ai = a_i[f]
-        if abs(ai) <= 1e-12:
-            feasible &= rhs[:, f] >= -1e-9
-        elif ai > 0:
-            t_hi = np.minimum(t_hi, rhs[:, f] / ai)
-        else:
-            t_lo = np.maximum(t_lo, rhs[:, f] / ai)
-    length = t_hi - t_lo
-    ok = feasible & (length >= -1e-12) & np.isfinite(length)
-    half = np.maximum(length[ok], 0.0) / 2.0
-    base = ys[ok]
-    out = np.zeros((2 * base.shape[0], 3))
-    out[:base.shape[0], others] = base
-    out[:base.shape[0], i] = half
-    out[base.shape[0]:, others] = base
-    out[base.shape[0]:, i] = -half
+    flat = p.vertices[:, others]
+    ys = np.vstack([flat, _crossings(flat, edges(hull.simplices[up]),
+                                     edges(hull.simplices[down]))])
+    # Chord of the line {y + t e_i} against every facet half-space
+    # a_other . y + a_i t + b <= 0; vertical facets bound no chord.
+    rhs = -(ys @ eq[:, others].T) - eq[:, 3]
+    t_hi = np.min(rhs[:, up] / eq[up, i], axis=1)
+    t_lo = np.max(rhs[:, down] / eq[down, i], axis=1)
+    half = np.maximum(t_hi - t_lo, 0.0) / 2.0
+    out = np.zeros((2 * ys.shape[0], 3))
+    out[:, others] = np.vstack([ys, ys])
+    out[:, i] = np.concatenate([half, -half])
     return convex_hull(out)

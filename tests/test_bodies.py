@@ -15,6 +15,7 @@ from convexiq.bodies import (DEDUP_TOL, _dedup_points, affine_dim, resolve,
                              same_vertices, scale_body, translate_body)
 from convexiq.coordops import g_symmetral, steiner_symmetrize
 from convexiq.errors import InvalidArgument, UnsupportedOperation
+from convexiq.symmetry import hyperoctahedral_group
 
 from conftest import random_polytope
 
@@ -139,6 +140,19 @@ def test_dedup_matches_greedy_reference(rng):
         const = int(rng.integers(0, n + 1))   # constant leading columns
         pts[:, :const] = rng.integers(-1, 2, size=const)
         assert np.array_equal(_dedup_points(pts), _greedy_dedup(pts, DEDUP_TOL))
+    # A tie-heavy symmetric cloud: signed-permutation orbits of a few
+    # points, repeated, with small offsets on some copies.
+    base = np.array([[0.5, 0.25, 0.0], [1.0, 1.0, 0.5], [0.25, 0.0, 0.0]])
+    orbit = np.vstack([g.apply_points(base) for g in hyperoctahedral_group(3)])
+    sym = np.vstack([orbit, orbit, orbit + rng.choice([-1.0, 0.0, 1.0], size=orbit.shape)
+                     * rng.choice([0.5, 1.0, 2.0], size=orbit.shape) * DEDUP_TOL])
+    assert np.array_equal(_dedup_points(sym), _greedy_dedup(sym, DEDUP_TOL))
+    # A near-duplicate cloud: chains of copies 0.6 tol apart, so a row's
+    # neighbours on both sides are close to it but not to each other.
+    steps = np.arange(6)[:, None, None] * 0.6 * DEDUP_TOL
+    centers = rng.standard_normal((40, 4))
+    near = (centers[None] + steps * rng.choice([-1.0, 1.0], size=(1, 40, 4))).reshape(-1, 4)
+    assert np.array_equal(_dedup_points(near), _greedy_dedup(near, DEDUP_TOL))
 
 
 def test_convex_hull_degenerate_rank():

@@ -208,6 +208,49 @@ def test_symmetral_preserves_mean_width_ratio(rng, spec3):
     assert after == pytest.approx(before, abs=1e-6)
 
 
+def _pairwise_symmetral(body):
+    """Reference: the level-by-level route that sums each level's images
+    pairwise with bodies.minkowski_sum (the hull of every vertex-sum
+    pair) and scales the sum by 1/|level|."""
+    acc = bodies.as_vpolytope(body)
+    for elements in coordops._group_levels(acc.n):
+        images = [symmetry.apply_symmetry(acc, g) for g in elements]
+        total = images[0]
+        for image in images[1:]:
+            total = bodies.minkowski_sum(total, image)
+        acc = bodies.scale_body(total, 1.0 / len(elements))
+    return acc
+
+
+FIVE_VERTICES = bodies.convex_hull(np.array(
+    [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-0.5, -0.5, 0], [0.2, 0.3, -0.8]]))
+
+
+@pytest.mark.parametrize("body", [
+    FIVE_VERTICES,
+    bodies.convex_hull(np.array([[0.0, 0.0], [1.0, 0.0]])),
+    bodies.convex_hull(np.array([[0.2, 0.5, 0.0], [1.0, 0.3, 0.0], [-0.6, 0.9, 0.0]])),
+    bodies.cube(2), bodies.cube(3), bodies.cross_polytope(2), bodies.cross_polytope(3),
+], ids=["five-vertices", "segment", "flat-triangle", "cube2", "cube3", "cross2", "cross3"])
+def test_symmetral_matches_pairwise_sums_bytewise(body):
+    sym = coordops.g_symmetral(body)
+    ref = _pairwise_symmetral(body)
+    assert sym.vertices.shape == ref.vertices.shape
+    assert sym.vertices.tobytes() == ref.vertices.tobytes()
+
+
+def test_symmetral_facets_hold_on_the_group_average():
+    """The stop rule: every facet (a, b) of the result bounds the group
+    average of K's support function, mean_g h_K(g^T a) <= b."""
+    sym = coordops.g_symmetral(FIVE_VERTICES)
+    eq = sym.qhull.equations
+    a, b = eq[:, :3], -eq[:, 3]
+    h = np.mean([np.max((a @ g.matrix()) @ FIVE_VERTICES.vertices.T, axis=1)
+                 for g in symmetry.hyperoctahedral_group(3)], axis=0)
+    scale = float(np.max(np.abs(sym.vertices)))
+    assert np.all(h <= b + 1e-9 * scale)
+
+
 def test_symmetral_budget_guard_in_high_dimension():
     rng = np.random.default_rng(11)
     cloud = bodies.convex_hull(rng.standard_normal((20, 4)))
@@ -223,16 +266,27 @@ def test_steiner_preserves_volume(spec3):
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((7, 3)) + np.array([0.4, -0.2, 0.1])
     p = bodies.convex_hull(pts)
-    st = coordops.steiner_symmetrize(p, 0, slabs=256)
+    st = coordops.steiner_symmetrize(p, 0)
     v0 = measures.vm(p, 3, spec3).value
     v1 = measures.vm(st, 3, spec3).value
     assert v1 == pytest.approx(v0, rel=1e-4)
 
 
+def test_steiner_volume_is_exact():
+    """The symmetral is exact, not an inscribed slab approximation, so
+    Cavalieri's principle holds to roundoff."""
+    rng = np.random.default_rng(29)
+    for _ in range(15):
+        k = int(rng.integers(7, 45))
+        p = bodies.convex_hull(rng.standard_normal((k, 3)) + rng.uniform(-1.0, 1.0, 3))
+        st = coordops.steiner_symmetrize(p, int(rng.integers(0, 3)))
+        assert measures.volume(st) == pytest.approx(measures.volume(p), rel=1e-12)
+
+
 def test_steiner_output_is_reflection_symmetric(spec3):
     rng = np.random.default_rng(9)
     p = bodies.convex_hull(rng.standard_normal((9, 3)) + 0.3)
-    st = coordops.steiner_symmetrize(p, 1, slabs=256)
+    st = coordops.steiner_symmetrize(p, 1)
     mirrored = st.vertices.copy()
     mirrored[:, 1] *= -1.0
     hull = bodies.convex_hull(np.vstack([st.vertices, mirrored]))
@@ -245,7 +299,7 @@ def test_steiner_output_is_reflection_symmetric(spec3):
 def test_steiner_does_not_increase_lower_volumes(m, spec3):
     rng = np.random.default_rng(13)
     p = bodies.convex_hull(rng.standard_normal((8, 3)))
-    st = coordops.steiner_symmetrize(p, 2, slabs=256)
+    st = coordops.steiner_symmetrize(p, 2)
     before = measures.vm(p, m, spec3).value
     after = measures.vm(st, m, spec3).value
     assert after <= before + 1e-6 * max(1.0, before)
@@ -257,8 +311,8 @@ def test_steiner_validation():
         coordops.steiner_symmetrize(p, 5)
     with pytest.raises(InvalidArgument):
         coordops.steiner_symmetrize(p, -1)
-    with pytest.raises(InvalidArgument):
-        coordops.steiner_symmetrize(p, 0, slabs=3)
+    with pytest.raises(UnsupportedOperation):
+        coordops.steiner_symmetrize(bodies.convex_hull(p.vertices[:4]), 0)
     with pytest.raises(UnsupportedOperation):
         coordops.steiner_symmetrize(bodies.cube(2), 0)
 
