@@ -19,7 +19,7 @@ from .bodies import (Body, Zonotope, convex_hull, cross_polytope, resolve,
 from .coordops import project_drop
 from .errors import InvalidArgument, UndefinedValue, UnsupportedMeasure
 from .measures import vm
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, gauss_legendre
 
 J_GRID_POINTS = 64
 GL_NODES = 96
@@ -35,14 +35,10 @@ def mean_width_ratio(body: Body, spec: QuadratureSpec | None = None) -> float:
     cross-polytopes.
     """
     body = resolve(body)
-    n = body.n
-    num = vm(body, 1, spec)
-    den = 0.0
-    for i in range(n):
-        den += vm(project_drop(body, i), 1, spec).value
+    den = sum(vm(project_drop(body, i), 1, spec).value for i in range(body.n))
     if den <= 1e-12:
         raise UndefinedValue("projection widths all vanish (point-like body)")
-    return num.value / den
+    return vm(body, 1, spec).value / den
 
 
 def sine_power_integral(t: float, n: int, nodes: int = GL_NODES) -> float:
@@ -54,11 +50,8 @@ def sine_power_integral(t: float, n: int, nodes: int = GL_NODES) -> float:
         raise InvalidArgument("band parameter t must be >= 0")
     if n < 2:
         raise InvalidArgument("need ambient dimension n >= 2")
-    lo = math.pi / 2.0 - math.atan(t)
-    hi = math.pi / 2.0
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    phi = 0.5 * (hi - lo) * (x + 1.0) + lo
-    return float(0.5 * (hi - lo) * np.sum(w * np.sin(phi) ** (n - 1)))
+    phi, w = gauss_legendre(math.pi / 2.0 - math.atan(t), math.pi / 2.0, nodes)
+    return float(np.sum(w * np.sin(phi) ** (n - 1)))
 
 
 def equatorial_support_ratio(body: Body, x2: float,
@@ -69,21 +62,11 @@ def equatorial_support_ratio(body: Body, x2: float,
     Nondecreasing in x2 on [0, 1/sqrt(2)] for such bodies; identically 1
     on the standard cross-polytope.
     """
-    body = resolve(body)
-    if body.n != 3:
-        raise InvalidArgument("the equatorial support ratio is defined for n = 3")
     x2 = float(x2)
     if not -1e-12 <= x2 <= 1.0 / math.sqrt(2.0) + 1e-12:
         raise InvalidArgument("x2 must lie in [0, 1/sqrt(2)]")
     x2 = min(max(x2, 0.0), 1.0 / math.sqrt(2.0))
-    if check_symmetry:
-        rng = np.random.default_rng(20240)
-        if not symmetry.is_group_invariant(body, rng):
-            raise InvalidArgument(
-                "body lacks the signed-permutation symmetries this ratio assumes")
-    x1 = math.sqrt(1.0 - x2 * x2)
-    u = np.array([[x1, x2, 0.0]])
-    return float(support_many(body, u)[0]) / x1
+    return float(_support_ratios(body, np.array([x2]), check_symmetry)[0])
 
 
 def support_ratio_profile(body: Body, points: int = J_GRID_POINTS,
@@ -93,19 +76,20 @@ def support_ratio_profile(body: Body, points: int = J_GRID_POINTS,
     (x2, ratio)."""
     if points < 2:
         raise InvalidArgument("need at least two grid points")
+    x2 = np.linspace(0.0, 1.0 / math.sqrt(2.0), points)
+    return np.column_stack([x2, _support_ratios(body, x2, check_symmetry)])
+
+
+def _support_ratios(body: Body, x2: np.ndarray, check_symmetry: bool) -> np.ndarray:
     body = resolve(body)
     if body.n != 3:
         raise InvalidArgument("the equatorial support ratio is defined for n = 3")
-    if check_symmetry:
-        rng = np.random.default_rng(20240)
-        if not symmetry.is_group_invariant(body, rng):
-            raise InvalidArgument(
-                "body lacks the signed-permutation symmetries this ratio assumes")
-    x2 = np.linspace(0.0, 1.0 / math.sqrt(2.0), points)
+    if check_symmetry and not symmetry.is_group_invariant(
+            body, np.random.default_rng(20240)):
+        raise InvalidArgument(
+            "body lacks the signed-permutation symmetries this ratio assumes")
     x1 = np.sqrt(np.maximum(1.0 - x2 * x2, 0.0))
-    u = np.column_stack([x1, x2, np.zeros_like(x2)])
-    vals = support_many(body, u) / x1
-    return np.column_stack([x2, vals])
+    return support_many(body, np.column_stack([x1, x2, np.zeros_like(x2)])) / x1
 
 
 def chebyshev_sum_check(f, g, tol: float = 1e-9) -> bool | None:
@@ -191,57 +175,28 @@ def _wedge_quadrature_mean_width(nodes: int) -> float:
     enforces |u2| <= |u3| (octants x min-coordinate x swap = 48).
     """
     body = _b.k1()
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    lo, hi = math.pi / 4.0, math.pi / 2.0
-    theta = 0.5 * (hi - lo) * (x + 1.0) + lo
-    wt = 0.5 * (hi - lo) * w
     total = 0.0
-    for th, wth in zip(theta, wt):
-        pmax = math.atan(1.0 / math.sin(th))
-        phi = 0.5 * pmax * (x + 1.0)
-        wphi = 0.5 * pmax * w
-        u = np.column_stack([
-            np.full_like(phi, math.cos(th)) * np.sin(phi),
-            math.sin(th) * np.sin(phi),
-            np.cos(phi),
-        ])
-        h = support_many(body, u)
-        total += wth * float(np.sum(wphi * h * np.sin(phi)))
+    for th, wth in zip(*gauss_legendre(math.pi / 4.0, math.pi / 2.0, nodes)):
+        phi, wphi = gauss_legendre(0.0, math.atan(1.0 / math.sin(th)), nodes)
+        sp = np.sin(phi)
+        u = np.column_stack([math.cos(th) * sp, math.sin(th) * sp, np.cos(phi)])
+        total += wth * float(np.sum(wphi * support_many(body, u) * sp))
     return 48.0 * total / math.pi
 
 
-def _inner_integral(theta: np.ndarray) -> np.ndarray:
-    """Closed form of the polar integral over the wedge cap at fixed
-    outer angle; analytic on (pi/4, pi/2)."""
-    s = np.sin(theta)
-    c = np.cos(theta)
-    s2 = s * s
-    log_arg = (math.sqrt(2.0) + c) * s / ((c + 1.0) * np.sqrt(1.0 + s2))
-    return 0.5 - s2 / (math.sqrt(2.0) * (1.0 + s2)) - \
-        s2 / (2.0 * c) * np.log(log_arg)
-
-
-def _inner_route_mean_width(nodes: int) -> float:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    lo, hi = math.pi / 4.0, math.pi / 2.0
-    theta = 0.5 * (hi - lo) * (x + 1.0) + lo
-    wt = 0.5 * (hi - lo) * w
-    return 48.0 * float(np.sum(wt * _inner_integral(theta))) / math.pi
-
-
 def disk_hull_mean_width_report() -> ReproReport:
-    """Mean width of the hull of the three unit coordinate disks by two
-    independent quadrature routes, compared with the scaled
-    cross-polytope of equal section areas."""
+    """Mean width of the hull of the three unit coordinate disks by wedge
+    tensor quadrature and by ``vm``'s one-dimensional rule, compared with
+    the scaled cross-polytope of equal section areas."""
     v_2d = _wedge_quadrature_mean_width(GL_NODES)
-    v_inner = _inner_route_mean_width(2 * GL_NODES)
+    v_inner = vm(_b.k1(), 1).value
     v_k2 = 6.0 * math.acos(1.0 / 3.0) / math.sqrt(math.pi)
     v_k2_path = measures.v1_polytope_exact(_b.as_vpolytope(_b.k2()))
     rows = (
         ReproRow("disk-hull-width-quadrature", v_2d, 3.8663, 1e-3),
         ReproRow("disk-hull-width-inner-route", v_inner, 3.8663, 1e-3),
         ReproRow("route-agreement", abs(v_2d - v_inner), 0.0, 1e-5,
-                 note="two independent quadratures"),
+                 note="two independent routes"),
         ReproRow("scaled-cross-width", v_k2, 4.1669, 1e-4),
         ReproRow("scaled-cross-width-edge-route", v_k2_path, v_k2, 1e-9),
         ReproRow("scaled-cross-exceeds-disk-hull", v_k2 - v_2d, None, None,
@@ -273,13 +228,21 @@ def cross_ratio_falsification_report() -> ReproReport:
     return ReproReport("eq1-c3", rows)
 
 
+# The sharp width-ratio constants c0(n), n = 3..8, to ten digits.
+C0_REFERENCE = (0.3918265520, 0.2760748280, 0.2143515707, 0.1756020710,
+                0.1488907530, 0.1293154618)
+
+
 def min_width_ratio_report() -> ReproReport:
-    """The sharp three-dimensional width-ratio constant, closed form
-    against the functional evaluated on the cross-polytope."""
+    """The sharp width-ratio constants for n = 3..8, and the
+    three-dimensional one against its closed form and against the
+    functional evaluated on the cross-polytope."""
     c0 = ineq.min_mean_width_ratio(3).value
     at_cross = mean_width_ratio(cross_polytope(3))
-    rows = (
-        ReproRow("min-width-ratio", c0, 0.391820, 1e-5),
+    rows = tuple(
+        ReproRow(f"min-width-ratio-n{n}", ineq.min_mean_width_ratio(n).value,
+                 ref, 1e-9)
+        for n, ref in enumerate(C0_REFERENCE, start=3)) + (
         ReproRow("width-ratio-at-cross", at_cross, c0, 1e-9),
         ReproRow("closed-form-match",
                  c0, math.acos(1.0 / 3.0) / math.pi, 1e-12),

@@ -350,7 +350,7 @@ def _ev_trivmax(body, n, m, params, spec):
 def _ev_bm_v1_lower(body, n, m, params, spec):
     projs = [_vm_proj(body, i, 1, spec) for i in range(n)]
     val = vm(body, 1, spec)
-    c0 = min_mean_width_ratio(n, spec)
+    c0 = min_mean_width_ratio(n)
     return [Link("width-sum", val, m_mul(c0, m_add(*projs)))]
 
 
@@ -605,7 +605,7 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
         quad_err = max(l.lhs.error + l.rhs.error for l in links
                        if not (l.lhs.exact and l.rhs.exact))
     scale = max(1.0, abs(primary.lhs.value), abs(primary.rhs.value))
-    near = abs(slack) <= max(100.0 * tol, NEAR_EQUALITY_FACTOR * scale)
+    near = abs(slack) <= max(tol, NEAR_EQUALITY_FACTOR * scale)
     flag = "strict"
     if satisfied and near:
         flag = "near-equality"
@@ -699,26 +699,17 @@ def segment_from_projections(a) -> SegmentResult:
 
 
 @functools.cache
-def min_mean_width_ratio(n: int, spec: QuadratureSpec | None = None) -> Measured:
+def min_mean_width_ratio(n: int) -> Measured:
     """The sharp constant min_K V_1(K) / sum_i V_1(K|e_i^perp), attained by
-    the coordinate cross-polytope.
-
-    Exact at n = 3 (arccos(1/3)/pi); quadrature-backed for n >= 4, and
-    then computed once per (n, spec).
-    """
+    the cross-polytope C_n, whose coordinate projections are C_{n-1}:
+    c0(n) = V_1(C_n) / (n V_1(C_{n-1})), exact (arccos(1/3)/pi at n = 3)."""
     if n < 3:
         raise InvalidArgument("the width-ratio constant needs n >= 3 "
                               "(segments make the ratio degenerate at n = 2)")
     if n > _b.MAX_DIM:
         raise InvalidArgument(f"dimension {n} outside supported range")
-    if n == 3:
-        return Measured.of_exact(math.acos(1.0 / 3.0) / math.pi)
-    cross = _b.cross_polytope(n)
-    num = vm(cross, 1, spec)
-    # The projection of the cross-polytope onto a coordinate hyperplane is
-    # the cross-polytope of that hyperplane.
-    den = vm(_b.cross_polytope(n - 1), 1, spec)
-    return m_mul(num, m_pow(m_scale(den, float(n)), -1.0))
+    v1 = measures.v1_cross_polytope
+    return Measured.of_exact(v1(n).value / (n * v1(n - 1).value))
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,18 @@ def effective_resolution(n: int, resolution: int) -> int:
     return max(8, min(resolution, cap))
 
 
+_leggauss = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
+
+
+def gauss_legendre(lo: float, hi: float, nodes: int):
+    """Gauss-Legendre nodes and weights of ``nodes`` points on [lo, hi]."""
+    x, w = _leggauss(nodes)
+    return 0.5 * (hi - lo) * (x + 1.0) + lo, 0.5 * (hi - lo) * w
+
+
 @lru_cache(maxsize=32)
 def _polar_nodes(res: int):
-    x, w = np.polynomial.legendre.leggauss(res)
-    phi = (x + 1.0) * (math.pi / 2.0)
-    return phi, w * (math.pi / 2.0)
+    return gauss_legendre(0.0, math.pi, res)
 
 
 @lru_cache(maxsize=32)

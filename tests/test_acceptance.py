@@ -30,7 +30,7 @@ def _unconditional(rng, n, k=4):
 def test_criterion_01_disk_hull_width_two_routes():
     t0 = time.perf_counter()
     by_support = explorer._wedge_quadrature_mean_width(explorer.GL_NODES)
-    by_closed_slice = explorer._inner_route_mean_width(2 * explorer.GL_NODES)
+    by_closed_slice = measures.vm(bodies.k1(), 1).value
     elapsed = time.perf_counter() - t0
     assert abs(by_support - 3.8663) <= 1e-3
     assert abs(by_closed_slice - 3.8663) <= 1e-3

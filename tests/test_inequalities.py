@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from convexiq import bodies, coordops, inequalities as iq, measures, quadrature
+from convexiq import (bodies, coordops, explorer, inequalities as iq, measures,
+                      quadrature)
 from convexiq.errors import InvalidArgument, UnsupportedMeasure
 
 from conftest import random_polytope, random_zonotope
@@ -395,6 +396,15 @@ def test_origin_check_is_exact_for_zonotopes(spec3):
     assert any("origin not interior" in w for w in r.warnings)
 
 
+def test_clear_slack_is_strict_despite_a_wide_tolerance(spec3):
+    """Meyer on K1 holds by 3.9 with a polygon-error tolerance of 0.13:
+    a slack of thirty tolerances is no near-equality."""
+    r = iq.evaluate("meyer", bodies.k1(), spec=spec3)
+    assert r.satisfied
+    assert r.oriented_slack > 10.0 * r.tolerance
+    assert r.equality_flag == "strict"
+
+
 def test_meyer_on_the_ball_is_exact(spec3):
     r = iq.evaluate("meyer", bodies.ball(3), spec=spec3)
     assert r.lhs == pytest.approx((4.0 * math.pi / 3.0) ** 2, rel=1e-14)
@@ -426,7 +436,7 @@ def test_width_ratio_constant_exact_in_dimension_three():
     assert c.value == pytest.approx(math.acos(1.0 / 3.0) / math.pi, abs=1e-15)
 
 
-def test_width_ratio_constant_is_computed_once(monkeypatch):
+def test_width_ratio_constant_k1_width_and_repro_use_no_sphere_quadrature(monkeypatch):
     calls = []
     real = measures.integrate_sphere_with_error
 
@@ -435,18 +445,25 @@ def test_width_ratio_constant_is_computed_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(measures, "integrate_sphere_with_error", counted)
-    spec = quadrature.QuadratureSpec(resolution=17)
-    first = iq.min_mean_width_ratio(4, spec)
-    assert calls == [4]          # cross_polytope(3) has an exact V_1
-    calls.clear()
-    assert iq.min_mean_width_ratio(4, spec) == first
+    iq.min_mean_width_ratio.cache_clear()
+    for n in range(3, 9):
+        assert iq.min_mean_width_ratio(n).exact
+    assert measures.vm(bodies.k1(), 1).exact
+    assert all(rep.passed for rep in explorer.run_repro("all"))
     assert calls == []
+
+
+@pytest.mark.parametrize("n, c0", list(enumerate(explorer.C0_REFERENCE, start=3)))
+def test_width_ratio_constant_matches_reference(n, c0):
+    c = iq.min_mean_width_ratio(n)
+    assert c.exact
+    assert abs(c.value - c0) <= 1e-10
 
 
 def test_width_ratio_constant_decreases():
     c3 = iq.min_mean_width_ratio(3)
     c4 = iq.min_mean_width_ratio(4)
-    assert not c4.exact and c4.error > 0.0
+    assert c4.exact
     assert 0.0 < c4.value < c3.value
     with pytest.raises(InvalidArgument):
         iq.min_mean_width_ratio(2)

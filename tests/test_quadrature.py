@@ -8,7 +8,8 @@ import pytest
 
 from convexiq import QuadratureSpec
 from convexiq.errors import InvalidArgument
-from convexiq.quadrature import (effective_resolution, integrate_sphere,
+from convexiq.quadrature import (_polar_nodes, effective_resolution,
+                                 gauss_legendre, integrate_sphere,
                                  integrate_sphere_with_error,
                                  sphere_surface_measure)
 
@@ -75,3 +76,19 @@ def test_effective_resolution_is_monotone():
 def test_dimension_table():
     assert QuadratureSpec.for_dimension(3).resolution == 512
     assert QuadratureSpec.for_dimension(5).resolution == 48
+
+
+def test_gauss_legendre_interval_rule():
+    # exact on polynomials of degree 2 * nodes - 1
+    x, w = gauss_legendre(1.0, 3.0, 4)
+    assert np.all((1.0 < x) & (x < 3.0))
+    assert float(np.dot(w, x ** 7)) == pytest.approx((3.0 ** 8 - 1.0) / 8.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("res", [6, 8, 44, 48, 64, 96, 158, 512])
+def test_polar_nodes_are_the_half_pi_mapping(res):
+    """The sphere rule's polar nodes keep the bits of (x + 1) * pi/2."""
+    x, w = np.polynomial.legendre.leggauss(res)
+    phi, wphi = _polar_nodes(res)
+    assert np.array_equal(phi, (x + 1.0) * (math.pi / 2.0))
+    assert np.array_equal(wphi, w * (math.pi / 2.0))
