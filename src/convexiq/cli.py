@@ -322,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--config", required=True, help="search config JSON")
     p_search.add_argument("--seed", type=int, default=None,
                           help="override the config seed")
-    p_search.add_argument("--quad-res", type=int, default=None)
+    p_search.add_argument("--quad-res", type=int, default=None,
+                          help="sphere-quadrature resolution; only V_1 of "
+                               "polytopes of dimension >= 5 uses it")
     p_search.add_argument("--out", default=".")
     p_search.set_defaults(func=cmd_search)
 

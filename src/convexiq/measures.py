@@ -3,9 +3,12 @@
 Exact paths:
 
 * volume and surface area of polytopes (qhull);
-* V_1 of full-dimensional 3-polytopes via edge exterior angles, each
-  ridge angle taken as atan2(|n_s x n_t|, n_s . n_t) so that edges between
-  nearly coplanar facets keep their share;
+* V_{d-2} and V_{d-3} of full-dimensional d-polytopes, d in {3, 4}, from
+  one pass over qhull's triangulated boundary (:func:`vm_polytope_angles`):
+  ridge angles give V_{d-2}, angle defects at (d-3)-faces V_{d-3}, every
+  angle taken as atan2(|a ^ b|, a . b) so that nearly coplanar facets keep
+  their share.  With volume and surface area this covers every V_m of
+  3- and 4-polytopes;
 * every V_m of a zonotope via subset Gram determinants;
 * closed forms for balls;
 * V_1 of the cross-polytope C_n and of K1 from fixed Gauss-Legendre rules
@@ -14,9 +17,10 @@ Exact paths:
 * lower-dimensional polytopes are reduced isometrically to their affine
   span first, which also makes e.g. V_1 of a planar body in R^3 exact.
 
-The remaining combination (V_1 of a full-dimensional polytope in n >= 4)
-falls back to mean-width quadrature over the sphere.  Unsupported (n, m)
-pairs raise :class:`UnsupportedMeasure` rather than silently degrading.
+V_1 of a full-dimensional polytope in d >= 5 falls back to mean-width
+quadrature over the sphere.  The remaining pairs (d >= 5 with
+2 <= m <= d-2) raise :class:`UnsupportedMeasure` rather than silently
+degrading.
 
 Normalization conventions: V_n is the volume; V_{n-1} is half the surface
 area for full-dimensional bodies and equals the (n-1)-measure (not
@@ -126,32 +130,87 @@ def flat_measure(p: VPolytope) -> float:
 
 
 def v1_polytope_exact(p: VPolytope) -> float:
-    """V_1 of a full-dimensional 3-polytope from edge exterior angles.
+    """V_1 of a full-dimensional 3- or 4-polytope from boundary angles
+    (:func:`vm_polytope_angles`)."""
+    return vm_polytope_angles(p, 1)
 
-    Every edge contributes length * (angle between the two adjacent outer
-    normals) / (2 pi).  All ridges of qhull's triangulated surface are
-    summed at once; a ridge inside a facet has angle 0 and so contributes
-    nothing.  The angle is taken as atan2(|n_s x n_t|, n_s . n_t), which
-    stays accurate for nearly coplanar facets.
+
+def vm_polytope_angles(p: VPolytope, m: int) -> float:
+    """V_{d-2} or V_{d-3} of a full-dimensional d-polytope, d in {3, 4},
+    from one pass over qhull's triangulated boundary.
+
+    * V_{d-2}: every ridge R between adjacent boundary simplices s and t
+      contributes vol(R) * theta(n_s, n_t) / (2 pi), theta the angle
+      between their outer normals; a ridge inside a facet has angle 0.
+    * V_{d-3}: every (d-3)-face f of the triangulation contributes
+      vol(f) * (2 pi - sum over simplices T containing f of theta_T(f))
+      / (4 pi), theta_T(f) the angle inside T between its two faces
+      through f.  For a face of P the bracket is the area of the spherical
+      polygon its normal cone cuts from the sphere (Girard; Descartes'
+      angle defect at d = 3).  Inside a facet the angles around f sum to
+      2 pi and inside a 2-face to pi + pi, so triangulation faces drop out.
+
+    Every angle is atan2(|a ^ b|, a . b) with |a ^ b| from the 2 x 2
+    minors, which stays accurate near 0 and pi, where qhull's zero-volume
+    simplices inside merged facets sit.
     """
-    if p.n != 3:
-        raise UnsupportedMeasure("edge-angle V_1 path is specific to n = 3")
-    if affine_dim(p) != 3:
+    d = p.n
+    if d not in (3, 4) or m not in (d - 2, d - 3):
         raise UnsupportedMeasure(
-            "degenerate 3-polytope: use the quadrature path or the affine view")
+            f"the boundary-angle path gives V_{{d-2}} and V_{{d-3}} for d in "
+            f"{{3, 4}}, not V_{m} in R^{d}")
+    if affine_dim(p) != d:
+        raise UnsupportedMeasure(
+            f"degenerate {d}-polytope: use the quadrature path or the affine view")
     hull = p.qhull
-    normals = hull.equations[:, :3]
-    # Each ridge once: simplex s and its neighbour t > s across the
-    # ridge opposite vertex k of s.
-    s, k = np.nonzero(hull.neighbors > np.arange(hull.neighbors.shape[0])[:, None])
-    t = hull.neighbors[s, k]
-    angle = np.arctan2(np.linalg.norm(np.cross(normals[s], normals[t]), axis=1),
-                       np.einsum("ij,ij->i", normals[s], normals[t]))
-    tri = hull.simplices[s]
-    a = hull.points[tri[np.arange(s.size), (k + 1) % 3]]
-    b = hull.points[tri[np.arange(s.size), (k + 2) % 3]]
-    length = np.linalg.norm(a - b, axis=1)
-    return float(np.sum(length * angle)) / (2.0 * math.pi)
+    pts, tri = hull.points, hull.simplices
+    if m == d - 2:
+        normals = hull.equations[:, :d]
+        # Each ridge once: simplex s and its neighbour t > s across the
+        # ridge opposite vertex k of s.
+        s, k = np.nonzero(hull.neighbors > np.arange(tri.shape[0])[:, None])
+        t = hull.neighbors[s, k]
+        angle = _angle(normals[s], normals[t])
+        ridge = tri[s[:, None], (k[:, None] + np.arange(1, d)) % d]
+        return float(np.sum(_simplex_content(pts[ridge]) * angle)) / (2.0 * math.pi)
+    # The (d-3)-faces of each simplex, one per pair of its vertices left out.
+    out = np.array(list(itertools.combinations(range(d), 2)))
+    keep = np.array([[c for c in range(d) if c not in pair] for pair in out])
+    face = np.sort(tri[:, keep].reshape(-1, d - 2), axis=1)
+    other = tri[:, out].reshape(-1, 2)
+    base = pts[face[:, 0]]
+    a, b = pts[other[:, 0]] - base, pts[other[:, 1]] - base
+    if d == 4:  # f is an edge e: keep the parts of a and b orthogonal to it
+        e = pts[face[:, 1]] - base
+        ee = np.einsum("ij,ij->i", e, e)
+        a = a - (np.einsum("ij,ij->i", a, e) / ee)[:, None] * e
+        b = b - (np.einsum("ij,ij->i", b, e) / ee)[:, None] * e
+    key = face[:, 0] if d == 3 else face[:, 0] * pts.shape[0] + face[:, 1]
+    faces, first, where = np.unique(key, return_index=True, return_inverse=True)
+    defect = 2.0 * math.pi - np.bincount(where, weights=_angle(a, b),
+                                         minlength=faces.size)
+    return float(np.dot(_simplex_content(pts[face[first]]), defect)) / (4.0 * math.pi)
+
+
+def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise angle between a and b as atan2(|a ^ b|, a . b)."""
+    return np.arctan2(_wedge_norm(a, b), np.einsum("ij,ij->i", a, b))
+
+
+def _wedge_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise |a ^ b| from the 2 x 2 minors, ordered like the components
+    of the cross product in R^3 (so that it equals |a x b| bit for bit)."""
+    i, j = np.array(list(itertools.combinations(range(a.shape[1]), 2))[::-1]).T
+    return np.linalg.norm(a[:, i] * b[:, j] - a[:, j] * b[:, i], axis=1)
+
+
+def _simplex_content(v: np.ndarray) -> np.ndarray:
+    """Measures of the simplices v[r] (rows of at most 3 vertices)."""
+    if v.shape[1] == 1:
+        return np.ones(v.shape[0])
+    if v.shape[1] == 2:
+        return np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
+    return 0.5 * _wedge_norm(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +383,7 @@ def vm(body: Body, m: int, spec: QuadratureSpec | None = None) -> Measured:
     """V_m of a body with an error estimate.
 
     Raises UnsupportedMeasure for combinations with no implemented path
-    (full-dimensional polytopes in n >= 4 with 2 <= m <= n-2).  Each
+    (full-dimensional polytopes in d >= 5 with 2 <= m <= d-2).  Each
     (m, spec) is measured once per body instance (:func:`bodies.derived`).
     """
     body = resolve(body)
@@ -380,11 +439,14 @@ def _vm_polytope_measured(p: VPolytope, m: int, spec) -> Measured:
         return Measured.of_exact(volume(p))
     if m == d - 1:
         return Measured.of_exact(0.5 * surface_area(p))
-    if m == 1 and d == 3:
-        return Measured.of_exact(v1_polytope_exact(p))
+    if d <= 4:  # so m is d - 2 or d - 3; V_1 keeps its named entry, which
+        # perfbench/tracer.py counts
+        return Measured.of_exact(
+            v1_polytope_exact(p) if m == 1 else vm_polytope_angles(p, m))
     if m == 1:
         est = v1_quadrature(p, spec)
         return Measured.of_quadrature(est.value, est.error)
     raise UnsupportedMeasure(
         f"V_{m} of a full-dimensional polytope in R^{d} has no exact or "
-        f"quadrature path (supported: m in {{1, {d-1}, {d}}})")
+        f"quadrature path (supported for d >= 5: m in {{1, {d-1}, {d}}}; "
+        f"boundary angles give every m only for d <= 4)")

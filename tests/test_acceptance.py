@@ -132,9 +132,10 @@ def test_criterion_07_proven_suite_on_random_corpus(spec3):
     """Every proven bound from the catalog on a 1000-body corpus.
 
     Routing keeps every evaluation on an exact measure path: polytopes
-    carry the top-degree checks in every dimension (plus everything at
-    n = 3, where all intrinsic volumes have exact routes), while mid-degree
-    and width-degree checks at n >= 4 ride on zonotopes.
+    carry the top-degree checks in every dimension, everything at n = 3 and
+    n = 4 where all intrinsic volumes have exact routes (boundary angles
+    give V_1 and V_2 of 4-polytopes), while mid-degree and width-degree
+    checks at n = 5 ride on zonotopes.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240807)
@@ -165,9 +166,10 @@ def test_criterion_07_proven_suite_on_random_corpus(spec3):
         corpus.append((u, [("square_lower", None, {}),
                            ("bm_upper", None, {}), ("trivmax", 1, {})]))
 
-    for i in range(150):    # n = 4 polytopes: top-degree routes
+    for i in range(150):    # n = 4 polytopes: top-degree and angle routes
         p = random_polytope(rng, 4, k=int(rng.integers(6, 14)))
-        battery = [("bm_upper", None, {}), ("cg_upper", 3, {}),
+        battery = [("bm_upper", None, {}), ("cg_upper", 1, {}),
+                   ("cg_upper", 2, {}), ("cg_upper", 3, {}),
                    ("square_lower", None, {}), ("easy_bounds", 3, {}),
                    ("trivmax", 3, {}), ("reverse_cs", 2, {})]
         if i < 40:

@@ -217,10 +217,10 @@ def test_validate_config_rejections(bad):
 
 
 def test_search_rejects_a_pairing_with_no_measure_route():
-    # V_2 of a full-dimensional 4-polytope has no route.
+    # V_2 of a full-dimensional 5-polytope has no route.
     with pytest.raises(InvalidArgument, match="not computable"):
         explorer.search(explorer.SearchConfig(
-            problem="cg33", n=4, m=2, family="cross-perturbation",
+            problem="cg33", n=5, m=2, family="cross-perturbation",
             iterations=1, restarts=1))
 
 
@@ -281,6 +281,35 @@ def test_search_records_proven_violations_of_bad_constants():
     assert v.slack < -10.0 * v.tolerance
     assert isinstance(v.body, bodies.VPolytope)
     assert v.restart == 0
+
+
+def test_search_cg33_on_4_polytopes_runs_on_boundary_angles():
+    # V_2 of 4-polytopes comes from ridge angles, V_2 of their 3-d
+    # projections from facet areas: every report is exact, and the bound
+    # is proven at m = n - 2
+    cfg = explorer.SearchConfig(problem="cg33", n=4, m=2,
+                                family="unconditional-polytope",
+                                iterations=5, restarts=1, seed=1)
+    r = explorer.search(cfg)
+    assert r.best_report.quadrature_error is None
+    assert r.best_slack >= 0.0
+    assert r.violations == ()
+
+
+def test_search_records_prob4_violations_on_4_polytopes():
+    """V_1 of a 4-polytope is exact (angle defects at its edges), so prob4
+    reports in R^4 carry no quadrature error and c2 = 1 is falsified."""
+    cfg = explorer.SearchConfig(problem="prob4", n=4, m=1,
+                                family="unconditional-polytope",
+                                iterations=3, restarts=1, seed=1,
+                                constant=1.0)
+    r = explorer.search(cfg)
+    assert r.violations
+    assert r.best_report.quadrature_error is None
+    for v in r.violations:
+        assert v.slack < -10.0 * v.tolerance
+        again = iq.evaluate("prob4_family", v.body, m=1, params={"c2": 1.0})
+        assert again.quadrature_error is None
 
 
 def test_search_midrange_zonotopes():
