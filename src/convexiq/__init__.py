@@ -23,16 +23,15 @@ from .inequalities import (CATALOG, IneqReport, catalog_ids,
                            min_mean_width_ratio, mth_lower_constant,
                            segment_from_projections)
 from .io import CorpusSpec, dumps_body, generate_corpus, loads_body, read_body, write_body
-from .measures import (FlatSet, Measured, flat_set, hausdorff_flat,
-                       intrinsic_coefficient, kappa, project_flat, vm)
-from .quadrature import QuadratureEstimate, QuadratureSpec, integrate_sphere
+from .measures import Measured, kappa, vm
+from .quadrature import QuadratureEstimate, QuadratureSpec
 from .symmetry import SignedPermutation, apply_symmetry, hyperoctahedral_group
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "Body", "CATALOG", "ConvexiqError", "CorpusSpec",
-    "DimensionMismatch", "DiskHull", "EMPTY", "FlatSet", "IneqReport",
+    "DimensionMismatch", "DiskHull", "EMPTY", "IneqReport",
     "InvalidArgument", "Measured", "NamedBody", "ParseError",
     "QuadratureEstimate", "QuadratureSpec", "ReproReport", "ReproRow",
     "SearchConfig", "SearchResult", "SignedPermutation", "UndefinedValue",
@@ -41,11 +40,10 @@ __all__ = [
     "chebyshev_sum_check", "convex_hull", "cross_polytope",
     "cross_polytope_from_sections", "cube", "dumps_body",
     "equality_case_classifier", "equatorial_support_ratio", "evaluate",
-    "flat_set", "g_symmetral", "generate_corpus", "hausdorff_flat",
-    "hyperoctahedral_group", "integrate_sphere", "intrinsic_coefficient",
-    "k1", "k2", "kappa", "loads_body", "mean_width_ratio",
+    "g_symmetral", "generate_corpus", "hyperoctahedral_group", "k1", "k2",
+    "kappa", "loads_body", "mean_width_ratio",
     "min_mean_width_ratio", "minkowski_sum", "mth_lower_constant",
-    "project", "project_drop", "project_flat", "read_body", "resolve",
+    "project", "project_drop", "read_body", "resolve",
     "run_repro", "scale_body", "search", "section", "section_drop",
     "segment_from_projections", "sine_power_integral", "steiner_symmetrize",
     "support", "support_many", "support_ratio_profile", "translate_body",

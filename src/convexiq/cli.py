@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +94,7 @@ def cmd_check(args) -> int:
     spec = _quad_spec(args)
     out = _out_dir(args)
 
-    entries = []
+    entries, witnesses = [], []
     for name, body in loaded:
         for ineq_id in ids:
             needs_m = inequalities.CATALOG[ineq_id].needs_m
@@ -102,6 +103,7 @@ def cmd_check(args) -> int:
                 params=_check_params(args, ineq_id), spec=spec,
                 tolerance=args.tolerance)
             entries.append((name, report))
+            witnesses.append(body)
             print(f"{name}: {report.summary_line()}")
 
     io.write_report(out / "report.json", entries)
@@ -109,7 +111,7 @@ def cmd_check(args) -> int:
 
     exit_code = EXIT_OK
     finding_idx = 0
-    for name, report in entries:
+    for (name, report), body in zip(entries, witnesses):
         if report.satisfied:
             continue
         if report.status == inequalities.PROVEN:
@@ -118,7 +120,6 @@ def cmd_check(args) -> int:
                   file=sys.stderr)
             exit_code = EXIT_VIOLATION
         else:
-            body = dict(loaded)[name]
             path = out / f"finding-{finding_idx:03d}.json"
             io.write_finding(
                 path, inequality_id=report.id, params=report.params,
@@ -161,9 +162,7 @@ def cmd_repro(args) -> int:
 # search
 
 
-_CONFIG_KEYS = {"problem", "n", "m", "family", "iterations", "proposal_scale",
-                "seed", "restarts", "family_size", "constant",
-                "quad_resolution"}
+_CONFIG_KEYS = {f.name for f in fields(SearchConfig)}
 
 
 def _load_search_config(path, seed_override, quad_override) -> SearchConfig:
@@ -300,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--bodies", nargs="+", required=True,
                          help="body/1 JSON files")
     p_check.add_argument("--m", type=int, default=None)
-    p_check.add_argument("--u", default=None, help="direction for pythagorean")
-    p_check.add_argument("--a", default=None, help="weights for weighted_bm")
-    p_check.add_argument("--p", type=float, default=None,
-                         help="exponent for easy_bounds")
-    p_check.add_argument("--c2", type=float, default=None)
-    p_check.add_argument("--c3", type=float, default=None)
+    for name, rule in inequalities.PARAM_RULES.items():
+        takers = [e.id for e in inequalities.CATALOG.values() if name in e.params]
+        p_check.add_argument(
+            f"--{name}", type=float if rule.scalar else str, default=None,
+            help=f"{'' if rule.scalar else 'comma-separated '}parameter of "
+                 f"{', '.join(takers)}")
     p_check.add_argument("--tolerance", type=float, default=None)
     p_check.add_argument("--quad-res", type=int, default=None)
     p_check.add_argument("--out", default=".")

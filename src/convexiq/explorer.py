@@ -7,7 +7,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -266,23 +267,23 @@ def octahedron_equality_report() -> ReproReport:
     return ReproReport("meyer-octahedron", rows)
 
 
-REPRO_TARGETS = ("k1", "eq1-c3", "c0", "meyer-octahedron")
+_REPRO_TABLE = {
+    "k1": disk_hull_mean_width_report,
+    "eq1-c3": cross_ratio_falsification_report,
+    "c0": min_width_ratio_report,
+    "meyer-octahedron": octahedron_equality_report,
+}
+REPRO_TARGETS = tuple(_REPRO_TABLE)
 
 
 def run_repro(target: str) -> list[ReproReport]:
     if target == "all":
         return [run_repro(t)[0] for t in REPRO_TARGETS]
-    table = {
-        "k1": disk_hull_mean_width_report,
-        "eq1-c3": cross_ratio_falsification_report,
-        "c0": min_width_ratio_report,
-        "meyer-octahedron": octahedron_equality_report,
-    }
-    if target not in table:
+    if target not in _REPRO_TABLE:
         raise InvalidArgument(
             f"unknown reproduction target {target!r}; "
             f"known: {', '.join(REPRO_TARGETS + ('all',))}")
-    return [table[target]()]
+    return [_REPRO_TABLE[target]()]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,15 @@ def run_repro(target: str) -> list[ReproReport]:
 
 
 SEARCH_FAMILIES = ("zonotope", "unconditional-polytope", "cross-perturbation")
-SEARCH_PROBLEMS = ("cg33", "prob4", "prob5", "heron_n3", "eq11_midrange")
+_PROBLEM_TABLE = {
+    # problem -> (inequality id, normalization degree fn)
+    "cg33": ("cg_upper", lambda n, m: m),
+    "prob4": ("prob4_family", lambda n, m: m),
+    "prob5": ("prob5_family", lambda n, m: m + 1),
+    "heron_n3": ("heron_n3", lambda n, m: 2),
+    "eq11_midrange": ("reverse_cs", lambda n, m: m),
+}
+SEARCH_PROBLEMS = tuple(_PROBLEM_TABLE)
 
 
 @dataclass(frozen=True)
@@ -311,13 +320,7 @@ class SearchConfig:
     quad_resolution: int | None = None
 
     def canonical_payload(self) -> dict:
-        return {
-            "problem": self.problem, "n": self.n, "m": self.m,
-            "family": self.family, "iterations": self.iterations,
-            "proposal_scale": self.proposal_scale, "seed": self.seed,
-            "restarts": self.restarts, "family_size": self.family_size,
-            "constant": self.constant, "quad_resolution": self.quad_resolution,
-        }
+        return asdict(self)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_payload(), sort_keys=True)
@@ -349,16 +352,6 @@ class SearchResult:
     stamp: dict                # {"seed": ..., "config_hash": ...}
 
 
-_PROBLEM_TABLE = {
-    # problem -> (inequality id, normalization degree fn)
-    "cg33": ("cg_upper", lambda n, m: m),
-    "prob4": ("prob4_family", lambda n, m: m),
-    "prob5": ("prob5_family", lambda n, m: m + 1),
-    "heron_n3": ("heron_n3", lambda n, m: 2),
-    "eq11_midrange": ("reverse_cs", lambda n, m: m),
-}
-
-
 def validate_config(config: SearchConfig) -> SearchConfig:
     """Normalize defaults and reject invalid problem/family pairings.
 
@@ -371,6 +364,19 @@ def validate_config(config: SearchConfig) -> SearchConfig:
     if config.family not in SEARCH_FAMILIES:
         raise InvalidArgument(
             f"unknown family {config.family!r}; known: {', '.join(SEARCH_FAMILIES)}")
+    # Each numeric field by its annotation, a string such as "int | None"
+    # under ``from __future__ import annotations``.
+    for f in fields(SearchConfig):
+        value = getattr(config, f.name)
+        if f.type == "str" or (value is None and f.default is None):
+            continue
+        integral = f.type.startswith("int")
+        valid = isinstance(value, numbers.Integral) if integral else (
+            isinstance(value, numbers.Real) and math.isfinite(value))
+        if isinstance(value, bool) or not valid:
+            raise InvalidArgument(
+                f"{f.name} must be {'an integer' if integral else 'a finite number'}, "
+                f"got {value!r}")
     n = int(config.n)
     if not _b.MIN_DIM <= n <= _b.MAX_DIM:
         raise InvalidArgument(f"n must lie in [{_b.MIN_DIM}, {_b.MAX_DIM}]")
@@ -410,6 +416,8 @@ def validate_config(config: SearchConfig) -> SearchConfig:
         raise InvalidArgument(f"{config.problem} needs a candidate constant")
     if not needs_constant and config.constant is not None:
         raise InvalidArgument(f"{config.problem} does not take a constant")
+    if needs_constant:  # checked only: the config keeps the value it was given
+        ineq.PARAM_RULES[entry.constant].coerce(config.constant, n)
 
     family_size = config.family_size
     if config.family == "cross-perturbation":

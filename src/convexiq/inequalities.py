@@ -391,16 +391,16 @@ def _ev_prob5(body, n, m, params, spec):
 def _positive_real(what: str):
     def coerce(value, n):
         value = float(value)
-        if value <= 0:
-            raise InvalidArgument(f"{what} must be positive")
+        if not 0 < value < math.inf:
+            raise InvalidArgument(f"{what} must be positive and finite")
         return value
     return coerce
 
 
 def _weights(value, n):
     a = [float(x) for x in value]
-    if len(a) != n or any(x <= 0 for x in a):
-        raise InvalidArgument("weights a must be n positive reals")
+    if len(a) != n or not all(0 < x < math.inf for x in a):
+        raise InvalidArgument("weights a must be n positive finite reals")
     return a
 
 
@@ -569,6 +569,8 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
     ``status``.
     """
     entry = _catalog_entry(ineq_id)
+    if tolerance is not None and not 0.0 <= float(tolerance) < math.inf:
+        raise InvalidArgument(f"tolerance must be finite and >= 0, got {tolerance!r}")
     body = resolve(body)
     n = body.n
     if n < 2:

@@ -245,6 +245,8 @@ def load_finding(path) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: a finding must be a JSON object")
     if payload.get("schema") != FINDING_SCHEMA:
         raise ParseError(f"{path}: unsupported schema {payload.get('schema')!r}")
     return payload

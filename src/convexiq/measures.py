@@ -62,14 +62,6 @@ def kappa(j: int) -> float:
     return math.pi ** (j / 2.0) / math.gamma(j / 2.0 + 1.0)
 
 
-def intrinsic_coefficient(n: int, i: int) -> float:
-    """Normalizing coefficient kappa_{n-i} / C(n, i) relating V_i to the
-    mixed volume with balls."""
-    if not 0 <= i <= n:
-        raise InvalidArgument("need 0 <= i <= n")
-    return kappa(n - i) / math.comb(n, i)
-
-
 @dataclass(frozen=True)
 class Measured:
     """A measure value with an absolute error estimate.
@@ -117,16 +109,8 @@ def surface_area(p: VPolytope) -> float:
     if d == p.n:
         return float(p.qhull.area)
     if d == p.n - 1:
-        return 2.0 * flat_measure(p)
+        return 2.0 * volume(to_affine_coords(p))
     return 0.0
-
-
-def flat_measure(p: VPolytope) -> float:
-    """d-dimensional measure of a d-dimensional polytope (d = affine_dim)."""
-    d = affine_dim(p)
-    if d == 0:
-        return 1.0  # counting measure of a point
-    return volume(to_affine_coords(p))
 
 
 def v1_polytope_exact(p: VPolytope) -> float:
@@ -313,66 +297,6 @@ def vm_ball(b: Ball, m: int) -> float:
     if m > d:
         return 0.0
     return math.comb(d, m) * kappa(d) / kappa(d - m) * b.radius ** m
-
-
-# ---------------------------------------------------------------------------
-# flat sets (linear m-parallelepipeds used for the projection identity)
-
-
-@dataclass(frozen=True)
-class FlatSet:
-    """Parallelepiped spanned by m generator rows inside R^n.
-
-    Construct through :func:`flat_set` to get the full-rank validation;
-    projections may legitimately drop rank (measure 0).
-    """
-
-    generators: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.generators, dtype=float)
-        if g.ndim != 2 or g.shape[0] == 0 or g.shape[0] > g.shape[1]:
-            raise InvalidArgument(
-                f"generators must be (m, n) with 1 <= m <= n, got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise InvalidArgument("generators contain non-finite coordinates")
-        a = np.ascontiguousarray(g)
-        a.setflags(write=False)
-        object.__setattr__(self, "generators", a)
-
-    @property
-    def m(self) -> int:
-        return self.generators.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.generators.shape[1]
-
-
-def flat_set(generators) -> FlatSet:
-    """Validated constructor: generators must be linearly independent."""
-    f = FlatSet(np.asarray(generators, dtype=float))
-    svals = np.linalg.svd(f.generators, compute_uv=False)
-    if svals[-1] <= 1e-9 * max(1.0, float(svals[0])):
-        raise InvalidArgument("flat-set generators are (numerically) dependent")
-    return f
-
-
-def hausdorff_flat(f: FlatSet) -> float:
-    """m-dimensional measure sqrt(det(G G^T)) of the parallelepiped."""
-    gram = f.generators @ f.generators.T
-    d = float(np.linalg.det(gram))
-    return math.sqrt(max(d, 0.0))
-
-
-def project_flat(f: FlatSet, i: int) -> FlatSet:
-    """Orthogonal projection onto e_i's coordinate hyperplane (column i
-    zeroed).  Rank may drop; the projected measure is then 0."""
-    if not 0 <= i < f.n:
-        raise InvalidArgument(f"axis {i} out of range for n={f.n}")
-    g = f.generators.copy()
-    g[:, i] = 0.0
-    return FlatSet(g)
 
 
 # ---------------------------------------------------------------------------

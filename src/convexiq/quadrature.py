@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,14 +67,6 @@ class QuadratureEstimate(NamedTuple):
     value: float
     error: float  # |estimate - previous coarser estimate|
     resolution: int
-
-    def __float__(self) -> float:  # pragma: no cover - convenience
-        return self.value
-
-
-def sphere_surface_measure(n: int) -> float:
-    """Surface measure of S^(n-1): 2 pi^(n/2) / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def effective_resolution(n: int, resolution: int) -> int:
@@ -152,16 +144,9 @@ def _integrate_raw(f, n: int, res: int) -> float:
     return total
 
 
-def integrate_sphere(f: Callable[[np.ndarray], np.ndarray], n: int,
-                     resolution: int) -> float:
-    """Integrate ``f`` (vectorized over (N, n) point blocks) over S^(n-1)."""
-    if n < 2:
-        raise InvalidArgument("sphere integration requires n >= 2")
-    return _integrate_raw(f, n, effective_resolution(n, resolution))
-
-
 def integrate_sphere_with_error(f, n: int, spec: QuadratureSpec) -> QuadratureEstimate:
-    """Integrate with an error estimate from comparing successive resolutions.
+    """Integrate ``f`` (vectorized over (N, n) point blocks) over S^(n-1),
+    with an error estimate from comparing successive resolutions.
 
     Without a target error: one comparison at (res/2, res).  With a target:
     resolution doubles until two successive estimates agree, capped at

@@ -33,6 +33,13 @@ def random_zonotope(rng: np.random.Generator, n: int, k: int | None = None) -> Z
     return Zonotope(np.zeros(n), rng.standard_normal((k, n)))
 
 
+def parallelepiped(g) -> Zonotope:
+    """The parallelepiped {sum_j t_j g_j : t in [0, 1]^m} spanned by the
+    rows of g, as a zonotope; its V_m is the Gram measure sqrt(det(g g^T))."""
+    g = np.asarray(g, dtype=float)
+    return Zonotope(g.sum(axis=0) / 2.0, g / 2.0)
+
+
 def mc_volume(vertices: np.ndarray, samples: int, rng: np.random.Generator):
     """Rejection-sampling volume of conv(vertices) with a 3-sigma bound.
 

@@ -14,7 +14,7 @@ import pytest
 from convexiq import (bodies, cli, coordops, explorer, inequalities as iq,
                       io, measures, quadrature, symmetry)
 
-from conftest import random_polytope, random_zonotope
+from conftest import parallelepiped, random_polytope, random_zonotope
 
 ACOS13 = math.acos(1.0 / 3.0)
 
@@ -89,12 +89,11 @@ def test_criterion_05_flat_projection_identity():
     for n in range(2, 7):
         for m in range(1, n + 1):
             for _ in range(50):
-                f = measures.flat_set(rng.standard_normal((m, n)))
-                h = measures.hausdorff_flat(f)
+                f = parallelepiped(rng.standard_normal((m, n)))
+                h = measures.vm(f, m).value
                 lhs = (n - m) * h * h
-                rhs = sum(
-                    measures.hausdorff_flat(measures.project_flat(f, i)) ** 2
-                    for i in range(n))
+                rhs = sum(measures.vm(coordops.project(f, i), m).value ** 2
+                          for i in range(n))
                 scale = max(lhs, rhs, 1.0)
                 worst = max(worst, abs(lhs - rhs) / scale)
                 assert abs(lhs - rhs) <= 1e-9 * scale

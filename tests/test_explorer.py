@@ -210,6 +210,15 @@ def test_validate_config_normalizes_defaults():
     dict(problem="heron_n3", n=4, m=None, family="cross-perturbation"),
     dict(problem="cg33", n=3, m=1, family="cross-perturbation", family_size=5),
     dict(problem="cg33", n=3, m=1, family_size=2),
+    dict(problem="cg33", n=3, m=1, iterations="5"),
+    dict(problem="cg33", n=3, m=1.5),
+    dict(problem="cg33", n=None, m=1),
+    dict(problem="cg33", n=3, m=1, proposal_scale=math.nan),
+    dict(problem="cg33", n=3, m=1, quad_resolution=math.inf),
+    dict(problem="prob4", n=3, m=1, family="unconditional-polytope",
+         constant=math.nan),
+    dict(problem="prob4", n=3, m=1, family="unconditional-polytope",
+         constant=-1.0),                                # c2 must be positive
 ])
 def test_validate_config_rejections(bad):
     with pytest.raises(InvalidArgument):

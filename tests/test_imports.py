@@ -44,9 +44,11 @@ def test_no_unused_imports(path):
 
 def test_no_unreferenced_functions():
     """A non-dunder function or method of the library that no name,
-    attribute or string in the library or its tests mentions is dead."""
+    attribute or string in the library or its tests mentions is dead.
+    ``__init__.py`` only re-exports, so its ``__all__`` strings are not
+    uses."""
     refs, defs = set(), []
-    for path in SRC + TESTS:
+    for path in [p for p in SRC if p.name != "__init__.py"] + TESTS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 refs.add(node.id)

@@ -55,6 +55,29 @@ def test_evaluate_m_validation(spec3):
         iq.evaluate("mth_lower", c, m=2, spec=spec3)    # out of 1..n-2
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("ineq_id, name", [
+    ("prob4_family", "c2"), ("prob5_family", "c3"), ("easy_bounds", "p")])
+def test_scalar_parameters_must_be_finite(ineq_id, name, bad):
+    with pytest.raises(InvalidArgument, match="finite"):
+        iq.evaluate(ineq_id, bodies.cube(3), m=1, params={name: bad})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_weights_must_be_finite(bad):
+    with pytest.raises(InvalidArgument, match="finite"):
+        iq.evaluate("weighted_bm", bodies.cube(3), params={"a": [1.0, bad, 1.0]})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE + [-1.0])
+def test_tolerance_must_be_finite_and_nonnegative(bad):
+    with pytest.raises(InvalidArgument, match="finite and >= 0"):
+        iq.evaluate("loomis_whitney", bodies.cube(3), tolerance=bad)
+
+
 # ---------------------------------------------------------------------------
 # equality cases, one per extremal family
 

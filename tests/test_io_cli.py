@@ -144,6 +144,9 @@ def test_finding_round_trip(tmp_path):
     bad.write_text('{"schema": "other/1"}', encoding="utf-8")
     with pytest.raises(ParseError):
         io.load_finding(bad)
+    bad.write_text('[{"schema": "finding/1"}]', encoding="utf-8")
+    with pytest.raises(ParseError, match="JSON object"):
+        io.load_finding(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +294,41 @@ def test_cli_check_records_open_violation(tmp_path, capsys):
     assert finding["witness"]["kind"] == "named"
 
 
+@pytest.mark.parametrize("flags", [["--c2", "nan"], ["--c2", "inf"],
+                                   ["--c2", "5", "--tolerance", "nan"]])
+def test_cli_check_rejects_non_finite_values(tmp_path, capsys, flags):
+    paths = _make_named(tmp_path)
+    out = tmp_path / "out"
+    code = cli.main(["check", "--ineq", "prob4_family", "--m", "1", *flags,
+                     "--bodies", paths[1], "--out", str(out)])
+    assert code == 64
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "finding-000.json").exists()
+
+
+def test_cli_check_pairs_each_finding_with_its_own_body(tmp_path):
+    """Two files with the same stem: each finding's witness is the body
+    whose report it records."""
+    paths = []
+    for sub, body in (("a", bodies.cross_polytope(3)), ("b", bodies.cube(3))):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.json")
+        io.write_body(paths[-1], body)
+    out = tmp_path / "out"
+    code = cli.main(["check", "--ineq", "prob4_family", "--m", "1", "--c2", "5",
+                     "--bodies", *map(str, paths), "--out", str(out)])
+    assert code == 0
+    findings = sorted(out.glob("finding-*.json"))
+    assert findings
+    for path in findings:
+        finding = io.load_finding(path)
+        witness = io.body_from_payload(finding["witness"])
+        again = iq.evaluate("prob4_family", witness, m=1, params={"c2": 5.0})
+        assert again.oriented_slack == finding["slack"]
+    first = io.body_from_payload(io.load_finding(findings[0])["witness"])
+    assert first.vertices.shape[0] == 6          # the cross-polytope
+
+
 def test_cli_check_proven_violation_exits_two(tmp_path, capsys, monkeypatch):
     """A proven inequality reported as violated is a numerical defect and
     must fail the run loudly."""
@@ -397,6 +435,21 @@ def test_cli_search_config_errors(tmp_path, capsys):
 
     assert cli.main(["search", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path)]) == 65
+
+
+@pytest.mark.parametrize("overrides", [
+    {"iterations": "5"},
+    {"n": None},
+    {"proposal_scale": math.nan},
+    {"problem": "prob4", "family": "unconditional-polytope",
+     "constant": math.nan},
+])
+def test_cli_search_rejects_bad_config_values(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert cli.main(["search", "--config", cfg, "--out", str(out)]) == 64
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "search-result.json").exists()
 
 
 def test_cli_search_rejects_a_pairing_with_no_measure_route(tmp_path, capsys):

@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 from convexiq import QuadratureSpec, Zonotope, cross_polytope, cube, vm
 from convexiq.bodies import (VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
                              scale_body, support, translate_body)
-from convexiq.coordops import project_drop
+from convexiq.coordops import project, project_drop
 from convexiq.errors import InvalidArgument, UnsupportedMeasure
 from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, DET_BATCH, K1_NODES,
-                               FlatSet, Measured, _v1_cross_rule, _v1_k1_rule,
-                               flat_measure, flat_set, hausdorff_flat,
-                               intrinsic_coefficient, kappa, project_flat,
+                               Measured, _v1_cross_rule, _v1_k1_rule, kappa,
                                surface_area, v1_cross_polytope,
                                v1_polytope_exact, v1_quadrature, vm_ball,
                                vm_polytope_angles, vm_zonotope, volume)
 
-from conftest import (gram_surface_area, mc_volume, random_polytope,
-                      random_zonotope)
+from conftest import (gram_surface_area, mc_volume, parallelepiped,
+                      random_polytope, random_zonotope)
 
 ARCCOS_THIRD = 1.2309594173407747
 V1_CROSS3 = 12 * math.sqrt(2.0) * ARCCOS_THIRD / (2 * math.pi)
@@ -323,7 +321,7 @@ def test_flat_body_reduction(spec3):
                                [0, 1, 1.0], [1, 1, 1.0]]))
     assert vm(sq, 2, spec3).value == pytest.approx(1.0)
     assert vm(sq, 3, spec3).value == pytest.approx(0.0)
-    assert flat_measure(sq) == pytest.approx(1.0)
+    assert surface_area(sq) == pytest.approx(2.0)   # both sides of the square
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +329,17 @@ def test_flat_body_reduction(spec3):
 
 
 def test_flat_segment_example():
-    f = flat_set(np.array([[1.0, 1.0, 1.0]]))
-    assert hausdorff_flat(f) == pytest.approx(math.sqrt(3))
+    f = parallelepiped([[1.0, 1.0, 1.0]])
+    assert vm(f, 1).value == pytest.approx(math.sqrt(3))
     for i in range(3):
-        assert hausdorff_flat(project_flat(f, i)) == pytest.approx(math.sqrt(2))
+        assert vm(project(f, i), 1).value == pytest.approx(math.sqrt(2))
 
 
 def test_flat_square_rank_drop():
-    f = flat_set(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    assert hausdorff_flat(f) == pytest.approx(1.0)
-    assert hausdorff_flat(project_flat(f, 2)) == pytest.approx(1.0)
-    assert hausdorff_flat(project_flat(f, 0)) == pytest.approx(0.0)
+    f = parallelepiped([[1.0, 0, 0], [0, 1.0, 0]])
+    assert vm(f, 2).value == pytest.approx(1.0)
+    assert vm(project(f, 2), 2).value == pytest.approx(1.0)
+    assert vm(project(f, 0), 2).value == pytest.approx(0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,17 +350,17 @@ def test_pythagorean_identity_for_flats(seed, n, m):
     if m >= n:
         m = n - 1
     rng = np.random.default_rng(seed)
-    f = flat_set(rng.standard_normal((m, n)))
-    lhs = hausdorff_flat(f) ** 2
-    rhs = sum(hausdorff_flat(project_flat(f, i)) ** 2 for i in range(n))
+    f = parallelepiped(rng.standard_normal((m, n)))
+    lhs = vm(f, m).value ** 2
+    rhs = sum(vm(project(f, i), m).value ** 2 for i in range(n))
     assert rhs == pytest.approx((n - m) * lhs, rel=1e-9), (n, m)
 
 
 def test_iterated_projections_commute(rng):
-    f = flat_set(rng.standard_normal((2, 5)))
-    a = project_flat(project_flat(f, 4), 0)
-    b = project_flat(project_flat(f, 0), 4)
-    assert hausdorff_flat(a) == pytest.approx(hausdorff_flat(b), rel=1e-12)
+    f = parallelepiped(rng.standard_normal((2, 5)))
+    a = project(project(f, 4), 0)
+    b = project(project(f, 0), 4)
+    assert vm(a, 2).value == pytest.approx(vm(b, 2).value, rel=1e-12)
 
 
 def test_measured_error_fields():

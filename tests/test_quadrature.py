@@ -8,23 +8,31 @@ import pytest
 
 from convexiq import QuadratureSpec
 from convexiq.errors import InvalidArgument
+from convexiq.measures import kappa
 from convexiq.quadrature import (_polar_nodes, effective_resolution,
-                                 gauss_legendre, integrate_sphere,
-                                 integrate_sphere_with_error,
-                                 sphere_surface_measure)
+                                 gauss_legendre, integrate_sphere_with_error)
+
+
+def _integral(f, n: int, res: int) -> float:
+    return integrate_sphere_with_error(f, n, QuadratureSpec(resolution=res)).value
+
+
+def _surface(n: int) -> float:
+    """Surface measure of S^(n-1)."""
+    return n * kappa(n)
 
 
 def test_surface_measure_closed_forms():
-    assert sphere_surface_measure(2) == pytest.approx(2 * math.pi)
-    assert sphere_surface_measure(3) == pytest.approx(4 * math.pi)
-    assert sphere_surface_measure(4) == pytest.approx(2 * math.pi ** 2)
+    assert _surface(2) == pytest.approx(2 * math.pi)
+    assert _surface(3) == pytest.approx(4 * math.pi)
+    assert _surface(4) == pytest.approx(2 * math.pi ** 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_constant_integrates_to_surface_measure(n):
     res = QuadratureSpec.for_dimension(n).resolution
-    got = integrate_sphere(lambda u: np.ones(u.shape[0]), n, res)
-    assert got == pytest.approx(sphere_surface_measure(n), rel=1e-8)
+    got = _integral(lambda u: np.ones(u.shape[0]), n, res)
+    assert got == pytest.approx(_surface(n), rel=1e-8)
 
 
 def test_absolute_coordinate_integral():
@@ -33,7 +41,7 @@ def test_absolute_coordinate_integral():
     The integrand has a kink on a great circle, so the rule converges at
     O(res^-2) rather than spectrally.
     """
-    got = integrate_sphere(lambda u: np.abs(u[:, 0]), 3, 256)
+    got = _integral(lambda u: np.abs(u[:, 0]), 3, 256)
     assert got == pytest.approx(2 * math.pi, rel=2e-4)
 
 
@@ -41,8 +49,8 @@ def test_quadratic_moment():
     # int u_1^2 over S^{n-1} = surface / n
     for n in (2, 3, 4):
         res = QuadratureSpec.for_dimension(n).resolution
-        got = integrate_sphere(lambda u: u[:, 0] ** 2, n, res)
-        assert got == pytest.approx(sphere_surface_measure(n) / n, rel=1e-7)
+        got = _integral(lambda u: u[:, 0] ** 2, n, res)
+        assert got == pytest.approx(_surface(n) / n, rel=1e-7)
 
 
 def test_error_estimate_brackets_truth():
@@ -64,7 +72,7 @@ def test_spec_validation():
     with pytest.raises(InvalidArgument):
         QuadratureSpec(resolution=2)
     with pytest.raises(InvalidArgument):
-        integrate_sphere(lambda u: np.ones(u.shape[0]), 1, 64)
+        _integral(lambda u: np.ones(u.shape[0]), 1, 64)
 
 
 def test_effective_resolution_is_monotone():
