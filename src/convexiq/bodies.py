@@ -139,6 +139,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _freeze_index(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.intp)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class VPolytope:
     """Polytope given by its canonical vertex list (extreme points only,
@@ -480,16 +486,76 @@ def as_vpolytope(body: Body) -> VPolytope:
 
 
 def _expand_zonotope(z: Zonotope) -> VPolytope:
+    if z.generator_count == 0:
+        return VPolytope(z.center[None, :])
+    return convex_hull(_sign_points(z))
+
+
+def _sign_points(z: Zonotope) -> np.ndarray:
+    """c + sum_j s_j g_j for every sign vector s, in itertools.product
+    order (generator j's sign is bit k-1-j of the row index), refused past
+    2**16 points."""
     k = z.generator_count
     if k > MAX_ZONOTOPE_EXPAND_GENERATORS:
         raise UnsupportedOperation(
             f"refusing to expand a zonotope with {k} generators "
             f"(cap {MAX_ZONOTOPE_EXPAND_GENERATORS})")
-    if k == 0:
-        return VPolytope(z.center[None, :])
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
-    pts = z.center + signs @ z.generators
-    return convex_hull(pts)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k))).reshape(1 << k, k)
+    return z.center + signs @ z.generators
+
+
+@cache
+def _sign_cube_edges(k: int) -> np.ndarray:
+    """Row-index pairs of the sign vectors that differ in one generator
+    only: the k * 2**(k-1) edges of the cube {-1, 1}^k."""
+    rows = np.arange(1 << k)
+    pairs = [np.stack([lo, lo + bit], axis=1)
+             for bit in (1 << (k - 1 - j) for j in range(k))
+             for lo in [rows[(rows & bit) == 0]]]
+    return _freeze_index(np.vstack(pairs) if pairs else np.zeros((0, 2), dtype=int))
+
+
+def skeleton(body: Body) -> tuple[np.ndarray, np.ndarray]:
+    """Points and index pairs into them whose segments include every
+    edge of a polytopal body, computed once per instance.
+
+    A zonotope's every edge is the image of an edge of the generator sign
+    cube (McMullen 1971), so its skeleton is the 2**k sign points and the
+    k * 2**(k-1) cube edges, with no hull.  A polytope's is the edges of
+    its boundary triangulation (of the affine span when it is flat), a
+    superset of its true edges.  Extra segments lie inside the body.
+    """
+    body = resolve(body)
+    if isinstance(body, Zonotope):
+        return derived(body, "skeleton", lambda: (
+            _sign_points(body), _sign_cube_edges(body.generator_count)))
+    return derived(body, "skeleton", lambda: _polytope_skeleton(as_vpolytope(body)))
+
+
+def _polytope_skeleton(p: VPolytope) -> tuple[np.ndarray, np.ndarray]:
+    d = affine_dim(p)
+    if d == 0:
+        return p.vertices[:1], np.zeros((0, 2), dtype=int)
+    if d == p.n:
+        hull = p.qhull
+        pts, tri = hull.points, hull.simplices
+    else:
+        centered = p.vertices - p.vertices.mean(axis=0)
+        coords = centered @ np.linalg.svd(centered, full_matrices=False)[2][:d].T
+        pts = p.vertices
+        if d == 1:
+            tri = np.array([[np.argmin(coords[:, 0]), np.argmax(coords[:, 0])]])
+        else:
+            try:
+                tri = ConvexHull(coords).simplices
+            except QhullError:
+                tri = ConvexHull(coords, qhull_options="QJ").simplices
+    # every pair of every simplex, once; points renumbered to the used ones
+    pairs = tri[:, list(itertools.combinations(range(tri.shape[1]), 2))]
+    used, edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1),
+                            return_inverse=True)
+    edges = np.unique(edges.reshape(-1, 2), axis=0)
+    return _freeze(pts[used]), _freeze_index(edges)
 
 
 # ---------------------------------------------------------------------------

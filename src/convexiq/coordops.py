@@ -121,12 +121,12 @@ def _project_drop(body: Body, i: int) -> Body:
 def section(p: Body, i: int):
     """The slice {x in P : x_i = 0} of a body.
 
-    A polytope's vertices (a zonotope's after expansion) are classified
-    against the hyperplane at 1e-10; crossing segments between straddling
-    vertex pairs are interpolated and the union is hulled (interior
-    interpolation points are removed by the hull, so enumerating all
-    straddling pairs is safe and avoids edge bookkeeping).  Returns
-    ``EMPTY`` when the plane misses the body.
+    A polytope's section is the hull of the points where the plane meets
+    its edges: the skeleton points (:func:`bodies.skeleton`) within 1e-10
+    of the plane, and the crossing of every skeleton edge whose ends lie
+    strictly on opposite sides.  For a zonotope those are its sign points
+    and sign-cube edges, so it is never expanded.  Returns ``EMPTY`` when
+    the plane misses the body.
     A ball's section is a ball flat along axis i, in closed form.
     K1 (a :class:`DiskHull`) lies in the unit ball and contains the unit
     disk of e_i^perp, so its section is that disk, exactly.
@@ -143,27 +143,33 @@ def section(p: Body, i: int):
             return EMPTY
         return Ball(p.center, math.sqrt((p.radius - c) * (p.radius + c)),
                     p.zeroed | {i})
-    p = _b.as_vpolytope(p)
-    coords = p.vertices[:, i]
+    cut = _cut(p, i)
+    return EMPTY if cut is None else convex_hull(cut)
+
+
+def _cut(p: Body, i: int) -> np.ndarray | None:
+    """The points whose hull is the section of a polytopal body by
+    x_i = 0, with coordinate i set to exactly 0; None when the plane
+    misses the body."""
+    pts, edges = _b.skeleton(p)
+    coords = pts[:, i]
     on = np.abs(coords) <= ON_PLANE_TOL
     pos = coords > ON_PLANE_TOL
     neg = coords < -ON_PLANE_TOL
-    pts = [p.vertices[on]]
-    if np.any(pos) and np.any(neg):
-        above = p.vertices[pos]
-        below = p.vertices[neg]
-        ca = coords[pos]
-        cb = coords[neg]
-        # x = a + t (b - a) with t = ca / (ca - cb) zeroes coordinate i.
-        t = (ca[:, None] / (ca[:, None] - cb[None, :]))[:, :, None]
-        cross = above[:, None, :] + t * (below[None, :, :] - above[:, None, :])
-        pts.append(cross.reshape(-1, p.n))
-    stacked = np.vstack([q for q in pts if q.shape[0]]) if any(
-        q.shape[0] for q in pts) else np.zeros((0, p.n))
-    if stacked.shape[0] == 0:
-        return EMPTY
-    stacked[:, i] = 0.0  # exact on-plane coordinates
-    return convex_hull(stacked)
+    a, b = edges[:, 0], edges[:, 1]
+    a_up = pos[a] & neg[b]
+    straddle = a_up | (neg[a] & pos[b])
+    above = np.where(a_up, a, b)[straddle]
+    below = np.where(a_up, b, a)[straddle]
+    ca, cb = coords[above], coords[below]
+    # x = a + t (b - a) with t = ca / (ca - cb) zeroes coordinate i.
+    t = (ca / (ca - cb))[:, None]
+    cross = pts[above] + t * (pts[below] - pts[above])
+    cut = np.vstack([pts[on], cross])
+    if cut.shape[0] == 0:
+        return None
+    cut[:, i] = 0.0  # exact on-plane coordinates
+    return cut
 
 
 def section_drop(p: Body, i: int):

@@ -131,6 +131,84 @@ def test_unconditional_section_equals_projection():
                 )
 
 
+def _all_pairs_section(p, i):
+    """Reference cut: the hull of the on-plane vertices and of the
+    crossing of every straddling vertex pair, edge or not."""
+    coords = p.vertices[:, i]
+    pos = coords > coordops.ON_PLANE_TOL
+    neg = coords < -coordops.ON_PLANE_TOL
+    pts = [p.vertices[np.abs(coords) <= coordops.ON_PLANE_TOL]]
+    if np.any(pos) and np.any(neg):
+        above, below = p.vertices[pos], p.vertices[neg]
+        ca, cb = coords[pos], coords[neg]
+        t = (ca[:, None] / (ca[:, None] - cb[None, :]))[:, :, None]
+        cross = above[:, None, :] + t * (below[None, :, :] - above[:, None, :])
+        pts.append(cross.reshape(-1, p.n))
+    stacked = np.vstack(pts)
+    if stacked.shape[0] == 0:
+        return coordops.EMPTY
+    stacked[:, i] = 0.0
+    return bodies.convex_hull(stacked)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("rounded", [False, True], ids=["random", "rounded"])
+def test_polytope_sections_match_the_all_pairs_cut(n, rounded):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(12):
+        pts = rng.standard_normal((int(rng.integers(n + 2, 4 * n)), n))
+        p = bodies.convex_hull(np.round(pts, 1) if rounded else pts)
+        for i in range(n):
+            got, ref = coordops.section(p, i), _all_pairs_section(p, i)
+            if ref is coordops.EMPTY:
+                assert got is coordops.EMPTY
+                continue
+            assert got.vertices.shape == ref.vertices.shape
+            assert got.vertices.tobytes() == ref.vertices.tobytes()
+
+
+def _zonotope_section_support(z, i, u):
+    """Support of Z cut by x_i = 0 in a direction u with u_i = 0:
+    min over t of h_Z(u + t e_i) = <c, u> + min_t (t c_i + sum_j
+    |<g_j, u> + t g_ji|), a convex piecewise-linear function of t whose
+    minimum sits at the weighted median of the breakpoints -<g_j, u>/g_ji
+    with weights |g_ji| (shifted by c_i)."""
+    a, b = z.generators @ u, z.generators[:, i]
+    live = b != 0
+    t = -a[live] / b[live]
+    order = np.argsort(t)
+    t, w = t[order], np.abs(b[live])[order]
+    # the slope at t is c_i - sum(w) + 2 * (weight of breakpoints below t)
+    best = t[np.argmax(z.center[i] - w.sum() + 2.0 * np.cumsum(w) >= 0.0)]
+    return float(z.center @ u + best * z.center[i] + np.sum(np.abs(a + best * b)))
+
+
+def _section_cases(n, rng):
+    g = rng.standard_normal((n + 2, n))
+    yield "random", bodies.Zonotope(0.2 * rng.standard_normal(n), g)
+    yield "parallel", bodies.Zonotope(np.zeros(n), np.vstack([g[:n], 2.0 * g[:1], -0.5 * g[1:2]]))
+    flat = g.copy()
+    flat[0, 0] = 0.0     # a generator inside the plane x_0 = 0
+    yield "in-plane", bodies.Zonotope(np.zeros(n), flat)
+    # integer first column: many sign points on x_0 = 0
+    ints = rng.integers(-2, 3, (n + 2, n)).astype(float)
+    ints[:, 0] = [1.0, 1.0, 2.0] + [1.0] * (n - 1)
+    yield "on-plane", bodies.Zonotope(np.zeros(n), ints)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_zonotope_sections_match_the_weighted_median_support(n):
+    rng = np.random.default_rng(200 + n)
+    for _, z in _section_cases(n, rng):
+        for i in (0, n - 1):
+            sec = coordops.section(z, i)
+            dirs = rng.standard_normal((64, n))
+            dirs[:, i] = 0.0
+            ref = np.array([_zonotope_section_support(z, i, u) for u in dirs])
+            got = bodies.support_many(sec, dirs)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_k1_sections_are_unit_disks():
     """K1 lies in the unit ball and contains each coordinate unit disk, so
     its coordinate sections are those disks, with closed-form measures."""
