@@ -168,6 +168,10 @@ class VPolytope:
     def qhull(self) -> ConvexHull:
         """Qhull triangulation of the (full-dimensional) polytope.
 
+        :func:`convex_hull` and :func:`coordops.g_symmetral` hand over the
+        hull they built, whose input cloud may hold more points than
+        ``vertices`` and in another order: index ``hull.points`` with
+        ``hull.simplices`` and ``hull.vertices``, never ``vertices``.
         Raises QhullError on degenerate input; callers are expected to check
         :func:`affine_dim` first.
         """
@@ -424,8 +428,10 @@ def convex_hull(points) -> VPolytope:
     """Canonical hull of a point cloud: extreme points only, deduplicated
     at 1e-10, lexicographically sorted.
 
-    Handles degenerate (lower-dimensional) input by reducing to the affine
-    span before calling qhull.
+    Full-dimensional input is hulled in its own coordinates, and that hull
+    becomes the result's :attr:`VPolytope.qhull`.  Degenerate
+    (lower-dimensional) input is reduced to its affine span before
+    calling qhull.
     """
     pts = _as_point_array(points)
     if pts.shape[0] == 1:
@@ -442,12 +448,27 @@ def convex_hull(points) -> VPolytope:
         t = centered @ vt[0]
         sel = pts[[int(np.argmin(t)), int(np.argmax(t))]]
         return VPolytope(_lexsorted(sel))
-    coords = centered @ vt[:rank].T
+    coords = pts if rank == pts.shape[1] else centered @ vt[:rank].T
     try:
         hull = ConvexHull(coords)
     except QhullError:
-        hull = ConvexHull(coords, qhull_options="QJ")
+        return VPolytope(_dedup_points(
+            pts[ConvexHull(coords, qhull_options="QJ").vertices]))
+    if coords is pts:
+        return hulled(pts, hull)
     return VPolytope(_dedup_points(pts[hull.vertices]))
+
+
+def hulled(points: np.ndarray, hull: ConvexHull) -> VPolytope:
+    """The polytope of the extreme points of ``hull``, a qhull hull of the
+    full-dimensional cloud ``points``.  The hull becomes its
+    :attr:`VPolytope.qhull` unless deduplication merged two of its
+    vertices, since then it is no longer the hull of exactly those
+    vertices."""
+    p = VPolytope(_dedup_points(points[hull.vertices]))
+    if p.vertex_count == hull.vertices.size:
+        vars(p)["qhull"] = hull
+    return p
 
 
 def minkowski_sum(p: Body, q: Body) -> VPolytope:
@@ -509,9 +530,11 @@ def _sign_cube_edges(k: int) -> np.ndarray:
     """Row-index pairs of the sign vectors that differ in one generator
     only: the k * 2**(k-1) edges of the cube {-1, 1}^k."""
     rows = np.arange(1 << k)
-    pairs = [np.stack([lo, lo + bit], axis=1)
-             for bit in (1 << (k - 1 - j) for j in range(k))
-             for lo in [rows[(rows & bit) == 0]]]
+    pairs = []
+    for j in range(k):
+        bit = 1 << (k - 1 - j)
+        lo = rows[(rows & bit) == 0]
+        pairs.append(np.stack([lo, lo + bit], axis=1))
     return _freeze_index(np.vstack(pairs) if pairs else np.zeros((0, 2), dtype=int))
 
 

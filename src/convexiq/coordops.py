@@ -174,18 +174,20 @@ def _cut(p: Body, i: int) -> np.ndarray | None:
 
 def section_drop(p: Body, i: int):
     """Section in deleted-coordinate form (ambient n-1), computed once per
-    body instance and axis, like :func:`project_drop`."""
+    body instance and axis, like :func:`project_drop`.  A polytopal
+    section is hulled once, in the n-1 kept coordinates, so that hull is
+    the one its measures read."""
     p = resolve(p)
+    i = _check_axis(p.n, i)
     return _b.derived(p, ("section_drop", i), lambda: _section_drop(p, i))
 
 
 def _section_drop(p: Body, i: int):
-    s = section(p, i)
-    if s is EMPTY:
-        return EMPTY
-    if isinstance(s, Ball):     # flat along axis i
-        return project_drop(s, i)
-    return _b.drop_axes(s, [i])
+    if isinstance(p, (Ball, DiskHull)):
+        s = section(p, i)   # a ball flat along axis i
+        return EMPTY if s is EMPTY else project_drop(s, i)
+    cut = _cut(p, i)
+    return EMPTY if cut is None else convex_hull(np.delete(cut, i, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +307,7 @@ def g_symmetral(body: Body) -> VPolytope:
         scale = float(np.max(np.abs(cands)))
         grown = grow(cands, eq[:, :n], SUPPORT_TOL * scale - eq[:, n])
         if grown.shape[0] == cands.shape[0]:
-            return VPolytope(_b._dedup_points(cands[qh.vertices]))
+            return _b.hulled(cands, qh)
         cands = grown
 
 
@@ -363,9 +365,10 @@ def steiner_symmetrize(p: Body, i: int) -> VPolytope:
         pairs = simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         return _distinct_rows(np.sort(pairs, axis=1))
 
-    flat = p.vertices[:, others]
-    ys = np.vstack([flat, _crossings(flat, edges(hull.simplices[up]),
-                                     edges(hull.simplices[down]))])
+    flat = hull.points[:, others]   # the index space of hull.simplices
+    ys = np.vstack([p.vertices[:, others],
+                    _crossings(flat, edges(hull.simplices[up]),
+                               edges(hull.simplices[down]))])
     # Chord of the line {y + t e_i} against every facet half-space
     # a_other . y + a_i t + b <= 0; vertical facets bound no chord.
     rhs = -(ys @ eq[:, others].T) - eq[:, 3]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -388,9 +389,29 @@ def _ev_prob5(body, n, m, params, spec):
 # catalog table
 
 
+def _real(what: str, value) -> float:
+    """value as a float if it is a real number (not a bool or a string)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgument(
+            f"{what} must be a real number, not {type(value).__name__}")
+    return float(value)
+
+
+def _reals(what: str, value) -> list[float]:
+    """value as a list of floats if it is a sequence of real numbers."""
+    if isinstance(value, (str, bytes)):
+        raise InvalidArgument(f"{what} must be a sequence of real numbers, not str")
+    try:
+        items = list(value)
+    except TypeError:
+        raise InvalidArgument(f"{what} must be a sequence of real numbers, "
+                              f"not {type(value).__name__}") from None
+    return [_real(what, x) for x in items]
+
+
 def _positive_real(what: str):
     def coerce(value, n):
-        value = float(value)
+        value = _real(what, value)
         if not 0 < value < math.inf:
             raise InvalidArgument(f"{what} must be positive and finite")
         return value
@@ -398,7 +419,7 @@ def _positive_real(what: str):
 
 
 def _weights(value, n):
-    a = [float(x) for x in value]
+    a = _reals("weights a", value)
     if len(a) != n or not all(0 < x < math.inf for x in a):
         raise InvalidArgument("weights a must be n positive finite reals")
     return a
@@ -422,7 +443,7 @@ class ParamRule:
 PARAM_RULES: dict[str, ParamRule] = {
     "a": ParamRule(lambda n: [1.0] * n, _weights, scalar=False),
     "p": ParamRule(lambda n: 2.0, _positive_real("exponent p")),
-    "u": ParamRule(None, lambda u, n: [float(x) for x in as_vector(u, n)],
+    "u": ParamRule(None, lambda u, n: as_vector(_reals("direction u", u), n).tolist(),
                    scalar=False, missing="{id} requires a direction u"),
     "c2": ParamRule(None, _positive_real("constant c2")),
     "c3": ParamRule(None, _positive_real("constant c3")),

@@ -72,6 +72,17 @@ def test_weights_must_be_finite(bad):
         iq.evaluate("weighted_bm", bodies.cube(3), params={"a": [1.0, bad, 1.0]})
 
 
+@pytest.mark.parametrize("ineq_id, name, bad", [
+    ("prob4_family", "c2", "abc"), ("prob4_family", "c2", None),
+    ("prob4_family", "c2", [1]), ("prob4_family", "c2", "5"),
+    ("prob4_family", "c2", True), ("weighted_bm", "a", "111"),
+    ("weighted_bm", "a", 5.0), ("pythagorean", "u", [1, "x", 1])])
+def test_parameters_must_be_real_numbers(ineq_id, name, bad):
+    m = None if ineq_id == "weighted_bm" else 1
+    with pytest.raises(InvalidArgument, match=f" {name} must be a"):
+        iq.evaluate(ineq_id, bodies.cube(3), m=m, params={name: bad})
+
+
 @pytest.mark.parametrize("bad", NON_FINITE + [-1.0])
 def test_tolerance_must_be_finite_and_nonnegative(bad):
     with pytest.raises(InvalidArgument, match="finite and >= 0"):
