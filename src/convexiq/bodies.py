@@ -182,9 +182,11 @@ class VPolytope:
 class Zonotope:
     """Minkowski sum of segments: center + sum_i [-g_i, g_i].
 
-    Generators are stored sign-normalized (first non-zero component
-    positive) and lexicographically sorted, with zero generators dropped,
-    so that structurally equal zonotopes compare equal.
+    Generators are stored sign-normalized and lexicographically sorted,
+    so that structurally equal zonotopes compare equal.  Both steps decide
+    "zero" at DEDUP_TOL: a generator with every entry within DEDUP_TOL of
+    0 is dropped, and each other one is flipped so that its first entry
+    beyond DEDUP_TOL in magnitude is positive.
     """
 
     center: np.ndarray
@@ -192,6 +194,8 @@ class Zonotope:
 
     def __post_init__(self):
         c = as_vector(self.center)
+        if c.shape[0] == 0:
+            raise InvalidArgument("a zonotope needs at least one coordinate")
         g = np.asarray(self.generators, dtype=float)
         if g.ndim != 2 or g.shape[1] != c.shape[0]:
             raise InvalidArgument(
@@ -201,13 +205,11 @@ class Zonotope:
         if c.shape[0] > MAX_DIM:
             raise UnsupportedOperation(
                 f"ambient dimension {c.shape[0]} exceeds the supported cap {MAX_DIM}")
-        keep = []
-        for row in g:
-            if np.max(np.abs(row)) <= DEDUP_TOL:
-                continue
-            j = int(np.argmax(np.abs(row) > DEDUP_TOL))
-            keep.append(row if row[j] > 0 else -row)
-        norm = _lexsorted(np.array(keep)) if keep else np.zeros((0, c.shape[0]))
+        big = np.abs(g) > DEDUP_TOL
+        live = big.any(axis=1)
+        g, big = g[live], big[live]
+        lead = g[np.arange(g.shape[0]), np.argmax(big, axis=1)]
+        norm = _lexsorted(np.where(lead[:, None] > 0, g, -g))
         object.__setattr__(self, "center", _freeze(c))
         object.__setattr__(self, "generators", _freeze(norm))
 
@@ -346,8 +348,7 @@ def cube(n: int) -> VPolytope:
     """Cube [-1, 1]^n."""
     if not (MIN_DIM <= n <= MAX_DIM):
         raise InvalidArgument(f"dimension {n} outside supported range")
-    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    return VPolytope(_lexsorted(corners))
+    return VPolytope(_sign_matrix(n))
 
 
 def ball(n: int, radius: float = 1.0, center=None) -> Ball:
@@ -486,8 +487,7 @@ def unconditional_hull(base) -> VPolytope:
     of each point): an unconditional polytope."""
     base = _as_point_array(base, "base points")
     n = base.shape[1]
-    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * n), indexing="ij")).reshape(n, -1).T
-    return convex_hull((base[:, None, :] * signs[None, :, :]).reshape(-1, n))
+    return convex_hull((base[:, None, :] * _sign_matrix(n)).reshape(-1, n))
 
 
 def as_vpolytope(body: Body) -> VPolytope:
@@ -513,16 +513,23 @@ def _expand_zonotope(z: Zonotope) -> VPolytope:
 
 
 def _sign_points(z: Zonotope) -> np.ndarray:
-    """c + sum_j s_j g_j for every sign vector s, in itertools.product
-    order (generator j's sign is bit k-1-j of the row index), refused past
-    2**16 points."""
-    k = z.generator_count
+    """c + sum_j s_j g_j for every sign vector s, in the row order of
+    :func:`_sign_matrix`, refused past 2**16 points."""
+    return z.center + _sign_matrix(z.generator_count) @ z.generators
+
+
+@cache
+def _sign_matrix(k: int) -> np.ndarray:
+    """The 2**k sign vectors of {-1, 1}^k as rows, in itertools.product
+    order: entry j of row r is -1 where bit k-1-j of r is 0, +1 where it
+    is 1, so the rows are lexicographically sorted.  Refused past
+    2**16 rows (a zonotope with more than 16 generators)."""
     if k > MAX_ZONOTOPE_EXPAND_GENERATORS:
         raise UnsupportedOperation(
-            f"refusing to expand a zonotope with {k} generators "
-            f"(cap {MAX_ZONOTOPE_EXPAND_GENERATORS})")
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=k))).reshape(1 << k, k)
-    return z.center + signs @ z.generators
+            f"refusing to enumerate the 2**{k} sign vectors of {k} "
+            f"generators (cap {MAX_ZONOTOPE_EXPAND_GENERATORS})")
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return _freeze(2.0 * bits - 1.0)
 
 
 @cache
@@ -577,7 +584,11 @@ def _polytope_skeleton(p: VPolytope) -> tuple[np.ndarray, np.ndarray]:
     pairs = tri[:, list(itertools.combinations(range(tri.shape[1]), 2))]
     used, edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1),
                             return_inverse=True)
-    edges = np.unique(edges.reshape(-1, 2), axis=0)
+    # a renumbered pair (a, b), a < b, as the key a * N + b: sorted keys
+    # are the pairs in lexicographic order
+    edges = edges.reshape(-1, 2)
+    keys = np.unique(edges[:, 0] * used.size + edges[:, 1])
+    edges = np.stack([keys // used.size, keys % used.size], axis=1)
     return _freeze(pts[used]), _freeze_index(edges)
 
 

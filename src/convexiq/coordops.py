@@ -269,7 +269,7 @@ def g_symmetral(body: Body) -> VPolytope:
     k = _b.as_vpolytope(body)
     levels = _group_levels(n)
     perms = np.array(list(itertools.permutations(range(n))))
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    signs = _b._sign_matrix(n)
     order = perms.shape[0] * signs.shape[0]
     batch = max(1, ORACLE_BATCH // (order * k.vertex_count))
     cap = _sum_budget(n)

@@ -98,19 +98,15 @@ def volume(p: VPolytope) -> float:
 
 
 def surface_area(p: VPolytope) -> float:
-    """Total (n-1)-measure of the boundary.
-
-    For a body of dimension exactly n-1 this is twice its (n-1)-measure
-    (both sides of the flat piece); below that the boundary measure is 0.
-    """
+    """Total (n-1)-measure of the boundary of a full-dimensional polytope
+    in R^n, n >= 2.  Flat polytopes raise :class:`UnsupportedMeasure`:
+    :func:`vm` reduces them to their affine span first."""
     d = affine_dim(p)
-    if p.n == 1:
-        return 2.0 if d >= 0 else 0.0
-    if d == p.n:
-        return float(p.qhull.area)
-    if d == p.n - 1:
-        return 2.0 * volume(to_affine_coords(p))
-    return 0.0
+    if p.n < 2 or d < p.n:
+        raise UnsupportedMeasure(
+            f"surface_area takes a full-dimensional polytope in R^n, n >= 2, "
+            f"not one of dimension {d} in R^{p.n}; measure it with vm")
+    return float(p.qhull.area)
 
 
 def v1_polytope_exact(p: VPolytope) -> float:

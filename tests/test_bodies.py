@@ -1,17 +1,20 @@
 """Body constructors, canonical hulls, and support functions."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from convexiq import (Ball, DiskHull, NamedBody, VPolytope, Zonotope,
                       as_vpolytope, ball, convex_hull, cross_polytope, cube,
                       k1, k2, minkowski_sum, support, support_many)
-from convexiq.bodies import (DEDUP_TOL, _dedup_points, affine_dim, resolve,
+from convexiq.bodies import (DEDUP_TOL, _dedup_points, _lexsorted,
+                             _sign_matrix, affine_dim, resolve, skeleton,
                              same_vertices, scale_body, translate_body)
 from convexiq.coordops import g_symmetral, steiner_symmetrize
 from convexiq.errors import InvalidArgument, UnsupportedOperation
@@ -179,6 +182,11 @@ def test_canonicalization_is_idempotent(rng):
     assert np.array_equal(p.vertices, again.vertices)
 
 
+def test_zonotope_needs_a_coordinate():
+    with pytest.raises(InvalidArgument):
+        Zonotope(np.zeros(0), np.zeros((0, 0)))
+
+
 def test_rejects_non_finite():
     with pytest.raises(InvalidArgument):
         convex_hull(np.array([[0.0, 0], [1.0, np.nan]]))
@@ -261,6 +269,115 @@ def test_zonotope_expansion_matches_support(rng):
 def test_unit_generators_make_cube():
     z = Zonotope(np.zeros(3), np.eye(3))
     assert same_vertices(as_vpolytope(z), cube(3))
+
+
+def _generators_row_by_row(g):
+    """Reference canonicalization, one generator at a time: drop it when
+    every entry is within DEDUP_TOL of 0, else flip it so that its first
+    entry beyond DEDUP_TOL is positive; then sort."""
+    keep = []
+    for row in np.asarray(g, dtype=float):
+        if np.max(np.abs(row)) <= DEDUP_TOL:
+            continue
+        j = int(np.argmax(np.abs(row) > DEDUP_TOL))
+        keep.append(row if row[j] > 0 else -row)
+    return _lexsorted(np.array(keep)) if keep else np.zeros((0, g.shape[1]))
+
+
+def _generator_cases(rng):
+    for n, k in [(2, 3), (3, 5), (4, 6), (6, 8), (8, 12)]:
+        g = rng.standard_normal((k, n))
+        yield g
+        zeros = g.copy()
+        zeros[::3] = 0.0
+        zeros[1] = 0.5 * DEDUP_TOL * rng.standard_normal(n)
+        yield zeros
+        yield -np.abs(g)            # every leading entry negative
+    t = DEDUP_TOL
+    yield np.array([[t, -1.0], [-t, 2.0], [t, t], [-t, -t], [0.0, -t]])
+    yield np.array([[np.nextafter(t, 1.0), -1.0], [-np.nextafter(t, 1.0), 1.0]])
+    yield np.array([[-0.0, -3.0, 0.0], [0.0, -0.0, -1.0], [-0.0, 0.0, 0.0],
+                    [-t, -0.0, 5.0], [0.0, 2.0, -0.0]])
+    yield np.zeros((3, 4))
+    yield np.zeros((0, 3))
+
+
+def test_zonotope_canonical_generators_match_row_by_row_bytes(rng):
+    for g in _generator_cases(rng):
+        got = Zonotope(np.zeros(g.shape[1]), g).generators
+        ref = _generators_row_by_row(g)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_zonotope_canonicalization_leaves_its_input_alone(rng):
+    g = -np.abs(rng.standard_normal((4, 3)))
+    before = g.copy()
+    Zonotope(np.zeros(3), g)
+    assert g.flags.writeable and g.tobytes() == before.tobytes()
+
+
+def _skeleton_by_unique_rows(p):
+    """Reference polytope skeleton: the same boundary triangulation, its
+    edges deduplicated as rows by np.unique(axis=0)."""
+    d = affine_dim(p)
+    if d == p.n:
+        pts, tri = p.qhull.points, p.qhull.simplices
+    else:
+        centered = p.vertices - p.vertices.mean(axis=0)
+        coords = centered @ np.linalg.svd(centered, full_matrices=False)[2][:d].T
+        pts = p.vertices
+        tri = (np.array([[np.argmin(coords[:, 0]), np.argmax(coords[:, 0])]])
+               if d == 1 else ConvexHull(coords).simplices)
+    pairs = tri[:, list(itertools.combinations(range(tri.shape[1]), 2))]
+    used, edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1),
+                            return_inverse=True)
+    return pts[used], np.unique(edges.reshape(-1, 2), axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_polytope_skeleton_matches_unique_rows_bytes(n):
+    rng = np.random.default_rng(300 + n)
+    for d in range(1, n + 1):       # d = n: full; below: a random flat
+        for _ in range(2):
+            pts = rng.standard_normal((int(rng.integers(d + 2, 4 * n)), d))
+            if d < n:
+                pts = pts @ rng.standard_normal((d, n)) + rng.standard_normal(n)
+            p = convex_hull(pts)
+            got, ref = skeleton(p), _skeleton_by_unique_rows(p)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert got[1].dtype == np.intp
+
+
+def test_sign_matrix_matches_product_and_meshgrid_bytes():
+    for k in range(0, 9):
+        ref = np.array(list(itertools.product((-1.0, 1.0), repeat=k))).reshape(1 << k, k)
+        assert _sign_matrix(k).tobytes() == ref.tobytes()
+        assert _sign_matrix(k).shape == ref.shape
+        assert not _sign_matrix(k).flags.writeable
+    for n in range(1, 7):
+        grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * n), indexing="ij")).reshape(n, -1).T
+        assert _sign_matrix(n).tobytes() == np.ascontiguousarray(grid).tobytes()
+
+
+def test_sign_matrix_is_refused_past_the_expansion_cap():
+    with pytest.raises(UnsupportedOperation):
+        _sign_matrix(17)
+    with pytest.raises(UnsupportedOperation):
+        as_vpolytope(Zonotope(np.zeros(2), np.random.default_rng(0).standard_normal((17, 2))))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cube_corners_and_midpoints_hull_to_the_corners(n):
+    """Points on the cube's faces are not kept as vertices at d >= 5."""
+    corners = cube(n).vertices
+    i, j = np.triu_indices(corners.shape[0], 1)
+    cloud = np.vstack([corners, 0.5 * (corners[i] + corners[j])])
+    got = convex_hull(cloud).vertices
+    assert got.shape == corners.shape
+    assert got.tobytes() == corners.tobytes()
 
 
 @pytest.mark.parametrize("call", [

@@ -321,7 +321,8 @@ def test_flat_body_reduction(spec3):
                                [0, 1, 1.0], [1, 1, 1.0]]))
     assert vm(sq, 2, spec3).value == pytest.approx(1.0)
     assert vm(sq, 3, spec3).value == pytest.approx(0.0)
-    assert surface_area(sq) == pytest.approx(2.0)   # both sides of the square
+    with pytest.raises(UnsupportedMeasure, match="vm"):
+        surface_area(sq)    # flat bodies are measured through vm only
 
 
 # ---------------------------------------------------------------------------
