@@ -27,6 +27,11 @@ SUPPORT_TOL = 1e-12
 # in g_symmetral may hold, and rows of one block of its seed orbit.
 ORACLE_BATCH = 1 << 20
 ORBIT_BLOCK = 1 << 16
+# Step from a normal-fan arc crossing into the four cells around it
+# (g_symmetral's seed directions, about unit length), and arc pairs one
+# crossing test there may hold (about 16 MB of temporaries).
+CELL_STEP = 1e-7
+ARC_BLOCK = 1 << 16
 # |a_i| of a unit facet normal below which the facet is parallel to e_i
 # (steiner_symmetrize).
 VERTICAL_TOL = 1e-12
@@ -247,6 +252,70 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate([[True], np.any(a[1:] != a[:-1], axis=1)])]
 
 
+def _orbit(x: np.ndarray, perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Every signed permutation x -> signs * x[perm] of each row of x,
+    row-major: row r is the image of x[r // |G|] under element r % |G|."""
+    return (x[:, perms][:, :, None, :] * signs).reshape(-1, x.shape[1])
+
+
+def _fan_arcs(hull: ConvexHull, perms: np.ndarray, signs: np.ndarray):
+    """The normal-fan arcs of every signed-permutation image of a
+    3-polytope, as (starts, ends, image) with one row per arc.
+
+    An edge of the polytope is the arc between the unit normals of its
+    two facets; qhull's triangles of one facet share its normal and bound
+    no arc.
+    """
+    normals = hull.equations[:, :3]
+    s = np.repeat(np.arange(normals.shape[0]), 3)
+    t = hull.neighbors.ravel()
+    a, b = normals[s], normals[t]
+    keep = (s < t) & np.any(a != b, axis=1)
+    order = perms.shape[0] * signs.shape[0]
+    image = np.tile(np.arange(order), int(np.count_nonzero(keep)))
+    return _orbit(a[keep], perms, signs), _orbit(b[keep], perms, signs), image
+
+
+def _cell_directions(a: np.ndarray, b: np.ndarray, image: np.ndarray):
+    """Directions into the four cells around every point where two arcs
+    of different images cross, one block of arc pairs at a time.
+
+    Arc r runs from a_r to b_r on the great circle normal to
+    c_r = a_r x b_r, and x lies strictly inside it when
+    x.(c_r x a_r) > 0 and x.(b_r x c_r) > 0.  Two circles meet at
+    +-(c_1 x c_2), and the arcs cross where one sign is inside both.
+    Around that point d, the tangent f_1 of arc 2 (turned towards c_1)
+    and the tangent f_2 of arc 1 (turned towards c_2) point into the
+    cells, so d + CELL_STEP (+-f_1 +-f_2) are four directions, one in each.
+    """
+    m = a.shape[0]
+    c = np.cross(a, b)
+    inside = np.stack([np.cross(c, a), np.cross(b, c)], axis=1)
+    quadrants = _b._sign_matrix(2)
+    cols = np.arange(m)
+    step = max(1, ARC_BLOCK // m)
+
+    def toward(f, g):
+        """f scaled to unit length with f.g > 0."""
+        return f * (np.sign(np.einsum("ij,ij->i", f, g))
+                    / np.linalg.norm(f, axis=1))[:, None]
+
+    for s in range(0, m, step):
+        rows = cols[s:s + step]
+        i, j = np.nonzero((rows[:, None] < cols) & (image[rows, None] != image))
+        i += s
+        x = np.cross(c[i], c[j])
+        side = np.hstack([np.einsum("pkx,px->pk", inside[i], x),
+                          np.einsum("pkx,px->pk", inside[j], x)])
+        keep = np.all(side > 0, axis=1) | np.all(side < 0, axis=1)
+        d = x[keep] * np.sign(side[keep, :1])
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        c1, c2 = c[i[keep]], c[j[keep]]
+        f = np.stack([toward(np.cross(d, c2), c1), toward(np.cross(d, c1), c2)],
+                     axis=1)
+        yield (d[:, None, :] + CELL_STEP * (quadrants @ f)).reshape(-1, 3)
+
+
 def g_symmetral(body: Body) -> VPolytope:
     """Minkowski average (1/|G|) sum_{g in G} gK over all signed
     permutations, as an exact vertex list.
@@ -254,12 +323,19 @@ def g_symmetral(body: Body) -> VPolytope:
     Built from a support oracle (:func:`_average_argmax` over the level
     chain of :func:`_group_levels`), never from a vertex-sum cloud.  The
     candidates start as the oracle points of the group orbit of K's facet
-    normals and vertex directions.  Each round hulls them and adds the
-    oracle point of every hull facet (a, b) with h(a) > b + SUPPORT_TOL *
-    scale.  When no facet is violated the hull is the average: it lies
-    inside the average, and every facet inequality of the hull holds on
-    the average.  The candidate count is checked against
-    :func:`_sum_budget` before every hull.
+    normals and vertex directions.  For a full-dimensional K in R^3 they
+    also hold the oracle points of the four cells around every crossing
+    of two images' normal-fan arcs (:func:`_cell_directions`): the
+    average's normal fan is the common refinement of its summands', so
+    each of its facets is parallel to a facet of some image gK or to an
+    edge of each of two images, where those edges' arcs cross, and the
+    first hull is the average save for cells these seeds miss.  Each
+    round hulls the candidates and adds the oracle point of every hull
+    facet (a, b) with h(a) > b + SUPPORT_TOL * scale.  When no facet is
+    violated the hull is the average: it lies inside the average, and
+    every facet inequality of the hull holds on the average.  The
+    candidate count is checked against :func:`_sum_budget` after every
+    oracle batch, so before every hull.
     """
     body = resolve(body)
     n = body.n
@@ -274,13 +350,14 @@ def g_symmetral(body: Body) -> VPolytope:
     batch = max(1, ORACLE_BATCH // (order * k.vertex_count))
     cap = _sum_budget(n)
 
-    def grow(cands, dirs, bound):
-        """cands plus the oracle points of dirs that exceed bound,
-        refused past the cap."""
+    def grow(cands, dirs, bound=None):
+        """cands plus the oracle points of dirs that exceed bound (all of
+        them without one), refused past the cap."""
         for s in range(0, dirs.shape[0], batch):
             u = dirs[s:s + batch]
             pts = _average_argmax(k.vertices, levels, u)
-            pts = pts[np.einsum("ij,ij->i", pts, u) > bound[s:s + batch]]
+            if bound is not None:
+                pts = pts[np.einsum("ij,ij->i", pts, u) > bound[s:s + batch]]
             cands = _distinct_rows(np.vstack([cands, pts]))
             if cands.shape[0] > cap:
                 raise UnsupportedOperation(
@@ -289,18 +366,19 @@ def g_symmetral(body: Body) -> VPolytope:
                     "for this implementation")
         return cands
 
-    if _b.affine_dim(k) == 0:
+    dim = _b.affine_dim(k)
+    if dim == 0:
         return VPolytope(_average_argmax(k.vertices, levels, np.zeros((1, n))))
     seeds = k.vertices
-    if _b.affine_dim(k) == n:
+    if dim == n:
         seeds = _distinct_rows(np.vstack([k.qhull.equations[:, :n], seeds]))
     cands = np.zeros((0, n))
     per = max(1, ORBIT_BLOCK // order)   # seeds per orbit block
     for s in range(0, seeds.shape[0], per):
-        # every signed permutation x -> signs * x[perm] of each seed
-        orbit = seeds[s:s + per][:, perms][:, :, None, :] * signs
-        orbit = _distinct_rows(orbit.reshape(-1, n))
-        cands = grow(cands, orbit, np.full(orbit.shape[0], -np.inf))
+        cands = grow(cands, _distinct_rows(_orbit(seeds[s:s + per], perms, signs)))
+    if dim == n == 3:
+        for dirs in _cell_directions(*_fan_arcs(k.qhull, perms, signs)):
+            cands = grow(cands, dirs)
     while True:
         qh = ConvexHull(cands)
         eq = _distinct_rows(qh.equations)

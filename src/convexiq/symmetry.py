@@ -93,20 +93,37 @@ def apply_symmetry(body: Body, g: SignedPermutation) -> Body:
     raise InvalidArgument(f"not a body: {type(body).__name__}")
 
 
-def invariance_defect(body: Body, group_elements, directions: np.ndarray) -> float:
-    """max |h(g u) - h(u)| over the supplied elements and directions."""
+def _defect_and_scale(body: Body, group_elements,
+                      directions: np.ndarray) -> tuple[float, float]:
+    """(max |h(g u) - h(u)|, max |h(u)|) over the supplied elements and
+    directions."""
     body = resolve(body)
     worst = 0.0
     base = bodies.support_many(body, directions)
     for g in group_elements:
         moved = bodies.support_many(body, directions @ g.matrix().T)
         worst = max(worst, float(np.max(np.abs(moved - base))))
-    return worst
+    return worst, float(np.max(np.abs(base)))
+
+
+def invariance_defect(body: Body, group_elements, directions: np.ndarray) -> float:
+    """max |h(g u) - h(u)| over the supplied elements and directions."""
+    return _defect_and_scale(body, group_elements, directions)[0]
+
+
+def _is_invariant(body: Body, group_elements, directions: np.ndarray,
+                  tol: float) -> bool:
+    """Whether the invariance defect is at most tol times max |h(u)| over
+    the directions: relative, so a dilation of the body never changes
+    the answer."""
+    defect, scale = _defect_and_scale(body, group_elements, directions)
+    return defect <= tol * scale
 
 
 def is_signflip_invariant(body: Body, rng: np.random.Generator,
                           pairs: int = 16, tol: float = 1e-8) -> bool:
-    """Support-function check of invariance under coordinate sign flips."""
+    """Support-function check of invariance under coordinate sign flips,
+    relative to the body's size (see :func:`_is_invariant`)."""
     body = resolve(body)
     n = body.n
     dirs = rng.standard_normal((pairs, n))
@@ -115,16 +132,17 @@ def is_signflip_invariant(body: Body, rng: np.random.Generator,
     for _ in range(pairs):
         signs = tuple(int(s) for s in rng.choice((-1, 1), size=n))
         flips.append(SignedPermutation(tuple(range(n)), signs))
-    return invariance_defect(body, flips, dirs) <= tol
+    return _is_invariant(body, flips, dirs, tol)
 
 
 def is_group_invariant(body: Body, rng: np.random.Generator,
                        pairs: int = 16, tol: float = 1e-8) -> bool:
     """Support-function check of full signed-permutation invariance on
-    random (element, direction) pairs."""
+    random (element, direction) pairs, relative to the body's size (see
+    :func:`_is_invariant`)."""
     body = resolve(body)
     n = body.n
     dirs = rng.standard_normal((pairs, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     elems = [random_signed_permutation(n, rng) for _ in range(pairs)]
-    return invariance_defect(body, elems, dirs) <= tol
+    return _is_invariant(body, elems, dirs, tol)

@@ -23,6 +23,11 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+# A generic 3-polytope with five vertices and no symmetry.
+FIVE_VERTICES = convex_hull(np.array(
+    [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-0.5, -0.5, 0], [0.2, 0.3, -0.8]]))
+
+
 def random_polytope(rng: np.random.Generator, n: int, k: int | None = None) -> VPolytope:
     k = k if k is not None else 2 * n + 4
     return convex_hull(rng.standard_normal((k, n)))

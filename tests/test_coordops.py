@@ -8,7 +8,7 @@ from convexiq import (bodies, coordops, explorer, inequalities as iq, measures,
                       quadrature, symmetry)
 from convexiq.errors import InvalidArgument, UnsupportedOperation
 
-from conftest import random_polytope
+from conftest import FIVE_VERTICES, parallelepiped, random_polytope
 
 SPEC2 = quadrature.QuadratureSpec.for_dimension(2)
 
@@ -307,16 +307,18 @@ def _pairwise_symmetral(body):
     return acc
 
 
-FIVE_VERTICES = bodies.convex_hull(np.array(
-    [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-0.5, -0.5, 0], [0.2, 0.3, -0.8]]))
-
-
 @pytest.mark.parametrize("body", [
     FIVE_VERTICES,
     bodies.convex_hull(np.array([[0.0, 0.0], [1.0, 0.0]])),
     bodies.convex_hull(np.array([[0.2, 0.5, 0.0], [1.0, 0.3, 0.0], [-0.6, 0.9, 0.0]])),
     bodies.cube(2), bodies.cube(3), bodies.cross_polytope(2), bodies.cross_polytope(3),
-], ids=["five-vertices", "segment", "flat-triangle", "cube2", "cube3", "cross2", "cross3"])
+    # images' normal-fan arcs that share great circles (parallelepiped) or
+    # coincide (box), and a body off the origin
+    parallelepiped([[1.0, 0.2, 0.1], [0.3, 1.1, -0.2], [0.1, -0.4, 0.9]]),
+    bodies.unconditional_hull([[1.0, 2.0, 3.0]]),
+    bodies.translate_body(FIVE_VERTICES, [0.3, -0.2, 0.1]),
+], ids=["five-vertices", "segment", "flat-triangle", "cube2", "cube3", "cross2", "cross3",
+        "parallelepiped", "box", "five-vertices-shifted"])
 def test_symmetral_matches_pairwise_sums_bytewise(body):
     sym = coordops.g_symmetral(body)
     ref = _pairwise_symmetral(body)
@@ -373,6 +375,29 @@ def test_the_symmetral_is_not_hulled_again(monkeypatch):
     explorer.mean_width_ratio(sym)
     # only the three coordinate shadows are hulled, in the plane
     assert [shape[1] for shape in calls[built:]] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("body, k", [
+    (FIVE_VERTICES, 5), (random_polytope(np.random.default_rng(0), 3, k=8), 8),
+], ids=["five-vertices", "random-8"])
+def test_the_symmetral_hulls_its_candidates_once(monkeypatch, body, k):
+    """The arc-crossing seeds reach every vertex before the first hull,
+    so the verification pass adds none and no second hull is built."""
+    assert body.vertex_count == k
+    calls = _count_hulls(monkeypatch)
+    sym = coordops.g_symmetral(body)
+    assert len(calls) == 1 and calls[0][1] == 3
+    assert calls[0][0] >= sym.vertex_count
+
+
+def test_symmetral_budget_guard_in_three_dimensions(monkeypatch):
+    """The cap is checked as the arc-crossing seeds arrive, before any
+    hull of the candidates."""
+    monkeypatch.setattr(coordops, "_sum_budget", lambda n: 1_000)
+    calls = _count_hulls(monkeypatch)
+    with pytest.raises(UnsupportedOperation):
+        coordops.g_symmetral(FIVE_VERTICES)
+    assert all(points <= 1_000 for points, _ in calls)
 
 
 def test_hull_consumers_index_the_hull_points():

@@ -10,7 +10,7 @@ import pytest
 from convexiq import bodies, explorer, inequalities as iq
 from convexiq.errors import InvalidArgument, UndefinedValue
 
-from conftest import random_polytope
+from conftest import FIVE_VERTICES, random_polytope
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,22 @@ def test_support_ratio_guards(rng):
         explorer.equatorial_support_ratio(bodies.cube(4), 0.2)
     with pytest.raises(InvalidArgument):
         explorer.support_ratio_profile(bodies.cube(3), points=1)
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1e-4, 1.0, 1e4, 1e8, 1e10])
+def test_support_ratio_symmetry_check_is_relative(factor):
+    """The invariance defect is measured against the body's own support,
+    so a dilated cube is accepted at every scale (and its ratios dilate)."""
+    prof = explorer.support_ratio_profile(bodies.scale_body(bodies.cube(3), factor),
+                                          points=8)
+    unit = explorer.support_ratio_profile(bodies.cube(3), points=8)
+    np.testing.assert_allclose(prof[:, 1], factor * unit[:, 1], rtol=1e-14)
+
+
+@pytest.mark.parametrize("factor", [1e-9, 1e9])
+def test_support_ratio_refuses_a_dilated_asymmetric_body(factor):
+    with pytest.raises(InvalidArgument, match="symmetr"):
+        explorer.support_ratio_profile(bodies.scale_body(FIVE_VERTICES, factor), points=8)
 
 
 # ---------------------------------------------------------------------------

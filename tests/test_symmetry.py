@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexiq import SignedPermutation, apply_symmetry, hyperoctahedral_group
-from convexiq.bodies import Zonotope, cross_polytope, cube, k1, support_many
+from convexiq.bodies import (Zonotope, cross_polytope, cube, k1, scale_body,
+                             support_many)
 from convexiq.errors import InvalidArgument
 from convexiq.symmetry import (invariance_defect, is_group_invariant,
                                is_signflip_invariant,
@@ -79,6 +80,19 @@ def test_signflip_invariance(rng):
     # a generic centered zonotope is o-symmetric but not unconditional
     skew = Zonotope(np.zeros(3), rng.standard_normal((4, 3)))
     assert not is_signflip_invariant(skew, rng)
+
+
+@pytest.mark.parametrize("factor", [1e-9, 1e9])
+def test_invariance_checks_are_relative(factor):
+    """Both checks compare the defect with the body's size, so a dilation
+    changes neither answer."""
+    rng = np.random.default_rng(5)
+    box = Zonotope(np.zeros(3), factor * np.diag([0.5, 1.0, 2.0]))
+    skew = Zonotope(np.zeros(3), factor * rng.standard_normal((4, 3)))
+    assert is_signflip_invariant(box, rng)
+    assert not is_signflip_invariant(skew, rng)
+    assert is_group_invariant(scale_body(cube(3), factor), rng)
+    assert not is_group_invariant(scale_body(random_polytope(rng, 3), factor), rng)
 
 
 def test_invariance_defect_zero_on_cube(rng):
