@@ -372,15 +372,8 @@ def k2() -> VPolytope:
 @cache
 def _disk_hull_polytope(fineness: int) -> VPolytope:
     t = 2.0 * np.pi * np.arange(fineness) / fineness
-    cos, sin = np.cos(t), np.sin(t)
-    pts = []
-    for i in range(3):
-        j, kk = [a for a in range(3) if a != i]
-        disk = np.zeros((fineness, 3))
-        disk[:, j] = cos
-        disk[:, kk] = sin
-        pts.append(disk)
-    return convex_hull(np.vstack(pts))
+    disk = np.stack([np.cos(t), np.sin(t)], axis=1)
+    return convex_hull(np.vstack([np.insert(disk, i, 0.0, axis=1) for i in range(3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +405,7 @@ def support_many(body: Body, directions: np.ndarray) -> np.ndarray:
         return base
     if isinstance(body, Ball):
         mask = np.ones(body.n, dtype=bool)
-        for i in body.zeroed:
-            mask[i] = False
+        mask[list(body.zeroed)] = False
         return U @ body.center + body.radius * np.linalg.norm(U[:, mask], axis=1)
     if isinstance(body, DiskHull):
         sq = U * U
@@ -470,6 +462,15 @@ def hulled(points: np.ndarray, hull: ConvexHull) -> VPolytope:
     if p.vertex_count == hull.vertices.size:
         vars(p)["qhull"] = hull
     return p
+
+
+def facets(hull: ConvexHull) -> np.ndarray:
+    """Each qhull boundary simplex's facet index: qhull gives the simplices
+    of a merged facet its equation, so simplices with bitwise equal
+    ``equations`` rows form one facet."""
+    eq = np.ascontiguousarray(hull.equations)
+    return np.unique(eq.view(np.dtype((np.void, eq.strides[0]))).ravel(),
+                     return_inverse=True)[1]
 
 
 def minkowski_sum(p: Body, q: Body) -> VPolytope:
@@ -603,24 +604,20 @@ def affine_dim(body: Body) -> int:
 
 
 def _affine_dim(body: Body) -> int:
-    if isinstance(body, VPolytope):
-        centered = body.vertices - body.vertices[0]
-        if body.vertex_count == 1:
-            return 0
-        svals = np.linalg.svd(centered, compute_uv=False)
-        scale = max(1.0, float(svals[0]))
-        return int(np.sum(svals > RANK_TOL * scale))
-    if isinstance(body, Zonotope):
-        if body.generator_count == 0:
-            return 0
-        svals = np.linalg.svd(body.generators, compute_uv=False)
-        scale = max(1.0, float(svals[0]))
-        return int(np.sum(svals > RANK_TOL * scale))
     if isinstance(body, Ball):
         return body.active_dim if body.radius > 0 else 0
     if isinstance(body, DiskHull):
         return 3
-    raise InvalidArgument(f"not a body: {type(body).__name__}")
+    if isinstance(body, VPolytope):
+        spans = body.vertices - body.vertices[0] if body.vertex_count > 1 else None
+    elif isinstance(body, Zonotope):
+        spans = body.generators if body.generator_count else None
+    else:
+        raise InvalidArgument(f"not a body: {type(body).__name__}")
+    if spans is None:
+        return 0
+    svals = np.linalg.svd(spans, compute_uv=False)
+    return int(np.sum(svals > RANK_TOL * max(1.0, float(svals[0]))))
 
 
 def constant_axes(p: VPolytope, tol: float = DEDUP_TOL) -> list[int]:

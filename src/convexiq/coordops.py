@@ -249,7 +249,7 @@ def _average_argmax(vertices: np.ndarray, levels, u: np.ndarray) -> np.ndarray:
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
     """The distinct rows of a, lexicographically sorted."""
     a = _b._lexsorted(a)
-    return a[np.concatenate([[True], np.any(a[1:] != a[:-1], axis=1)])]
+    return a[np.concatenate([[True], np.any(a[1:] != a[:-1], axis=1)])[:len(a)]]
 
 
 def _orbit(x: np.ndarray, perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -259,26 +259,29 @@ def _orbit(x: np.ndarray, perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def _fan_arcs(hull: ConvexHull, perms: np.ndarray, signs: np.ndarray):
-    """The normal-fan arcs of every signed-permutation image of a
+    """The distinct normal-fan arcs of the signed-permutation images of a
     3-polytope, as (starts, ends, image) with one row per arc.
 
     An edge of the polytope is the arc between the unit normals of its
-    two facets; qhull's triangles of one facet share its normal and bound
-    no arc.
+    two facets (:func:`bodies.facets`).  An arc that several images share
+    is one row with image -1, to be paired with every other arc.
     """
-    normals = hull.equations[:, :3]
-    s = np.repeat(np.arange(normals.shape[0]), 3)
+    facet = _b.facets(hull)
+    s = np.repeat(np.arange(facet.size), 3)
     t = hull.neighbors.ravel()
-    a, b = normals[s], normals[t]
-    keep = (s < t) & np.any(a != b, axis=1)
-    order = perms.shape[0] * signs.shape[0]
-    image = np.tile(np.arange(order), int(np.count_nonzero(keep)))
-    return _orbit(a[keep], perms, signs), _orbit(b[keep], perms, signs), image
+    keep = (s < t) & (facet[s] != facet[t])
+    arcs = np.hstack([_orbit(hull.equations[u, :3], perms, signs)
+                      for u in (s[keep], t[keep])]) + 0.0   # no -0.0
+    _, first, count = np.unique(arcs.view(np.dtype((np.void, 48))).ravel(),
+                                return_index=True, return_counts=True)
+    image = first % (perms.shape[0] * signs.shape[0])   # row r: image r % |G|
+    return arcs[first, :3], arcs[first, 3:], np.where(count > 1, -1, image)
 
 
 def _cell_directions(a: np.ndarray, b: np.ndarray, image: np.ndarray):
-    """Directions into the four cells around every point where two arcs
-    of different images cross, one block of arc pairs at a time.
+    """The distinct directions into the four cells around every point
+    where two arcs of different images cross, testing one block of arc
+    pairs at a time.
 
     Arc r runs from a_r to b_r on the great circle normal to
     c_r = a_r x b_r, and x lies strictly inside it when
@@ -292,7 +295,7 @@ def _cell_directions(a: np.ndarray, b: np.ndarray, image: np.ndarray):
     c = np.cross(a, b)
     inside = np.stack([np.cross(c, a), np.cross(b, c)], axis=1)
     quadrants = _b._sign_matrix(2)
-    cols = np.arange(m)
+    cols, out = np.arange(m), [np.zeros((0, 3))]
     step = max(1, ARC_BLOCK // m)
 
     def toward(f, g):
@@ -302,7 +305,8 @@ def _cell_directions(a: np.ndarray, b: np.ndarray, image: np.ndarray):
 
     for s in range(0, m, step):
         rows = cols[s:s + step]
-        i, j = np.nonzero((rows[:, None] < cols) & (image[rows, None] != image))
+        i, j = np.nonzero((rows[:, None] < cols) & ((image[rows, None] != image)
+                                                     | (image[rows, None] < 0)))
         i += s
         x = np.cross(c[i], c[j])
         side = np.hstack([np.einsum("pkx,px->pk", inside[i], x),
@@ -313,7 +317,8 @@ def _cell_directions(a: np.ndarray, b: np.ndarray, image: np.ndarray):
         c1, c2 = c[i[keep]], c[j[keep]]
         f = np.stack([toward(np.cross(d, c2), c1), toward(np.cross(d, c1), c2)],
                      axis=1)
-        yield (d[:, None, :] + CELL_STEP * (quadrants @ f)).reshape(-1, 3)
+        out.append((d[:, None, :] + CELL_STEP * (quadrants @ f)).reshape(-1, 3))
+    return _distinct_rows(np.vstack(out))
 
 
 def g_symmetral(body: Body) -> VPolytope:
@@ -377,8 +382,7 @@ def g_symmetral(body: Body) -> VPolytope:
     for s in range(0, seeds.shape[0], per):
         cands = grow(cands, _distinct_rows(_orbit(seeds[s:s + per], perms, signs)))
     if dim == n == 3:
-        for dirs in _cell_directions(*_fan_arcs(k.qhull, perms, signs)):
-            cands = grow(cands, dirs)
+        cands = grow(cands, _cell_directions(*_fan_arcs(k.qhull, perms, signs)))
     while True:
         qh = ConvexHull(cands)
         eq = _distinct_rows(qh.equations)

@@ -406,10 +406,6 @@ def validate_config(config: SearchConfig) -> SearchConfig:
         raise InvalidArgument(
             "prob4 is already settled for zonotopes; search over "
             "unconditional-polytope or cross-perturbation families instead")
-    if config.problem == "eq11_midrange" and config.family != "zonotope":
-        raise InvalidArgument(
-            "eq11_midrange search supports the zonotope family only "
-            "(mid-range intrinsic volumes of general polytopes are out of scope)")
 
     needs_constant = entry.constant is not None
     if needs_constant and config.constant is None:
@@ -566,10 +562,8 @@ def search(config: SearchConfig) -> SearchResult:
 
     winner = min(results, key=_tie_break)
     best_slack, best_report, best_body = winner["best"]
-    violations = []
-    for res in results:
-        violations.extend(res["violations"])
-    violations.sort(key=lambda v: (v.restart, v.iteration))
+    violations = sorted((v for res in results for v in res["violations"]),
+                        key=lambda v: (v.restart, v.iteration))
     return SearchResult(
         config=config,
         best_slack=best_slack,

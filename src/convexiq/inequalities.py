@@ -70,10 +70,7 @@ def m_pow(x: Measured, p: float) -> Measured:
 
 
 def m_prod(xs) -> Measured:
-    out = m_const(1.0)
-    for x in xs:
-        out = m_mul(out, x)
-    return out
+    return functools.reduce(m_mul, xs, m_const(1.0))
 
 
 def m_sum_sq(xs) -> Measured:
@@ -776,17 +773,11 @@ def _is_coordinate_box(v: np.ndarray, tol: float) -> bool:
     hi = v.max(axis=0)
     wide = hi - lo > tol
     d = int(np.sum(wide))
-    if v.shape[0] != 2 ** d:
+    at_hi = np.abs(v - hi) <= tol
+    if v.shape[0] != 2 ** d or not np.all((np.abs(v - lo) <= tol) | at_hi):
         return False
-    for row in v:
-        if not np.all((np.abs(row - lo) <= tol) | (np.abs(row - hi) <= tol)):
-            return False
     # All corner combinations must be present for the wide axes.
-    corners = set()
-    for row in v:
-        key = tuple(int(abs(row[j] - hi[j]) <= tol) for j in range(v.shape[1]) if wide[j])
-        corners.add(key)
-    return len(corners) == 2 ** d
+    return len({tuple(row) for row in at_hi[:, wide].tolist()}) == 2 ** d
 
 
 def _cross_polytope_kind(v: np.ndarray, tol: float) -> str | None:

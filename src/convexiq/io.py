@@ -311,9 +311,7 @@ def generate_corpus(spec: CorpusSpec) -> list[tuple[str, Body]]:
         if spec.n == 3:
             available += [("K1", NamedBody("K1", 3)),
                           ("K2", NamedBody("K2", 3))]
-        for name, body in available[:spec.count]:
-            out.append((name, body))
-        return out
+        return available[:spec.count]
     for idx in range(spec.count):
         name = f"{spec.family}-{spec.n}d-{idx:03d}"
         if spec.family == "random-polytope":

@@ -3,12 +3,11 @@
 Exact paths:
 
 * volume and surface area of polytopes (qhull);
-* V_{d-2} and V_{d-3} of full-dimensional d-polytopes, d in {3, 4}, from
-  one pass over qhull's triangulated boundary (:func:`vm_polytope_angles`):
-  ridge angles give V_{d-2}, angle defects at (d-3)-faces V_{d-3}, every
-  angle taken as atan2(|a ^ b|, a . b) so that nearly coplanar facets keep
-  their share.  With volume and surface area this covers every V_m of
-  3- and 4-polytopes;
+* V_{d-2} and V_{d-3} of full-dimensional d-polytopes from one pass over
+  the ridges of qhull's boundary triangulation (:func:`vm_polytope_angles`):
+  ridge angles give V_{d-2}, the solid angles of the normal cones of the
+  (d-3)-faces V_{d-3}.  With volume and surface area this covers every
+  V_m of 3- and 4-polytopes and every m >= d - 3 in higher dimensions;
 * every V_m of a zonotope via subset Gram determinants;
 * closed forms for balls;
 * V_1 of the cross-polytope C_n and of K1 from fixed Gauss-Legendre rules
@@ -18,9 +17,8 @@ Exact paths:
   span first, which also makes e.g. V_1 of a planar body in R^3 exact.
 
 V_1 of a full-dimensional polytope in d >= 5 falls back to mean-width
-quadrature over the sphere.  The remaining pairs (d >= 5 with
-2 <= m <= d-2) raise :class:`UnsupportedMeasure` rather than silently
-degrading.
+quadrature over the sphere.  The remaining pairs (2 <= m <= d-4) raise
+:class:`UnsupportedMeasure` rather than silently degrading.
 
 Normalization conventions: V_n is the volume; V_{n-1} is half the surface
 area for full-dimensional bodies and equals the (n-1)-measure (not
@@ -33,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import erf
@@ -53,6 +52,10 @@ DET_BATCH = 4096
 # Gauss-Legendre rules of the 1-d V_1 integrals (C_n: panels on [0, cutoff]).
 CROSS_CUTOFF, CROSS_PANELS, CROSS_NODES = 12.0, 8, 32
 K1_NODES = 96
+# A boundary ridge lower than this times its longest edge is flat.
+FLAT_TOL = 1e-12
+_dot = partial(np.einsum, "ij,ij->i")   # row-wise dot products
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
 
 def kappa(j: int) -> float:
@@ -110,87 +113,109 @@ def surface_area(p: VPolytope) -> float:
 
 
 def v1_polytope_exact(p: VPolytope) -> float:
-    """V_1 of a full-dimensional 3- or 4-polytope from boundary angles
-    (:func:`vm_polytope_angles`)."""
+    """V_1 of a full-dimensional 3- or 4-polytope (:func:`vm_polytope_angles`)."""
     return vm_polytope_angles(p, 1)
 
 
 def vm_polytope_angles(p: VPolytope, m: int) -> float:
-    """V_{d-2} or V_{d-3} of a full-dimensional d-polytope, d in {3, 4},
-    from one pass over qhull's triangulated boundary.
+    """V_{d-2} or V_{d-3} of a full-dimensional d-polytope from one pass
+    over the ridges of qhull's boundary triangulation, each the
+    (d-2)-simplex R that a simplex s shares with its neighbour t.
 
-    * V_{d-2}: every ridge R between adjacent boundary simplices s and t
-      contributes vol(R) * theta(n_s, n_t) / (2 pi), theta the angle
-      between their outer normals; a ridge inside a facet has angle 0.
-    * V_{d-3}: every (d-3)-face f of the triangulation contributes
-      vol(f) * (2 pi - sum over simplices T containing f of theta_T(f))
-      / (4 pi), theta_T(f) the angle inside T between its two faces
-      through f.  For a face of P the bracket is the area of the spherical
-      polygon its normal cone cuts from the sphere (Girard; Descartes'
-      angle defect at d = 3).  Inside a facet the angles around f sum to
-      2 pi and inside a 2-face to pi + pi, so triangulation faces drop out.
-
-    Every angle is atan2(|a ^ b|, a . b) with |a ^ b| from the 2 x 2
-    minors, which stays accurate near 0 and pi, where qhull's zero-volume
-    simplices inside merged facets sit.
+    * V_{d-2}: each R adds vol(R) * theta(n_s, n_t) / (2 pi), theta the
+      angle between the outer normals (0 inside a facet).
+    * V_{d-3}: the normal cone of a (d-3)-face G cuts a convex polygon
+      from the sphere whose edges are the arcs (n_s, n_t) of the
+      (d-2)-faces through G.  The ridges between two facets that are not
+      flat tile those faces, and their faces sigma in three or more
+      facets tile G once per edge.  Each adds vol(sigma) Omega / (4 pi),
+      Omega the solid angle (Van Oosterom and Strackee) of the triangle
+      (c, n_s, n_t), so that the triangles around c, the normalized sum
+      of the edge midpoints, tile the polygon; each edge is split at its
+      midpoint, so no corners are nearly antipodal.  Flat ridges (qhull's
+      zero-volume simplices) would cover some G twice: a ridge is flat
+      when its smallest height, (d-2) vol(R) over its largest face, is
+      below FLAT_TOL times its longest edge.
     """
     d = p.n
-    if d not in (3, 4) or m not in (d - 2, d - 3):
+    if m < 0 or m not in (d - 2, d - 3):
         raise UnsupportedMeasure(
-            f"the boundary-angle path gives V_{{d-2}} and V_{{d-3}} for d in "
-            f"{{3, 4}}, not V_{m} in R^{d}")
+            f"boundary angles give V_{{d-2}} and V_{{d-3}}, not V_{m} in R^{d}")
     if affine_dim(p) != d:
         raise UnsupportedMeasure(
             f"degenerate {d}-polytope: use the quadrature path or the affine view")
     hull = p.qhull
-    pts, tri = hull.points, hull.simplices
+    pts, tri, normals = hull.points, hull.simplices, hull.equations[:, :d]
+    # Each ridge once: simplex s and its neighbour t > s across the ridge
+    # opposite vertex k of s.
+    s, k = np.nonzero(hull.neighbors > np.arange(tri.shape[0])[:, None])
+    t = hull.neighbors[s, k]
+    ridge = tri[s[:, None], (k[:, None] + np.arange(1, d)) % d]
     if m == d - 2:
-        normals = hull.equations[:, :d]
-        # Each ridge once: simplex s and its neighbour t > s across the
-        # ridge opposite vertex k of s.
-        s, k = np.nonzero(hull.neighbors > np.arange(tri.shape[0])[:, None])
-        t = hull.neighbors[s, k]
-        angle = _angle(normals[s], normals[t])
-        ridge = tri[s[:, None], (k[:, None] + np.arange(1, d)) % d]
-        return float(np.sum(_simplex_content(pts[ridge]) * angle)) / (2.0 * math.pi)
-    # The (d-3)-faces of each simplex, one per pair of its vertices left out.
-    out = np.array(list(itertools.combinations(range(d), 2)))
-    keep = np.array([[c for c in range(d) if c not in pair] for pair in out])
-    face = np.sort(tri[:, keep].reshape(-1, d - 2), axis=1)
-    other = tri[:, out].reshape(-1, 2)
-    base = pts[face[:, 0]]
-    a, b = pts[other[:, 0]] - base, pts[other[:, 1]] - base
-    if d == 4:  # f is an edge e: keep the parts of a and b orthogonal to it
-        e = pts[face[:, 1]] - base
-        ee = np.einsum("ij,ij->i", e, e)
-        a = a - (np.einsum("ij,ij->i", a, e) / ee)[:, None] * e
-        b = b - (np.einsum("ij,ij->i", b, e) / ee)[:, None] * e
-    key = face[:, 0] if d == 3 else face[:, 0] * pts.shape[0] + face[:, 1]
-    faces, first, where = np.unique(key, return_index=True, return_inverse=True)
-    defect = 2.0 * math.pi - np.bincount(where, weights=_angle(a, b),
-                                         minlength=faces.size)
-    return float(np.dot(_simplex_content(pts[face[first]]), defect)) / (4.0 * math.pi)
+        v, angle = pts[ridge], _angle(normals[s], normals[t])
+        return float(np.sum(_simplex_content(v[:, 1:] - v[:, :1]) * angle)) / (2.0 * math.pi)
+    facet = _b.facets(hull)
+    keep = facet[s] != facet[t]
+    s, t, ridge = s[keep], t[keep], ridge[keep]
+    # the faces sigma of each ridge, one per vertex left out
+    sigma = ridge[:, [[c for c in range(d - 1) if c != j] for j in range(d - 1)]]
+    v, e = pts[sigma], pts[ridge[:, 1:]] - pts[ridge[:, :1]]
+    size = _simplex_content(v[:, :, 1:] - v[:, :, :1])
+    solid = (d - 2) * _simplex_content(e) > \
+        FLAT_TOL * size.max(axis=1) * np.linalg.norm(e, axis=2).max(axis=1)
+    # sigma lies in the facets whose bit is set at each of its vertices
+    incidence = np.zeros((pts.shape[0], facet.max() // 64 * 64 + 64), dtype=bool)
+    incidence[tri, facet[:, None]] = True
+    through = np.bitwise_and.reduce(
+        np.packbits(incidence, axis=1).view(np.uint64)[sigma], axis=2)
+    r, j = np.nonzero((_POPCOUNT[through.view(np.uint8)].sum(axis=2) >= 3) & solid[:, None])
+    # the sigmas in runs with equal facet sets, one run per (d-3)-face
+    order = np.lexsort(through[r, j].T)
+    r, j = r[order], j[order]
+    new = np.concatenate([[True], np.any(np.diff(through[r, j], axis=0) != 0, axis=1)])
+    # an edge's midpoint is p / |p|, and both halves of its triangle have
+    # the numerator |c ^ a ^ b| / |p| = |c ^ a ^ p| / |p|
+    a, b = normals[s[r]], normals[t[r]]
+    p = a + b
+    length = np.sqrt(_dot(p, p))
+    c = np.add.reduceat(p / length[:, None], np.flatnonzero(new))
+    c = (c / np.sqrt(_dot(c, c))[:, None])[np.cumsum(new) - 1]
+    num, cm = _wedge3_norm(a, p, c) / length, 1.0 + _dot(c, p) / length
+    omega = np.arctan2(num, cm + _dot(c, a) + _dot(a, p) / length) + \
+        np.arctan2(num, cm + _dot(c, b) + _dot(b, p) / length)
+    return float(np.dot(size[r, j], omega)) / (2.0 * math.pi)
 
 
 def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise angle between a and b as atan2(|a ^ b|, a . b)."""
-    return np.arctan2(_wedge_norm(a, b), np.einsum("ij,ij->i", a, b))
+    return np.arctan2(_wedge_norm(a, b), _dot(a, b))
 
 
 def _wedge_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise |a ^ b| from the 2 x 2 minors, ordered like the components
     of the cross product in R^3 (so that it equals |a x b| bit for bit)."""
-    i, j = np.array(list(itertools.combinations(range(a.shape[1]), 2))[::-1]).T
-    return np.linalg.norm(a[:, i] * b[:, j] - a[:, j] * b[:, i], axis=1)
+    i, j = np.array(list(itertools.combinations(range(a.shape[-1]), 2))[::-1]).T
+    return np.linalg.norm(a[..., i] * b[..., j] - a[..., j] * b[..., i], axis=-1)
 
 
-def _simplex_content(v: np.ndarray) -> np.ndarray:
-    """Measures of the simplices v[r] (rows of at most 3 vertices)."""
-    if v.shape[1] == 1:
-        return np.ones(v.shape[0])
-    if v.shape[1] == 2:
-        return np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-    return 0.5 * _wedge_norm(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+def _wedge3_norm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row-wise |a ^ b ^ c| from the 3 x 3 minors, each expanded along c."""
+    i, j, k = np.array(list(itertools.combinations(range(a.shape[1]), 3))).T
+    x, y = np.stack([j, i, i]), np.stack([k, k, j])
+    terms = c[:, np.stack([i, j, k])] * (a[:, x] * b[:, y] - a[:, y] * b[:, x])
+    return np.linalg.norm(terms[:, 0] - terms[:, 1] + terms[:, 2], axis=1)
+
+
+def _simplex_content(e: np.ndarray) -> np.ndarray:
+    """Measures of the simplices spanned by the k edges e[..., :, :] from one
+    vertex: |prod diag R| / k! from a QR of the edges, for k <= 2 by norms."""
+    k = e.shape[-2]
+    if k == 1:
+        return np.linalg.norm(e[..., 0, :], axis=-1)
+    if k == 2:
+        return 0.5 * _wedge_norm(e[..., 0, :], e[..., 1, :])
+    r = np.linalg.qr(np.swapaxes(e, -1, -2), mode="r")
+    return np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1)) / math.factorial(k)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +313,7 @@ def vm_ball(b: Ball, m: int) -> float:
     if not 1 <= m <= b.n:
         raise InvalidArgument(f"need 1 <= m <= {b.n}, got m={m}")
     d = b.active_dim
-    if b.radius == 0.0 or d == 0:
-        return 0.0
-    if m > d:
+    if b.radius == 0.0 or m > d:
         return 0.0
     return math.comb(d, m) * kappa(d) / kappa(d - m) * b.radius ** m
 
@@ -303,8 +326,8 @@ def vm(body: Body, m: int, spec: QuadratureSpec | None = None) -> Measured:
     """V_m of a body with an error estimate.
 
     Raises UnsupportedMeasure for combinations with no implemented path
-    (full-dimensional polytopes in d >= 5 with 2 <= m <= d-2).  Each
-    (m, spec) is measured once per body instance (:func:`bodies.derived`).
+    (full-dimensional d-polytopes with 2 <= m <= d-4).  Each (m, spec) is
+    measured once per body instance (:func:`bodies.derived`).
     """
     body = resolve(body)
     return _b.derived(body, ("vm", m, spec), lambda: _vm(body, m, spec))
@@ -359,8 +382,7 @@ def _vm_polytope_measured(p: VPolytope, m: int, spec) -> Measured:
         return Measured.of_exact(volume(p))
     if m == d - 1:
         return Measured.of_exact(0.5 * surface_area(p))
-    if d <= 4:  # so m is d - 2 or d - 3; V_1 keeps its named entry, which
-        # perfbench/tracer.py counts
+    if m >= d - 3:  # V_1 keeps its named entry, which perfbench/tracer.py counts
         return Measured.of_exact(
             v1_polytope_exact(p) if m == 1 else vm_polytope_angles(p, m))
     if m == 1:
@@ -368,5 +390,4 @@ def _vm_polytope_measured(p: VPolytope, m: int, spec) -> Measured:
         return Measured.of_quadrature(est.value, est.error)
     raise UnsupportedMeasure(
         f"V_{m} of a full-dimensional polytope in R^{d} has no exact or "
-        f"quadrature path (supported for d >= 5: m in {{1, {d-1}, {d}}}; "
-        f"boundary angles give every m only for d <= 4)")
+        f"quadrature path (supported: m = 1 and m = {d - 3}..{d})")

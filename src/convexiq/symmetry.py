@@ -49,8 +49,7 @@ class SignedPermutation:
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
-        for i, (j, s) in enumerate(zip(self.perm, self.signs)):
-            m[i, j] = s
+        m[np.arange(self.n), list(self.perm)] = self.signs
         return m
 
 
@@ -59,11 +58,8 @@ def hyperoctahedral_group(n: int) -> list[SignedPermutation]:
     if n > MAX_ENUM_DIM:
         raise UnsupportedOperation(
             f"full group enumeration refused for n={n} (cap {MAX_ENUM_DIM})")
-    out = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((-1, 1), repeat=n):
-            out.append(SignedPermutation(perm, signs))
-    return out
+    return [SignedPermutation(perm, signs) for perm in itertools.permutations(range(n))
+            for signs in itertools.product((-1, 1), repeat=n)]
 
 
 def random_signed_permutation(n: int, rng: np.random.Generator) -> SignedPermutation:
@@ -128,10 +124,9 @@ def is_signflip_invariant(body: Body, rng: np.random.Generator,
     n = body.n
     dirs = rng.standard_normal((pairs, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    flips = []
-    for _ in range(pairs):
-        signs = tuple(int(s) for s in rng.choice((-1, 1), size=n))
-        flips.append(SignedPermutation(tuple(range(n)), signs))
+    flips = [SignedPermutation(tuple(range(n)),
+                               tuple(int(s) for s in rng.choice((-1, 1), size=n)))
+             for _ in range(pairs)]
     return _is_invariant(body, flips, dirs, tol)
 
 

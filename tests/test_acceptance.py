@@ -131,10 +131,9 @@ def test_criterion_07_proven_suite_on_random_corpus(spec3):
     """Every proven bound from the catalog on a 1000-body corpus.
 
     Routing keeps every evaluation on an exact measure path: polytopes
-    carry the top-degree checks in every dimension, everything at n = 3 and
-    n = 4 where all intrinsic volumes have exact routes (boundary angles
-    give V_1 and V_2 of 4-polytopes), while mid-degree and width-degree
-    checks at n = 5 ride on zonotopes.
+    carry every degree with an exact route, all of them at n = 3 and n = 4
+    and m >= 2 at n = 5 (boundary angles give V_{d-2} and V_{d-3} of
+    d-polytopes), while the width degree at n = 5 rides on zonotopes.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240807)
@@ -181,11 +180,14 @@ def test_criterion_07_proven_suite_on_random_corpus(spec3):
                            ("reverse_cs", 1, {}), ("easy_bounds", 2, {}),
                            ("trivmax", 1, {})]))
 
-    for _ in range(150):    # n = 5 polytopes
+    for _ in range(150):    # n = 5 polytopes: top and angle routes
         p = random_polytope(rng, 5, k=int(rng.integers(7, 15)))
         corpus.append((p, [("bm_upper", None, {}), ("cg_upper", 4, {}),
                            ("square_lower", None, {}), ("trivmax", 4, {}),
-                           ("reverse_cs", 3, {})]))
+                           ("reverse_cs", 3, {}), ("cg_upper", 3, {}),
+                           ("mth_lower", 2, {}), ("mth_lower", 3, {}),
+                           ("easy_bounds", 2, {}), ("easy_bounds", 3, {}),
+                           ("trivmax", 2, {}), ("trivmax", 3, {})]))
     for i in range(150):    # n = 5 zonotopes
         z = random_zonotope(rng, 5)
         battery = [("cg_upper", 1, {}), ("cg_upper", 3, {}),

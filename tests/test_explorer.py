@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from convexiq import bodies, explorer, inequalities as iq
+from convexiq import bodies, explorer, inequalities as iq, io
 from convexiq.errors import InvalidArgument, UndefinedValue
 
 from conftest import FIVE_VERTICES, random_polytope
@@ -221,7 +221,6 @@ def test_validate_config_normalizes_defaults():
     dict(problem="cg33", n=3, m=1, constant=0.5),      # takes no constant
     dict(problem="prob4", n=3, m=1, family="unconditional-polytope"),  # no c2
     dict(problem="prob4", n=3, m=1, family="zonotope", constant=0.5),  # settled
-    dict(problem="eq11_midrange", n=5, m=2, family="cross-perturbation"),
     dict(problem="eq11_midrange", n=4, m=2),
     dict(problem="heron_n3", n=4, m=None, family="cross-perturbation"),
     dict(problem="cg33", n=3, m=1, family="cross-perturbation", family_size=5),
@@ -242,10 +241,10 @@ def test_validate_config_rejections(bad):
 
 
 def test_search_rejects_a_pairing_with_no_measure_route():
-    # V_2 of a full-dimensional 5-polytope has no route.
+    # V_2 of a full-dimensional 6-polytope (m = d - 4) has no route.
     with pytest.raises(InvalidArgument, match="not computable"):
         explorer.search(explorer.SearchConfig(
-            problem="cg33", n=5, m=2, family="cross-perturbation",
+            problem="cg33", n=6, m=2, family="cross-perturbation",
             iterations=1, restarts=1))
 
 
@@ -335,6 +334,24 @@ def test_search_records_prob4_violations_on_4_polytopes():
         assert v.slack < -10.0 * v.tolerance
         again = iq.evaluate("prob4_family", v.body, m=1, params={"c2": 1.0})
         assert again.quadrature_error is None
+
+
+@pytest.mark.parametrize("problem", ["eq11_midrange", "cg33"])
+@pytest.mark.parametrize("family", ["unconditional-polytope", "cross-perturbation"])
+def test_search_midrange_runs_on_5_polytopes(problem, family):
+    """V_2 of a 5-polytope is V_{d-3} from boundary angles, so the first
+    open degree of cg_upper and reverse_cs runs on polytopes, on exact
+    reports, and reruns byte for byte."""
+    cfg = explorer.SearchConfig(problem=problem, n=5, m=2, family=family,
+                                iterations=2, restarts=1, seed=4)
+    r1, r2 = explorer.search(cfg), explorer.search(cfg)
+    assert isinstance(r1.best_body, bodies.VPolytope)
+    assert r1.best_report.quadrature_error is None
+    assert r1.evaluations == 3
+    assert io.dumps_body(r1.best_body) == io.dumps_body(r2.best_body)
+    assert io.dumps_report([("best", r1.best_report)]) == \
+        io.dumps_report([("best", r2.best_report)])
+    assert r1.trajectory == r2.trajectory
 
 
 def test_search_midrange_zonotopes():

@@ -453,7 +453,7 @@ def test_cli_search_rejects_bad_config_values(tmp_path, capsys, overrides):
 
 
 def test_cli_search_rejects_a_pairing_with_no_measure_route(tmp_path, capsys):
-    cfg = _write_config(tmp_path, n=5, m=2, family="cross-perturbation",
+    cfg = _write_config(tmp_path, n=6, m=2, family="cross-perturbation",
                         iterations=1, restarts=1)
     assert cli.main(["search", "--config", cfg, "--out", str(tmp_path)]) == 64
     assert "not computable" in capsys.readouterr().err

@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from convexiq import QuadratureSpec, Zonotope, cross_polytope, cube, vm
 from convexiq.bodies import (VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
                              scale_body, support, translate_body)
 from convexiq.coordops import project, project_drop
 from convexiq.errors import InvalidArgument, UnsupportedMeasure
-from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, DET_BATCH, K1_NODES,
-                               Measured, _v1_cross_rule, _v1_k1_rule, kappa,
+from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
+                               DET_BATCH, K1_NODES, Measured, _v1_cross_rule,
+                               _v1_k1_rule, kappa,
                                surface_area, v1_cross_polytope,
                                v1_polytope_exact, v1_quadrature, vm_ball,
                                vm_polytope_angles, vm_zonotope, volume)
+from convexiq.quadrature import gauss_legendre
 
 from conftest import (gram_surface_area, mc_volume, parallelepiped,
                       random_polytope, random_zonotope)
@@ -123,7 +126,7 @@ def test_v1_edge_route_keeps_nearly_coplanar_edges():
 
 
 # ---------------------------------------------------------------------------
-# boundary angles: V_{d-2} and V_{d-3} of 3- and 4-polytopes
+# boundary angles: V_{d-2} and V_{d-3} of d-polytopes
 
 
 def test_ridge_route_at_d3_is_the_cross_product_edge_route(rng):
@@ -297,6 +300,124 @@ def test_zonotope_m_range():
         vm_zonotope(z, 4)
 
 
+def _betke_henk(n: int, k: int) -> float:
+    """V_k(C_n) by Betke and Henk (1993): 2^{k+1} C(n, k+1) sqrt(k+1) / k!
+    * sqrt((k+1) / pi) * integral over x >= 0 of exp(-(k+1) x^2)
+    erf(x)^{n-k-1}, on the panels of the cross-polytope width rule."""
+    edges = np.linspace(0.0, CROSS_CUTOFF, CROSS_PANELS + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        x, w = gauss_legendre(lo, hi, CROSS_NODES)
+        total += float(np.dot(w, np.exp(-(k + 1) * x * x) * erf(x) ** (n - k - 1)))
+    return (2.0 ** (k + 1) * math.comb(n, k + 1) * math.sqrt(k + 1) / math.factorial(k)
+            * math.sqrt((k + 1) / math.pi) * total)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_betke_henk_rule_gives_the_cross_polytope_width(n):
+    assert abs(_betke_henk(n, 1) - v1_cross_polytope(n).value) <= \
+        1e-14 * v1_cross_polytope(n).value
+
+
+@pytest.fixture(scope="module")
+def cubes():
+    """cube(d), d = 2..8, shared so that each V_m is measured once."""
+    return {d: cube(d) for d in range(2, 9)}
+
+
+@pytest.mark.parametrize("d", range(5, 9))
+def test_angle_route_on_cubes_and_cross_polytopes(cubes, d):
+    x = cross_polytope(d)
+    for m in (d - 3, d - 2):
+        got, want = vm(cubes[d], m), math.comb(d, m) * 2.0 ** m
+        assert got.exact and abs(got.value - want) <= 1e-12 * want, m
+        got, want = vm(x, m), _betke_henk(d, m)
+        assert got.exact and abs(got.value - want) <= 1e-12 * want, m
+
+
+@pytest.mark.parametrize("d, k", [(5, 6), (5, 7), (5, 8), (6, 7), (6, 8)])
+def test_angle_route_matches_zonotopes_in_r5_and_r6(rng, d, k):
+    for _ in range(2):
+        z = random_zonotope(rng, d, k)
+        for m in (d - 3, d - 2):
+            got, want = vm(as_vpolytope(z), m), vm_zonotope(z, m)
+            assert got.exact and abs(got.value - want) <= 1e-12 * want, m
+
+
+@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize("lam", [1e-8, 1e8])
+def test_angle_route_is_homogeneous_in_r5_and_r6(rng, d, lam):
+    p = random_polytope(rng, d, 2 * d + 2)
+    q = scale_body(p, lam)
+    for m in (d - 3, d - 2):
+        want = lam ** m * vm(p, m).value
+        assert abs(vm(q, m).value - want) <= 1e-12 * want
+
+
+def _corner_cut_cube(d: int, h: float) -> VPolytope:
+    """cube(d) with the corner (1, ..., 1) cut off at depth h: its
+    intrinsic volumes V_m, m >= 2, differ from the cube's by O(h^2)."""
+    v = as_vpolytope(cube(d)).vertices
+    corner = np.all(v == 1.0, axis=1)
+    return convex_hull(np.vstack([v[~corner], 1.0 - h * np.eye(d)]))
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_angle_route_keeps_a_tiny_well_shaped_cap(d):
+    """The cut face is a regular simplex of edge h sqrt 2 = 1.4e-7, and
+    the facets around it are triangulated into ridges with one tiny face
+    and long edges; a flat-ridge cut that is not relative to each ridge's
+    own shape drops some of them (a cut at 1e-6 misses by 3%)."""
+    p = _corner_cut_cube(d, 1e-7)
+    for m in (d - 3, d - 2):
+        want = math.comb(d, m) * 2.0 ** m
+        assert abs(vm(p, m).value - want) <= 1e-12 * want, m
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("eps", [1e-5, 1e-9])
+def test_angle_route_with_a_nearly_coplanar_generator(rng, d, eps):
+    """The last generator lies within eps of the span of d - 1 others, so
+    facets meet at angles near 0 and pi."""
+    g = rng.standard_normal((d + 1, d))
+    g[-1] = g[: d - 1].sum(axis=0) / 2.0 + eps * rng.standard_normal(d)
+    z = Zonotope(np.zeros(d), g)
+    for m in (d - 3, d - 2):
+        got, want = vm(as_vpolytope(z), m).value, vm_zonotope(z, m)
+        assert abs(got - want) <= 1e-12 * want, m
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_angle_route_on_nearly_flat_polytopes(rng, d):
+    """Thickness 1e-6: the normal cones of the rim faces reach from the
+    top facets' normals to the bottom's, nearly antipodal.  Rotations
+    move the value by roundoff only."""
+    x = rng.standard_normal((14, d))
+    x[:, -1] *= 1e-6
+    values = [vm(convex_hull(x @ np.linalg.qr(rng.standard_normal((d, d)))[0]),
+                 d - 3).value for _ in range(4)]
+    assert max(values) - min(values) <= 1e-14 * max(values)
+
+
+def test_route_table_on_cubes(cubes):
+    """Every (d, m) of cube(d): m >= d - 3 is exact, m = 1 at d >= 5 is
+    sphere quadrature, and everything else raises naming what is
+    supported."""
+    coarse = QuadratureSpec(resolution=16)
+    for d, c in cubes.items():
+        for m in range(1, d + 1):
+            if m >= d - 3:
+                got = vm(c, m)
+                want = math.comb(d, m) * 2.0 ** m
+                assert got.exact and abs(got.value - want) <= got.error, (d, m)
+            elif m == 1:
+                assert not vm(c, m, coarse).exact, d
+            else:
+                with pytest.raises(UnsupportedMeasure,
+                                   match=rf"m = 1 and m = {d - 3}\.\.{d}"):
+                    vm(c, m)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity and dispatch
 
@@ -309,11 +430,12 @@ def test_monotonic_under_inclusion(rng, spec3):
 
 
 def test_unsupported_combination_raises(rng):
-    p = random_polytope(rng, 5)
+    # 2 <= m <= d - 4: V_2 and V_3 of a 7-polytope have no route
+    p = random_polytope(rng, 7)
     with pytest.raises(UnsupportedMeasure):
-        vm(p, 2, QuadratureSpec.for_dimension(5))
+        vm(p, 2, QuadratureSpec.for_dimension(7))
     with pytest.raises(UnsupportedMeasure):
-        vm(p, 3, QuadratureSpec.for_dimension(5))
+        vm(p, 3, QuadratureSpec.for_dimension(7))
 
 
 def test_flat_body_reduction(spec3):
