@@ -172,10 +172,13 @@ class VPolytope:
         hull they built, whose input cloud may hold more points than
         ``vertices`` and in another order: index ``hull.points`` with
         ``hull.simplices`` and ``hull.vertices``, never ``vertices``.
-        Raises QhullError on degenerate input; callers are expected to check
-        :func:`affine_dim` first.
+        Where qhull fails (callers check :func:`affine_dim` first) it raises
+        UnsupportedOperation: a joggled (QJ) hull is not exact.
         """
-        return ConvexHull(self.vertices)
+        try:
+            return ConvexHull(self.vertices)
+        except QhullError as exc:
+            raise UnsupportedOperation(f"qhull failed: {str(exc).splitlines()[0]}") from exc
 
 
 @dataclass(frozen=True)

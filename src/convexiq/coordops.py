@@ -24,8 +24,8 @@ ON_PLANE_TOL = 1e-10
 # counts as a missing vertex (g_symmetral's stop rule).
 SUPPORT_TOL = 1e-12
 # Entries of the (directions x vertices) product one support-oracle call
-# in g_symmetral may hold, and rows of one block of its seed orbit.
-ORACLE_BATCH = 1 << 20
+# in g_symmetral may hold, and of one block of its (directions x paths) tuples.
+ORACLE_BATCH = 1 << 18
 ORBIT_BLOCK = 1 << 16
 # Step from a normal-fan arc crossing into the four cells around it
 # (g_symmetral's seed directions, about unit length), and arc pairs one
@@ -44,8 +44,9 @@ def _sum_budget(n: int) -> int:
 
     Exact symmetrals of complex bodies have combinatorially many
     vertices, and qhull memory grows much faster with point count in
-    dimension >= 4 than in 3.  The candidate set is checked against this
-    cap before every hull, so a refusal comes before the expensive work.
+    dimension >= 4 than in 3.  The distinct seed tuples are checked before
+    they are assembled and the candidates before every hull, so a refusal
+    comes before the expensive work.
     """
     return 120_000 if n <= 3 else 2_000
 
@@ -222,28 +223,112 @@ def _group_levels(n: int) -> list[list[SignedPermutation]]:
     return levels
 
 
-def _average_argmax(vertices: np.ndarray, levels, u: np.ndarray) -> np.ndarray:
-    """For each row of u, a point of the chain's average maximizing <., u>.
-
-    A Minkowski sum's support point is the sum of its summands' support
-    points, so each level sums its images' points in element order and
-    scales by 1/|level|.  Those are the float operations of summing the
-    level's images pairwise, so each point has the bytes of the
-    corresponding vertex of the pairwise sum.
+class _ChainOracle:
+    """Support oracle of the chain's average of a vertex list.  Path h
+    takes one element per level of :func:`_group_levels` (the first
+    level's is h's most significant digit) and queries K in the direction
+    sigma[h] * u[pi[h]], an exact signed permutation of u; the paths meet
+    each signed permutation A, handled as e = A^-1 (1, ..., n), once.  So
+    a direction's argmax tuple (K's maximizing vertex on every path) is
+    its canonical direction's re-indexed (:meth:`paths`).
     """
-    if not levels:
-        return vertices[np.argmax(u @ vertices.T, axis=1)]
-    elements = levels[-1]
-    count = u.shape[0]
-    w = np.empty((len(elements) * count, u.shape[1]))
-    for k, g in enumerate(elements):
-        # <g x, u> = <x, w> with w[perm[i]] = signs[i] u[i]
-        w[k * count:(k + 1) * count, list(g.perm)] = u * np.array(g.signs, dtype=float)
-    pts = _average_argmax(vertices, levels[:-1], w)
-    total = elements[0].apply_points(pts[:count])
-    for k, g in enumerate(elements[1:], 1):
-        total = total + g.apply_points(pts[k * count:(k + 1) * count])
-    return (1.0 / len(elements)) * total
+
+    def __init__(self, vertices: np.ndarray):
+        self.vertices, n = vertices, vertices.shape[1]
+        self.levels, w = _group_levels(n), np.arange(1.0, n + 1)[None]
+        for elements in reversed(self.levels):   # as the recursive chain expands
+            w = np.vstack([w @ g.matrix() for g in elements])
+        self.order, self.per = w.shape[0], max(1, ORBIT_BLOCK // w.shape[0])
+        self.pi, self.sigma = np.abs(w).astype(np.intp) - 1, np.sign(w)
+        self.radix = (2 * n + 1) ** np.arange(n - 1, -1, -1)   # e -> (e + n) @ radix
+        self.path_at = np.empty((2 * n + 1) ** n, dtype=np.intp)
+        self.path_at[((w + n) @ self.radix).astype(np.intp)] = np.arange(self.order)
+        self.perms = np.array(list(itertools.permutations(range(n))))
+        self.signs, self.offsets = _b._sign_matrix(n), np.arange(self.order) * len(vertices)
+        self.units = _orbit(np.arange(1.0, n + 1)[None], self.perms, self.signs)
+        # row h |V| + v: path h's elements applied to vertex v, whose
+        # product with u is vertex v's with path h's direction at u
+        inv = np.argsort(self.pi, axis=1)
+        self.images = (vertices[:, inv] * np.take_along_axis(self.sigma, inv, axis=1)
+                       ).transpose(1, 0, 2).reshape(-1, n)
+
+    def paths(self, e: np.ndarray) -> np.ndarray:
+        """Row i, column h: the path whose direction at c is path h's at
+        A^-1 c, e[i] = A^-1 (1, ..., n), bit for bit but for the sign of
+        zeros, which no argmax sees; from one block's distinct e."""
+        first, inv = _distinct(e, return_index=True, return_inverse=True)[1:]
+        d = e[first][:, self.pi] * self.sigma + len(self.radix)
+        return self.path_at[(d @ self.radix).astype(np.intp)][inv]
+
+    def tabulate(self, u: np.ndarray):
+        """(c, table, index, e): the distinct canonical directions c of the
+        rows of u, their argmax tuples, each row's c and its A, A u = c."""
+        a, v = np.abs(u), self.vertices   # +0.0 for zeros
+        q = np.argsort(a, axis=1, kind="stable")
+        e = np.where(u < 0, -1.0, 1.0) * (np.argsort(q, axis=1) + 1)
+        c = np.take_along_axis(a, q, axis=1)
+        first, index = _distinct(c, return_index=True, return_inverse=True)[1:]
+        c, table = c[first], np.empty((first.size, self.order), dtype=np.intp)
+        per = max(1, ORACLE_BATCH // (self.order * len(v)))
+        for b in range(0, len(c), per):
+            d = (c[b:b + per, self.pi] * self.sigma).reshape(-1, v.shape[1])
+            table[b:b + per] = np.argmax(d @ v.T, axis=1).reshape(-1, self.order)
+        return c, table, index, e
+
+    def orbit_tuples(self, u: np.ndarray) -> np.ndarray:
+        """The distinct argmax tuples, in the smallest unsigned type, of the
+        distinct images A^-1 c of the canonical directions c of the rows
+        of u, refused past the cap before any is assembled."""
+        c, table = self.tabulate(u)[:2]
+        keep, n, per = _distinct(table, return_index=True)[1], u.shape[1], self.per
+        c, table, found = c[keep], table[keep], []
+        for b in range(0, len(c), max(1, per // n)):
+            images = _orbit(c[b:b + max(1, per // n)], self.perms, self.signs) + 0.0
+            pairs = b * self.order + _distinct(images, return_index=True)[1]
+            for p in range(0, pairs.size, per):
+                row, g = np.divmod(pairs[p:p + per], self.order)
+                t = table[row[:, None], self.paths(self.units[g])].astype(
+                    np.min_scalar_type(len(self.vertices) - 1))
+                found.append(t[_distinct(t, return_index=True)[1]])
+                if sum(map(len, found)) > _sum_budget(n):
+                    _merge(found, n)
+        _merge(found, n)
+        return found[0]
+
+    def points(self, t: np.ndarray) -> np.ndarray:
+        """The average's point of every argmax tuple.  A sum's support
+        point sums its summands', so each level sums its images' points in
+        element order and scales by 1/|level|, to the byte as summing them
+        pairwise does; signed permutations commute with that (``images``)."""
+        out = []
+        for b in range(0, len(t), self.per):
+            x = np.take(self.images, self.offsets + t[b:b + self.per], axis=0)
+            for elements in self.levels:
+                x = x.reshape(len(x), len(elements), -1, x.shape[-1])
+                total = x[:, 0]
+                for k in range(1, len(elements)):
+                    total = total + x[:, k]
+                x = (1.0 / len(elements)) * total
+            out.append(x.reshape(len(x), -1))
+        return np.vstack(out)
+
+
+def _distinct(a: np.ndarray, **kwargs):
+    """np.unique over the rows of a, sorted exactly on their bytes."""
+    a = np.ascontiguousarray(a)
+    return np.unique(a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel(), **kwargs)
+
+
+def _merge(blocks: list, n: int) -> None:
+    """Replace blocks by one block of their distinct rows, capped by _sum_budget."""
+    w = np.vstack(blocks)
+    blocks.clear()
+    blocks.append(_distinct(w).view(w.dtype).reshape(-1, w.shape[1]))
+    if len(blocks[0]) > _sum_budget(n):
+        raise UnsupportedOperation(
+            f"the symmetral needs more than {_sum_budget(n)} candidate points "
+            f"in dimension {n}; the exact average is too complex "
+            "for this implementation")
 
 
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
@@ -258,30 +343,16 @@ def _orbit(x: np.ndarray, perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return (x[:, perms][:, :, None, :] * signs).reshape(-1, x.shape[1])
 
 
-def _fan_arcs(hull: ConvexHull, perms: np.ndarray, signs: np.ndarray):
-    """The distinct normal-fan arcs of the signed-permutation images of a
-    3-polytope, as (starts, ends, image) with one row per arc.
+def _cell_directions(hull: ConvexHull, perms: np.ndarray, signs: np.ndarray):
+    """Directions into the four cells around every crossing of two
+    signed-permutation images' normal-fan arcs, for a 3-polytope's hull.
 
-    An edge of the polytope is the arc between the unit normals of its
-    two facets (:func:`bodies.facets`).  An arc that several images share
-    is one row with image -1, to be paired with every other arc.
-    """
-    facet = _b.facets(hull)
-    s = np.repeat(np.arange(facet.size), 3)
-    t = hull.neighbors.ravel()
-    keep = (s < t) & (facet[s] != facet[t])
-    arcs = np.hstack([_orbit(hull.equations[u, :3], perms, signs)
-                      for u in (s[keep], t[keep])]) + 0.0   # no -0.0
-    _, first, count = np.unique(arcs.view(np.dtype((np.void, 48))).ravel(),
-                                return_index=True, return_counts=True)
-    image = first % (perms.shape[0] * signs.shape[0])   # row r: image r % |G|
-    return arcs[first, :3], arcs[first, 3:], np.where(count > 1, -1, image)
-
-
-def _cell_directions(a: np.ndarray, b: np.ndarray, image: np.ndarray):
-    """The distinct directions into the four cells around every point
-    where two arcs of different images cross, testing one block of arc
-    pairs at a time.
+    An edge is the arc between the unit normals of its two facets
+    (:func:`bodies.facets`), and byte-equal arcs of several images are
+    one.  Arcs of one image never cross, so only image 0's arcs are
+    paired with the arcs that are not image 0's, a block of pairs at a
+    time: g^-1 maps a crossing of an arc of g with one that is not g's to
+    one of these, so these directions' orbits hold every crossing's cells.
 
     Arc r runs from a_r to b_r on the great circle normal to
     c_r = a_r x b_r, and x lies strictly inside it when
@@ -291,23 +362,30 @@ def _cell_directions(a: np.ndarray, b: np.ndarray, image: np.ndarray):
     and the tangent f_2 of arc 1 (turned towards c_2) point into the
     cells, so d + CELL_STEP (+-f_1 +-f_2) are four directions, one in each.
     """
-    m = a.shape[0]
+    facet = _b.facets(hull)
+    s = np.repeat(np.arange(facet.size), 3)
+    t = hull.neighbors.ravel()
+    keep = (s < t) & (facet[s] != facet[t])
+    arcs = np.hstack([_orbit(hull.equations[u, :3], perms, signs)
+                      for u in (s[keep], t[keep])]) + 0.0   # no -0.0
+    _, first, index = _distinct(arcs, return_index=True, return_inverse=True)
+    a, b = arcs[first, :3], arcs[first, 3:]
+    zero = np.zeros(first.size, dtype=bool)
+    zero[index[::perms.shape[0] * signs.shape[0]]] = True   # arc row r is image r % |G|'s
+    reps, others = np.flatnonzero(zero), np.flatnonzero(~zero)
     c = np.cross(a, b)
     inside = np.stack([np.cross(c, a), np.cross(b, c)], axis=1)
-    quadrants = _b._sign_matrix(2)
-    cols, out = np.arange(m), [np.zeros((0, 3))]
-    step = max(1, ARC_BLOCK // m)
+    quadrants, out = _b._sign_matrix(2), [np.zeros((0, 3))]
+    step = max(1, ARC_BLOCK // max(1, others.size))
 
     def toward(f, g):
         """f scaled to unit length with f.g > 0."""
         return f * (np.sign(np.einsum("ij,ij->i", f, g))
                     / np.linalg.norm(f, axis=1))[:, None]
 
-    for s in range(0, m, step):
-        rows = cols[s:s + step]
-        i, j = np.nonzero((rows[:, None] < cols) & ((image[rows, None] != image)
-                                                     | (image[rows, None] < 0)))
-        i += s
+    for s in range(0, reps.size, step):
+        i = np.repeat(reps[s:s + step], others.size)
+        j = np.tile(others, reps[s:s + step].size)
         x = np.cross(c[i], c[j])
         side = np.hstack([np.einsum("pkx,px->pk", inside[i], x),
                           np.einsum("pkx,px->pk", inside[j], x)])
@@ -318,29 +396,23 @@ def _cell_directions(a: np.ndarray, b: np.ndarray, image: np.ndarray):
         f = np.stack([toward(np.cross(d, c2), c1), toward(np.cross(d, c1), c2)],
                      axis=1)
         out.append((d[:, None, :] + CELL_STEP * (quadrants @ f)).reshape(-1, 3))
-    return _distinct_rows(np.vstack(out))
+    return np.vstack(out)
 
 
 def g_symmetral(body: Body) -> VPolytope:
     """Minkowski average (1/|G|) sum_{g in G} gK over all signed
     permutations, as an exact vertex list.
 
-    Built from a support oracle (:func:`_average_argmax` over the level
-    chain of :func:`_group_levels`), never from a vertex-sum cloud.  The
-    candidates start as the oracle points of the group orbit of K's facet
-    normals and vertex directions.  For a full-dimensional K in R^3 they
-    also hold the oracle points of the four cells around every crossing
-    of two images' normal-fan arcs (:func:`_cell_directions`): the
-    average's normal fan is the common refinement of its summands', so
-    each of its facets is parallel to a facet of some image gK or to an
-    edge of each of two images, where those edges' arcs cross, and the
-    first hull is the average save for cells these seeds miss.  Each
-    round hulls the candidates and adds the oracle point of every hull
-    facet (a, b) with h(a) > b + SUPPORT_TOL * scale.  When no facet is
-    violated the hull is the average: it lies inside the average, and
-    every facet inequality of the hull holds on the average.  The
-    candidate count is checked against :func:`_sum_budget` after every
-    oracle batch, so before every hull.
+    Hulled from a support oracle (:class:`_ChainOracle`) at the orbits of
+    K's facet normals and vertex directions and, for a full-dimensional K
+    in R^3, of the four cells around every crossing of two images'
+    normal-fan arcs (:func:`_cell_directions`): the average's fan refines
+    its summands', so each of its facets is parallel to a facet of some
+    gK or to edges of two images whose arcs cross.  Each round adds the
+    oracle point of every hull facet (a, b) with h(a) > b + SUPPORT_TOL *
+    scale; when none is added the hull is the average.  :func:`_sum_budget`
+    caps the distinct seed tuples before any is assembled, and the
+    candidates before every hull.
     """
     body = resolve(body)
     n = body.n
@@ -348,49 +420,28 @@ def g_symmetral(body: Body) -> VPolytope:
         raise UnsupportedOperation(
             f"group averaging refused for n={n} (2^n n! blow-up; cap 5)")
     k = _b.as_vpolytope(body)
-    levels = _group_levels(n)
-    perms = np.array(list(itertools.permutations(range(n))))
-    signs = _b._sign_matrix(n)
-    order = perms.shape[0] * signs.shape[0]
-    batch = max(1, ORACLE_BATCH // (order * k.vertex_count))
-    cap = _sum_budget(n)
-
-    def grow(cands, dirs, bound=None):
-        """cands plus the oracle points of dirs that exceed bound (all of
-        them without one), refused past the cap."""
-        for s in range(0, dirs.shape[0], batch):
-            u = dirs[s:s + batch]
-            pts = _average_argmax(k.vertices, levels, u)
-            if bound is not None:
-                pts = pts[np.einsum("ij,ij->i", pts, u) > bound[s:s + batch]]
-            cands = _distinct_rows(np.vstack([cands, pts]))
-            if cands.shape[0] > cap:
-                raise UnsupportedOperation(
-                    f"the symmetral needs more than {cap} candidate points "
-                    f"in dimension {n}; the exact average is too complex "
-                    "for this implementation")
-        return cands
-
-    dim = _b.affine_dim(k)
-    if dim == 0:
-        return VPolytope(_average_argmax(k.vertices, levels, np.zeros((1, n))))
-    seeds = k.vertices
-    if dim == n:
-        seeds = _distinct_rows(np.vstack([k.qhull.equations[:, :n], seeds]))
-    cands = np.zeros((0, n))
-    per = max(1, ORBIT_BLOCK // order)   # seeds per orbit block
-    for s in range(0, seeds.shape[0], per):
-        cands = grow(cands, _distinct_rows(_orbit(seeds[s:s + per], perms, signs)))
+    oracle, dim, seeds = _ChainOracle(k.vertices), _b.affine_dim(k), k.vertices
+    if dim == n > 1:
+        seeds = np.vstack([k.qhull.equations[:, :n], seeds])
     if dim == n == 3:
-        cands = grow(cands, _cell_directions(*_fan_arcs(k.qhull, perms, signs)))
-    while True:
+        seeds = np.vstack([seeds, _cell_directions(k.qhull, oracle.perms, oracle.signs)])
+    cands = _distinct_rows(oracle.points(oracle.orbit_tuples(seeds)))
+    while n > 1 and len(cands) > 1:   # else a point, or a segment in R^1
+        _merge([cands], n)   # the cap, before every hull
         qh = ConvexHull(cands)
         eq = _distinct_rows(qh.equations)
-        scale = float(np.max(np.abs(cands)))
-        grown = grow(cands, eq[:, :n], SUPPORT_TOL * scale - eq[:, n])
-        if grown.shape[0] == cands.shape[0]:
+        bound = SUPPORT_TOL * float(np.max(np.abs(cands))) - eq[:, n]
+        over = [cands]
+        _, table, index, e = oracle.tabulate(eq[:, :n])
+        for b in range(0, len(eq), oracle.per):
+            rows = slice(b, b + oracle.per)
+            pts = oracle.points(table[index[rows, None], oracle.paths(e[rows])])
+            over.append(pts[np.einsum("ij,ij->i", pts, eq[rows, :n]) > bound[rows]])
+        grown = _distinct_rows(np.vstack(over))
+        if len(grown) == len(cands):
             return _b.hulled(cands, qh)
         cands = grown
+    return convex_hull(cands)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for coordinate projections, sections, and symmetrizations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,6 +266,17 @@ def test_symmetral_of_segment_is_square():
     ]
 
 
+@pytest.mark.parametrize("pts, half", [([[0.3], [1.7]], 0.7), ([[0.0], [1.0]], 0.5),
+                                       ([[-0.4]], 0.0)])
+def test_symmetral_in_one_dimension_is_the_centred_interval(pts, half):
+    """In R^1 the group is {1, -1}: [a, b] averages with [-b, -a].  There
+    is no hull to verify, and the endpoints keep the pairwise sums' bytes."""
+    body = bodies.convex_hull(np.array(pts))
+    sym = coordops.g_symmetral(body)
+    np.testing.assert_allclose(sym.vertices[[0, -1], 0], [-half, half], atol=1e-15)
+    assert sym.vertices.tobytes() == _pairwise_symmetral(body).vertices.tobytes()
+
+
 @pytest.mark.parametrize("make", [bodies.cube, bodies.cross_polytope])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_symmetral_fixes_invariant_bodies(make, n):
@@ -324,6 +337,130 @@ def test_symmetral_matches_pairwise_sums_bytewise(body):
     ref = _pairwise_symmetral(body)
     assert sym.vertices.shape == ref.vertices.shape
     assert sym.vertices.tobytes() == ref.vertices.tobytes()
+
+
+def _recursive_argmax(vertices, levels, u):
+    """Reference oracle: for each row of u, a point of the chain's average
+    maximizing <., u>, by recursion over the levels.  The last level's
+    elements turn each direction into |level| directions, the levels
+    below answer them, and the level sums its images' points in element
+    order and scales by 1/|level|."""
+    if not levels:
+        return vertices[np.argmax(u @ vertices.T, axis=1)]
+    elements = levels[-1]
+    count = u.shape[0]
+    w = np.empty((len(elements) * count, u.shape[1]))
+    for k, g in enumerate(elements):
+        # <g x, u> = <x, w> with w[perm[i]] = signs[i] u[i]
+        w[k * count:(k + 1) * count, list(g.perm)] = u * np.array(g.signs, dtype=float)
+    pts = _recursive_argmax(vertices, levels[:-1], w)
+    total = elements[0].apply_points(pts[:count])
+    for k, g in enumerate(elements[1:], 1):
+        total = total + g.apply_points(pts[k * count:(k + 1) * count])
+    return (1.0 / len(elements)) * total
+
+
+def _oracle_points(vertices, u):
+    oracle = coordops._ChainOracle(vertices)
+    _, table, index, e = oracle.tabulate(u)
+    return oracle.points(table[index[:, None], oracle.paths(e)])
+
+
+def _awkward_directions(rng, n):
+    """Random directions, directions with zero and with repeated |entries|,
+    the signed coordinate axes, and the facet normals of the cube and the
+    cross-polytope."""
+    u = rng.standard_normal((12, n))
+    zeros = u[:6].copy()
+    zeros[np.arange(6), np.arange(6) % n] = 0.0
+    zeros[0, :] = -0.0
+    zeros[1, 0] = -0.0
+    repeats = u[6:].copy()
+    repeats[:, 1] = -repeats[:, 0]
+    repeats[:3, -1] = repeats[:3, 0]
+    axes = np.vstack([np.eye(n), -np.eye(n)])
+    return np.vstack([u, zeros, repeats, axes, bodies.cross_polytope(n).vertices,
+                      bodies.cube(n).vertices])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_flat_oracle_matches_the_recursive_oracle_bytewise(n):
+    """The argmax runs once per canonical direction and is re-indexed per
+    query; every point must keep the recursive oracle's bytes, also where
+    argmax ties decide (zero and repeated entries, axes, facet normals of
+    symmetric bodies)."""
+    rng = np.random.default_rng(40 + n)
+    u = _awkward_directions(rng, n)
+    levels = coordops._group_levels(n)
+    for vertices in (rng.standard_normal((n + 4, n)), bodies.cube(n).vertices,
+                     bodies.cross_polytope(n).vertices):
+        ref = _recursive_argmax(vertices, levels, u)
+        got = _oracle_points(vertices, u)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_argmax_runs_once_per_canonical_direction(monkeypatch, n):
+    """On a G-closed direction set the oracle's argmax sees only the
+    distinct canonical directions, one per orbit, along every path."""
+    rng = np.random.default_rng(n)
+    group = symmetry.hyperoctahedral_group(n)
+    seeds = rng.standard_normal((3, n))
+    u = np.vstack([seeds @ g.matrix().T for g in group])
+    rows = []
+    real = np.argmax
+
+    def counting(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    vertices = rng.standard_normal((7, n))
+    ref = _recursive_argmax(vertices, coordops._group_levels(n), u)
+    monkeypatch.setattr(np, "argmax", counting)
+    got = _oracle_points(vertices, u)
+    assert sum(rows) == len(seeds) * len(group)
+    assert got.tobytes() == ref.tobytes()
+
+
+def _bench_like(k: int, seed: int):
+    """A general-position 3-polytope with k vertices, jittered by the seed
+    (the shape of the width-symmetral benchmark's symmetral bodies)."""
+    attempt = 0
+    while True:
+        pts = np.random.default_rng(
+            np.random.SeedSequence([20240809, k, attempt])).standard_normal((k, 3))
+        if bodies.convex_hull(pts).vertex_count == k:
+            break
+        attempt += 1
+    jitter = 1e-3 * np.random.default_rng(seed).standard_normal((k, 3))
+    return bodies.convex_hull(pts + jitter)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k, parent_peak_mb", [(8, 18.3), (5, 23.1)])
+def test_the_symmetral_holds_no_more_memory_than_the_recursive_oracle(k, parent_peak_mb):
+    """The tuple work is blocked: the traced peak stays under what the
+    recursive oracle needed on the same kind of body."""
+    body = _bench_like(k, seed=1)
+    assert _traced_peak(coordops.g_symmetral, body) <= parent_peak_mb * 1e6
+
+
+def test_five_dimensions_build_no_group_squared_table():
+    """|G| = 3840 at n = 5: a table with |G|^2 entries would hold at least
+    14.7 MB; the whole symmetral stays well under that."""
+    order = 2 ** 5 * 120
+    body = bodies.cross_polytope(5)
+    assert _traced_peak(coordops.g_symmetral, body) < order * order
+    np.testing.assert_allclose(coordops.g_symmetral(body).vertices, body.vertices,
+                               atol=1e-15)
 
 
 def test_symmetral_facets_hold_on_the_group_average():
@@ -391,7 +528,8 @@ def test_the_symmetral_hulls_its_candidates_once(monkeypatch, body, k):
 
 
 def test_symmetral_budget_guard_in_three_dimensions(monkeypatch):
-    """The cap is checked as the arc-crossing seeds arrive, before any
+    """The cap is checked on the distinct tuples of the seeds' and
+    arc-crossing cells' orbits before any is assembled, so before any
     hull of the candidates."""
     monkeypatch.setattr(coordops, "_sum_budget", lambda n: 1_000)
     calls = _count_hulls(monkeypatch)

@@ -12,9 +12,9 @@ from scipy.special import erf
 
 from convexiq import QuadratureSpec, Zonotope, cross_polytope, cube, vm
 from convexiq.bodies import (VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
-                             scale_body, support, translate_body)
+                             scale_body, support, translate_body, unconditional_hull)
 from convexiq.coordops import project, project_drop
-from convexiq.errors import InvalidArgument, UnsupportedMeasure
+from convexiq.errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
                                DET_BATCH, K1_NODES, Measured, _v1_cross_rule,
                                _v1_k1_rule, kappa,
@@ -555,3 +555,21 @@ def test_scaled_and_translated_bodies_do_not_inherit_the_cache(rng, spec3):
             u = rng.standard_normal(2)
             assert support(moved_shadow, u) == pytest.approx(
                 support(shadow, u) + float(np.delete(t, i) @ u), rel=1e-9, abs=1e-9)
+
+
+def test_a_polytope_qhull_fails_on_raises_a_convexiq_error():
+    """The draws below make a 256-vertex unconditional 6-polytope whose
+    hull convex_hull could build only joggled (QJ), so it handed none
+    over, and on which plain qhull fails ("QH6271 ... wide merge").  A
+    joggled hull is not exact (its volume is 5.8e-9 relative off), so
+    measuring the body refuses with a convexiq error naming qhull's."""
+    rng = np.random.default_rng(3)
+    for d in (4, 5, 6):     # the draws of a seeded random-body sweep
+        bodies = [Zonotope(np.zeros(d), rng.standard_normal((d + 2, d))) for _ in range(5)]
+        bodies += [unconditional_hull(rng.standard_normal((4, d))) for _ in range(5)]
+        bodies += [convex_hull(rng.standard_normal((d + 8, d))) for _ in range(5)]
+        rng.standard_normal(d)
+    p = bodies[6]   # the second 6-d unconditional hull
+    assert p.vertex_count == 256 and "qhull" not in vars(p)
+    with pytest.raises(UnsupportedOperation, match="qhull failed: QH6271"):
+        vm(p, 6)
