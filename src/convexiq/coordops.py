@@ -180,16 +180,35 @@ def _cut(p: Body, i: int) -> np.ndarray | None:
 
 def section_drop(p: Body, i: int):
     """Section in deleted-coordinate form (ambient n-1), computed once per
-    body instance and axis, like :func:`project_drop`.  A polytopal
-    section is hulled once, in the n-1 kept coordinates, so that hull is
-    the one its measures read."""
+    body instance and axis, like :func:`project_drop`.
+
+    A body that x_i -> -x_i maps onto itself bit for bit (K1, and a
+    polytope whose canonical vertex list is unchanged by negating column
+    i) holds the midpoint of x and its mirror image, so its section is its
+    projection: the same object as ``project_drop(p, i)``, with no
+    skeleton cut.  Any other polytopal section is hulled once, in the n-1
+    kept coordinates, so that hull is the one its measures read."""
     p = resolve(p)
     i = _check_axis(p.n, i)
     return _b.derived(p, ("section_drop", i), lambda: _section_drop(p, i))
 
 
+def _mirror_symmetric(p: Body, i: int) -> bool:
+    """Whether x_i -> -x_i maps the body onto itself exactly, with no
+    tolerance.  Balls and zonotopes answer False and keep their routes."""
+    if isinstance(p, DiskHull):
+        return True
+    if not isinstance(p, VPolytope):
+        return False
+    flipped = p.vertices.copy()
+    flipped[:, i] *= -1.0
+    return np.array_equal(_b._lexsorted(flipped), p.vertices)
+
+
 def _section_drop(p: Body, i: int):
-    if isinstance(p, (Ball, DiskHull)):
+    if _mirror_symmetric(p, i):
+        return project_drop(p, i)
+    if isinstance(p, Ball):
         s = section(p, i)   # a ball flat along axis i
         return EMPTY if s is EMPTY else project_drop(s, i)
     cut = _cut(p, i)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convexiq import (bodies, coordops, explorer, inequalities as iq, measures,
+from convexiq import (bodies, coordops, explorer, inequalities as iq, io, measures,
                       quadrature, symmetry)
-from convexiq.errors import InvalidArgument, UnsupportedOperation
+from convexiq.errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 
 from conftest import FIVE_VERTICES, parallelepiped, random_polytope
 
@@ -117,7 +117,9 @@ def test_section_contained_in_projection():
 
 
 def test_unconditional_section_equals_projection():
-    """For bodies invariant under sign flips the central slice and the shadow agree."""
+    """For bodies invariant under sign flips the central slice and the
+    shadow agree.  The slice is the skeleton cut of ``section``, so this
+    holds independently of ``section_drop``'s mirror rule."""
     rng = np.random.default_rng(23)
     gens = np.diag(rng.uniform(0.3, 1.5, size=3))
     for body in (
@@ -126,12 +128,92 @@ def test_unconditional_section_equals_projection():
         bodies.Zonotope(np.zeros(3), gens),
     ):
         for i in range(3):
-            sec = coordops.section_drop(body, i)
-            flat = coordops.project_drop(body, i)
-            for u in rng.standard_normal((24, 2)):
+            sec = coordops.section(body, i)
+            flat = coordops.project(body, i)
+            for u in rng.standard_normal((24, 3)):
                 assert bodies.support(sec, u) == pytest.approx(
                     bodies.support(flat, u), rel=1e-9, abs=1e-9
                 )
+
+
+def _cut_hull(body, i):
+    """The section by the skeleton cut, hulled in the kept coordinates."""
+    cut = coordops._cut(body, i)
+    return coordops.EMPTY if cut is None else bodies.convex_hull(np.delete(cut, i, axis=1))
+
+
+def _same_measures(got, ref, skip=()):
+    """V_m of two bodies within 1e-14 relative for every m with a route
+    but those in ``skip`` (quadrature at a coarse resolution)."""
+    spec = quadrature.QuadratureSpec(resolution=16)
+    for m in sorted(set(range(1, ref.n + 1)) - set(skip)):
+        try:
+            want = measures.vm(ref, m, spec).value
+        except UnsupportedMeasure:
+            with pytest.raises(UnsupportedMeasure):
+                measures.vm(got, m, spec)
+            continue
+        assert measures.vm(got, m, spec).value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n, count", [(2, 24), (3, 24), (4, 24), (5, 24), (6, 3)])
+def test_mirror_symmetric_sections_are_the_projections(n, count):
+    """An unconditional hull, its dilates and its io round trip (five
+    bodies per draw) are mirror symmetric bit for bit, so each dropped
+    section is the dropped projection object, with the vertex bytes and
+    measures of the skeleton cut's hull.  In R^6 the cut, hulled in R^5,
+    keeps cut points on lower faces as vertices: there the projection's
+    vertices are among the cut hull's, every other vertex of the cut hull
+    lies in the projection, and only V_4 and V_5 are compared (the angle
+    route reads V_2 and V_3 wrongly off such a hull, ``test_measures``;
+    V_1 is quadrature of the same support function)."""
+    rng = np.random.default_rng(100 + n)
+    for _ in range(count):
+        base = bodies.unconditional_hull(rng.standard_normal((int(rng.integers(1, 4)), n)))
+        copies = [base, io.loads_body(io.dumps_body(base))]
+        copies += [bodies.scale_body(base, lam) for lam in (1e-6, 0.37, 1e6)]
+        for body in copies:
+            for i in range(n):
+                sec = coordops.section_drop(body, i)
+                assert sec is coordops.project_drop(body, i)
+                ref = _cut_hull(body, i)
+                if n < 6:
+                    assert sec.vertices.tobytes() == ref.vertices.tobytes()
+                else:
+                    rows = {v.tobytes() for v in ref.vertices}
+                    assert all(v.tobytes() in rows for v in sec.vertices)
+                    eq = sec.qhull.equations
+                    scale = float(np.max(np.abs(sec.vertices)))
+                    assert np.all(ref.vertices @ eq[:, :-1].T + eq[:, -1] <= 1e-12 * scale)
+                _same_measures(sec, ref, skip=(1, 2, 3) if n == 6 else ())
+
+
+def test_the_mirror_rule_needs_exact_symmetry():
+    """Bodies that are mirror symmetric only up to roundoff take the
+    skeleton cut and match it; a body in e_i^perp takes the rule."""
+    rng = np.random.default_rng(31)
+    v = bodies.unconditional_hull(rng.standard_normal((2, 4))).vertices.copy()
+    v[3, 1] = np.nextafter(v[3, 1], np.inf)   # one vertex coordinate, one ulp
+    cases = [(bodies.convex_hull(v), i) for i in range(4)]
+    for i in range(3):
+        t = np.zeros(3)
+        t[i] = 1e-13
+        cases.append((bodies.translate_body(bodies.cube(3), t), i))
+    for body, i in cases:
+        sec = coordops.section_drop(body, i)
+        assert sec is not coordops.project_drop(body, i)
+        assert sec.vertices.tobytes() == _cut_hull(body, i).vertices.tobytes()
+    for i in range(3):
+        for level, rule in ((0.5, False), (0.0, True)):
+            corners = bodies.cube(3).vertices.copy()
+            corners[:, i] = level
+            flat = bodies.convex_hull(corners)
+            sec = coordops.section_drop(flat, i)
+            assert (sec is coordops.project_drop(flat, i)) == rule
+            if rule:
+                assert sec.vertices.tobytes() == _cut_hull(flat, i).vertices.tobytes()
+            else:
+                assert sec is coordops.EMPTY
 
 
 def _all_pairs_section(p, i):
@@ -221,11 +303,14 @@ def test_zonotope_sections_match_the_weighted_median_support(n):
 def test_k1_sections_are_unit_disks():
     """K1 lies in the unit ball and contains each coordinate unit disk, so
     its coordinate sections are those disks, with closed-form measures."""
+    k1 = bodies.k1()
     for i in range(3):
-        sec = coordops.section(bodies.k1(), i)
+        sec = coordops.section(k1, i)
         assert isinstance(sec, bodies.Ball)
         assert (sec.radius, sec.zeroed) == (1.0, frozenset({i}))
-        area = measures.vm(coordops.section_drop(bodies.k1(), i), 2)
+        # K1 is mirror symmetric, so its dropped section is its shadow
+        assert coordops.section_drop(k1, i) is coordops.project_drop(k1, i)
+        area = measures.vm(coordops.section_drop(k1, i), 2)
         assert area.exact
         assert area.value == pytest.approx(np.pi, rel=1e-15)
 
@@ -503,6 +588,20 @@ def test_a_hulled_cloud_is_measured_without_a_second_hull(monkeypatch, n):
     calls = _count_hulls(monkeypatch)
     measures.vm(bodies.convex_hull(cloud), n)
     assert calls == [(30, n)]
+
+
+def test_prob4_on_an_unconditional_body_hulls_each_coordinate_body_once(monkeypatch):
+    """Its sections are its projections: n coordinate hulls, not 2n, and
+    no skeleton."""
+    body = bodies.unconditional_hull(np.random.default_rng(4).standard_normal((2, 4)))
+    calls = _count_hulls(monkeypatch)
+
+    def no_skeleton(b):
+        raise AssertionError("a skeleton was built")
+
+    monkeypatch.setattr(bodies, "skeleton", no_skeleton)
+    iq.evaluate("prob4_family", body, m=1, params={"c2": 1.0})
+    assert [shape[1] for shape in calls] == [3, 3, 3, 3]
 
 
 def test_the_symmetral_is_not_hulled_again(monkeypatch):

@@ -13,7 +13,7 @@ from scipy.special import erf
 from convexiq import QuadratureSpec, Zonotope, cross_polytope, cube, vm
 from convexiq.bodies import (VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
                              scale_body, support, translate_body, unconditional_hull)
-from convexiq.coordops import project, project_drop
+from convexiq.coordops import _cut, project, project_drop
 from convexiq.errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
                                DET_BATCH, K1_NODES, Measured, _v1_cross_rule,
@@ -573,3 +573,22 @@ def test_a_polytope_qhull_fails_on_raises_a_convexiq_error():
     assert p.vertex_count == 256 and "qhull" not in vars(p)
     with pytest.raises(UnsupportedOperation, match="qhull failed: QH6271"):
         vm(p, 6)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "vm_polytope_angles misreads V_{d-3} and V_{d-2} of a hull built from a "
+    "cloud with many points on its lower faces, 14 of them kept as vertices: "
+    "here V_2 and V_3 come out 2.6% and 7.2% high"))
+def test_angle_route_on_a_hull_with_points_on_lower_faces():
+    """The skeleton cut of a 6-d unconditional hull by x_0 = 0, hulled in
+    R^5, keeps 14 cut points on lower faces of the section as vertices
+    beside its 64 extreme points, which are the projection's since the
+    body is mirror symmetric.  Its V_4 and V_5 are the projection's, and
+    so must its V_2 and V_3 be (a Kubota Monte Carlo estimate over 10,000
+    planes agrees with the projection's within 2 sigma, not the hull's)."""
+    body = unconditional_hull(np.random.default_rng(4).standard_normal((2, 6)))
+    exact = project_drop(body, 0)
+    cut = convex_hull(np.delete(_cut(body, 0), 0, axis=1))
+    assert (exact.vertex_count, cut.vertex_count) == (64, 78)
+    for m in (5, 4, 3, 2):
+        assert vm(cut, m).value == pytest.approx(vm(exact, m).value, rel=1e-12)
