@@ -16,7 +16,7 @@ from scipy.spatial import ConvexHull
 from . import bodies as _b
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, convex_hull,
                      resolve)
-from .errors import InvalidArgument, UnsupportedOperation
+from .errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from .symmetry import SignedPermutation
 
 ON_PLANE_TOL = 1e-10
@@ -124,6 +124,32 @@ def _project_drop(body: Body, i: int) -> Body:
     raise InvalidArgument(f"not a body: {type(body).__name__}")
 
 
+def project_along(body: Body, u: np.ndarray) -> Body:
+    """The projection of a body onto u^perp (unit u, not a coordinate
+    axis) in the coordinates of an orthonormal basis of u^perp, in R^{n-1}
+    like :func:`project_drop`: vertices or generators times the basis."""
+    n = body.n
+    basis = np.linalg.svd(u[None, :])[2][1:]
+    if isinstance(body, VPolytope):
+        return convex_hull(body.vertices @ basis.T)
+    if isinstance(body, Zonotope):
+        return Zonotope(body.center @ basis.T, body.generators @ basis.T)
+    if isinstance(body, Ball):
+        # A ball projects to a ball only along its span (one dimension
+        # fewer) or across it (itself); V_m sees only dimension and radius.
+        flat = np.zeros(n, dtype=bool)
+        flat[list(body.zeroed)] = True
+        if not np.any(u[flat]):
+            d = body.active_dim - 1
+        elif not np.any(u[~flat]):
+            d = body.active_dim
+        else:
+            raise UnsupportedMeasure(
+                "an oblique projection of a flattened ball is an ellipsoid")
+        return Ball(np.zeros(n - 1), body.radius, frozenset(range(n - 1 - d)))
+    raise InvalidArgument(f"not a body: {type(body).__name__}")
+
+
 def section(p: Body, i: int):
     """The slice {x in P : x_i = 0} of a body.
 
@@ -193,9 +219,17 @@ def section_drop(p: Body, i: int):
     return _b.derived(p, ("section_drop", i), lambda: _section_drop(p, i))
 
 
-def _mirror_symmetric(p: Body, i: int) -> bool:
+def mirror_symmetric(p: Body, i: int) -> bool:
     """Whether x_i -> -x_i maps the body onto itself exactly, with no
-    tolerance.  Balls and zonotopes answer False and keep their routes."""
+    tolerance, once per body instance and axis; then its section by
+    e_i^perp is its projection.  Balls and zonotopes answer False and
+    keep their routes."""
+    p = resolve(p)
+    i = _check_axis(p.n, i)
+    return _b.derived(p, ("mirror_symmetric", i), lambda: _mirror_symmetric(p, i))
+
+
+def _mirror_symmetric(p: Body, i: int) -> bool:
     if isinstance(p, DiskHull):
         return True
     if not isinstance(p, VPolytope):
@@ -206,7 +240,7 @@ def _mirror_symmetric(p: Body, i: int) -> bool:
 
 
 def _section_drop(p: Body, i: int):
-    if _mirror_symmetric(p, i):
+    if mirror_symmetric(p, i):
         return project_drop(p, i)
     if isinstance(p, Ball):
         s = section(p, i)   # a ball flat along axis i

@@ -17,7 +17,6 @@ from . import inequalities as ineq
 from . import measures, symmetry
 from .bodies import (Body, Zonotope, convex_hull, cross_polytope, resolve,
                      scale_body, support_many, unconditional_hull)
-from .coordops import project_drop
 from .errors import InvalidArgument, UndefinedValue, UnsupportedMeasure
 from .measures import vm
 from .quadrature import QuadratureSpec, gauss_legendre
@@ -36,7 +35,7 @@ def mean_width_ratio(body: Body, spec: QuadratureSpec | None = None) -> float:
     cross-polytopes.
     """
     body = resolve(body)
-    den = sum(vm(project_drop(body, i), 1, spec).value for i in range(body.n))
+    den = sum(measures.vm_projection(body, i, 1, spec).value for i in range(body.n))
     if den <= 1e-12:
         raise UndefinedValue("projection widths all vanish (point-like body)")
     return vm(body, 1, spec).value / den

@@ -24,8 +24,8 @@ from . import bodies as _b
 from . import measures
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, affine_dim,
                      as_vector, convex_hull, resolve)
-from .coordops import EMPTY, project_drop, section_drop
-from .errors import InvalidArgument, UnsupportedMeasure
+from .coordops import EMPTY, mirror_symmetric, section_drop
+from .errors import InvalidArgument
 from .measures import Measured, vm
 from .quadrature import QuadratureSpec
 
@@ -143,10 +143,12 @@ def body_fingerprint(body: Body) -> str:
 
 
 def _vm_proj(body: Body, i: int, m: int, spec) -> Measured:
-    return vm(project_drop(body, i), m, spec)
+    return measures.vm_projection(body, i, m, spec)
 
 
 def _vm_sect(body: Body, i: int, m: int, spec) -> Measured:
+    if mirror_symmetric(body, i):   # the section is the projection
+        return _vm_proj(body, i, m, spec)
     s = section_drop(body, i)
     if s is EMPTY:
         return Measured.of_exact(0.0)
@@ -228,58 +230,8 @@ def _ev_square_lower(body, n, m, params, spec):
 def _ev_pythagorean(body, n, m, params, spec):
     u = params["u"]
     projs = [_vm_proj(body, i, m, spec) for i in range(n)]
-    mu = _vm_arbitrary_projection(body, u, m, spec)
+    mu = measures.vm_projection(body, u, m, spec)
     return [Link("direction-split", m_sum_sq(projs), m_mul(mu, mu))]
-
-
-def _vm_arbitrary_projection(body: Body, u, m: int, spec) -> Measured:
-    """V_m(K | u^perp), measured by :func:`measures.vm` on the projection.
-
-    Along a coordinate direction +-e_i the projection is ``project_drop``'s
-    (cached, so it is the same body as that coordinate's term).  Otherwise
-    it is built in an orthonormal basis of u^perp, in R^{n-1} like
-    ``project_drop``: vertices or generators times the basis.  There K1 is
-    replaced by its inscribed polytope, whose error the result carries.
-    """
-    body = resolve(body)
-    n = body.n
-    u = as_vector(u, n)
-    norm = float(np.linalg.norm(u))
-    if norm == 0:
-        raise InvalidArgument("projection direction must be non-zero")
-    u = u / norm
-    axes = np.flatnonzero(u)
-    if axes.size == 1:
-        return vm(project_drop(body, int(axes[0])), m, spec)
-    if isinstance(body, DiskHull):
-        return measures.with_polygon_error(
-            body, vm(_project_along(body.as_polytope(), u), m, spec))
-    return vm(_project_along(body, u), m, spec)
-
-
-def _project_along(body: Body, u: np.ndarray) -> Body:
-    """The projection of a body onto u^perp (unit u, not a coordinate
-    axis) in the coordinates of an orthonormal basis of u^perp."""
-    n = body.n
-    basis = np.linalg.svd(u[None, :])[2][1:]
-    if isinstance(body, VPolytope):
-        return convex_hull(body.vertices @ basis.T)
-    if isinstance(body, Zonotope):
-        return Zonotope(body.center @ basis.T, body.generators @ basis.T)
-    if isinstance(body, Ball):
-        # A ball projects to a ball only along its span (one dimension
-        # fewer) or across it (itself); V_m sees only dimension and radius.
-        flat = np.zeros(n, dtype=bool)
-        flat[list(body.zeroed)] = True
-        if not np.any(u[flat]):
-            d = body.active_dim - 1
-        elif not np.any(u[~flat]):
-            d = body.active_dim
-        else:
-            raise UnsupportedMeasure(
-                "an oblique projection of a flattened ball is an ellipsoid")
-        return Ball(np.zeros(n - 1), body.radius, frozenset(range(n - 1 - d)))
-    raise InvalidArgument(f"not a body: {type(body).__name__}")
 
 
 def _ev_zonoid_lower(body, n, m, params, spec):

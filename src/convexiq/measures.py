@@ -4,10 +4,16 @@ Exact paths:
 
 * volume and surface area of polytopes (qhull);
 * V_{d-2} and V_{d-3} of full-dimensional d-polytopes from one pass over
-  the ridges of qhull's boundary triangulation (:func:`vm_polytope_angles`):
-  ridge angles give V_{d-2}, the solid angles of the normal cones of the
-  (d-3)-faces V_{d-3}.  With volume and surface area this covers every
-  V_m of 3- and 4-polytopes and every m >= d - 3 in higher dimensions;
+  the bent ridges of qhull's boundary triangulation
+  (:func:`vm_polytope_angles`): ridge angles give V_{d-2}, the solid
+  angles of the normal cones of the (d-3)-faces V_{d-3}.  With volume and
+  surface area this covers every V_m of 3- and 4-polytopes and every
+  m >= d - 3 in higher dimensions.  A triangulation that does not close
+  up (:func:`_boundary`) raises :class:`UnsupportedMeasure`;
+* V_{n-1} and V_{n-2} of every shadow K | u^perp of a full-dimensional
+  polytope K from K's own boundary triangulation, with no hull of the
+  shadow (:func:`vm_projection`): Cauchy's projection formula over the
+  boundary simplices and the projected silhouette ridges;
 * every V_m of a zonotope via subset Gram determinants;
 * closed forms for balls;
 * V_1 of the cross-polytope C_n and of K1 from fixed Gauss-Legendre rules
@@ -31,15 +37,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.special import erf
 
 from . import bodies as _b
+from . import coordops
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, affine_dim,
                      constant_axes, drop_axes, resolve, to_affine_coords)
-from .errors import InvalidArgument, UnsupportedMeasure
+from .errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from .quadrature import (QuadratureEstimate, QuadratureSpec, gauss_legendre,
                          integrate_sphere_with_error)
 
@@ -54,6 +61,9 @@ CROSS_CUTOFF, CROSS_PANELS, CROSS_NODES = 12.0, 8, 32
 K1_NODES = 96
 # A boundary ridge lower than this times its longest edge is flat.
 FLAT_TOL = 1e-12
+# Relative defect past which qhull's boundary triangulation does not
+# close up (:func:`_boundary`).
+CLOSURE_TOL = 1e-9
 _dot = partial(np.einsum, "ij,ij->i")   # row-wise dot products
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
@@ -119,23 +129,28 @@ def v1_polytope_exact(p: VPolytope) -> float:
 
 def vm_polytope_angles(p: VPolytope, m: int) -> float:
     """V_{d-2} or V_{d-3} of a full-dimensional d-polytope from one pass
-    over the ridges of qhull's boundary triangulation, each the
-    (d-2)-simplex R that a simplex s shares with its neighbour t.
+    over the bent ridges of qhull's boundary triangulation
+    (:func:`_bent_ridges`), each the (d-2)-simplex R that a simplex s
+    shares with its neighbour t in another facet.
 
     * V_{d-2}: each R adds vol(R) * theta(n_s, n_t) / (2 pi), theta the
-      angle between the outer normals (0 inside a facet).
+      angle between the outer normals (ridges inside a facet have angle 0
+      and are skipped).
     * V_{d-3}: the normal cone of a (d-3)-face G cuts a convex polygon
       from the sphere whose edges are the arcs (n_s, n_t) of the
-      (d-2)-faces through G.  The ridges between two facets that are not
-      flat tile those faces, and their faces sigma in three or more
-      facets tile G once per edge.  Each adds vol(sigma) Omega / (4 pi),
-      Omega the solid angle (Van Oosterom and Strackee) of the triangle
+      (d-2)-faces through G.  The bent ridges that are not flat tile
+      those faces, and their faces sigma in three or more facets tile G
+      once per edge.  Each adds vol(sigma) Omega / (4 pi), Omega the
+      solid angle (Van Oosterom and Strackee) of the triangle
       (c, n_s, n_t), so that the triangles around c, the normalized sum
       of the edge midpoints, tile the polygon; each edge is split at its
       midpoint, so no corners are nearly antipodal.  Flat ridges (qhull's
       zero-volume simplices) would cover some G twice: a ridge is flat
       when its smallest height, (d-2) vol(R) over its largest face, is
       below FLAT_TOL times its longest edge.
+
+    A triangulation that does not close up (:func:`_boundary`) raises
+    :class:`UnsupportedMeasure`: its angles would be percents off.
     """
     d = p.n
     if m < 0 or m not in (d - 2, d - 3):
@@ -144,19 +159,17 @@ def vm_polytope_angles(p: VPolytope, m: int) -> float:
     if affine_dim(p) != d:
         raise UnsupportedMeasure(
             f"degenerate {d}-polytope: use the quadrature path or the affine view")
+    if not _boundary(p)[1]:
+        raise UnsupportedMeasure(
+            f"qhull's boundary triangulation of this {d}-polytope does not close "
+            "up, so its ridge angles do not give V_{d-2} or V_{d-3}")
     hull = p.qhull
     pts, tri, normals = hull.points, hull.simplices, hull.equations[:, :d]
-    # Each ridge once: simplex s and its neighbour t > s across the ridge
-    # opposite vertex k of s.
-    s, k = np.nonzero(hull.neighbors > np.arange(tri.shape[0])[:, None])
-    t = hull.neighbors[s, k]
-    ridge = tri[s[:, None], (k[:, None] + np.arange(1, d)) % d]
+    s, t, ridge = _bent_ridges(p)
     if m == d - 2:
         v, angle = pts[ridge], _angle(normals[s], normals[t])
         return float(np.sum(_simplex_content(v[:, 1:] - v[:, :1]) * angle)) / (2.0 * math.pi)
     facet = _b.facets(hull)
-    keep = facet[s] != facet[t]
-    s, t, ridge = s[keep], t[keep], ridge[keep]
     # the faces sigma of each ridge, one per vertex left out
     sigma = ridge[:, [[c for c in range(d - 1) if c != j] for j in range(d - 1)]]
     v, e = pts[sigma], pts[ridge[:, 1:]] - pts[ridge[:, :1]]
@@ -184,6 +197,47 @@ def vm_polytope_angles(p: VPolytope, m: int) -> float:
     omega = np.arctan2(num, cm + _dot(c, a) + _dot(a, p) / length) + \
         np.arctan2(num, cm + _dot(c, b) + _dot(b, p) / length)
     return float(np.dot(size[r, j], omega)) / (2.0 * math.pi)
+
+
+def _bent_ridges(p: VPolytope):
+    """(s, t, ridge) of a full-dimensional polytope, once per instance:
+    every ridge of qhull's boundary triangulation between simplices of two
+    different facets (:func:`bodies.facets`: their ``equations`` rows
+    differ in some bit), once, as simplex s, its neighbour t > s across
+    the ridge, and the ridge's d - 1 point indices.  The ridges inside a
+    facet are left out: their facets' normals are equal, so they bend by
+    0 and have no silhouette."""
+    def find():
+        hull = p.qhull
+        tri, nb, eq = hull.simplices, hull.neighbors, np.ascontiguousarray(hull.equations)
+        rows = eq.view(np.dtype((np.void, eq.strides[0]))).ravel()
+        s, k = np.nonzero((nb > np.arange(tri.shape[0])[:, None]) & (rows[:, None] != rows[nb]))
+        return s, nb[s, k], tri[s[:, None], (k[:, None] + np.arange(1, p.n)) % p.n]
+    return _b.derived(p, "bent_ridges", find)
+
+
+def _boundary(p: VPolytope) -> tuple[np.ndarray, bool]:
+    """The (d-1)-volume of every simplex of qhull's boundary triangulation
+    of a full-dimensional polytope, once per instance, and whether the
+    triangulation closes up: the outer normals n_s weighted by the
+    volumes must sum to 0 (the boundary encloses K) and the volumes to
+    qhull's area (it covers each facet once), both within CLOSURE_TOL of
+    the total.  A hull whose input cloud holds many points on its
+    lower faces can fail this, and then neither its boundary nor its
+    ridges measure K."""
+    def measure():
+        hull = p.qhull
+        normals = hull.equations[:, :p.n]
+        # rows n_s and the edges of s from its first vertex
+        rows = hull.points[hull.simplices]
+        rows[:, 1:] -= rows[:, :1]
+        rows[:, 0] = normals
+        vol = np.abs(np.linalg.det(rows)) / math.factorial(p.n - 1)
+        total = float(vol.sum())
+        closed = (float(np.linalg.norm(vol @ normals)) <= CLOSURE_TOL * total
+                  and abs(total - hull.area) <= CLOSURE_TOL * hull.area)
+        return vol, closed
+    return _b.derived(p, "boundary", measure)
 
 
 def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -351,6 +405,134 @@ def _vm(body: Body, m: int, spec: QuadratureSpec | None) -> Measured:
     if isinstance(body, VPolytope):
         return _vm_polytope_measured(body, m, spec)
     raise InvalidArgument(f"not a body: {type(body).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# projections
+
+
+def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> Measured:
+    """V_m(K | u^perp), for a coordinate axis ``u = i`` or a direction u.
+
+    On a full-dimensional polytope with m = n-1 or m = n-2 it is read off
+    K's own boundary triangulation (:func:`_shadows`), with no hull of
+    the projection.  Both degrees of all n coordinate shadows are
+    measured together, once per body instance, since they read the same
+    triangulation.  Elsewhere, or when that triangulation does not close
+    up (:func:`_boundary`), it is :func:`vm` of the projection:
+    ``project_drop(K, i)`` along a coordinate axis (+-e_i included, so
+    that it is that coordinate's term bit for bit), otherwise
+    ``project_along(K, u)``, where K1 is replaced by its inscribed
+    polytope, whose error the result carries.
+    """
+    body = resolve(body)
+    top = m >= 1 and body.n - m in (1, 2)
+    if isinstance(u, (int, np.integer)):
+        if top and isinstance(body, VPolytope):
+            shadows = _b.derived(body, "shadows", lambda: _coordinate_shadows(body))
+            if shadows is not None:
+                return shadows[m][coordops._check_axis(body.n, u)]
+        return vm(coordops.project_drop(body, u), m, spec)
+    u = _b.as_vector(u, body.n)
+    norm = float(np.linalg.norm(u))
+    if norm == 0:
+        raise InvalidArgument("projection direction must be non-zero")
+    u = u / norm
+    axes = np.flatnonzero(u)
+    if axes.size == 1:
+        return vm_projection(body, int(axes[0]), m, spec)
+    if isinstance(body, DiskHull):
+        return with_polygon_error(body, vm_projection(body.as_polytope(), u, m, spec))
+    if top and _on_boundary(body):
+        return Measured.of_exact(_shadows(body, u, m))
+    return vm(coordops.project_along(body, u), m, spec)
+
+
+def _on_boundary(body: Body) -> bool:
+    """Whether the shadows of body are measured on its boundary
+    triangulation: a full-dimensional polytope whose triangulation
+    closes up."""
+    if not (isinstance(body, VPolytope) and affine_dim(body) == body.n):
+        return False
+    try:
+        return _boundary(body)[1]
+    except UnsupportedOperation:   # qhull failed on K; its shadows may hull
+        return False
+
+
+def _coordinate_shadows(p: VPolytope) -> dict | None:
+    """{m: (V_m(K | e_i^perp) for every axis i)} for m = n-1 and n-2
+    (m >= 1), or None when the boundary does not measure them."""
+    if not _on_boundary(p):
+        return None
+    return {m: tuple(map(Measured.of_exact, _shadows(p, None, m).tolist()))
+            for m in (p.n - 1, p.n - 2) if m >= 1}
+
+
+def _shadows(p: VPolytope, u: np.ndarray | None, m: int):
+    """V_m(K | u^perp), m = n-1 or n-2, for a unit vector u, or for every
+    coordinate axis (u = None, an array of n), from the boundary
+    triangulation of K.
+
+    * V_{n-1} (Cauchy): 1/2 sum_s |n_s . u| vol(s) over the boundary
+      simplices, whose projections cover the shadow twice.
+    * V_{n-2}: the shadow's boundary is the projection of the silhouette,
+      the bent ridges R between a simplex s facing up (sgn(n_s . u) = 1)
+      and one t facing down; 1/2 sum_R vol(P_u R) |sgn(n_s . u) -
+      sgn(n_t . u)| / 2 with sgn(0) = 0.  A vertical facet F gives weight
+      1/2 to its upper and its lower ridges, each set projecting onto
+      P_u F; any sign given to a nearly vertical facet gives the same
+      shadow, so the sum is continuous in u.  Along e_i, vol(P_u R) is
+      the root of the sum of the squared (n-2)-minors of R's edges that
+      avoid column i (Cauchy-Binet), taken for every i at once.
+    """
+    hull, n = p.qhull, p.n
+    normals = hull.equations[:, :n]
+    up = normals if u is None else normals @ u
+    if m == n - 1:
+        return 0.5 * (_boundary(p)[0] @ np.abs(up))
+    s, t, ridge = _bent_ridges(p)
+    pts = hull.points
+    e = pts[ridge[:, 1:]] - pts[ridge[:, :1]]
+    sign = np.sign(up)
+    weight = np.abs(sign[s] - sign[t])
+    if u is None:
+        size = np.sqrt(_minors(e) ** 2 @ _avoiding(n, n - 2)) / math.factorial(n - 2)
+    else:
+        size = _simplex_content(e - (e @ u)[..., None] * u)
+    return 0.25 * np.sum(weight * size, axis=0)
+
+
+@cache
+def _avoiding(n: int, k: int) -> np.ndarray:
+    """0/1 matrix whose entry (c, i) marks that the c-th k-subset of
+    range(n), in itertools order, avoids column i."""
+    cols = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    return (cols[:, :, None] != np.arange(n)).all(axis=1).astype(float)
+
+
+@cache
+def _expansion(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each k-subset of range(n), k >= 2, in itertools order: its
+    columns, the index of the subset less each of them among the
+    (k-1)-subsets, and the signs of the cofactors along a k x k
+    matrix's last row."""
+    lower = {c: r for r, c in enumerate(itertools.combinations(range(n), k - 1))}
+    cols = list(itertools.combinations(range(n), k))
+    rest = [[lower[c[:a] + c[a + 1:]] for a in range(k)] for c in cols]
+    return (np.array(cols, dtype=np.intp), np.array(rest, dtype=np.intp),
+            (-1.0) ** (k - 1 + np.arange(k)))
+
+
+def _minors(e: np.ndarray) -> np.ndarray:
+    """Every k x k minor of the k x n matrices e[..., :, :], one per
+    k-subset of columns in itertools order: row r's minors by expanding
+    along row r from those of the rows above it."""
+    minors = e[..., 0, :]
+    for r in range(1, e.shape[-2]):
+        cols, rest, sign = _expansion(e.shape[-1], r + 1)
+        minors = (e[..., r, cols] * minors[..., rest]) @ sign
+    return minors
 
 
 def with_polygon_error(body: DiskHull, val: Measured) -> Measured:

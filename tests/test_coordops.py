@@ -609,8 +609,19 @@ def test_the_symmetral_is_not_hulled_again(monkeypatch):
     sym = coordops.g_symmetral(FIVE_VERTICES)
     built = len(calls)
     explorer.mean_width_ratio(sym)
-    # only the three coordinate shadows are hulled, in the plane
-    assert [shape[1] for shape in calls[built:]] == [2, 2, 2]
+    # its V_1 and its shadows' V_1 are read off the handed-over hull
+    assert calls[built:] == []
+
+
+def test_a_width_ratio_hulls_only_the_body(monkeypatch):
+    """V_1 of a fresh 3-polytope and the V_1 of its three shadows all
+    come from the one hull that convex_hull builds for it."""
+    rng = np.random.default_rng(5)
+    for k in (4, 7, 11):
+        pts = rng.standard_normal((k, 3))
+        calls = _count_hulls(monkeypatch)
+        explorer.mean_width_ratio(bodies.convex_hull(pts))
+        assert calls == [(k, 3)]
 
 
 @pytest.mark.parametrize("body, k", [
