@@ -476,6 +476,24 @@ def facets(hull: ConvexHull) -> np.ndarray:
                      return_inverse=True)[1]
 
 
+def bent_ridges(p: VPolytope):
+    """(s, t, ridge) of a full-dimensional polytope, once per instance:
+    every ridge of qhull's boundary triangulation between simplices of two
+    different facets (:func:`facets`: their ``equations`` rows differ in
+    some bit), once, as simplex s, its neighbour t > s across the ridge,
+    and the ridge's d - 1 point indices, ordered by s and then by the
+    slot of t in ``hull.neighbors[s]``.  The ridges inside a facet are
+    left out: their facets' normals are equal, so they bend by 0 and have
+    no silhouette."""
+    def find():
+        hull = p.qhull
+        tri, nb, eq = hull.simplices, hull.neighbors, np.ascontiguousarray(hull.equations)
+        rows = eq.view(np.dtype((np.void, eq.strides[0]))).ravel()
+        s, k = np.nonzero((nb > np.arange(tri.shape[0])[:, None]) & (rows[:, None] != rows[nb]))
+        return s, nb[s, k], tri[s[:, None], (k[:, None] + np.arange(1, p.n)) % p.n]
+    return derived(p, "bent_ridges", find)
+
+
 def minkowski_sum(p: Body, q: Body) -> VPolytope:
     """Minkowski sum of two polytopal bodies (hull of pairwise vertex sums)."""
     pv = as_vpolytope(p).vertices

@@ -1,9 +1,12 @@
 """Coordinate-hyperplane operations: projections, sections, group
 averaging, and Steiner symmetrization.
 
-Projections come in two views: ``project`` keeps the ambient space
-(coordinate zeroed), ``project_drop`` deletes the coordinate so nested
-projections and intrinsic measures of the projected body are natural.
+Projections and sections are made in deleted-coordinate form (ambient
+n-1) by ``project_drop`` and ``section_drop``, once per body and axis, so
+nested projections and intrinsic measures of the result are natural.
+``project`` and ``section`` keep the ambient space: they are those bodies
+with coordinate i put back as 0, so each body kind is projected and
+sectioned in one function.
 """
 from __future__ import annotations
 
@@ -77,26 +80,25 @@ def _check_axis(n: int, i: int) -> int:
 
 def project(body: Body, i: int) -> Body:
     """Orthogonal projection onto e_i^perp, kept in the ambient space
-    (coordinate i zeroed)."""
-    body = resolve(body)
-    i = _check_axis(body.n, i)
+    (coordinate i zeroed): :func:`project_drop` lifted back (:func:`_lift`)."""
+    return _lift(project_drop(body, i), i)
+
+
+def _lift(body, i: int):
+    """A deleted-coordinate body put back into R^n with coordinate i = 0:
+    a zero column inserted into a polytope's vertices (their lexicographic
+    order is unchanged), a zonotope's center and generators, or a ball's
+    center, whose zeroed axes shift past i and gain i.  ``EMPTY`` passes
+    through."""
     if isinstance(body, VPolytope):
-        pts = body.vertices.copy()
-        pts[:, i] = 0.0
-        return convex_hull(pts)
+        return VPolytope(np.insert(body.vertices, i, 0.0, axis=1))
     if isinstance(body, Zonotope):
-        c = body.center.copy()
-        c[i] = 0.0
-        g = body.generators.copy()
-        g[:, i] = 0.0
-        return Zonotope(c, g)
+        return Zonotope(np.insert(body.center, i, 0.0),
+                        np.insert(body.generators, i, 0.0, axis=1))
     if isinstance(body, Ball):
-        return Ball(body.center, body.radius, body.zeroed | {i})
-    if isinstance(body, DiskHull):
-        # The projection is the unit disk of e_i^perp (each other disk
-        # projects inside it).
-        return Ball(np.zeros(3), 1.0, frozenset({i}))
-    raise InvalidArgument(f"not a body: {type(body).__name__}")
+        zeroed = frozenset(j if j < i else j + 1 for j in body.zeroed) | {i}
+        return Ball(np.insert(body.center, i, 0.0), body.radius, zeroed)
+    return body
 
 
 def project_drop(body: Body, i: int) -> Body:
@@ -120,6 +122,7 @@ def _project_drop(body: Body, i: int) -> Body:
         zeroed = frozenset(j if j < i else j - 1 for j in body.zeroed if j != i)
         return Ball(body.center[keep], body.radius, zeroed)
     if isinstance(body, DiskHull):
+        # the unit disk of e_i^perp: each other disk projects inside it
         return Ball(np.zeros(2), 1.0)
     raise InvalidArgument(f"not a body: {type(body).__name__}")
 
@@ -151,38 +154,16 @@ def project_along(body: Body, u: np.ndarray) -> Body:
 
 
 def section(p: Body, i: int):
-    """The slice {x in P : x_i = 0} of a body.
-
-    A polytope's section is the hull of the points where the plane meets
-    its edges: the skeleton points (:func:`bodies.skeleton`) within 1e-10
-    of the plane, and the crossing of every skeleton edge whose ends lie
-    strictly on opposite sides.  For a zonotope those are its sign points
-    and sign-cube edges, so it is never expanded.  Returns ``EMPTY`` when
-    the plane misses the body.
-    A ball's section is a ball flat along axis i, in closed form.
-    K1 (a :class:`DiskHull`) lies in the unit ball and contains the unit
-    disk of e_i^perp, so its section is that disk, exactly.
-    """
-    p = resolve(p)
-    i = _check_axis(p.n, i)
-    if isinstance(p, DiskHull):
-        return Ball(np.zeros(3), 1.0, frozenset({i}))
-    if isinstance(p, Ball):
-        if i in p.zeroed:
-            return p
-        c = abs(float(p.center[i]))
-        if c > p.radius:
-            return EMPTY
-        return Ball(p.center, math.sqrt((p.radius - c) * (p.radius + c)),
-                    p.zeroed | {i})
-    cut = _cut(p, i)
-    return EMPTY if cut is None else convex_hull(cut)
+    """The slice {x in P : x_i = 0} of a body, kept in the ambient space:
+    :func:`section_drop` lifted back (:func:`_lift`).  Returns ``EMPTY``
+    when the plane misses the body."""
+    return _lift(section_drop(p, i), i)
 
 
 def _cut(p: Body, i: int) -> np.ndarray | None:
-    """The points whose hull is the section of a polytopal body by
-    x_i = 0, with coordinate i set to exactly 0; None when the plane
-    misses the body."""
+    """The points of R^n whose hull, in the coordinates other than i, is
+    the section of a polytopal body by x_i = 0; None when the plane misses
+    the body."""
     pts, edges = _b.skeleton(p)
     coords = pts[:, i]
     on = np.abs(coords) <= ON_PLANE_TOL
@@ -198,22 +179,26 @@ def _cut(p: Body, i: int) -> np.ndarray | None:
     t = (ca / (ca - cb))[:, None]
     cross = pts[above] + t * (pts[below] - pts[above])
     cut = np.vstack([pts[on], cross])
-    if cut.shape[0] == 0:
-        return None
-    cut[:, i] = 0.0  # exact on-plane coordinates
-    return cut
+    return cut if cut.shape[0] else None
 
 
 def section_drop(p: Body, i: int):
-    """Section in deleted-coordinate form (ambient n-1), computed once per
-    body instance and axis, like :func:`project_drop`.
+    """The slice {x in P : x_i = 0} in deleted-coordinate form (ambient
+    n-1), computed once per body instance and axis, like
+    :func:`project_drop`; ``EMPTY`` when the plane misses the body.
 
     A body that x_i -> -x_i maps onto itself bit for bit (K1, and a
     polytope whose canonical vertex list is unchanged by negating column
     i) holds the midpoint of x and its mirror image, so its section is its
     projection: the same object as ``project_drop(p, i)``, with no
-    skeleton cut.  Any other polytopal section is hulled once, in the n-1
-    kept coordinates, so that hull is the one its measures read."""
+    skeleton cut.  A ball's section is a ball, in closed form.  Any other
+    polytopal section is the hull of the points where the plane meets its
+    edges (:func:`_cut`): the skeleton points (:func:`bodies.skeleton`)
+    within 1e-10 of the plane, and the crossing of every skeleton edge
+    whose ends lie strictly on opposite sides.  For a zonotope those are
+    its sign points and sign-cube edges, so it is never expanded.  That
+    cut is hulled once, in the n-1 kept coordinates, so that hull is the
+    one its measures read."""
     p = resolve(p)
     i = _check_axis(p.n, i)
     return _b.derived(p, ("section_drop", i), lambda: _section_drop(p, i))
@@ -243,8 +228,13 @@ def _section_drop(p: Body, i: int):
     if mirror_symmetric(p, i):
         return project_drop(p, i)
     if isinstance(p, Ball):
-        s = section(p, i)   # a ball flat along axis i
-        return EMPTY if s is EMPTY else project_drop(s, i)
+        c = abs(float(p.center[i]))   # 0 when the ball is flat along axis i
+        if c > p.radius:
+            return EMPTY
+        if i in p.zeroed:   # its own section
+            return project_drop(p, i)
+        r = math.sqrt((p.radius - c) * (p.radius + c))
+        return _project_drop(Ball(p.center, r, p.zeroed | {i}), i)
     cut = _cut(p, i)
     return EMPTY if cut is None else convex_hull(np.delete(cut, i, axis=1))
 
@@ -396,16 +386,18 @@ def _orbit(x: np.ndarray, perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return (x[:, perms][:, :, None, :] * signs).reshape(-1, x.shape[1])
 
 
-def _cell_directions(hull: ConvexHull, perms: np.ndarray, signs: np.ndarray):
+def _cell_directions(k: VPolytope, perms: np.ndarray, signs: np.ndarray):
     """Directions into the four cells around every crossing of two
-    signed-permutation images' normal-fan arcs, for a 3-polytope's hull.
+    signed-permutation images' normal-fan arcs, for a full-dimensional
+    3-polytope.
 
-    An edge is the arc between the unit normals of its two facets
-    (:func:`bodies.facets`), and byte-equal arcs of several images are
-    one.  Arcs of one image never cross, so only image 0's arcs are
-    paired with the arcs that are not image 0's, a block of pairs at a
-    time: g^-1 maps a crossing of an arc of g with one that is not g's to
-    one of these, so these directions' orbits hold every crossing's cells.
+    An edge is the arc between the unit normals of the two facets at a
+    bent ridge (:func:`bodies.bent_ridges`), and byte-equal arcs of
+    several images are one.  Arcs of one image never cross, so only image
+    0's arcs are paired with the arcs that are not image 0's, a block of
+    pairs at a time: g^-1 maps a crossing of an arc of g with one that is
+    not g's to one of these, so these directions' orbits hold every
+    crossing's cells.
 
     Arc r runs from a_r to b_r on the great circle normal to
     c_r = a_r x b_r, and x lies strictly inside it when
@@ -415,12 +407,9 @@ def _cell_directions(hull: ConvexHull, perms: np.ndarray, signs: np.ndarray):
     and the tangent f_2 of arc 1 (turned towards c_2) point into the
     cells, so d + CELL_STEP (+-f_1 +-f_2) are four directions, one in each.
     """
-    facet = _b.facets(hull)
-    s = np.repeat(np.arange(facet.size), 3)
-    t = hull.neighbors.ravel()
-    keep = (s < t) & (facet[s] != facet[t])
-    arcs = np.hstack([_orbit(hull.equations[u, :3], perms, signs)
-                      for u in (s[keep], t[keep])]) + 0.0   # no -0.0
+    normals = k.qhull.equations[:, :3]
+    arcs = np.hstack([_orbit(normals[u], perms, signs)
+                      for u in _b.bent_ridges(k)[:2]]) + 0.0   # no -0.0
     _, first, index = _distinct(arcs, return_index=True, return_inverse=True)
     a, b = arcs[first, :3], arcs[first, 3:]
     zero = np.zeros(first.size, dtype=bool)
@@ -477,7 +466,7 @@ def g_symmetral(body: Body) -> VPolytope:
     if dim == n > 1:
         seeds = np.vstack([k.qhull.equations[:, :n], seeds])
     if dim == n == 3:
-        seeds = np.vstack([seeds, _cell_directions(k.qhull, oracle.perms, oracle.signs)])
+        seeds = np.vstack([seeds, _cell_directions(k, oracle.perms, oracle.signs)])
     cands = _distinct_rows(oracle.points(oracle.orbit_tuples(seeds)))
     while n > 1 and len(cands) > 1:   # else a point, or a segment in R^1
         _merge([cands], n)   # the cap, before every hull

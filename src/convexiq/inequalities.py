@@ -37,6 +37,9 @@ OPEN = "open"
 # Classifier tolerances (on bodies at unit scale).
 CLASSIFY_TOL = 1e-7
 NEAR_EQUALITY_FACTOR = 1e-6
+# Depth of the origin inside a body, relative to the body's size, below
+# which the origin check counts it as on the boundary.
+INTERIOR_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +145,9 @@ def body_fingerprint(body: Body) -> str:
 # measure helpers
 
 
-def _vm_proj(body: Body, i: int, m: int, spec) -> Measured:
-    return measures.vm_projection(body, i, m, spec)
-
-
 def _vm_sect(body: Body, i: int, m: int, spec) -> Measured:
     if mirror_symmetric(body, i):   # the section is the projection
-        return _vm_proj(body, i, m, spec)
+        return measures.vm_projection(body, i, m, spec)
     s = section_drop(body, i)
     if s is EMPTY:
         return Measured.of_exact(0.0)
@@ -156,16 +155,20 @@ def _vm_sect(body: Body, i: int, m: int, spec) -> Measured:
 
 
 def _origin_interior(body: Body) -> bool:
+    """Whether the origin lies inside the body by more than INTERIOR_TOL
+    times its size: a ball's radius, a polytope's largest vertex
+    coordinate."""
     body = resolve(body)
     if isinstance(body, Ball):
         return (body.active_dim == body.n and
-                float(np.linalg.norm(body.center)) < body.radius - 1e-12)
+                float(np.linalg.norm(body.center)) < body.radius * (1.0 - INTERIOR_TOL))
     if isinstance(body, DiskHull):
         return True  # K1 contains the cross-polytope conv{+-e_i}
     if affine_dim(body) < body.n:
         return False
-    eq = _b.as_vpolytope(body).qhull.equations
-    return bool(np.max(eq[:, -1]) < -1e-12)
+    p = _b.as_vpolytope(body)
+    size = float(np.max(np.abs(p.vertices)))
+    return bool(np.max(p.qhull.equations[:, -1]) < -INTERIOR_TOL * size)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +176,7 @@ def _origin_interior(body: Body) -> bool:
 
 
 def _ev_loomis_whitney(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
     vol = vm(body, n, spec)
     return [Link("projection-product", m_prod(projs), m_pow(vol, n - 1))]
 
@@ -186,20 +189,20 @@ def _ev_meyer(body, n, m, params, spec):
 
 
 def _ev_bm_upper(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
     top = vm(body, n - 1, spec)
     return [Link("projection-sum", m_add(*projs), top)]
 
 
 def _ev_cg_upper(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, m, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
     val = vm(body, m, spec)
     return [Link("scaled-projection-sum",
                  m_scale(m_add(*projs), 1.0 / (n - m)), val)]
 
 
 def _ev_sqrt_n_lower(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
     sects = [_vm_sect(body, i, n - 1, spec) for i in range(n)]
     top = vm(body, n - 1, spec)
     psum = m_scale(m_add(*projs), 1.0 / math.sqrt(n))
@@ -209,7 +212,7 @@ def _ev_sqrt_n_lower(body, n, m, params, spec):
 
 def _ev_weighted_bm(body, n, m, params, spec):
     a = params["a"]
-    projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
     top = vm(body, n - 1, spec)
     if top.value <= 0:
         raise InvalidArgument("weighted bound needs a body with positive V_{n-1}")
@@ -220,7 +223,7 @@ def _ev_weighted_bm(body, n, m, params, spec):
 
 
 def _ev_square_lower(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, n - 1, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
     sects = [_vm_sect(body, i, n - 1, spec) for i in range(n)]
     top = vm(body, n - 1, spec)
     return [Link("projections", m_mul(top, top), m_sum_sq(projs)),
@@ -229,7 +232,7 @@ def _ev_square_lower(body, n, m, params, spec):
 
 def _ev_pythagorean(body, n, m, params, spec):
     u = params["u"]
-    projs = [_vm_proj(body, i, m, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
     mu = measures.vm_projection(body, u, m, spec)
     return [Link("direction-split", m_sum_sq(projs), m_mul(mu, mu))]
 
@@ -237,7 +240,7 @@ def _ev_pythagorean(body, n, m, params, spec):
 def _ev_zonoid_lower(body, n, m, params, spec):
     if not isinstance(resolve(body), Zonotope):
         raise InvalidArgument("this bound is stated for zonotopes")
-    projs = [_vm_proj(body, i, m, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
     val = vm(body, m, spec)
     return [Link("zonotope-square", m_mul(val, val),
                  m_scale(m_sum_sq(projs), 1.0 / (n - m)))]
@@ -252,14 +255,14 @@ def mth_lower_constant(n: int, m: int) -> float:
 
 
 def _ev_mth_lower(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, m, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
     val = vm(body, m, spec)
     c = mth_lower_constant(n, m)
     return [Link("gamma-square", m_mul(val, val), m_scale(m_sum_sq(projs), c))]
 
 
 def _ev_reverse_cs(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, m, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
     total = m_add(*projs)
     return [Link("sum-square", m_scale(m_mul(total, total),
                                        1.0 / math.sqrt(n - m)),
@@ -267,7 +270,7 @@ def _ev_reverse_cs(body, n, m, params, spec):
 
 
 def _ev_cond_eq111(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, m, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
     total = m_add(*projs)
     bound = total.value / (n - m)
     tol = 10.0 * total.error + 1e-12 * max(1.0, total.value)
@@ -279,7 +282,7 @@ def _ev_cond_eq111(body, n, m, params, spec):
 
 def _ev_easy_bounds(body, n, m, params, spec):
     p = params["p"]
-    projs = [_vm_proj(body, i, m, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
     sects = [_vm_sect(body, i, m, spec) for i in range(n)]
     val = vm(body, m, spec)
     pmean = lambda xs: m_pow(m_scale(m_add(*[m_pow(x, p) for x in xs]), 1.0 / n),
@@ -290,7 +293,7 @@ def _ev_easy_bounds(body, n, m, params, spec):
 
 
 def _ev_trivmax(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, m, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
     sects = [_vm_sect(body, i, m, spec) for i in range(n)]
     val = vm(body, m, spec)
     return [Link("projections", val, m_max(projs)),
@@ -298,7 +301,7 @@ def _ev_trivmax(body, n, m, params, spec):
 
 
 def _ev_bm_v1_lower(body, n, m, params, spec):
-    projs = [_vm_proj(body, i, 1, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, 1, spec) for i in range(n)]
     val = vm(body, 1, spec)
     c0 = min_mean_width_ratio(n)
     return [Link("width-sum", val, m_mul(c0, m_add(*projs)))]
@@ -317,7 +320,7 @@ def _ev_heron(body, n, m, params, spec):
 
 def _ev_prob4(body, n, m, params, spec):
     c2 = params["c2"]
-    projs = [_vm_proj(body, i, m, spec) for i in range(n)]
+    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
     sects = [_vm_sect(body, i, m, spec) for i in range(n)]
     val = vm(body, m, spec)
     return [Link("projections", m_mul(val, val), m_scale(m_sum_sq(projs), c2)),

@@ -130,7 +130,7 @@ def v1_polytope_exact(p: VPolytope) -> float:
 def vm_polytope_angles(p: VPolytope, m: int) -> float:
     """V_{d-2} or V_{d-3} of a full-dimensional d-polytope from one pass
     over the bent ridges of qhull's boundary triangulation
-    (:func:`_bent_ridges`), each the (d-2)-simplex R that a simplex s
+    (:func:`bodies.bent_ridges`), each the (d-2)-simplex R that a simplex s
     shares with its neighbour t in another facet.
 
     * V_{d-2}: each R adds vol(R) * theta(n_s, n_t) / (2 pi), theta the
@@ -165,7 +165,7 @@ def vm_polytope_angles(p: VPolytope, m: int) -> float:
             "up, so its ridge angles do not give V_{d-2} or V_{d-3}")
     hull = p.qhull
     pts, tri, normals = hull.points, hull.simplices, hull.equations[:, :d]
-    s, t, ridge = _bent_ridges(p)
+    s, t, ridge = _b.bent_ridges(p)
     if m == d - 2:
         v, angle = pts[ridge], _angle(normals[s], normals[t])
         return float(np.sum(_simplex_content(v[:, 1:] - v[:, :1]) * angle)) / (2.0 * math.pi)
@@ -197,23 +197,6 @@ def vm_polytope_angles(p: VPolytope, m: int) -> float:
     omega = np.arctan2(num, cm + _dot(c, a) + _dot(a, p) / length) + \
         np.arctan2(num, cm + _dot(c, b) + _dot(b, p) / length)
     return float(np.dot(size[r, j], omega)) / (2.0 * math.pi)
-
-
-def _bent_ridges(p: VPolytope):
-    """(s, t, ridge) of a full-dimensional polytope, once per instance:
-    every ridge of qhull's boundary triangulation between simplices of two
-    different facets (:func:`bodies.facets`: their ``equations`` rows
-    differ in some bit), once, as simplex s, its neighbour t > s across
-    the ridge, and the ridge's d - 1 point indices.  The ridges inside a
-    facet are left out: their facets' normals are equal, so they bend by
-    0 and have no silhouette."""
-    def find():
-        hull = p.qhull
-        tri, nb, eq = hull.simplices, hull.neighbors, np.ascontiguousarray(hull.equations)
-        rows = eq.view(np.dtype((np.void, eq.strides[0]))).ravel()
-        s, k = np.nonzero((nb > np.arange(tri.shape[0])[:, None]) & (rows[:, None] != rows[nb]))
-        return s, nb[s, k], tri[s[:, None], (k[:, None] + np.arange(1, p.n)) % p.n]
-    return _b.derived(p, "bent_ridges", find)
 
 
 def _boundary(p: VPolytope) -> tuple[np.ndarray, bool]:
@@ -491,7 +474,7 @@ def _shadows(p: VPolytope, u: np.ndarray | None, m: int):
     up = normals if u is None else normals @ u
     if m == n - 1:
         return 0.5 * (_boundary(p)[0] @ np.abs(up))
-    s, t, ridge = _bent_ridges(p)
+    s, t, ridge = _b.bent_ridges(p)
     pts = hull.points
     e = pts[ridge[:, 1:]] - pts[ridge[:, :1]]
     sign = np.sign(up)

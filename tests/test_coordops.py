@@ -118,8 +118,9 @@ def test_section_contained_in_projection():
 
 def test_unconditional_section_equals_projection():
     """For bodies invariant under sign flips the central slice and the
-    shadow agree.  The slice is the skeleton cut of ``section``, so this
-    holds independently of ``section_drop``'s mirror rule."""
+    shadow agree.  The slice is the skeleton cut hulled in the kept
+    coordinates (``_cut_hull``), so this holds independently of
+    ``section_drop``'s mirror rule."""
     rng = np.random.default_rng(23)
     gens = np.diag(rng.uniform(0.3, 1.5, size=3))
     for body in (
@@ -128,9 +129,9 @@ def test_unconditional_section_equals_projection():
         bodies.Zonotope(np.zeros(3), gens),
     ):
         for i in range(3):
-            sec = coordops.section(body, i)
-            flat = coordops.project(body, i)
-            for u in rng.standard_normal((24, 3)):
+            sec = _cut_hull(body, i)
+            flat = coordops.project_drop(body, i)
+            for u in rng.standard_normal((24, 2)):
                 assert bodies.support(sec, u) == pytest.approx(
                     bodies.support(flat, u), rel=1e-9, abs=1e-9
                 )
@@ -322,11 +323,70 @@ def test_ball_sections_are_balls():
     assert sec.zeroed == frozenset({2})
     assert sec.radius == pytest.approx(0.8, rel=1e-15)
     assert np.array_equal(sec.center, np.zeros(3))
-    assert coordops.section(sec, 2) is sec      # already flat along axis 2
+    again = coordops.section(sec, 2)      # already flat along axis 2
+    assert (again.radius, again.zeroed) == (sec.radius, sec.zeroed)
+    assert again.center.tobytes() == sec.center.tobytes()
     dropped = coordops.section_drop(b, 2)
     assert (dropped.n, dropped.zeroed) == (2, frozenset())
     assert measures.vm(dropped, 2).value == pytest.approx(0.64 * np.pi, rel=1e-14)
     assert coordops.section(bodies.ball(3, center=[0.0, 0.0, 2.0]), 2) is coordops.EMPTY
+
+
+def _body_bytes(body):
+    """A body's kind and the bytes of its defining fields."""
+    if body is coordops.EMPTY:
+        return ("EMPTY",)
+    if isinstance(body, bodies.VPolytope):
+        return ("V", body.vertices.shape, body.vertices.tobytes())
+    if isinstance(body, bodies.Zonotope):
+        return ("Z", body.generators.shape, body.center.tobytes(),
+                body.generators.tobytes())
+    return ("B", body.center.tobytes(), body.radius, body.zeroed)
+
+
+def test_ambient_forms_lift_the_drop_forms():
+    """``project`` and ``section`` are the dropped forms with coordinate i
+    put back as +0.0, byte for byte, on every body kind, and dropping
+    coordinate i again gives the dropped form back.  So the mirror rule
+    reaches the ambient section too: on the body of the angle route's
+    strict xfail it has the projection's 64 vertices, where the skeleton
+    cut hulled in R^6 kept 66."""
+    rng = np.random.default_rng(41)
+    cases = [bodies.convex_hull(rng.standard_normal((n + 4, n))) for n in range(2, 7)]
+    cases += [bodies.unconditional_hull(rng.standard_normal((2, n))) for n in (3, 5)]
+    cases += [
+        bodies.convex_hull(rng.standard_normal((7, 2)) @ rng.standard_normal((2, 4))),
+        bodies.Zonotope(0.2 * rng.standard_normal(4), rng.standard_normal((6, 4))),
+        bodies.Zonotope(np.zeros(3), np.diag([1.0, 0.5, 2.0])),
+        bodies.ball(3, radius=2.0, center=[0.3, -0.5, 1.9]),
+        bodies.Ball(np.array([0.1, 0.0, 0.2, 0.4]), 1.0, frozenset({1})),
+        bodies.k1(),
+        bodies.NamedBody("cross", 4),
+        bodies.NamedBody("cube", 3),
+        bodies.translate_body(bodies.cube(3), np.array([0.0, 0.0, 5.0])),
+    ]
+    empty = 0
+    for body in cases:
+        for i in range(body.n):
+            for ambient, drop in ((coordops.project, coordops.project_drop),
+                                  (coordops.section, coordops.section_drop)):
+                got, dropped = ambient(body, i), drop(body, i)
+                assert _body_bytes(got) == _body_bytes(coordops._lift(dropped, i))
+                if got is coordops.EMPTY:
+                    empty += 1
+                    continue
+                assert got.n == body.n
+                assert _body_bytes(coordops._project_drop(got, i)) == _body_bytes(dropped)
+                if isinstance(got, bodies.Ball):
+                    assert i in got.zeroed
+                else:
+                    rows = got.vertices if isinstance(got, bodies.VPolytope) else \
+                        np.vstack([got.center, got.generators])
+                    assert not np.any(rows[:, i]) and not np.any(np.signbit(rows[:, i]))
+    assert empty == 1    # the cube above the plane x_2 = 0
+    assert coordops._lift(coordops.EMPTY, 0) is coordops.EMPTY
+    xfail = bodies.unconditional_hull(np.random.default_rng(4).standard_normal((2, 6)))
+    assert coordops.section(xfail, 0).vertex_count == 64
 
 
 def test_empty_body_is_rejected():

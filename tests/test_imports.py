@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-function the library defines is referenced somewhere.
+"""Every name a library module imports is used in that module, every
+function the library defines is referenced somewhere, and every
+module-level UPPER_CASE constant is read somewhere.
 
 No linter is a test dependency, so this walks the sources with ``ast``.
 A name counts as used when it is loaded anywhere in the module (string
@@ -60,3 +61,24 @@ def test_no_unreferenced_functions():
                 defs.append((path.name, node.lineno, node.name))
     assert [d for d in defs if not (d[2].startswith("__") and d[2].endswith("__"))
             and d[2] not in refs] == []
+
+
+def test_no_unread_constants():
+    """A module-level UPPER_CASE constant of the library that no name or
+    attribute loads in the library or its tests is dead, as is one left
+    behind by a deleted route."""
+    reads, consts = set(), []
+    for path in SRC + TESTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+        if path in SRC:
+            for node in tree.body:
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(node, ast.AnnAssign) else [])
+                consts += [(path.name, node.lineno, t.id) for t in targets
+                           if isinstance(t, ast.Name) and t.id.isupper()]
+    assert [c for c in consts if c[2] not in reads] == []

@@ -404,7 +404,7 @@ def test_conditional_bound_reports_inapplicability(monkeypatch, spec3):
     def lopsided(body, i, m, spec):
         return Measured.of_exact(fake[i])
 
-    monkeypatch.setattr(iq, "_vm_proj", lopsided)
+    monkeypatch.setattr(measures, "vm_projection", lopsided)
     r = iq.evaluate("cond_eq111", bodies.cube(3), m=1, spec=spec3)
     assert r.satisfied
     assert r.links == ()
@@ -420,6 +420,39 @@ def test_section_warning_when_origin_outside(spec3):
     # K1 contains conv{+-e_i}, so the origin is interior
     r = iq.evaluate("meyer", bodies.k1(), spec=spec3)
     assert r.warnings == ()
+
+
+def _warns(body, spec):
+    return any("origin not interior" in w
+               for w in iq.evaluate("meyer", body, spec=spec).warnings)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-12, 1e-10, 1e-8, 1e-4, 1.0, 1e4, 1e6, 1e8])
+def test_origin_check_is_relative_to_the_body_size(scale, spec3):
+    """The origin counts as interior when it lies deeper than 1e-12 times
+    the body's size, at every scale: balls around or off the origin do
+    not warn and a ball with the origin on its sphere does; 30 random
+    polytopes moved so that the origin is the centroid of a boundary
+    simplex, and a cube with the origin on a facet, warn (an absolute
+    -1e-12 on the facet offsets let 2-9 of the 31 pass as interior at
+    scales 1e4-1e8, and a radius - 1e-12 made balls of radius below 1e-12
+    warn).  The cross-polytope does not warn down to 1e-8; below that
+    ``affine_dim``'s rank test, absolute for bodies smaller than 1, reads
+    it as flat."""
+    for depth, warns in ((0.0, False), (0.5, False), (1.0, True)):
+        ball = bodies.Ball(np.array([depth * scale, 0.0, 0.0]), scale)
+        assert _warns(ball, spec3) == warns
+    rng = np.random.default_rng(8)
+    on_facet = [bodies.cube(3).vertices + np.array([1.0, 0.0, 0.0])]
+    for _ in range(30):
+        hull = bodies.convex_hull(rng.standard_normal((10, 3))).qhull
+        on_facet.append(hull.points[hull.vertices]
+                        - hull.points[hull.simplices[0]].mean(axis=0))
+    assert _warns(bodies.VPolytope(scale * on_facet[0]), spec3)
+    assert not any(iq._origin_interior(bodies.VPolytope(scale * v)) for v in on_facet)
+    if scale >= 1e-8:
+        cross = bodies.VPolytope(scale * bodies.cross_polytope(3).vertices)
+        assert not _warns(cross, spec3)
 
 
 def test_origin_check_is_exact_for_zonotopes(spec3):
