@@ -24,7 +24,6 @@ from . import bodies as _b
 from . import measures
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, affine_dim,
                      as_vector, convex_hull, resolve)
-from .coordops import EMPTY, mirror_symmetric, section_drop
 from .errors import InvalidArgument
 from .measures import Measured, vm
 from .quadrature import QuadratureSpec
@@ -145,15 +144,6 @@ def body_fingerprint(body: Body) -> str:
 # measure helpers
 
 
-def _vm_sect(body: Body, i: int, m: int, spec) -> Measured:
-    if mirror_symmetric(body, i):   # the section is the projection
-        return measures.vm_projection(body, i, m, spec)
-    s = section_drop(body, i)
-    if s is EMPTY:
-        return Measured.of_exact(0.0)
-    return vm(s, m, spec)
-
-
 def _origin_interior(body: Body) -> bool:
     """Whether the origin lies inside the body by more than INTERIOR_TOL
     times its size: a ball's radius, a polytope's largest vertex
@@ -182,7 +172,7 @@ def _ev_loomis_whitney(body, n, m, params, spec):
 
 
 def _ev_meyer(body, n, m, params, spec):
-    sects = [_vm_sect(body, i, n - 1, spec) for i in range(n)]
+    sects = [measures.vm_section(body, i, n - 1, spec) for i in range(n)]
     vol = vm(body, n, spec)
     c = math.factorial(n - 1) / float(n ** (n - 1))
     return [Link("dual-product", m_pow(vol, n - 1), m_scale(m_prod(sects), c))]
@@ -203,7 +193,7 @@ def _ev_cg_upper(body, n, m, params, spec):
 
 def _ev_sqrt_n_lower(body, n, m, params, spec):
     projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
-    sects = [_vm_sect(body, i, n - 1, spec) for i in range(n)]
+    sects = [measures.vm_section(body, i, n - 1, spec) for i in range(n)]
     top = vm(body, n - 1, spec)
     psum = m_scale(m_add(*projs), 1.0 / math.sqrt(n))
     ssum = m_scale(m_add(*sects), 1.0 / math.sqrt(n))
@@ -224,7 +214,7 @@ def _ev_weighted_bm(body, n, m, params, spec):
 
 def _ev_square_lower(body, n, m, params, spec):
     projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
-    sects = [_vm_sect(body, i, n - 1, spec) for i in range(n)]
+    sects = [measures.vm_section(body, i, n - 1, spec) for i in range(n)]
     top = vm(body, n - 1, spec)
     return [Link("projections", m_mul(top, top), m_sum_sq(projs)),
             Link("sections", m_sum_sq(projs), m_sum_sq(sects))]
@@ -283,7 +273,7 @@ def _ev_cond_eq111(body, n, m, params, spec):
 def _ev_easy_bounds(body, n, m, params, spec):
     p = params["p"]
     projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
-    sects = [_vm_sect(body, i, m, spec) for i in range(n)]
+    sects = [measures.vm_section(body, i, m, spec) for i in range(n)]
     val = vm(body, m, spec)
     pmean = lambda xs: m_pow(m_scale(m_add(*[m_pow(x, p) for x in xs]), 1.0 / n),
                              1.0 / p)
@@ -294,7 +284,7 @@ def _ev_easy_bounds(body, n, m, params, spec):
 
 def _ev_trivmax(body, n, m, params, spec):
     projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
-    sects = [_vm_sect(body, i, m, spec) for i in range(n)]
+    sects = [measures.vm_section(body, i, m, spec) for i in range(n)]
     val = vm(body, m, spec)
     return [Link("projections", val, m_max(projs)),
             Link("sections", m_max(projs), m_max(sects))]
@@ -310,7 +300,7 @@ def _ev_bm_v1_lower(body, n, m, params, spec):
 def _ev_heron(body, n, m, params, spec):
     if n != 3:
         raise InvalidArgument("the Heron-type bound is three-dimensional")
-    a = [_vm_sect(body, i, 1, spec) for i in range(3)]
+    a = [measures.vm_section(body, i, 1, spec) for i in range(3)]
     top = vm(body, 2, spec)
     sq = m_sum_sq(a)
     quads = m_add(*[m_pow(x, 4.0) for x in a])
@@ -321,7 +311,7 @@ def _ev_heron(body, n, m, params, spec):
 def _ev_prob4(body, n, m, params, spec):
     c2 = params["c2"]
     projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
-    sects = [_vm_sect(body, i, m, spec) for i in range(n)]
+    sects = [measures.vm_section(body, i, m, spec) for i in range(n)]
     val = vm(body, m, spec)
     return [Link("projections", m_mul(val, val), m_scale(m_sum_sq(projs), c2)),
             Link("sections", m_scale(m_sum_sq(projs), c2),
@@ -330,7 +320,7 @@ def _ev_prob4(body, n, m, params, spec):
 
 def _ev_prob5(body, n, m, params, spec):
     c3 = params["c3"]
-    sects = [_vm_sect(body, i, m, spec) for i in range(n)]
+    sects = [measures.vm_section(body, i, m, spec) for i in range(n)]
     val = vm(body, m + 1, spec)
     lhs = m_pow(val, float(m * n))
     rhs = m_scale(m_prod([m_pow(s, float(m + 1)) for s in sects]), c3)

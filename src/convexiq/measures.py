@@ -14,6 +14,11 @@ Exact paths:
   polytope K from K's own boundary triangulation, with no hull of the
   shadow (:func:`vm_projection`): Cauchy's projection formula over the
   boundary simplices and the projected silhouette ridges;
+* V_{n-1} and V_{n-2} of every section K ∩ e_i^perp of a full-dimensional
+  polytope K from the same triangulation, with no hull of the section
+  (:func:`vm_section`): each boundary simplex that crosses the plane is
+  cut into a product of simplices, whose staircase triangulation tiles
+  the section's boundary;
 * every V_m of a zonotope via subset Gram determinants;
 * closed forms for balls;
 * V_1 of the cross-polytope C_n and of K1 from fixed Gauss-Legendre rules
@@ -64,6 +69,9 @@ FLAT_TOL = 1e-12
 # Relative defect past which qhull's boundary triangulation does not
 # close up (:func:`_boundary`).
 CLOSURE_TOL = 1e-9
+# Boundary simplices of coordinate sections measured in one block
+# (:func:`_sections`).
+SECTION_BLOCK = 1 << 15
 _dot = partial(np.einsum, "ij,ij->i")   # row-wise dot products
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
@@ -516,6 +524,140 @@ def _minors(e: np.ndarray) -> np.ndarray:
         cols, rest, sign = _expansion(e.shape[-1], r + 1)
         minors = (e[..., r, cols] * minors[..., rest]) @ sign
     return minors
+
+
+# ---------------------------------------------------------------------------
+# sections
+
+
+def vm_section(body: Body, i: int, m: int, spec: QuadratureSpec | None = None) -> Measured:
+    """V_m(K ∩ e_i^perp), measured in the n-1 coordinates other than i.
+
+    A body that x_i -> -x_i maps onto itself
+    (:func:`coordops.mirror_symmetric`) has its projection as section, so
+    it is :func:`vm_projection`.  On any other full-dimensional polytope
+    in R^n, n >= 3, with m = n-1 or m = n-2, it is read off K's own
+    boundary triangulation (:func:`_sections`), with no hull of the
+    section; both degrees of all n coordinate sections are measured
+    together, once per body instance.  Elsewhere, when that triangulation
+    does not close up (:func:`_boundary`), or when one of its vertices
+    lies on the plane, it is :func:`vm` of ``section_drop(K, i)``, and an
+    exact 0 when the plane misses K.  Only a vertex exactly on the plane
+    needs the cut: then K may touch the plane from one side, where no
+    boundary simplex crosses it.  A vertex near the plane is cut like any
+    other, so the route does not depend on the body's scale.
+    """
+    body = resolve(body)
+    i = coordops._check_axis(body.n, i)
+    if coordops.mirror_symmetric(body, i):
+        return vm_projection(body, i, m, spec)
+    if isinstance(body, VPolytope) and body.n >= 3 and body.n - m in (1, 2):
+        sections = _b.derived(body, "sections", lambda: _coordinate_sections(body))
+        if sections is not None and sections[m][i] is not None:
+            return sections[m][i]
+    s = coordops.section_drop(body, i)
+    return Measured.of_exact(0.0) if s is coordops.EMPTY else vm(s, m, spec)
+
+
+def _coordinate_sections(p: VPolytope) -> dict | None:
+    """{m: (V_m(K ∩ e_i^perp) for every axis i, None on the axes whose
+    plane holds a vertex of K's triangulation)} for m = n-1 and n-2, or
+    None when the boundary does not measure them."""
+    if not _on_boundary(p):
+        return None
+    hull = p.qhull
+    touch = np.any(hull.points[hull.vertices] == 0.0, axis=0)
+    values = _sections(hull, ~touch)
+    return {m: tuple(None if skip else Measured.of_exact(v)
+                     for skip, v in zip(touch, values[m].tolist()))
+            for m in (p.n - 1, p.n - 2)}
+
+
+def _sections(hull, axes: np.ndarray) -> dict:
+    """{m: V_m(K ∩ e_i^perp) for every axis i} for m = n-1 and n-2 from
+    qhull's boundary triangulation of K, on the axes marked in ``axes``,
+    whose planes hold none of its vertices (0 on the others).
+
+    A boundary simplex s with c vertices a above the plane and n-c
+    vertices b below it meets the plane in the convex hull of the points
+    x_ab = a + t (b - a), t = a_i / (a_i - b_i).  Homogenized, x_ab is a
+    positive multiple of e_a + f_b in a rescaled basis of s's vertices,
+    so that cut is a product of simplices Delta^{c-1} x Delta^{n-c-1}
+    and shares its triangulations; the staircase one
+    (:func:`_staircases`) splits it into C(n-2, c-1) (n-2)-simplices
+    sigma, which tile the section's boundary.  In the n-1 coordinates
+    other than i, for every axis in one pass:
+
+    * V_{n-2}, half the section's boundary measure: 1/2 sum_sigma
+      vol(sigma), vol(sigma) the root of the sum of sigma's squared
+      (n-2)-minors over (n-2)! (Cauchy-Binet).
+    * V_{n-1}: the cones over every sigma from a point o of the section
+      (the mean of one cut point per crossing simplex) tile it, so it is
+      sum_sigma |det(y_0 - o, edges of sigma)| / (n-1)!, y_0 a vertex of
+      sigma.
+    """
+    pts, tri, n = hull.points, hull.simplices, hull.points.shape[1]
+    up = pts[tri] > 0                       # simplex, vertex, axis
+    count = up.sum(axis=1)
+    s, i = np.nonzero((count > 0) & (count < n) & axes)
+    v = tri[s[:, None], np.argsort(~up[s, :, i], axis=1, kind="stable")]   # upper first
+    pairs = _staircases(n).reshape(n, -1, 2)[count[s, i]]   # row, vertex, (a, b)
+    a = np.take_along_axis(v, pairs[..., 0], axis=1)
+    b = np.take_along_axis(v, pairs[..., 1], axis=1)
+    # a point of each section: the mean of one cut point per crossing simplex
+    per = i == np.arange(n)[:, None]
+    o = (per @ _cut_points(pts, a[:, 0], b[:, 0], i)) / np.maximum(per.sum(axis=1), 1)[:, None]
+    cols, rest, sign = _expansion(n - 1, n - 1)
+    total, blocks = np.zeros((2, n)), math.ceil(a.size / (n - 1) / SECTION_BLOCK)
+    for r in np.array_split(np.arange(s.size), max(1, blocks)):
+        axis = np.repeat(i[r], a.shape[1] // (n - 1))
+        y = _cut_points(pts, a[r], b[r], i[r]).reshape(len(axis), n - 1, n - 1)
+        minors = _minors(y[:, 1:] - y[:, :1])
+        cone = ((y[:, 0] - o[axis])[:, cols[0]] * minors[:, rest[0]]) @ sign
+        size = np.stack([np.abs(cone), np.sqrt(_dot(minors, minors))])
+        # pairwise sums along each contiguous row
+        total += np.where(axis == np.arange(n)[:, None], size[:, None], 0.0).sum(axis=2)
+    return {n - 1: total[0] / math.factorial(n - 1),
+            n - 2: 0.5 * total[1] / math.factorial(n - 2)}
+
+
+def _cut_points(pts: np.ndarray, a: np.ndarray, b: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The points x_ab = a + t (b - a), t = a_i / (a_i - b_i), where the
+    edges from the vertices a to the vertices b cross x_i = 0, in the
+    coordinates other than i; a and b are index arrays whose rows hold
+    the edges of the axes i."""
+    m, n = pts.shape
+    i = i.reshape((-1,) + (1,) * (a.ndim - 1))
+    reduced = pts[:, _others(n)].transpose(1, 0, 2).reshape(-1, n - 1)   # row i m + p
+    pa, pb = reduced[i * m + a], reduced[i * m + b]
+    ca, cb = pts.ravel()[a * n + i], pts.ravel()[b * n + i]
+    return pa + (ca / (ca - cb))[..., None] * (pb - pa)
+
+
+@cache
+def _others(n: int) -> np.ndarray:
+    """Row i: the coordinates of R^n other than i."""
+    return np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
+
+
+@cache
+def _staircases(n: int) -> np.ndarray:
+    """The staircase triangulations of the cut Delta^{k-1} x Delta^{n-k-1}
+    of an (n-1)-simplex with k vertices above a hyperplane, for k = 1 ..
+    n-1, as an array (k, sigma, vertex, (a, b)) of positions in the
+    simplex's vertex list, its k upper vertices first: sigma runs over
+    the monotone lattice paths from (0, k) to (k-1, n-1), each one of the
+    C(n-2, k-1) simplices, and the rest of the C(n-2, (n-2) // 2) rows
+    are degenerate, every vertex (0, k)."""
+    width = math.comb(n - 2, (n - 2) // 2)
+    out = np.zeros((n, width, n - 1, 2), dtype=np.intp)
+    out[..., 1] = np.arange(n)[:, None, None]
+    for k in range(1, n):
+        for p, ups in enumerate(itertools.combinations(range(n - 2), k - 1)):
+            steps = np.isin(np.arange(n - 2), ups)
+            out[k, p, 1:, 0] = np.cumsum(steps)
+            out[k, p, 1:, 1] = k + np.cumsum(~steps)
+    return out
 
 
 def with_polygon_error(body: DiskHull, val: Measured) -> Measured:

@@ -664,6 +664,26 @@ def test_prob4_on_an_unconditional_body_hulls_each_coordinate_body_once(monkeypa
     assert [shape[1] for shape in calls] == [3, 3, 3, 3]
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_sections_of_an_asymmetric_body_hull_nothing(monkeypatch, n):
+    """square_lower and trivmax read the sections of a fresh asymmetric
+    polytope off its own triangulation: one qhull call, for K, and no
+    skeleton."""
+    calls = _count_hulls(monkeypatch)
+
+    def no_skeleton(b):
+        raise AssertionError("a skeleton was built")
+
+    monkeypatch.setattr(bodies, "skeleton", no_skeleton)
+    body = bodies.convex_hull(np.random.default_rng(n).standard_normal((3 * n, n)))
+    assert not any(coordops.mirror_symmetric(body, i) for i in range(n))
+    iq.evaluate("square_lower", body)
+    for m in (n - 1, n - 2):
+        iq.evaluate("trivmax", body, m=m)
+    assert calls == [(3 * n, n)]
+    assert all(measures.vm_section(body, i, n - 1).value > 0 for i in range(n))
+
+
 def test_the_symmetral_is_not_hulled_again(monkeypatch):
     calls = _count_hulls(monkeypatch)
     sym = coordops.g_symmetral(FIVE_VERTICES)

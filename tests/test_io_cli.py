@@ -511,3 +511,18 @@ def test_cli_usage_errors():
     assert cli.main([]) == 64
     assert cli.main(["make", "--unknown-flag"]) == 64
     assert cli.main(["frobnicate"]) == 64
+
+
+def test_cli_main_parses_with_one_parser_and_no_carried_state(tmp_path):
+    """main builds its parser once per process; one call's options, or a
+    usage error, leave the next call's defaults as a fresh parser's."""
+    name = "random-polytope-3d-000.json"
+    make = ["make", "--family", "random-polytope", "--count", "1", "--n", "3"]
+    assert cli.main([*make, "--seed", "7", "--scale", "3", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["make", "--unknown-flag"]) == 64
+    assert cli.main([*make, "--out", str(tmp_path / "b")]) == 0
+    assert cli._parser() is cli._parser()
+    fresh = cli.build_parser().parse_args([*make, "--out", str(tmp_path / "c")])
+    assert fresh.func(fresh) == 0
+    assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+    assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()

@@ -13,7 +13,8 @@ from scipy.special import erf
 from convexiq import QuadratureSpec, Zonotope, cross_polytope, cube, vm
 from convexiq.bodies import (VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
                              scale_body, support, translate_body, unconditional_hull)
-from convexiq.coordops import _cut, g_symmetral, project, project_along, project_drop
+from convexiq.coordops import (EMPTY, _cut, g_symmetral, mirror_symmetric,
+                               project, project_along, project_drop, section_drop)
 from convexiq.errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
                                DET_BATCH, K1_NODES, Measured, _boundary,
@@ -21,7 +22,8 @@ from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
                                _v1_k1_rule, kappa,
                                surface_area, v1_cross_polytope,
                                v1_polytope_exact, v1_quadrature, vm_ball,
-                               vm_polytope_angles, vm_projection, vm_zonotope,
+                               vm_polytope_angles, vm_projection, vm_section,
+                               vm_zonotope,
                                volume)
 from convexiq.quadrature import gauss_legendre
 
@@ -734,3 +736,119 @@ def test_shadows_of_nearly_vertical_prisms():
             got = vm_projection(p, i, m)
             assert abs(got.value - value) <= 1e-14 * value, (i, m)
             assert abs(got.value - value) <= got.error
+
+
+# ---------------------------------------------------------------------------
+# coordinate sections from the body's boundary (measures.vm_section)
+
+
+def _cut_route(p, i: int, m: int) -> Measured:
+    """V_m of the hulled skeleton cut, exact 0 when the plane misses p."""
+    s = section_drop(p, i)
+    return Measured.of_exact(0.0) if s is EMPTY else vm(s, m)
+
+
+def _cut_taken(p, i: int) -> bool:
+    """Whether p's section by x_i = 0 has been hulled."""
+    return ("section_drop", i) in vars(p).get("_derived", {})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sections_from_the_boundary_match_the_cut_route(n):
+    """V_{n-1} and V_{n-2} of every coordinate section, read off K's
+    triangulation, against vm of the hulled skeleton cut.  A plane
+    through a vertex (the rounded body and the prism's base) takes the
+    cut, and a mirror-symmetric body's section is its shadow."""
+    taken = 0
+    for p in _shadow_bodies(n):
+        assert _on_boundary(p)
+        for i in range(n):
+            mirror = mirror_symmetric(p, i)
+            on_plane = bool(np.any(p.vertices[:, i] == 0.0))
+            got = {m: vm_section(p, i, m) for m in (n - 1, n - 2)}
+            assert _cut_taken(p, i) == (on_plane and not mirror)
+            for m, value in got.items():
+                if mirror:
+                    assert value == vm_projection(p, i, m)
+                want = _cut_route(p, i, m).value
+                assert value.exact and abs(value.value - want) <= 1e-12 * want, (i, m)
+            taken += not (mirror or on_plane)
+    assert taken >= 4 * n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sections_of_boxes(n):
+    """A box that the plane x_i = 0 crosses has as section the box of
+    its other sides b: V_{n-1} is their product and V_{n-2} their
+    (n-2)-th elementary symmetric sum."""
+    rng = np.random.default_rng(40 + n)
+    for sides in (np.full(n, 2.0), rng.uniform(0.2, 3.0, n)):
+        shift = rng.uniform(-0.4, 0.4, n) * sides
+        box = convex_hull(as_vpolytope(cube(n)).vertices * sides / 2.0 + shift)
+        for i in range(n):
+            b = np.delete(sides, i)
+            want = {n - 1: np.prod(b),
+                    n - 2: sum(np.prod(c) for c in combinations(b, n - 2))}
+            for m in (n - 1, n - 2):
+                got = vm_section(box, i, m).value
+                assert abs(got - want[m]) <= 1e-13 * want[m], (sides, i, m)
+            assert not _cut_taken(box, i)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sections_scale_and_follow_signed_permutations(n):
+    """V_m(lam K ∩ e_i^perp) = lam^m V_m(K ∩ e_i^perp) from 1e-8 to 1e8,
+    and a signed permutation of the axes permutes the sections.  No
+    vertex lies on a plane, so no section is hulled, though at 1e-8 some
+    lie within coordops.ON_PLANE_TOL = 1e-10 of one (n = 5, 6), where the
+    skeleton cut would put them on it."""
+    rng = np.random.default_rng(30 + n)
+    p = convex_hull(rng.standard_normal((2 * n + 2, n)))
+    perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], n)
+    q = convex_hull(p.vertices[:, perm] * signs)   # axis j of q is axis perm[j] of p
+    for m in (n - 1, n - 2):
+        base = np.array([vm_section(p, i, m).value for i in range(n)])
+        assert np.all(base > 0)
+        for lam in (1e-8, 1e-3, 1e3, 1e8):
+            scaled = scale_body(p, lam)
+            got = np.array([vm_section(scaled, i, m).value for i in range(n)])
+            assert np.all(np.abs(got - lam ** m * base) <= 1e-12 * lam ** m * base), lam
+            assert not any(_cut_taken(scaled, i) for i in range(n))
+        got = np.array([vm_section(q, j, m).value for j in range(n)])
+        assert np.all(np.abs(got - base[perm]) <= 1e-12 * base[perm])
+
+
+def test_section_fallbacks_give_the_cut_route_bytes():
+    """A vertex on the plane, and a triangulation that does not close up
+    (the strict xfail's cut hull), send the section to the hulled cut,
+    byte for byte; a plane that misses the body gives an exact 0, as the
+    empty cut does, with no hull."""
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5):
+        cloud = rng.standard_normal((2 * n + 4, n))
+        cloud[0] = 0.0
+        cloud[0, 0] = 5.0   # an extreme point on every plane but x_0 = 0
+        p = convex_hull(cloud)
+        for i in range(n):
+            got = [vm_section(p, i, m) for m in (n - 1, n - 2)]
+            assert _cut_taken(p, i) == (i > 0)
+            want = [_cut_route(p, i, m) for m in (n - 1, n - 2)]
+            if i > 0:
+                assert got == want
+            else:
+                assert got[0].value == pytest.approx(want[0].value, rel=1e-12)
+                assert got[1].value == pytest.approx(want[1].value, rel=1e-12)
+        for i in range(n):
+            t = np.zeros(n)
+            t[i] = 10.0
+            moved = translate_body(p, t)
+            for m in (n - 1, n - 2):
+                assert vm_section(moved, i, m) == Measured.of_exact(0.0)
+            assert not _cut_taken(moved, i) and _cut_route(moved, i, n - 1).value == 0.0
+    body = unconditional_hull(np.random.default_rng(4).standard_normal((2, 6)))
+    cut = convex_hull(np.delete(_cut(body, 0), 0, axis=1))
+    assert not _boundary(cut)[1]
+    for i in range(5):
+        assert not mirror_symmetric(cut, i)
+        for m in (4, 3):
+            assert vm_section(cut, i, m) == _cut_route(cut, i, m)
