@@ -128,15 +128,15 @@ def _project_drop(body: Body, i: int) -> Body:
 
 
 def project_along(body: Body, u: np.ndarray) -> Body:
-    """The projection of a body onto u^perp (unit u, not a coordinate
-    axis) in the coordinates of an orthonormal basis of u^perp, in R^{n-1}
-    like :func:`project_drop`: vertices or generators times the basis."""
+    """The projection of a polytope or ball onto u^perp (unit u, not a
+    coordinate axis) in the coordinates of an orthonormal basis of u^perp,
+    in R^{n-1} like :func:`project_drop`: vertices times the basis.
+    Zonotopes are measured along u without it
+    (:func:`measures.vm_projection`)."""
     n = body.n
     basis = np.linalg.svd(u[None, :])[2][1:]
     if isinstance(body, VPolytope):
         return convex_hull(body.vertices @ basis.T)
-    if isinstance(body, Zonotope):
-        return Zonotope(body.center @ basis.T, body.generators @ basis.T)
     if isinstance(body, Ball):
         # A ball projects to a ball only along its span (one dimension
         # fewer) or across it (itself); V_m sees only dimension and radius.

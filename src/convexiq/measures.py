@@ -19,7 +19,9 @@ Exact paths:
   (:func:`vm_section`): each boundary simplex that crosses the plane is
   cut into a product of simplices, whose staircase triangulation tiles
   the section's boundary;
-* every V_m of a zonotope via subset Gram determinants;
+* every V_m of a zonotope and of each of its shadows from the m x m
+  minors of its generator subsets (Cauchy-Binet, :func:`vm_zonotope`),
+  the coordinate shadows of one degree in the same pass;
 * closed forms for balls;
 * V_1 of the cross-polytope C_n and of K1 from fixed Gauss-Legendre rules
   on analytic one-dimensional integrals, whose truncation is below 1e-14
@@ -59,8 +61,8 @@ from .quadrature import (QuadratureEstimate, QuadratureSpec, gauss_legendre,
 EXACT_REL_ERR = 1e-10
 # Guard on the number of generator subsets enumerated for a zonotope.
 MAX_SUBSETS = 2_000_000
-# Generator subsets whose Gram determinants are taken in one stacked call.
-DET_BATCH = 4096
+# Generator subsets whose minors are taken in one block (:func:`_zonotope_sums`).
+SUBSET_BLOCK = 4096
 # Gauss-Legendre rules of the 1-d V_1 integrals (C_n: panels on [0, cutoff]).
 CROSS_CUTOFF, CROSS_PANELS, CROSS_NODES = 12.0, 8, 32
 K1_NODES = 96
@@ -323,30 +325,78 @@ def v1_quadrature(body: Body, spec: QuadratureSpec | None = None) -> QuadratureE
 
 
 def vm_zonotope(z: Zonotope, m: int) -> float:
-    """V_m of a zonotope: sum over m-element generator subsets of the
-    m-volume 2^m sqrt(det(G^T G)) of the spanned box."""
+    """V_m of a zonotope (McMullen): 2^m times the sum, over the m-element
+    generator subsets S, of the m-volume of the box G_S spans, the root of
+    the sum of the squared m x m minors of G_S (Cauchy-Binet).  One pass
+    over the subsets (:func:`_zonotope_sums`) gives it and V_m of every
+    coordinate shadow, once per body instance and m."""
     if not 1 <= m <= z.n:
         raise InvalidArgument(f"need 1 <= m <= {z.n}, got m={m}")
-    g = z.generators
-    k = g.shape[0]
+    return _zonotope_pass(z, m)[0]
+
+
+def _zonotope_pass(z: Zonotope, m: int) -> list[float]:
+    """[V_m(Z), V_m(Z | e_0^perp), ..., V_m(Z | e_{n-1}^perp)], once per
+    body instance and m (:func:`bodies.derived`)."""
+    return _b.derived(z, ("zonotope", m), lambda: _zonotope_sums(z.generators, m))
+
+
+def _zonotope_sums(g: np.ndarray, m: int) -> list[float]:
+    """2^m sum_S sqrt(sum_C minor_{S,C}^2) over the m-subsets S of the
+    generators g (rows), with C over every m-subset of the n columns and
+    then over those that avoid column i, for each i: V_m of the zonotope
+    and of its shadow along each axis, whose generators are g less column
+    i.  As in the shadow's :class:`Zonotope`, a generator whose entries
+    off column i are all within DEDUP_TOL of 0 is none of its generators,
+    so the subsets holding it are left out of that shadow's sum.  A
+    subset that spans fewer than m dimensions (parallel generators) has
+    minors of roundoff size, where the root of its Gram determinant would
+    be about sqrt(eps) times the subset's content scale.
+
+    The generators are scaled by a power of 2 first, exactly while no
+    entry is below 1e-300 times the largest, so that no minor or square
+    overflows or underflows: V_m(2^e Z) = 2^{e m} V_m(Z) bit for bit, and
+    a value past the double range is inf.  Subsets are taken SUBSET_BLOCK
+    at a time, so that C(k, m) up to MAX_SUBSETS stays bounded in memory.
+    Each sum is exact before it is rounded (:func:`math.fsum`, carried
+    between blocks by :func:`_exact_parts`), and a subset's minors and
+    their sums do not depend on the subsets stacked with it, so the
+    result does not depend on the block size."""
+    k, n = g.shape
     if k < m:
-        return 0.0
-    if math.comb(k, m) > MAX_SUBSETS:
-        raise UnsupportedMeasure(
-            f"{math.comb(k, m)} generator subsets exceed the enumeration guard")
-    if m == 1:
-        return 2.0 * float(np.sum(np.linalg.norm(g, axis=1)))
-    gram = g @ g.T
-    total = 0.0
-    subsets = itertools.combinations(range(k), m)
-    # Determinants in stacked batches; the square roots are summed one by
-    # one in subset order, which keeps the rounding of a plain loop.
-    for _ in range(0, math.comb(k, m), DET_BATCH):
-        idx = np.array(list(itertools.islice(subsets, DET_BATCH)))
-        for d in np.linalg.det(gram[idx[:, :, None], idx[:, None, :]]).tolist():
-            if d > 0.0:
-                total += math.sqrt(d)
-    return (2.0 ** m) * total
+        return [0.0] * (n + 1)
+    count = math.comb(k, m)
+    if count > MAX_SUBSETS:
+        raise UnsupportedMeasure(f"{count} generator subsets exceed the enumeration guard")
+    weights = np.column_stack([np.ones(math.comb(n, m)), _avoiding(n, m)])
+    big = np.abs(g) > _b.DEDUP_TOL
+    dropped = big.sum(axis=1)[:, None] == big    # generator, axis
+    scale = math.frexp(float(np.max(np.abs(g))))[1]     # entries below 1
+    g = np.ldexp(g, -scale)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), m))
+    parts = [[] for _ in range(n + 1)]
+    for start in range(0, count, SUBSET_BLOCK):
+        rows = min(SUBSET_BLOCK, count - start)
+        subsets = np.fromiter(flat, np.intp, rows * m).reshape(rows, m)
+        # einsum, not @: BLAS sums a row differently as the row count changes
+        roots = np.sqrt(np.einsum("sc,ci->is", _minors(g[subsets]) ** 2, weights))
+        if dropped.any():
+            roots[1:] *= ~dropped[subsets].any(axis=1).T
+        roots = roots.tolist()
+        if start + rows == count:
+            sums = np.array([math.fsum(p + r) for p, r in zip(parts, roots)])
+            return np.ldexp(sums, m * (scale + 1)).tolist()
+        parts = [_exact_parts(p, r) for p, r in zip(parts, roots)]
+
+
+def _exact_parts(parts: list, values: list) -> list:
+    """Floats whose exact sum is that of parts and values: each
+    :func:`math.fsum` rounds the exact remainder, which is 0 after a few
+    terms."""
+    out = []
+    while s := math.fsum(itertools.chain(parts, values, [-x for x in out])):
+        out.append(s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,27 +453,37 @@ def _vm(body: Body, m: int, spec: QuadratureSpec | None) -> Measured:
 
 
 def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> Measured:
-    """V_m(K | u^perp), for a coordinate axis ``u = i`` or a direction u.
+    """V_m(K | u^perp), 0 <= m <= n-1, for a coordinate axis ``u = i`` or
+    a direction u.
 
-    On a full-dimensional polytope with m = n-1 or m = n-2 it is read off
-    K's own boundary triangulation (:func:`_shadows`), with no hull of
-    the projection.  Both degrees of all n coordinate shadows are
-    measured together, once per body instance, since they read the same
-    triangulation.  Elsewhere, or when that triangulation does not close
-    up (:func:`_boundary`), it is :func:`vm` of the projection:
-    ``project_drop(K, i)`` along a coordinate axis (+-e_i included, so
-    that it is that coordinate's term bit for bit), otherwise
-    ``project_along(K, u)``, where K1 is replaced by its inscribed
-    polytope, whose error the result carries.
+    On a zonotope it comes from the minors of its generator subsets
+    (:func:`_zonotope_sums`), with no projected body: along e_i from the
+    pass that gives V_m(Z) and every coordinate shadow, once per body
+    instance and m; along an oblique u from the projected generators
+    G - (G u) u^T.  On a full-dimensional polytope with m = n-1 or m = n-2
+    it is read off K's own boundary triangulation (:func:`_shadows`),
+    with no hull of the projection.  Both degrees of all n coordinate
+    shadows are measured together, once per body instance, since they
+    read the same triangulation.  Elsewhere, or when that triangulation
+    does not close up (:func:`_boundary`), it is :func:`vm` of the
+    projection: ``project_drop(K, i)`` along a coordinate axis (+-e_i
+    included, so that it is that coordinate's term bit for bit),
+    otherwise ``project_along(K, u)``, where K1 is replaced by its
+    inscribed polytope, whose error the result carries.
     """
     body = resolve(body)
+    if not 0 <= m < body.n:
+        raise InvalidArgument(f"need 0 <= m <= {body.n - 1}, got m={m}")
     top = m >= 1 and body.n - m in (1, 2)
     if isinstance(u, (int, np.integer)):
+        i = coordops._check_axis(body.n, u)
+        if isinstance(body, Zonotope):
+            return Measured.of_exact(_zonotope_pass(body, m)[1 + i] if m else 1.0)
         if top and isinstance(body, VPolytope):
             shadows = _b.derived(body, "shadows", lambda: _coordinate_shadows(body))
             if shadows is not None:
-                return shadows[m][coordops._check_axis(body.n, u)]
-        return vm(coordops.project_drop(body, u), m, spec)
+                return shadows[m][i]
+        return vm(coordops.project_drop(body, i), m, spec)
     u = _b.as_vector(u, body.n)
     norm = float(np.linalg.norm(u))
     if norm == 0:
@@ -432,6 +492,9 @@ def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> 
     axes = np.flatnonzero(u)
     if axes.size == 1:
         return vm_projection(body, int(axes[0]), m, spec)
+    if isinstance(body, Zonotope):
+        g = body.generators
+        return Measured.of_exact(_zonotope_sums(g - np.outer(g @ u, u), m)[0] if m else 1.0)
     if isinstance(body, DiskHull):
         return with_polygon_error(body, vm_projection(body.as_polytope(), u, m, spec))
     if top and _on_boundary(body):
@@ -518,11 +581,16 @@ def _expansion(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _minors(e: np.ndarray) -> np.ndarray:
     """Every k x k minor of the k x n matrices e[..., :, :], one per
     k-subset of columns in itertools order: row r's minors by expanding
-    along row r from those of the rows above it."""
+    along row r from those of the rows above it.  Each expansion is summed
+    left to right, so that a matrix's minors do not depend on the matrices
+    stacked with it (a stacked matmul's do)."""
     minors = e[..., 0, :]
     for r in range(1, e.shape[-2]):
         cols, rest, sign = _expansion(e.shape[-1], r + 1)
-        minors = (e[..., r, cols] * minors[..., rest]) @ sign
+        terms = e[..., r, cols] * minors[..., rest] * sign
+        minors = terms[..., 0]
+        for j in range(1, r + 1):
+            minors = minors + terms[..., j]
     return minors
 
 

@@ -664,6 +664,26 @@ def test_prob4_on_an_unconditional_body_hulls_each_coordinate_body_once(monkeypa
     assert [shape[1] for shape in calls] == [3, 3, 3, 3]
 
 
+def test_zonotope_shadows_project_no_body(monkeypatch):
+    """reverse_cs on a fresh 8-generator 6-zonotope and cg_upper on a
+    fresh 4-zonotope read their shadows off the generators' minors: no
+    projected zonotope is built, and nothing is hulled."""
+    calls, hulls = [], _count_hulls(monkeypatch)
+    real = coordops._project_drop
+
+    def counting(body, i):
+        calls.append((body.n, i))
+        return real(body, i)
+
+    monkeypatch.setattr(coordops, "_project_drop", counting)
+    rng = np.random.default_rng(7)
+    z6 = bodies.Zonotope(np.zeros(6), rng.standard_normal((8, 6)))
+    z4 = bodies.Zonotope(np.zeros(4), rng.standard_normal((7, 4)))
+    iq.evaluate("reverse_cs", z6, m=2)
+    iq.evaluate("cg_upper", z4, m=2)
+    assert calls == [] and hulls == []
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_sections_of_an_asymmetric_body_hull_nothing(monkeypatch, n):
     """square_lower and trivmax read the sections of a fresh asymmetric

@@ -10,20 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from convexiq import QuadratureSpec, Zonotope, cross_polytope, cube, vm
-from convexiq.bodies import (VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
+from convexiq import QuadratureSpec, Zonotope, cross_polytope, cube, measures, vm
+from convexiq.bodies import (DEDUP_TOL, VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
                              scale_body, support, translate_body, unconditional_hull)
 from convexiq.coordops import (EMPTY, _cut, g_symmetral, mirror_symmetric,
                                project, project_along, project_drop, section_drop)
 from convexiq.errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
-                               DET_BATCH, K1_NODES, Measured, _boundary,
+                               K1_NODES, SUBSET_BLOCK, Measured, _boundary,
                                _on_boundary, _shadows, _v1_cross_rule,
                                _v1_k1_rule, kappa,
                                surface_area, v1_cross_polytope,
                                v1_polytope_exact, v1_quadrature, vm_ball,
                                vm_polytope_angles, vm_projection, vm_section,
-                               vm_zonotope,
+                               vm_zonotope, _zonotope_sums,
                                volume)
 from convexiq.quadrature import gauss_legendre
 
@@ -512,19 +512,149 @@ def _vm_zonotope_loop(z, m):
     return (2.0 ** m) * total
 
 
-def test_vm_zonotope_batches_match_the_loop(rng):
+def test_vm_zonotope_does_not_depend_on_the_block_size(rng, monkeypatch):
+    """The subset pass gives the same bits, V_m and every coordinate
+    shadow, when its blocks are shrunk below C(k, m)."""
+    g = rng.standard_normal((16, 6))
+    g[1] = 2.0 * g[0]
+    z = Zonotope(np.zeros(6), g)
+    small = Zonotope(np.zeros(5), rng.standard_normal((7, 5)))
+    want = {(body.n, m): _zonotope_sums(body.generators, m)
+            for body in (z, small) for m in range(1, body.n + 1)}
+    assert math.comb(16, 6) > SUBSET_BLOCK
+    for block in (1000, 333, 7, 2, 1):
+        monkeypatch.setattr(measures, "SUBSET_BLOCK", block)
+        for body in (small,) if block < 7 else (z, small):
+            for m in range(1, body.n + 1):
+                assert _zonotope_sums(body.generators, m) == want[body.n, m], (block, m)
+
+
+def test_vm_zonotope_matches_the_gram_loop(rng):
     for _ in range(60):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, n + 1))
         k = int(rng.integers(m, 15))
         z = Zonotope(np.zeros(n), rng.standard_normal((k, n)))
-        assert vm_zonotope(z, m) == _vm_zonotope_loop(z, m)
-    # more subsets than one batch, and parallel generators (det <= 0)
-    g = rng.standard_normal((16, 6))
-    g[1] = 2.0 * g[0]
-    z = Zonotope(np.zeros(6), g)
-    assert math.comb(16, 6) > DET_BATCH
-    assert vm_zonotope(z, 6) == _vm_zonotope_loop(z, 6)
+        want = _vm_zonotope_loop(z, m)
+        assert abs(vm_zonotope(z, m) - want) <= 1e-12 * want, (n, m, k)
+
+
+def test_zonotope_measures_hold_at_extreme_scales(rng, monkeypatch):
+    """The pass scales the generators by a power of 2 before it takes
+    minors: V_m(2^e Z) = 2^{e m} V_m(Z) bit for bit for e = -20 and 500,
+    and V_m(lam Z) = lam^m V_m(Z) at lam = 1e150 (m = 2) and 1e70 (m = 4),
+    where the Gram determinant, of size lam^{2m}, overflowed to inf.  A
+    value past the double range is inf, also when it is summed over
+    several blocks.  (Generators below DEDUP_TOL are no generators, so
+    tiny scales have nothing to underflow.)"""
+    z = Zonotope(np.zeros(4), rng.standard_normal((7, 4)))
+    for m in range(1, 5):
+        base = _zonotope_sums(z.generators, m)
+        for e in (-20, 500):
+            if e * m < 1000:
+                assert _zonotope_sums(np.ldexp(z.generators, e), m) == \
+                    np.ldexp(base, e * m).tolist(), (e, m)
+    for lam, m in ((1e150, 2), (1e70, 4)):
+        want = lam ** m * vm(z, m).value
+        got = vm(Zonotope(np.zeros(4), lam * z.generators), m).value
+        assert abs(got - want) <= 1e-12 * want, lam
+    monkeypatch.setattr(measures, "SUBSET_BLOCK", 4)
+    with np.errstate(over="ignore"):
+        assert _zonotope_sums(1e200 * z.generators, 2) == [math.inf] * 5
+
+
+def _parallel_bodies(rng) -> list:
+    """A segment, generators in a plane of R^5 and in a 3-space of R^6."""
+    segment = np.outer([1.0, 3.0, -0.7], [0.3, 1.7, -0.9, 2.2])
+    plane = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+    space = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 6))
+    return [(Zonotope(np.zeros(4), segment), 1), (Zonotope(np.ones(5), plane), 2),
+            (Zonotope(np.zeros(6), space), 3)]
+
+
+def test_parallel_generators_have_no_content(rng):
+    """A zonotope whose generators span r dimensions has V_m = 0 for m > r,
+    and so has each of its shadows: every such value lies within its
+    stated error of 0.  The root of a Gram determinant gave the segment
+    V_2 = 1.2e-6, 12,000 times its stated error."""
+    for z, r in _parallel_bodies(rng):
+        n = z.n
+        for m in range(r + 1, n + 1):
+            got = vm(z, m)
+            assert got.exact and abs(got.value) <= got.error, (n, m, got)
+            if m == n:
+                continue
+            for u in list(range(n)) + list(rng.standard_normal((3, n))):
+                got = vm_projection(z, u, m)
+                assert got.exact and abs(got.value) <= got.error, (n, m, u, got)
+        assert vm(z, r).value > 1.0
+
+
+def _basis(u: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of u^perp, as rows."""
+    return np.linalg.svd(u[None, :])[2][1:]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_zonotope_shadows_match_the_projected_zonotopes(n):
+    """V_m of every coordinate shadow against vm of the dropped zonotope,
+    and of an oblique one against vm of the zonotope whose generators are
+    G B^T, B a basis of u^perp: k = 0..12 generators, every 1 <= m <= n-1."""
+    rng = np.random.default_rng(80 + n)
+    for k in range(13):
+        z = Zonotope(rng.standard_normal(n), rng.standard_normal((k, n)))
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        b = _basis(u)
+        oblique = Zonotope(z.center @ b.T, z.generators @ b.T)
+        for m in range(1, n):
+            for i in range(n):
+                got = vm_projection(z, i, m)
+                want = vm(project_drop(z, i), m).value
+                assert got.exact and abs(got.value - want) <= 1e-12 * want, (k, m, i)
+            got = vm_projection(z, u, m)
+            want = vm(oblique, m).value
+            assert got.exact and abs(got.value - want) <= 1e-12 * want, (k, m)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_zonotope_shadows_scale_and_follow_signed_permutations(n):
+    """V_m(lam Z | e_i^perp) = lam^m V_m(Z | e_i^perp) from 1e-8 to 1e8,
+    and a signed permutation of the axes permutes the shadows."""
+    rng = np.random.default_rng(90 + n)
+    z = Zonotope(rng.standard_normal(n), rng.standard_normal((n + 3, n)))
+    perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], n)
+    q = Zonotope(z.center[perm] * signs, z.generators[:, perm] * signs)
+    for m in range(1, n):
+        base = np.array([vm_projection(z, i, m).value for i in range(n)])
+        for lam in (1e-8, 1e-3, 1e3, 1e8):
+            scaled = scale_body(z, lam)
+            got = np.array([vm_projection(scaled, i, m).value for i in range(n)])
+            assert np.all(np.abs(got - lam ** m * base) <= 1e-12 * lam ** m * base), (m, lam)
+        got = np.array([vm_projection(q, j, m).value for j in range(n)])
+        assert np.all(np.abs(got - base[perm]) <= 1e-12 * base[perm]), m
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_a_generator_the_shadow_drops_stays_within_the_error(n):
+    """A generator whose entries off axis i are all within DEDUP_TOL of 0
+    is dropped by project_drop(Z, i), and left out of the minors' shadow
+    sum alike: it moves V_m(Z | e_i^perp) by no more than the stated
+    error, on bodies from 1e-3 to 1e3 in scale.  (Kept, it would move
+    V_1 by up to 2 sqrt(n-1) DEDUP_TOL, above the error of a small body.)"""
+    rng = np.random.default_rng(100 + n)
+    for scale in (1e-3, 1.0, 1e3):
+        z = Zonotope(np.zeros(n), scale * rng.standard_normal((n + 2, n)))
+        for i in range(n):
+            h = rng.uniform(-DEDUP_TOL, DEDUP_TOL, n)
+            h[i] = 2.0 * scale
+            w = Zonotope(z.center, np.vstack([z.generators, h]))
+            assert w.generators.shape[0] == z.generators.shape[0] + 1
+            assert np.array_equal(project_drop(w, i).generators, project_drop(z, i).generators)
+            for m in range(1, n):
+                got, want = vm_projection(w, i, m), vm_projection(z, i, m)
+                assert abs(got.value - want.value) <= got.error, (scale, i, m)
+                assert abs(got.value - want.value) <= 1e-12 * want.value, (scale, i, m)
 
 
 # ---------------------------------------------------------------------------
