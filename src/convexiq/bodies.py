@@ -678,12 +678,18 @@ def to_affine_coords(p: VPolytope) -> VPolytope:
 
 def scale_body(body: Body, factor: float) -> Body:
     """Dilate a body about the origin by a non-negative factor (K1 raises
-    :class:`UnsupportedOperation`)."""
+    :class:`UnsupportedOperation`).
+
+    A positive factor keeps a polytope's vertices distinct and extreme at
+    any scale, so they are not re-merged at ``DEDUP_TOL``; the sort only
+    repairs rounding ties.  Factor 0 gives the origin as one vertex."""
     if not (factor >= 0 and math.isfinite(factor)):
         raise InvalidArgument("scale factor must be non-negative and finite")
     body = resolve(body)
     if isinstance(body, VPolytope):
-        return VPolytope(_dedup_points(factor * body.vertices))
+        if factor == 0:
+            return VPolytope(np.zeros((1, body.n)))
+        return VPolytope(_lexsorted(factor * body.vertices))
     if isinstance(body, Zonotope):
         return Zonotope(factor * body.center, factor * body.generators)
     if isinstance(body, Ball):

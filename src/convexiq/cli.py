@@ -95,7 +95,7 @@ def cmd_check(args) -> int:
     spec = _quad_spec(args)
     out = _out_dir(args)
 
-    entries, witnesses = [], []
+    entries = []
     for name, body in loaded:
         for ineq_id in ids:
             needs_m = inequalities.CATALOG[ineq_id].needs_m
@@ -104,7 +104,6 @@ def cmd_check(args) -> int:
                 params=_check_params(args, ineq_id), spec=spec,
                 tolerance=args.tolerance)
             entries.append((name, report))
-            witnesses.append(body)
             print(f"{name}: {report.summary_line()}")
 
     io.write_report(out / "report.json", entries)
@@ -112,7 +111,7 @@ def cmd_check(args) -> int:
 
     exit_code = EXIT_OK
     finding_idx = 0
-    for (name, report), body in zip(entries, witnesses):
+    for name, report in entries:
         if report.satisfied:
             continue
         if report.status == inequalities.PROVEN:
@@ -125,7 +124,7 @@ def cmd_check(args) -> int:
             io.write_finding(
                 path, inequality_id=report.id, params=report.params,
                 slack=report.oriented_slack, tolerance=report.tolerance,
-                lhs=report.lhs, rhs=report.rhs, body=body,
+                lhs=report.lhs, rhs=report.rhs, body=report.body,
                 context={"body": name, "status": report.status})
             print(f"{report.status} violation recorded: {path}")
             finding_idx += 1

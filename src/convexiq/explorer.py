@@ -457,7 +457,7 @@ def _quad_spec(config: SearchConfig) -> QuadratureSpec | None:
 def _objective(config: SearchConfig, state: np.ndarray):
     """Evaluate the problem inequality on the unit-normalized body of a
     state; returns (slack, report, normalized state) or None for a
-    degenerate state."""
+    degenerate state.  The report holds the normalized body."""
     ineq_id, degree_fn = _PROBLEM_TABLE[config.problem]
     deg = degree_fn(config.n, config.m)
     body = _state_body(config, state)
@@ -471,7 +471,7 @@ def _objective(config: SearchConfig, state: np.ndarray):
     constant = ineq.CATALOG[ineq_id].constant
     params = {} if constant is None else {constant: config.constant}
     report = ineq.evaluate(ineq_id, body, m=config.m, params=params, spec=spec)
-    return report.oriented_slack, report, body, state
+    return report.oriented_slack, report, state
 
 
 def _run_restart(config: SearchConfig, restart: int, seed_seq) -> dict:
@@ -490,23 +490,23 @@ def _run_restart(config: SearchConfig, restart: int, seed_seq) -> dict:
     if current is None:
         raise InvalidArgument(
             "could not draw a non-degenerate starting body for the search family")
-    cur_slack, cur_report, cur_body, cur_state = current
-    best = (cur_slack, cur_report, cur_body)
+    cur_slack, cur_report, cur_state = current
+    best = (cur_slack, cur_report)
     slack_log = np.empty(config.iterations)
     evaluations = 1
     violations = []
 
-    def _note_violation(report, body, iteration):
+    def _note_violation(report, iteration):
         if report.quadrature_error is not None:
             return
         if report.oriented_slack < -10.0 * report.tolerance:
             violations.append(ViolationRecord(
                 inequality_id=report.id, params=report.params,
                 slack=report.oriented_slack, tolerance=report.tolerance,
-                lhs=report.lhs, rhs=report.rhs, body=body,
+                lhs=report.lhs, rhs=report.rhs, body=report.body,
                 restart=restart, iteration=iteration))
 
-    _note_violation(cur_report, cur_body, 0)
+    _note_violation(cur_report, 0)
     for it in range(config.iterations):
         proposal = cur_state + config.proposal_scale * \
             rng.standard_normal(cur_state.shape)
@@ -515,13 +515,12 @@ def _run_restart(config: SearchConfig, restart: int, seed_seq) -> dict:
         outcome = _objective(config, proposal)
         evaluations += 1
         if outcome is not None:
-            slack, report, body, norm_state = outcome
+            slack, report, norm_state = outcome
             if slack < cur_slack:
-                cur_slack, cur_report, cur_body, cur_state = \
-                    slack, report, body, norm_state
+                cur_slack, cur_report, cur_state = slack, report, norm_state
                 if slack < best[0]:
-                    best = (slack, report, body)
-                    _note_violation(report, body, it + 1)
+                    best = (slack, report)
+                    _note_violation(report, it + 1)
         slack_log[it] = cur_slack
     return {
         "restart": restart,
@@ -556,17 +555,17 @@ def search(config: SearchConfig) -> SearchResult:
     results = [_run_restart(config, r, s) for r, s in enumerate(streams)]
 
     def _tie_break(res):
-        slack, report, _ = res["best"]
+        slack, report = res["best"]
         return (slack, report.body_fingerprint)
 
     winner = min(results, key=_tie_break)
-    best_slack, best_report, best_body = winner["best"]
+    best_slack, best_report = winner["best"]
     violations = sorted((v for res in results for v in res["violations"]),
                         key=lambda v: (v.restart, v.iteration))
     return SearchResult(
         config=config,
         best_slack=best_slack,
-        best_body=best_body,
+        best_body=best_report.body,
         best_report=best_report,
         trajectory=_trajectory_summary([r["slacks"] for r in results]),
         violations=tuple(violations),

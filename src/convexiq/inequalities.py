@@ -15,7 +15,7 @@ import functools
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -108,7 +108,12 @@ class Link:
 
 @dataclass(frozen=True)
 class IneqReport:
-    """Outcome of evaluating one catalog inequality on one body."""
+    """Outcome of evaluating one catalog inequality on one body.
+
+    ``body`` is the body as it was passed to :func:`evaluate`, before
+    :func:`~convexiq.bodies.resolve` (a named body stays named); equality
+    and ``repr`` ignore it.  ``body_fingerprint`` hashes it on first read.
+    """
 
     id: str
     params: dict
@@ -121,9 +126,15 @@ class IneqReport:
     equality_flag: str            # strict | near-equality | equality-case-matched
     status: str                   # proven | conjecture | conditional | open
     quadrature_error: float | None
-    body_fingerprint: str
+    body: Body = field(repr=False, compare=False)
     warnings: tuple = ()
     links: tuple = ()             # (name, lhs, rhs, slack) per link
+
+    @functools.cached_property
+    def body_fingerprint(self) -> str:
+        # The module function, looked up at call time, so that wrappers
+        # of it see the computation.
+        return body_fingerprint(resolve(self.body))
 
     def summary_line(self) -> str:
         mark = "PASS" if self.satisfied else "VIOLATION"
@@ -133,8 +144,9 @@ class IneqReport:
 
 
 def body_fingerprint(body: Body) -> str:
-    """Stable short hash of the canonical serialized body (once per body
-    instance)."""
+    """Stable short hash of the canonical serialized body, computed once
+    per body instance.  A report computes it when its ``body_fingerprint``
+    is first read, not when it is evaluated."""
     from . import io as _io  # local import to avoid a cycle
     return _b.derived(body, "fingerprint", lambda: hashlib.sha256(
         _io.dumps_body(body).encode()).hexdigest()[:16])
@@ -534,6 +546,7 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
     entry = _catalog_entry(ineq_id)
     if tolerance is not None and not 0.0 <= float(tolerance) < math.inf:
         raise InvalidArgument(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    given = body
     body = resolve(body)
     n = body.n
     if n < 2:
@@ -546,7 +559,6 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
 
     links = entry.evaluator(body, n, m_checked, params, spec)
     status = entry.status_at(n, m_checked)
-    fingerprint = body_fingerprint(body)
 
     if links is None:  # conditional hypothesis failed
         return IneqReport(
@@ -554,7 +566,7 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
             lhs=0.0, rhs=0.0, oriented_slack=0.0,
             tolerance=tolerance if tolerance is not None else 0.0,
             satisfied=True, equality_flag="strict", status=status,
-            quadrature_error=None, body_fingerprint=fingerprint,
+            quadrature_error=None, body=given,
             warnings=tuple(warnings + ["hypothesis not met: inequality inapplicable"]),
             links=())
 
@@ -582,7 +594,7 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
         lhs=primary.lhs.value, rhs=primary.rhs.value,
         oriented_slack=slack, tolerance=tol, satisfied=satisfied,
         equality_flag=flag, status=status, quadrature_error=quad_err,
-        body_fingerprint=fingerprint, warnings=tuple(warnings),
+        body=given, warnings=tuple(warnings),
         links=tuple((l.name, l.lhs.value, l.rhs.value, l.slack) for l in links))
 
 

@@ -207,6 +207,22 @@ def test_scaling_homogeneity(seed, factor):
                                rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("factor", [1e-12, 1e-11, 1e-10, 1e-6, 1.0, 1e4, 1e8])
+def test_scaling_keeps_every_vertex(factor):
+    cross = cross_polytope(3)
+    scaled = scale_body(cross, factor)
+    assert scaled.vertex_count == 6
+    dirs = sphere_points(np.random.default_rng(3), 16, 3)
+    np.testing.assert_allclose(support_many(scaled, dirs),
+                               factor * support_many(cross, dirs),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_scaling_by_zero_gives_the_origin():
+    point = scale_body(cube(3), 0.0)
+    assert np.array_equal(point.vertices, np.zeros((1, 3)))
+
+
 def test_translate_shifts_support(rng):
     p = random_polytope(rng, 3)
     t = rng.standard_normal(3)

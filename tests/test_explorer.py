@@ -2,7 +2,9 @@
 equatorial support profile, reproduction reports, and the randomized
 counterexample search."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +278,25 @@ def test_search_is_deterministic():
     # the stamp hashes the validated config (defaults filled in)
     assert r1.stamp["config_hash"] == explorer.validate_config(CFG).config_hash()
     assert r1.stamp["seed"] == 42
+
+
+def test_search_fingerprints_only_the_kept_bodies(monkeypatch):
+    computed = []
+    real = iq.body_fingerprint
+
+    def counting(body):
+        if "fingerprint" not in body.__dict__.get("_derived", {}):
+            computed.append(body)
+        return real(body)
+
+    monkeypatch.setattr(iq, "body_fingerprint", counting)
+    cfg = replace(CFG, iterations=40, restarts=2)
+    result = explorer.search(cfg)
+    assert result.evaluations == 2 * 41
+    assert 1 <= len(computed) <= cfg.restarts
+    # the report carries the normalized body that search-result.json holds
+    written = hashlib.sha256(io.dumps_body(result.best_body).encode())
+    assert result.best_report.body_fingerprint == written.hexdigest()[:16]
 
 
 def test_search_on_proven_bound_finds_no_violation():

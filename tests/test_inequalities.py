@@ -636,6 +636,35 @@ def test_fingerprint_is_stable_and_specific():
     int(a, 16)  # hex
 
 
+# Fingerprints of these bodies as evaluate wrote them when it hashed every
+# body it evaluated: reading the fingerprint later must not move a byte.
+FINGERPRINT_BODIES = {
+    "vpolytope": (lambda: bodies.convex_hull(np.array(
+        [[0.0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 3], [1, 1, 1]])),
+        "6f98479514f1a0b2"),
+    "zonotope": (lambda: bodies.Zonotope(
+        np.array([0.5, 0, 0]), np.array([[1.0, 0, 0], [0, 1, 0], [1, 1, 1]])),
+        "e95b0cc2804ace6b"),
+    "ball": (lambda: bodies.ball(3), "700c10cb3f03e5b6"),
+    "k1": (bodies.k1, "9e29b55b4154f82a"),
+    "named-cube": (lambda: bodies.NamedBody("cube", 4), "e4def8f789a46f98"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FINGERPRINT_BODIES))
+def test_report_fingerprint_is_read_from_its_body(kind, spec3):
+    make, expected = FINGERPRINT_BODIES[kind]
+    body = make()
+    report = iq.evaluate("loomis_whitney", body, spec=spec3)
+    assert report.body is body  # unresolved: a named body stays named
+    assert report.body_fingerprint == iq.body_fingerprint(bodies.resolve(body))
+    assert report.body_fingerprint == expected
+    assert "vertices" not in repr(report) and "array" not in repr(report)
+    # equality ignores the body
+    again = iq.evaluate("loomis_whitney", make(), spec=spec3)
+    assert again == report and again.body is not report.body
+
+
 def test_summary_line_format(spec3):
     r = iq.evaluate("loomis_whitney", bodies.cube(3), spec=spec3)
     line = r.summary_line()
