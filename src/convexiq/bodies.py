@@ -619,12 +619,17 @@ def _polytope_skeleton(p: VPolytope) -> tuple[np.ndarray, np.ndarray]:
 
 
 def affine_dim(body: Body) -> int:
-    """Dimension of the affine hull (singular values cut at 1e-9)."""
+    """Dimension of the affine hull: singular values cut at RANK_TOL times
+    the largest, so that a dilate has its source's dimension at any
+    scale, which is where a dilate's is read (:func:`dilate_source`)."""
     body = resolve(body)
     return derived(body, "affine_dim", lambda: _affine_dim(body))
 
 
 def _affine_dim(body: Body) -> int:
+    source = dilate_source(body)
+    if source is not None:
+        return affine_dim(source[0])
     if isinstance(body, Ball):
         return body.active_dim if body.radius > 0 else 0
     if isinstance(body, DiskHull):
@@ -638,7 +643,7 @@ def _affine_dim(body: Body) -> int:
     if spans is None:
         return 0
     svals = np.linalg.svd(spans, compute_uv=False)
-    return int(np.sum(svals > RANK_TOL * max(1.0, float(svals[0]))))
+    return int(np.sum(svals > RANK_TOL * float(svals[0])))
 
 
 def constant_axes(p: VPolytope, tol: float = DEDUP_TOL) -> list[int]:
@@ -682,20 +687,40 @@ def scale_body(body: Body, factor: float) -> Body:
 
     A positive factor keeps a polytope's vertices distinct and extreme at
     any scale, so they are not re-merged at ``DEDUP_TOL``; the sort only
-    repairs rounding ties.  Factor 0 gives the origin as one vertex."""
+    repairs rounding ties.  Factor 0 gives the origin as one vertex.
+
+    A polytope dilated by a positive factor lambda, and a zonotope that
+    keeps every generator, is the dilate lambda K of the resolved body K
+    and remembers it (:func:`dilate_source`).  Its measures come from K:
+    V_m(lambda K) = lambda^m V_m(K), and the same for the V_m of its
+    shadows and sections, so ``measures.vm``, ``vm_projection`` and
+    ``vm_section`` read every exact value off K, and :func:`affine_dim`
+    is K's.  The dilate keeps K alive."""
     if not (factor >= 0 and math.isfinite(factor)):
         raise InvalidArgument("scale factor must be non-negative and finite")
     body = resolve(body)
     if isinstance(body, VPolytope):
         if factor == 0:
             return VPolytope(np.zeros((1, body.n)))
-        return VPolytope(_lexsorted(factor * body.vertices))
-    if isinstance(body, Zonotope):
-        return Zonotope(factor * body.center, factor * body.generators)
-    if isinstance(body, Ball):
+        out = VPolytope(_lexsorted(factor * body.vertices))
+    elif isinstance(body, Zonotope):
+        out = Zonotope(factor * body.center, factor * body.generators)
+        if out.generator_count != body.generator_count:
+            return out
+    elif isinstance(body, Ball):
         return Ball(factor * body.center, factor * body.radius, body.zeroed)
-    raise UnsupportedOperation(
-        "a DiskHull (K1) is represented at unit scale only")
+    else:
+        raise UnsupportedOperation(
+            "a DiskHull (K1) is represented at unit scale only")
+    if factor > 0:
+        vars(out)["dilate_of"] = (body, factor)
+    return out
+
+
+def dilate_source(body: Body) -> tuple[Body, float] | None:
+    """(K, lambda) for a dilate ``scale_body(K, lambda)``, lambda > 0, that
+    remembers its source K; None for every other body."""
+    return vars(body).get("dilate_of")
 
 
 def translate_body(body: Body, t) -> Body:

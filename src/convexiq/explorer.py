@@ -457,7 +457,12 @@ def _quad_spec(config: SearchConfig) -> QuadratureSpec | None:
 def _objective(config: SearchConfig, state: np.ndarray):
     """Evaluate the problem inequality on the unit-normalized body of a
     state; returns (slack, report, normalized state) or None for a
-    degenerate state.  The report holds the normalized body."""
+    degenerate state.  The report holds the normalized body.
+
+    The state body K is measured once, for its size: the normalized body
+    is the dilate ``scale_body(K, lam)``, and ``evaluate`` reads its exact
+    measures off K by homogeneity (``measures._off_source``), so it hulls
+    and measures nothing of its own."""
     ineq_id, degree_fn = _PROBLEM_TABLE[config.problem]
     deg = degree_fn(config.n, config.m)
     body = _state_body(config, state)

@@ -33,6 +33,13 @@ V_1 of a full-dimensional polytope in d >= 5 falls back to mean-width
 quadrature over the sphere.  The remaining pairs (2 <= m <= d-4) raise
 :class:`UnsupportedMeasure` rather than silently degrading.
 
+A dilate lambda K made by ``bodies.scale_body`` (:func:`bodies.dilate_source`)
+is measured on K: each of :func:`vm`, :func:`vm_projection` and
+:func:`vm_section` makes the same call on K and, when K's value is exact,
+returns lambda^m times it, since V_m of a body, of its shadows and of its
+sections is homogeneous of degree m.  An inexact value (quadrature) is
+measured on the dilate itself.
+
 Normalization conventions: V_n is the volume; V_{n-1} is half the surface
 area for full-dimensional bodies and equals the (n-1)-measure (not
 doubled) for bodies of dimension n-1; V_1 is mean width times
@@ -422,10 +429,26 @@ def vm(body: Body, m: int, spec: QuadratureSpec | None = None) -> Measured:
 
     Raises UnsupportedMeasure for combinations with no implemented path
     (full-dimensional d-polytopes with 2 <= m <= d-4).  Each (m, spec) is
-    measured once per body instance (:func:`bodies.derived`).
+    measured once per body instance (:func:`bodies.derived`).  A dilate
+    lambda K takes lambda^m V_m(K) when that is exact (:func:`_off_source`).
     """
     body = resolve(body)
-    return _b.derived(body, ("vm", m, spec), lambda: _vm(body, m, spec))
+    return _b.derived(body, ("vm", m, spec), lambda: _off_source(
+        body, m, lambda k: vm(k, m, spec)) or _vm(body, m, spec))
+
+
+def _off_source(body: Body, m: int, measure) -> Measured | None:
+    """``measure(body)`` of a dilate body = lambda K
+    (:func:`bodies.dilate_source`) by homogeneity of degree m: lambda^m
+    ``measure(K)`` when K's value is exact.  None for a body with no
+    source, or when K's value carries an approximation error (quadrature
+    V_1 at d >= 5), which is then measured on the body itself."""
+    source = _b.dilate_source(body)
+    if source is None:
+        return None
+    k, lam = source
+    value = measure(k)
+    return Measured.of_exact(lam ** m * value.value) if value.exact else None
 
 
 def _vm(body: Body, m: int, spec: QuadratureSpec | None) -> Measured:
@@ -469,11 +492,16 @@ def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> 
     projection: ``project_drop(K, i)`` along a coordinate axis (+-e_i
     included, so that it is that coordinate's term bit for bit),
     otherwise ``project_along(K, u)``, where K1 is replaced by its
-    inscribed polytope, whose error the result carries.
+    inscribed polytope, whose error the result carries.  A dilate
+    lambda K takes lambda^m V_m(K | u^perp) when that is exact
+    (:func:`_off_source`).
     """
     body = resolve(body)
     if not 0 <= m < body.n:
         raise InvalidArgument(f"need 0 <= m <= {body.n - 1}, got m={m}")
+    scaled = _off_source(body, m, lambda k: vm_projection(k, u, m, spec))
+    if scaled is not None:
+        return scaled
     top = m >= 1 and body.n - m in (1, 2)
     if isinstance(u, (int, np.integer)):
         i = coordops._check_axis(body.n, u)
@@ -613,10 +641,15 @@ def vm_section(body: Body, i: int, m: int, spec: QuadratureSpec | None = None) -
     exact 0 when the plane misses K.  Only a vertex exactly on the plane
     needs the cut: then K may touch the plane from one side, where no
     boundary simplex crosses it.  A vertex near the plane is cut like any
-    other, so the route does not depend on the body's scale.
+    other, so the route does not depend on the body's scale.  A dilate
+    lambda K takes lambda^m V_m(K ∩ e_i^perp) when that is exact
+    (:func:`_off_source`).
     """
     body = resolve(body)
     i = coordops._check_axis(body.n, i)
+    scaled = _off_source(body, m, lambda k: vm_section(k, i, m, spec))
+    if scaled is not None:
+        return scaled
     if coordops.mirror_symmetric(body, i):
         return vm_projection(body, i, m, spec)
     if isinstance(body, VPolytope) and body.n >= 3 and body.n - m in (1, 2):

@@ -12,7 +12,7 @@ from scipy.spatial import ConvexHull
 
 from convexiq import (Ball, DiskHull, NamedBody, VPolytope, Zonotope,
                       as_vpolytope, ball, convex_hull, cross_polytope, cube,
-                      k1, k2, minkowski_sum, support, support_many)
+                      k1, k2, minkowski_sum, support, support_many, vm)
 from convexiq.bodies import (DEDUP_TOL, _dedup_points, _lexsorted,
                              _sign_matrix, affine_dim, resolve, skeleton,
                              same_vertices, scale_body, translate_body)
@@ -420,6 +420,23 @@ def test_affine_dim(rng):
     assert affine_dim(cube(3)) == 3
     flat = convex_hull(np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]]))
     assert affine_dim(flat) == 2
+
+
+@pytest.mark.parametrize("lam", [10.0 ** e for e in range(-12, 9)])
+def test_affine_dim_is_relative_to_the_body_size(lam):
+    """A polytope built from scaled vertices, with no source to read, has
+    its dimension at every scale (the cut was once floored at 1e-9, so
+    1e-10 times the cross-polytope was a point with every measure 0),
+    and V_m(lam P) is lam^m V_m(P) within 1e-12; a flat body stays flat."""
+    rng = np.random.default_rng(3)
+    for p in (cross_polytope(3), convex_hull(rng.standard_normal((12, 3)))):
+        q = VPolytope(lam * p.vertices)
+        assert affine_dim(q) == 3
+        for m in (1, 2, 3):
+            want = lam ** m * vm(p, m).value
+            assert abs(vm(q, m).value - want) <= 1e-12 * want, m
+    square = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
+    assert affine_dim(VPolytope(lam * square)) == 2
 
 
 def test_disk_hull_fineness_cap():

@@ -172,7 +172,7 @@ def test_mirror_symmetric_sections_are_the_projections(n, count):
     for _ in range(count):
         base = bodies.unconditional_hull(rng.standard_normal((int(rng.integers(1, 4)), n)))
         copies = [base, io.loads_body(io.dumps_body(base))]
-        copies += [bodies.scale_body(base, lam) for lam in (1e-6, 0.37, 1e6)]
+        copies += [bodies.VPolytope(lam * base.vertices) for lam in (1e-6, 0.37, 1e6)]
         for body in copies:
             for i in range(n):
                 sec = coordops.section_drop(body, i)

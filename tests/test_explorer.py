@@ -3,13 +3,14 @@ equatorial support profile, reproduction reports, and the randomized
 counterexample search."""
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from convexiq import bodies, explorer, inequalities as iq, io
+from convexiq import QuadratureSpec, bodies, cli, coordops, explorer, inequalities as iq, io
 from convexiq.errors import InvalidArgument, UndefinedValue
 
 from conftest import FIVE_VERTICES, random_polytope
@@ -385,3 +386,81 @@ def test_search_midrange_zonotopes():
     r = explorer.search(cfg)
     assert r.best_slack >= 0.0
     assert r.violations == ()
+
+
+def test_a_prob4_search_hulls_no_normalized_body(monkeypatch):
+    """Each normalized body is a dilate of its state body, whose measures
+    it reads by homogeneity: a prob4 search in R^4 hulls each state body
+    once (convex_hull hands that hull over) and each of its four
+    coordinate shadows once, and builds no VPolytope.qhull of a
+    normalized body."""
+    calls = []
+    real = bodies.ConvexHull
+
+    def counting(points, *args, **kwargs):
+        calls.append(np.shape(points)[1])
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(bodies, "ConvexHull", counting)
+    monkeypatch.setattr(coordops, "ConvexHull", counting)
+    cfg = explorer.SearchConfig(problem="prob4", n=4, m=1,
+                                family="unconditional-polytope", iterations=3,
+                                restarts=2, seed=1, constant=1.0, quad_resolution=64)
+    r = explorer.search(cfg)
+    assert r.evaluations == 8
+    assert calls.count(4) == r.evaluations
+    assert calls.count(3) == 4 * r.evaluations and len(calls) == 5 * r.evaluations
+    assert "qhull" not in vars(r.best_body)
+
+
+# The search configs of the benchmark's search workloads (perfbench).
+BENCH_SEARCHES = {
+    "heron_n3": {"problem": "heron_n3", "n": 3, "family": "cross-perturbation"},
+    "cg33": {"problem": "cg33", "n": 4, "m": 2, "family": "zonotope"},
+    "eq11_midrange": {"problem": "eq11_midrange", "n": 6, "m": 2, "family": "zonotope"},
+    "prob5": {"problem": "prob5", "n": 3, "m": 1, "family": "unconditional-polytope",
+              "constant": 1.2 * 24.0 * math.sqrt(3.0) / 512.0},
+    "prob4": {"problem": "prob4", "n": 4, "m": 1, "family": "unconditional-polytope",
+              "constant": 1.0, "quad_resolution": 64},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SEARCHES))
+def test_searched_bodies_reproduce_their_values(tmp_path, capsys, name):
+    """Every body a search writes, the best body and each finding's
+    witness, read back with io.loads_body (so with no source to read
+    its measures off) and evaluated afresh, gives the written lhs and
+    rhs within 1e-12, and the best report's satisfied and equality_flag
+    (a finding's witness violates the bound by more than ten times the
+    tolerance again)."""
+    config = dict(BENCH_SEARCHES[name], iterations=6, restarts=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    entry = iq.CATALOG[explorer._PROBLEM_TABLE[config["problem"]][0]]
+    params = {} if entry.constant is None else {entry.constant: config["constant"]}
+    spec = QuadratureSpec(resolution=config["quad_resolution"]) \
+        if "quad_resolution" in config else None
+    findings = 0
+    for seed in range(3):
+        out = tmp_path / f"run{seed}"
+        assert cli.main(["search", "--config", str(path), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        result = json.loads((out / "search-result.json").read_text(encoding="utf-8"))
+        written = [(result["best_body"], result["best_report"])]
+        for finding in result["findings"]:
+            payload = io.load_finding(out / finding)
+            written.append((payload["witness"], payload))
+        findings += len(result["findings"])
+        for body, want in written:
+            got = iq.evaluate(entry.id, io.loads_body(json.dumps(body)),
+                              m=config.get("m"), params=params, spec=spec)
+            for key in ("lhs", "rhs"):
+                assert abs(getattr(got, key) - want[key]) <= 1e-12 * abs(want[key]), key
+            if "equality_flag" in want:
+                assert (got.satisfied, got.equality_flag) == \
+                    (want["satisfied"], want["equality_flag"])
+            else:
+                assert got.oriented_slack < -10.0 * got.tolerance
+    capsys.readouterr()
+    if name == "prob4":     # c2 = 1 is falsified in R^4, so findings are checked
+        assert findings > 0

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from convexiq import QuadratureSpec, Zonotope, cross_polytope, cube, measures, vm
+from convexiq import QuadratureSpec, Zonotope, bodies, cross_polytope, cube, io, measures, vm
 from convexiq.bodies import (DEDUP_TOL, VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
                              scale_body, support, translate_body, unconditional_hull)
 from convexiq.coordops import (EMPTY, _cut, g_symmetral, mirror_symmetric,
@@ -189,7 +189,7 @@ def test_angle_defects_at_d3_sum_to_one(rng):
 @pytest.mark.parametrize("lam", [1e-8, 1e8])
 def test_angle_route_is_homogeneous(rng, lam):
     p = random_polytope(rng, 4, 14)
-    q = scale_body(p, lam)
+    q = VPolytope(lam * p.vertices)
     for m in (1, 2):
         want = lam ** m * vm(p, m).value
         assert abs(vm(q, m).value - want) <= 1e-12 * want
@@ -355,7 +355,7 @@ def test_angle_route_matches_zonotopes_in_r5_and_r6(rng, d, k):
 @pytest.mark.parametrize("lam", [1e-8, 1e8])
 def test_angle_route_is_homogeneous_in_r5_and_r6(rng, d, lam):
     p = random_polytope(rng, d, 2 * d + 2)
-    q = scale_body(p, lam)
+    q = VPolytope(lam * p.vertices)
     for m in (d - 3, d - 2):
         want = lam ** m * vm(p, m).value
         assert abs(vm(q, m).value - want) <= 1e-12 * want
@@ -628,7 +628,7 @@ def test_zonotope_shadows_scale_and_follow_signed_permutations(n):
     for m in range(1, n):
         base = np.array([vm_projection(z, i, m).value for i in range(n)])
         for lam in (1e-8, 1e-3, 1e3, 1e8):
-            scaled = scale_body(z, lam)
+            scaled = Zonotope(lam * z.center, lam * z.generators)
             got = np.array([vm_projection(scaled, i, m).value for i in range(n)])
             assert np.all(np.abs(got - lam ** m * base) <= 1e-12 * lam ** m * base), (m, lam)
         got = np.array([vm_projection(q, j, m).value for j in range(n)])
@@ -679,10 +679,10 @@ def test_scaled_and_translated_bodies_do_not_inherit_the_cache(rng, spec3):
     p = random_polytope(rng, 3)
     z = Zonotope(rng.standard_normal(3), rng.standard_normal((5, 3)))
     t = np.array([0.5, -1.0, 2.0])
-    for body in (p, z):
+    for body, scaled in ((p, VPolytope(2.0 * p.vertices)),
+                         (z, Zonotope(2.0 * z.center, 2.0 * z.generators))):
         before = [vm(body, m, spec3).value for m in (1, 2, 3)]
         shadows = [project_drop(body, i) for i in range(3)]
-        scaled = scale_body(body, 2.0)
         for m, value in zip((1, 2, 3), before):
             assert vm(scaled, m, spec3).value == pytest.approx(2.0 ** m * value, rel=1e-9)
         moved = translate_body(body, t)
@@ -730,6 +730,150 @@ def test_angle_route_on_a_hull_with_points_on_lower_faces():
     assert (exact.vertex_count, cut.vertex_count) == (64, 78)
     for m in (5, 4, 3, 2):
         assert vm(cut, m).value == pytest.approx(vm(exact, m).value, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# dilates (bodies.scale_body) measured off their source
+
+
+SCALES = (1e-8, 1e-3, 1e3, 1e8)
+
+
+def _dilate_cases(n: int) -> list:
+    """A random polytope in R^n; for n <= 5 also an unconditional hull, a
+    zonotope, whose sections are hulled cuts, and a polytope with a
+    vertex on every coordinate plane but x_0 = 0, whose sections by those
+    planes are hulled cuts."""
+    rng = np.random.default_rng(110 + n)
+    out = [random_polytope(rng, n)]
+    if n <= 5:
+        cloud = rng.standard_normal((2 * n + 4, n))
+        cloud[0] = 0.0
+        cloud[0, 0] = 5.0
+        out += [unconditional_hull(rng.standard_normal((2, n))),
+                random_zonotope(rng, n), convex_hull(cloud)]
+    return out
+
+
+def _scaled_coordinates(body, lam: float):
+    """The body lam K built afresh from scaled coordinates, with no source."""
+    if isinstance(body, Zonotope):
+        return Zonotope(lam * body.center, lam * body.generators)
+    return VPolytope(lam * body.vertices)
+
+
+def _dilate_calls(n: int) -> list:
+    """(function, args) of vm, vm_projection (every axis and an oblique u)
+    and vm_section: every degree for n <= 4, m >= n-3 above, where V_1 is
+    quadrature (tested on its own)."""
+    u = np.arange(1.0, n + 1.0)
+    calls = []
+    for m in range(1 if n <= 4 else n - 3, n + 1):
+        calls.append((vm, (m,)))
+        if m < n:
+            calls += [(vm_projection, (i, m)) for i in range(n)] + [(vm_projection, (u, m))]
+            calls += [(vm_section, (i, m)) for i in range(n)]
+    return calls
+
+
+def _dilate_mismatches(n: int, small_cuts: bool) -> list:
+    """The calls on scale_body(K, lam), for every case and scale, whose
+    value or exactness differs from the same call on lam K built from
+    scaled coordinates by more than 1e-12 relative, or that refuse on
+    only one of them.  A section that the body built at 1e-8 hulls as a
+    cut is compared only when ``small_cuts`` is set, and then only those;
+    every other call is compared when it is not."""
+    out, cuts = [], 0
+    for body in _dilate_cases(n):
+        for lam in SCALES:
+            dilate, fresh = scale_body(body, lam), _scaled_coordinates(body, lam)
+            source, factor = bodies.dilate_source(dilate)
+            assert source is body and factor == lam
+            for f, args in _dilate_calls(n):
+                try:
+                    want = f(fresh, *args)
+                except UnsupportedMeasure:
+                    try:
+                        f(dilate, *args)
+                    except UnsupportedMeasure:
+                        continue
+                    out.append((f.__name__, args, lam, "refused on the fresh body only"))
+                    continue
+                cut = f is vm_section and _cut_taken(fresh, args[0])
+                cuts += cut
+                if small_cuts != (cut and lam == SCALES[0]):
+                    continue
+                got = f(dilate, *args)
+                if got.exact != want.exact or \
+                        abs(got.value - want.value) > 1e-12 * abs(want.value):
+                    out.append((f.__name__, args, lam, got.value / want.value - 1.0))
+            # the dilate measured nothing itself
+            assert "qhull" not in vars(dilate)
+            assert set(vars(dilate).get("_derived", {})) <= {("vm", m, None) for m in range(n + 1)}
+    assert cuts > 0
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_dilate_measures_like_the_body_built_at_scale(n):
+    """vm, vm_projection and vm_section of scale_body(K, lam), read off K
+    by homogeneity, match the same call on lam K built from scaled
+    coordinates within 1e-12, exactness included, for lam = 1e-8..1e8;
+    a call that refuses on one refuses on the other.  The sections that
+    the body built at 1e-8 hulls as cuts are the test below."""
+    assert _dilate_mismatches(n, small_cuts=False) == []
+
+
+_SMALL_CUT_DEFECT = pytest.mark.xfail(strict=True, reason=(
+    "the hulled cut of a body built at 1e-8 rests on absolute tolerances: "
+    "coordops.ON_PLANE_TOL snaps vertices within 1e-10 of the plane onto "
+    "it and convex_hull merges cut points within DEDUP_TOL = 1e-10, so "
+    "its sections are up to 3.3e-4 relative off (n = 4 zonotope, n = 5 "
+    "and 6 polytopes), while the dilate reads them off K at unit scale"))
+
+
+@pytest.mark.parametrize("n", [3] + [pytest.param(n, marks=_SMALL_CUT_DEFECT) for n in (4, 5, 6)])
+def test_a_dilate_measures_like_the_body_built_at_1e_8_on_the_cut(n):
+    assert _dilate_mismatches(n, small_cuts=True) == []
+
+
+def test_a_dilate_measures_an_inexact_v1_itself(monkeypatch):
+    """V_1 of a 5-polytope is sphere quadrature: a dilate's is measured on
+    the dilate, with its own quadrature error, as on the body built from
+    scaled coordinates, and is not read off its source."""
+    p = random_polytope(np.random.default_rng(115), 5)
+    spec = QuadratureSpec(resolution=16)
+    seen, real = [], measures.v1_quadrature
+
+    def recording(body, spec=None):
+        seen.append(body)
+        return real(body, spec)
+
+    monkeypatch.setattr(measures, "v1_quadrature", recording)
+    for lam in SCALES:
+        dilate = scale_body(p, lam)
+        got, want = vm(dilate, 1, spec), vm(_scaled_coordinates(p, lam), 1, spec)
+        assert not got.exact and any(body is dilate for body in seen)
+        assert abs(got.value - want.value) <= 1e-12 * want.value, lam
+        assert abs(got.error - want.error) <= 1e-12 * want.error, lam
+
+
+def test_dilates_of_a_dilate_and_dropped_generators():
+    """A dilate of a dilate reads off the dilate it scales; factor 0, a
+    ball and a zonotope that loses a generator to DEDUP_TOL remember no
+    source; io reads a dilate back with none."""
+    p = random_polytope(np.random.default_rng(116), 4)
+    twice = scale_body(scale_body(p, 1e3), 1e-3)
+    once, factor = bodies.dilate_source(twice)
+    assert factor == 1e-3 and bodies.dilate_source(once)[0] is p
+    for m in range(1, 5):
+        assert vm(twice, m).value == pytest.approx(vm(p, m).value, rel=1e-13)
+    z = Zonotope(np.zeros(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-4]])
+    assert bodies.dilate_source(scale_body(z, 1e-7)) is None
+    assert scale_body(z, 1e-7).generator_count == 2
+    for lost in (scale_body(p, 0.0), scale_body(ball(3), 2.0),
+                 io.loads_body(io.dumps_body(scale_body(p, 2.0)))):
+        assert bodies.dilate_source(lost) is None
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +955,7 @@ def test_shadows_scale_and_follow_signed_permutations(n):
     for m in (n - 1, n - 2):
         base = np.array([vm_projection(p, i, m).value for i in range(n)])
         for lam in (1e-8, 1e-3, 1e3, 1e8):
-            scaled = scale_body(p, lam)
+            scaled = VPolytope(lam * p.vertices)
             got = np.array([vm_projection(scaled, i, m).value for i in range(n)])
             assert np.all(np.abs(got - lam ** m * base) <= 1e-12 * lam ** m * base), lam
         got = np.array([vm_projection(q, j, m).value for j in range(n)])
@@ -940,7 +1084,7 @@ def test_sections_scale_and_follow_signed_permutations(n):
         base = np.array([vm_section(p, i, m).value for i in range(n)])
         assert np.all(base > 0)
         for lam in (1e-8, 1e-3, 1e3, 1e8):
-            scaled = scale_body(p, lam)
+            scaled = VPolytope(lam * p.vertices)
             got = np.array([vm_section(scaled, i, m).value for i in range(n)])
             assert np.all(np.abs(got - lam ** m * base) <= 1e-12 * lam ** m * base), lam
             assert not any(_cut_taken(scaled, i) for i in range(n))
