@@ -9,7 +9,7 @@ from .bodies import (Ball, Body, DiskHull, NamedBody, VPolytope, Zonotope,
                      k1, k2, minkowski_sum, resolve, scale_body, support,
                      support_many, translate_body)
 from .coordops import (EMPTY, g_symmetral, project, project_drop, section,
-                       section_drop, steiner_symmetrize)
+                       section_drop)
 from .errors import (ConvexiqError, DimensionMismatch, InvalidArgument,
                      ParseError, UndefinedValue, UnsupportedMeasure,
                      UnsupportedOperation)
@@ -45,7 +45,6 @@ __all__ = [
     "min_mean_width_ratio", "minkowski_sum", "mth_lower_constant",
     "project", "project_drop", "read_body", "resolve",
     "run_repro", "scale_body", "search", "section", "section_drop",
-    "segment_from_projections", "sine_power_integral", "steiner_symmetrize",
-    "support", "support_many", "support_ratio_profile", "translate_body",
+    "segment_from_projections", "sine_power_integral", "support", "support_many", "support_ratio_profile", "translate_body",
     "vm", "write_body",
 ]

@@ -1,5 +1,5 @@
-"""Coordinate-hyperplane operations: projections, sections, group
-averaging, and Steiner symmetrization.
+"""Coordinate-hyperplane operations: projections, sections and group
+averaging.
 
 Projections and sections are made in deleted-coordinate form (ambient
 n-1) by ``project_drop`` and ``section_drop``, once per body and axis, so
@@ -35,11 +35,6 @@ ORBIT_BLOCK = 1 << 16
 # crossing test there may hold (about 16 MB of temporaries).
 CELL_STEP = 1e-7
 ARC_BLOCK = 1 << 16
-# |a_i| of a unit facet normal below which the facet is parallel to e_i
-# (steiner_symmetrize).
-VERTICAL_TOL = 1e-12
-# Segment pairs one crossing test in steiner_symmetrize may hold.
-CROSSING_BLOCK = 1 << 18
 
 
 def _sum_budget(n: int) -> int:
@@ -484,73 +479,3 @@ def g_symmetral(body: Body) -> VPolytope:
             return _b.hulled(cands, qh)
         cands = grown
     return convex_hull(cands)
-
-
-# ---------------------------------------------------------------------------
-# Steiner symmetrization (n = 3)
-
-
-def _crossings(flat: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Points where a planar segment of e crosses one of f.
-
-    ``flat`` holds planar points and e, f are (k, 2) index pairs into it.
-    Parallel pairs are skipped: they meet, if at all, at endpoints.
-    """
-    p, d = flat[e[:, 0]], flat[e[:, 1]] - flat[e[:, 0]]
-    q, g = flat[f[:, 0]][None], (flat[f[:, 1]] - flat[f[:, 0]])[None]
-    out = [np.zeros((0, 2))]
-    step = max(1, CROSSING_BLOCK // f.shape[0])
-    for s in range(0, e.shape[0], step):
-        # p + a d = q + b g, solved by 2-d cross products
-        ps, ds = p[s:s + step, None], d[s:s + step, None]
-        r = q - ps
-        den = ds[..., 0] * g[..., 1] - ds[..., 1] * g[..., 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = (r[..., 0] * g[..., 1] - r[..., 1] * g[..., 0]) / den
-            b = (r[..., 0] * ds[..., 1] - r[..., 1] * ds[..., 0]) / den
-        rows, cols = np.nonzero((den != 0) & (a >= 0) & (a <= 1) & (b >= 0) & (b <= 1))
-        out.append(p[s + rows] + a[rows, cols, None] * d[s + rows])
-    return np.vstack(out)
-
-
-def steiner_symmetrize(p: Body, i: int) -> VPolytope:
-    """Steiner symmetrization of a 3-polytope in direction e_i: every
-    chord of P parallel to e_i is re-centered on e_i^perp.
-
-    Exact: over the projection, the top of P is linear on each projected
-    upper facet and the bottom on each projected lower facet, so the chord
-    length l is linear on every cell of the overlay of the two.  The
-    cells' corners are the projected vertices and the crossings of a
-    projected upper edge with a projected lower edge, and the symmetral
-    is the hull of +-l/2 above those points.
-    """
-    p = _b.as_vpolytope(p)
-    if p.n != 3:
-        raise UnsupportedOperation("Steiner symmetrization is implemented for n = 3")
-    if _b.affine_dim(p) < 3:
-        raise UnsupportedOperation("Steiner symmetrization needs a full-dimensional body")
-    i = _check_axis(3, i)
-    others = [j for j in range(3) if j != i]
-    hull = p.qhull
-    eq = hull.equations  # rows (a, b): a.x + b <= 0 inside
-    up = eq[:, i] > VERTICAL_TOL
-    down = eq[:, i] < -VERTICAL_TOL
-
-    def edges(simplices):
-        pairs = simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        return _distinct_rows(np.sort(pairs, axis=1))
-
-    flat = hull.points[:, others]   # the index space of hull.simplices
-    ys = np.vstack([p.vertices[:, others],
-                    _crossings(flat, edges(hull.simplices[up]),
-                               edges(hull.simplices[down]))])
-    # Chord of the line {y + t e_i} against every facet half-space
-    # a_other . y + a_i t + b <= 0; vertical facets bound no chord.
-    rhs = -(ys @ eq[:, others].T) - eq[:, 3]
-    t_hi = np.min(rhs[:, up] / eq[up, i], axis=1)
-    t_lo = np.max(rhs[:, down] / eq[down, i], axis=1)
-    half = np.maximum(t_hi - t_lo, 0.0) / 2.0
-    out = np.zeros((2 * ys.shape[0], 3))
-    out[:, others] = np.vstack([ys, ys])
-    out[:, i] = np.concatenate([half, -half])
-    return convex_hull(out)

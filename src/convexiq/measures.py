@@ -18,7 +18,10 @@ Exact paths:
   polytope K from the same triangulation, with no hull of the section
   (:func:`vm_section`): each boundary simplex that crosses the plane is
   cut into a product of simplices, whose staircase triangulation tiles
-  the section's boundary;
+  the section's boundary.  A vertex on the plane counts on the plane's
+  upper side, x_i >= 0 when K has a vertex with x_i < 0 and x_i <= 0
+  otherwise, so planes through a vertex and planes that K touches or
+  misses take the same route;
 * every V_m of a zonotope and of each of its shadows from the m x m
   minors of its generator subsets (Cauchy-Binet, :func:`vm_zonotope`),
   the coordinate shadows of one degree in the same pass;
@@ -627,7 +630,8 @@ def _minors(e: np.ndarray) -> np.ndarray:
 
 
 def vm_section(body: Body, i: int, m: int, spec: QuadratureSpec | None = None) -> Measured:
-    """V_m(K ∩ e_i^perp), measured in the n-1 coordinates other than i.
+    """V_m(K ∩ e_i^perp), 0 <= m <= n-1, measured in the n-1 coordinates
+    other than i.
 
     A body that x_i -> -x_i maps onto itself
     (:func:`coordops.mirror_symmetric`) has its projection as section, so
@@ -635,17 +639,16 @@ def vm_section(body: Body, i: int, m: int, spec: QuadratureSpec | None = None) -
     in R^n, n >= 3, with m = n-1 or m = n-2, it is read off K's own
     boundary triangulation (:func:`_sections`), with no hull of the
     section; both degrees of all n coordinate sections are measured
-    together, once per body instance.  Elsewhere, when that triangulation
-    does not close up (:func:`_boundary`), or when one of its vertices
-    lies on the plane, it is :func:`vm` of ``section_drop(K, i)``, and an
-    exact 0 when the plane misses K.  Only a vertex exactly on the plane
-    needs the cut: then K may touch the plane from one side, where no
-    boundary simplex crosses it.  A vertex near the plane is cut like any
-    other, so the route does not depend on the body's scale.  A dilate
-    lambda K takes lambda^m V_m(K ∩ e_i^perp) when that is exact
-    (:func:`_off_source`).
+    together, once per body instance.  Planes through a vertex, planes
+    that K touches from one side and planes that miss K take the same
+    route.  Elsewhere, or when that triangulation does not close up
+    (:func:`_boundary`), it is :func:`vm` of ``section_drop(K, i)``, and
+    an exact 0 when the plane misses K.  A dilate lambda K takes
+    lambda^m V_m(K ∩ e_i^perp) when that is exact (:func:`_off_source`).
     """
     body = resolve(body)
+    if not 0 <= m < body.n:
+        raise InvalidArgument(f"need 0 <= m <= {body.n - 1}, got m={m}")
     i = coordops._check_axis(body.n, i)
     scaled = _off_source(body, m, lambda k: vm_section(k, i, m, spec))
     if scaled is not None:
@@ -654,40 +657,42 @@ def vm_section(body: Body, i: int, m: int, spec: QuadratureSpec | None = None) -
         return vm_projection(body, i, m, spec)
     if isinstance(body, VPolytope) and body.n >= 3 and body.n - m in (1, 2):
         sections = _b.derived(body, "sections", lambda: _coordinate_sections(body))
-        if sections is not None and sections[m][i] is not None:
+        if sections is not None:
             return sections[m][i]
     s = coordops.section_drop(body, i)
     return Measured.of_exact(0.0) if s is coordops.EMPTY else vm(s, m, spec)
 
 
 def _coordinate_sections(p: VPolytope) -> dict | None:
-    """{m: (V_m(K ∩ e_i^perp) for every axis i, None on the axes whose
-    plane holds a vertex of K's triangulation)} for m = n-1 and n-2, or
+    """{m: (V_m(K ∩ e_i^perp) for every axis i)} for m = n-1 and n-2, or
     None when the boundary does not measure them."""
     if not _on_boundary(p):
         return None
-    hull = p.qhull
-    touch = np.any(hull.points[hull.vertices] == 0.0, axis=0)
-    values = _sections(hull, ~touch)
-    return {m: tuple(None if skip else Measured.of_exact(v)
-                     for skip, v in zip(touch, values[m].tolist()))
-            for m in (p.n - 1, p.n - 2)}
+    values = _sections(p.qhull)
+    return {m: tuple(map(Measured.of_exact, values[m].tolist())) for m in (p.n - 1, p.n - 2)}
 
 
-def _sections(hull, axes: np.ndarray) -> dict:
+def _sections(hull) -> dict:
     """{m: V_m(K ∩ e_i^perp) for every axis i} for m = n-1 and n-2 from
-    qhull's boundary triangulation of K, on the axes marked in ``axes``,
-    whose planes hold none of its vertices (0 on the others).
+    qhull's boundary triangulation of K.
 
-    A boundary simplex s with c vertices a above the plane and n-c
-    vertices b below it meets the plane in the convex hull of the points
-    x_ab = a + t (b - a), t = a_i / (a_i - b_i).  Homogenized, x_ab is a
-    positive multiple of e_a + f_b in a rescaled basis of s's vertices,
-    so that cut is a product of simplices Delta^{c-1} x Delta^{n-c-1}
-    and shares its triangulations; the staircase one
-    (:func:`_staircases`) splits it into C(n-2, c-1) (n-2)-simplices
-    sigma, which tile the section's boundary.  In the n-1 coordinates
-    other than i, for every axis in one pass:
+    The upper side of the plane x_i = 0 is x_i >= 0 when K has a vertex
+    with x_i < 0, and x_i <= 0 otherwise.  A boundary simplex s with c
+    vertices a on the upper side and n-c vertices b on the other meets
+    the plane in the convex hull of the points x_ab = a + t (b - a),
+    t = a_i / (a_i - b_i), anchored at the upper end, so that a vertex on
+    the plane is its own cut point bit for bit and no edge divides 0 by
+    0.  A plane through K's interior is thus cut as the limit of
+    x_i = -eps.  A plane that K touches in a face F is tiled by the cuts
+    of the simplices around F's boundary; below dimension n-2 they are
+    exactly 0.  A plane that misses K crosses no simplex.
+
+    Homogenized, x_ab is a positive multiple of e_a + f_b in a rescaled
+    basis of s's vertices, so that cut is a product of simplices
+    Delta^{c-1} x Delta^{n-c-1} and shares its triangulations; the
+    staircase one (:func:`_staircases`) splits it into C(n-2, c-1)
+    (n-2)-simplices sigma, which tile the section's boundary.  In the n-1
+    coordinates other than i, for every axis in one pass:
 
     * V_{n-2}, half the section's boundary measure: 1/2 sum_sigma
       vol(sigma), vol(sigma) the root of the sum of sigma's squared
@@ -698,9 +703,10 @@ def _sections(hull, axes: np.ndarray) -> dict:
       sigma.
     """
     pts, tri, n = hull.points, hull.simplices, hull.points.shape[1]
-    up = pts[tri] > 0                       # simplex, vertex, axis
+    below = np.any(pts[hull.vertices] < 0, axis=0)
+    up = np.where(below, pts[tri] >= 0, pts[tri] <= 0)   # simplex, vertex, axis
     count = up.sum(axis=1)
-    s, i = np.nonzero((count > 0) & (count < n) & axes)
+    s, i = np.nonzero((count > 0) & (count < n))
     v = tri[s[:, None], np.argsort(~up[s, :, i], axis=1, kind="stable")]   # upper first
     pairs = _staircases(n).reshape(n, -1, 2)[count[s, i]]   # row, vertex, (a, b)
     a = np.take_along_axis(v, pairs[..., 0], axis=1)

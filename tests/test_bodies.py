@@ -16,7 +16,7 @@ from convexiq import (Ball, DiskHull, NamedBody, VPolytope, Zonotope,
 from convexiq.bodies import (DEDUP_TOL, _dedup_points, _lexsorted,
                              _sign_matrix, affine_dim, resolve, skeleton,
                              same_vertices, scale_body, translate_body)
-from convexiq.coordops import g_symmetral, steiner_symmetrize
+from convexiq.coordops import g_symmetral
 from convexiq.errors import InvalidArgument, UnsupportedOperation
 from convexiq.symmetry import hyperoctahedral_group
 
@@ -403,7 +403,6 @@ def test_cube_corners_and_midpoints_hull_to_the_corners(n):
     lambda: translate_body(k1(), [0.1, 0.0, 0.0]),
     lambda: minkowski_sum(k1(), cube(3)),
     lambda: g_symmetral(k1()),
-    lambda: steiner_symmetrize(k1(), 0),
 ])
 def test_curved_bodies_have_no_polytope_stand_in(call):
     """Balls and K1 are never swapped for an inscribed polytope whose

@@ -82,3 +82,15 @@ def test_no_unread_constants():
                 consts += [(path.name, node.lineno, t.id) for t in targets
                            if isinstance(t, ast.Name) and t.id.isupper()]
     assert [c for c in consts if c[2] not in reads] == []
+
+
+def test_every_exported_name_exists():
+    """Every name in ``convexiq.__all__`` is an attribute of the package,
+    so ``from convexiq import *`` runs; a deleted function left in
+    ``__all__`` fails here."""
+    import convexiq
+    assert [name for name in convexiq.__all__ if not hasattr(convexiq, name)] == []
+    assert len(set(convexiq.__all__)) == len(convexiq.__all__)
+    namespace: dict = {}
+    exec("from convexiq import *", namespace)
+    assert set(convexiq.__all__) <= set(namespace)

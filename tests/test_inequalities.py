@@ -703,11 +703,11 @@ def test_battery_hulls_each_projection_and_section_once(monkeypatch, rng, spec3)
                ("reverse_cs", 1)]
     for ineq_id, m in battery:
         iq.evaluate(ineq_id, p, m=m, spec=spec3)
-    # The projections' and sections' measures come from p's boundary, but
-    # the vertex -0.5 e_1 lies on the planes x_0 = 0 and x_2 = 0, so those
-    # two sections are hulled from their skeleton cuts, once each.
+    # The projections' and sections' measures come from p's boundary, the
+    # sections by x_0 = 0 and x_2 = 0 too, though the vertex -0.5 e_1 lies
+    # on both planes: nothing is hulled.
     assert p.vertices[4].tolist() == [0.0, -0.5, 0.0]
-    assert hulled == [np.delete(coordops._cut(p, i), i, axis=1).tobytes() for i in (0, 2)]
+    assert hulled == []
 
 
 def test_evaluate_rejects_parameters_the_entry_does_not_take():
