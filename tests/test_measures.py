@@ -1188,8 +1188,8 @@ def test_sections_through_a_vertex_are_homogeneous(n):
     """V_m(lam K ∩ e_i^perp) = lam^m V_m(K ∩ e_i^perp) at 1e-12 for
     m = n-1, n-2 and lam = 1e-8..1e8, on bodies built from scaled
     coordinates with a vertex on coordinate planes; the planes that miss
-    K give 0 at every scale.  Hulled skeleton cuts of these sections were
-    up to 2.35e-2 off at 1e-8 (absolute tolerances)."""
+    K give 0 at every scale.  The hulled skeleton cuts of these sections,
+    with their absolute tolerances, are up to 2.35e-2 off at 1e-8."""
     rng = np.random.default_rng(7)
     compared = 0
     for _ in range(10):
