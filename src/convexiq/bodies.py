@@ -30,7 +30,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DimensionMismatch, InvalidArgument, UnsupportedOperation
 
-# Vertex dedup / on-plane classification tolerance.
+# Vertex merge tolerance, relative to the largest |coordinate| of the
+# points merged (:func:`_merged`); absolute for zonotope generators.
 DEDUP_TOL = 1e-10
 # Singular-value cutoff used by affine rank computations.
 RANK_TOL = 1e-9
@@ -421,11 +422,13 @@ def support_many(body: Body, directions: np.ndarray) -> np.ndarray:
 
 
 def convex_hull(points) -> VPolytope:
-    """Canonical hull of a point cloud: extreme points only, deduplicated
-    at 1e-10, lexicographically sorted.
+    """Canonical hull of a point cloud: extreme points only, merged
+    (:func:`_merged`), lexicographically sorted.
 
-    Full-dimensional input is hulled in its own coordinates, and that hull
-    becomes the result's :attr:`VPolytope.qhull`.  Degenerate
+    The cloud's affine rank cuts singular values at RANK_TOL times the
+    largest, as :func:`affine_dim` does.  Full-dimensional input is
+    hulled in its own coordinates, and that hull becomes the result's
+    :attr:`VPolytope.qhull`.  Degenerate
     (lower-dimensional) input is reduced to its affine span before
     calling qhull.
     """
@@ -436,8 +439,7 @@ def convex_hull(points) -> VPolytope:
     centered = pts - origin
     # Affine rank via SVD; project to span coordinates when degenerate.
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = max(1.0, float(svals[0]) if svals.size else 1.0)
-    rank = int(np.sum(svals > RANK_TOL * scale))
+    rank = int(np.sum(svals > RANK_TOL * svals[0]))
     if rank == 0:
         return VPolytope(origin[None, :])
     if rank == 1:
@@ -448,20 +450,26 @@ def convex_hull(points) -> VPolytope:
     try:
         hull = ConvexHull(coords)
     except QhullError:
-        return VPolytope(_dedup_points(
-            pts[ConvexHull(coords, qhull_options="QJ").vertices]))
+        return VPolytope(_merged(pts[ConvexHull(coords, qhull_options="QJ").vertices]))
     if coords is pts:
         return hulled(pts, hull)
-    return VPolytope(_dedup_points(pts[hull.vertices]))
+    return VPolytope(_merged(pts[hull.vertices]))
+
+
+def _merged(pts: np.ndarray) -> np.ndarray:
+    """The rows of pts deduplicated (:func:`_dedup_points`) within DEDUP_TOL
+    times their largest |coordinate|, so that a dilate merges the rows its
+    source merges."""
+    return _dedup_points(pts, DEDUP_TOL * float(np.max(np.abs(pts))))
 
 
 def hulled(points: np.ndarray, hull: ConvexHull) -> VPolytope:
     """The polytope of the extreme points of ``hull``, a qhull hull of the
-    full-dimensional cloud ``points``.  The hull becomes its
-    :attr:`VPolytope.qhull` unless deduplication merged two of its
+    full-dimensional cloud ``points``, merged (:func:`_merged`).  The hull
+    becomes its :attr:`VPolytope.qhull` unless that merged two of its
     vertices, since then it is no longer the hull of exactly those
     vertices."""
-    p = VPolytope(_dedup_points(points[hull.vertices]))
+    p = VPolytope(_merged(points[hull.vertices]))
     if p.vertex_count == hull.vertices.size:
         vars(p)["qhull"] = hull
     return p
@@ -646,35 +654,17 @@ def _affine_dim(body: Body) -> int:
     return int(np.sum(svals > RANK_TOL * float(svals[0])))
 
 
-def constant_axes(p: VPolytope, tol: float = DEDUP_TOL) -> list[int]:
-    """Coordinate axes along which every vertex shares one value."""
-    spread = p.vertices.max(axis=0) - p.vertices.min(axis=0)
-    return [i for i in range(p.n) if spread[i] <= tol]
-
-
-def drop_axes(p: VPolytope, axes) -> VPolytope:
-    """Delete the given coordinate axes (companion lower-dimensional view).
-
-    Intrinsic volumes are translation invariant, so measures of a body that
-    is constant along ``axes`` agree with measures of the dropped view.
-    """
-    axes = sorted(set(int(a) for a in axes))
-    keep = [i for i in range(p.n) if i not in axes]
-    if not keep:
-        raise InvalidArgument("cannot drop every coordinate")
-    return VPolytope(_dedup_points(p.vertices[:, keep]))
-
-
 def to_affine_coords(p: VPolytope) -> VPolytope:
     """Isometric coordinates for a lower-dimensional polytope: project onto
-    an orthonormal basis of the affine span.  Intrinsic volumes agree."""
+    an orthonormal basis of the affine span, merged (:func:`_merged`).
+    Intrinsic volumes agree."""
     d = affine_dim(p)
     if d == 0:
         raise InvalidArgument("a point has no affine coordinate view")
     centered = p.vertices - p.vertices.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     coords = centered @ vt[:d].T
-    return VPolytope(_dedup_points(coords))
+    return VPolytope(_merged(coords))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -22,7 +23,6 @@ from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, convex_hull,
 from .errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from .symmetry import SignedPermutation
 
-ON_PLANE_TOL = 1e-10
 # Relative excess of the symmetral's support over a hull facet that
 # counts as a missing vertex (g_symmetral's stop rule).
 SUPPORT_TOL = 1e-12
@@ -155,26 +155,52 @@ def section(p: Body, i: int):
     return _lift(section_drop(p, i), i)
 
 
+def _upper(pts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The side rule of the planes x_i = 0 (x's last axis) for the body
+    that the points pts span: whether each point of x lies on the upper
+    side, x_i >= 0 when some point of pts has x_i < 0 and x_i <= 0
+    otherwise.  A point on the plane is always upper, so a plane through
+    K's interior is cut as the limit of x_i = -eps, and every point is
+    upper only when K lies in the plane."""
+    return np.where(np.any(pts < 0, axis=0), x >= 0, x <= 0)
+
+
+def _cut_points(pts: np.ndarray, a: np.ndarray, b: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """The points x_ab = a + t (b - a), t = a_i / (a_i - b_i), where the
+    edges from the upper points a to the lower points b (:func:`_upper`)
+    cross x_i = 0, in the coordinates other than i; a and b are index
+    arrays whose rows hold the edges of the axes i.  A point on the plane
+    is its own cut point, bytes included."""
+    m, n = pts.shape
+    i = i.reshape((-1,) + (1,) * (a.ndim - 1))
+    reduced = pts[:, _others(n)].transpose(1, 0, 2).reshape(-1, n - 1)   # row i m + p
+    pa, pb = reduced[i * m + a], reduced[i * m + b]
+    ca, cb = pts.ravel()[a * n + i], pts.ravel()[b * n + i]
+    return np.where((ca == 0)[..., None], pa, pa + (ca / (ca - cb))[..., None] * (pb - pa))
+
+
+@cache
+def _others(n: int) -> np.ndarray:
+    """Row i: the coordinates of R^n other than i."""
+    return np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
+
+
 def _cut(p: Body, i: int) -> np.ndarray | None:
-    """The points of R^n whose hull, in the coordinates other than i, is
-    the section of a polytopal body by x_i = 0; None when the plane misses
-    the body."""
+    """The points whose hull is the section of a polytopal body by
+    x_i = 0, in the n-1 coordinates other than i: the cut points
+    (:func:`_cut_points`) of the skeleton edges (:func:`bodies.skeleton`)
+    with one upper and one lower end (:func:`_upper`); every skeleton
+    point when all are upper (the body lies in the plane); None when no
+    edge crosses the plane."""
     pts, edges = _b.skeleton(p)
-    coords = pts[:, i]
-    on = np.abs(coords) <= ON_PLANE_TOL
-    pos = coords > ON_PLANE_TOL
-    neg = coords < -ON_PLANE_TOL
-    a, b = edges[:, 0], edges[:, 1]
-    a_up = pos[a] & neg[b]
-    straddle = a_up | (neg[a] & pos[b])
-    above = np.where(a_up, a, b)[straddle]
-    below = np.where(a_up, b, a)[straddle]
-    ca, cb = coords[above], coords[below]
-    # x = a + t (b - a) with t = ca / (ca - cb) zeroes coordinate i.
-    t = (ca / (ca - cb))[:, None]
-    cross = pts[above] + t * (pts[below] - pts[above])
-    cut = np.vstack([pts[on], cross])
-    return cut if cut.shape[0] else None
+    up = _upper(pts, pts)[:, i]
+    if up.all():
+        return pts[:, _others(p.n)[i]]
+    crossing = edges[up[edges[:, 0]] != up[edges[:, 1]]]
+    if not crossing.size:
+        return None
+    crossing = np.where(up[crossing[:, :1]], crossing, crossing[:, ::-1])   # upper end first
+    return _cut_points(pts, crossing[:, 0], crossing[:, 1], np.asarray(i))
 
 
 def section_drop(p: Body, i: int):
@@ -188,12 +214,11 @@ def section_drop(p: Body, i: int):
     projection: the same object as ``project_drop(p, i)``, with no
     skeleton cut.  A ball's section is a ball, in closed form.  Any other
     polytopal section is the hull of the points where the plane meets its
-    edges (:func:`_cut`): the skeleton points (:func:`bodies.skeleton`)
-    within 1e-10 of the plane, and the crossing of every skeleton edge
-    whose ends lie strictly on opposite sides.  For a zonotope those are
-    its sign points and sign-cube edges, so it is never expanded.  That
-    cut is hulled once, in the n-1 kept coordinates, so that hull is the
-    one its measures read."""
+    skeleton edges (:func:`_cut`), by the side rule of :func:`_upper` and
+    with no tolerance: a point on the plane is its own cut point.  For a
+    zonotope the skeleton is its sign points and sign-cube edges, so it
+    is never expanded.  That cut is hulled once, in the n-1 kept
+    coordinates, so that hull is the one its measures read."""
     p = resolve(p)
     i = _check_axis(p.n, i)
     return _b.derived(p, ("section_drop", i), lambda: _section_drop(p, i))
@@ -231,7 +256,7 @@ def _section_drop(p: Body, i: int):
         r = math.sqrt((p.radius - c) * (p.radius + c))
         return _project_drop(Ball(p.center, r, p.zeroed | {i}), i)
     cut = _cut(p, i)
-    return EMPTY if cut is None else convex_hull(np.delete(cut, i, axis=1))
+    return EMPTY if cut is None else convex_hull(cut)
 
 
 # ---------------------------------------------------------------------------

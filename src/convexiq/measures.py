@@ -21,7 +21,9 @@ Exact paths:
   the section's boundary.  A vertex on the plane counts on the plane's
   upper side, x_i >= 0 when K has a vertex with x_i < 0 and x_i <= 0
   otherwise, so planes through a vertex and planes that K touches or
-  misses take the same route;
+  misses take the same route.  That side rule and the cut points are
+  :mod:`coordops`' (``_upper``, ``_cut_points``), which its hulled cut
+  (``section_drop``) uses too;
 * every V_m of a zonotope and of each of its shadows from the m x m
   minors of its generator subsets (Cauchy-Binet, :func:`vm_zonotope`),
   the coordinate shadows of one degree in the same pass;
@@ -30,7 +32,8 @@ Exact paths:
   on analytic one-dimensional integrals, whose truncation is below 1e-14
   relative (tested) and so below the nominal roundoff;
 * lower-dimensional polytopes are reduced isometrically to their affine
-  span first, which also makes e.g. V_1 of a planar body in R^3 exact.
+  span first (``bodies.to_affine_coords``), which also makes e.g. V_1 of
+  a planar body in R^3 exact.
 
 V_1 of a full-dimensional polytope in d >= 5 falls back to mean-width
 quadrature over the sphere.  The remaining pairs (2 <= m <= d-4) raise
@@ -62,7 +65,7 @@ from scipy.special import erf
 from . import bodies as _b
 from . import coordops
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, affine_dim,
-                     constant_axes, drop_axes, resolve, to_affine_coords)
+                     resolve, to_affine_coords)
 from .errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from .quadrature import (QuadratureEstimate, QuadratureSpec, gauss_legendre,
                          integrate_sphere_with_error)
@@ -677,15 +680,16 @@ def _sections(hull) -> dict:
     qhull's boundary triangulation of K.
 
     The upper side of the plane x_i = 0 is x_i >= 0 when K has a vertex
-    with x_i < 0, and x_i <= 0 otherwise.  A boundary simplex s with c
-    vertices a on the upper side and n-c vertices b on the other meets
-    the plane in the convex hull of the points x_ab = a + t (b - a),
-    t = a_i / (a_i - b_i), anchored at the upper end, so that a vertex on
-    the plane is its own cut point bit for bit and no edge divides 0 by
-    0.  A plane through K's interior is thus cut as the limit of
-    x_i = -eps.  A plane that K touches in a face F is tiled by the cuts
-    of the simplices around F's boundary; below dimension n-2 they are
-    exactly 0.  A plane that misses K crosses no simplex.
+    with x_i < 0, and x_i <= 0 otherwise (:func:`coordops._upper`).  A
+    boundary simplex s with c vertices a on the upper side and n-c
+    vertices b on the other meets the plane in the convex hull of the
+    points x_ab = a + t (b - a), t = a_i / (a_i - b_i), anchored at the
+    upper end (:func:`coordops._cut_points`), so that a vertex on the
+    plane is its own cut point bit for bit and no edge divides 0 by 0.
+    A plane through K's interior is thus cut as the limit of x_i = -eps.
+    A plane that K touches in a face F is tiled by the cuts of the
+    simplices around F's boundary; below dimension n-2 they are exactly
+    0.  A plane that misses K crosses no simplex.
 
     Homogenized, x_ab is a positive multiple of e_a + f_b in a rescaled
     basis of s's vertices, so that cut is a product of simplices
@@ -703,8 +707,7 @@ def _sections(hull) -> dict:
       sigma.
     """
     pts, tri, n = hull.points, hull.simplices, hull.points.shape[1]
-    below = np.any(pts[hull.vertices] < 0, axis=0)
-    up = np.where(below, pts[tri] >= 0, pts[tri] <= 0)   # simplex, vertex, axis
+    up = coordops._upper(pts[hull.vertices], pts[tri])   # simplex, vertex, axis
     count = up.sum(axis=1)
     s, i = np.nonzero((count > 0) & (count < n))
     v = tri[s[:, None], np.argsort(~up[s, :, i], axis=1, kind="stable")]   # upper first
@@ -713,12 +716,13 @@ def _sections(hull) -> dict:
     b = np.take_along_axis(v, pairs[..., 1], axis=1)
     # a point of each section: the mean of one cut point per crossing simplex
     per = i == np.arange(n)[:, None]
-    o = (per @ _cut_points(pts, a[:, 0], b[:, 0], i)) / np.maximum(per.sum(axis=1), 1)[:, None]
+    o = per @ coordops._cut_points(pts, a[:, 0], b[:, 0], i)
+    o /= np.maximum(per.sum(axis=1), 1)[:, None]
     cols, rest, sign = _expansion(n - 1, n - 1)
     total, blocks = np.zeros((2, n)), math.ceil(a.size / (n - 1) / SECTION_BLOCK)
     for r in np.array_split(np.arange(s.size), max(1, blocks)):
         axis = np.repeat(i[r], a.shape[1] // (n - 1))
-        y = _cut_points(pts, a[r], b[r], i[r]).reshape(len(axis), n - 1, n - 1)
+        y = coordops._cut_points(pts, a[r], b[r], i[r]).reshape(len(axis), n - 1, n - 1)
         minors = _minors(y[:, 1:] - y[:, :1])
         cone = ((y[:, 0] - o[axis])[:, cols[0]] * minors[:, rest[0]]) @ sign
         size = np.stack([np.abs(cone), np.sqrt(_dot(minors, minors))])
@@ -726,25 +730,6 @@ def _sections(hull) -> dict:
         total += np.where(axis == np.arange(n)[:, None], size[:, None], 0.0).sum(axis=2)
     return {n - 1: total[0] / math.factorial(n - 1),
             n - 2: 0.5 * total[1] / math.factorial(n - 2)}
-
-
-def _cut_points(pts: np.ndarray, a: np.ndarray, b: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """The points x_ab = a + t (b - a), t = a_i / (a_i - b_i), where the
-    edges from the vertices a to the vertices b cross x_i = 0, in the
-    coordinates other than i; a and b are index arrays whose rows hold
-    the edges of the axes i."""
-    m, n = pts.shape
-    i = i.reshape((-1,) + (1,) * (a.ndim - 1))
-    reduced = pts[:, _others(n)].transpose(1, 0, 2).reshape(-1, n - 1)   # row i m + p
-    pa, pb = reduced[i * m + a], reduced[i * m + b]
-    ca, cb = pts.ravel()[a * n + i], pts.ravel()[b * n + i]
-    return pa + (ca / (ca - cb))[..., None] * (pb - pa)
-
-
-@cache
-def _others(n: int) -> np.ndarray:
-    """Row i: the coordinates of R^n other than i."""
-    return np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
 
 
 @cache
@@ -785,12 +770,7 @@ def _vm_polytope_measured(p: VPolytope, m: int, spec) -> Measured:
     if m > d:
         return Measured.of_exact(0.0)
     if d < p.n:
-        # Reduce to the affine span; prefer exact coordinate drops.
-        const = constant_axes(p)
-        q = drop_axes(p, const) if const else to_affine_coords(p)
-        if affine_dim(q) < q.n:
-            q = to_affine_coords(q)
-        return _vm_polytope_measured(q, m, spec)
+        return _vm_polytope_measured(to_affine_coords(p), m, spec)
     # Full-dimensional in its ambient space from here on.
     if m == d:
         return Measured.of_exact(volume(p))

@@ -140,7 +140,7 @@ def test_unconditional_section_equals_projection():
 def _cut_hull(body, i):
     """The section by the skeleton cut, hulled in the kept coordinates."""
     cut = coordops._cut(body, i)
-    return coordops.EMPTY if cut is None else bodies.convex_hull(np.delete(cut, i, axis=1))
+    return coordops.EMPTY if cut is None else bodies.convex_hull(cut)
 
 
 def _same_measures(got, ref, skip=()):
@@ -218,12 +218,12 @@ def test_the_mirror_rule_needs_exact_symmetry():
 
 
 def _all_pairs_section(p, i):
-    """Reference cut: the hull of the on-plane vertices and of the
-    crossing of every straddling vertex pair, edge or not."""
+    """Reference cut: the hull of the vertices on the plane and of the
+    crossing of every straddling vertex pair, edge or not, each vertex
+    classified by the exact sign of x_i."""
     coords = p.vertices[:, i]
-    pos = coords > coordops.ON_PLANE_TOL
-    neg = coords < -coordops.ON_PLANE_TOL
-    pts = [p.vertices[np.abs(coords) <= coordops.ON_PLANE_TOL]]
+    pos, neg = coords > 0, coords < 0
+    pts = [p.vertices[coords == 0]]
     if np.any(pos) and np.any(neg):
         above, below = p.vertices[pos], p.vertices[neg]
         ca, cb = coords[pos], coords[neg]

@@ -26,6 +26,7 @@ from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
                                vm_zonotope, _zonotope_sums,
                                volume)
 from convexiq.quadrature import gauss_legendre
+from convexiq.symmetry import random_signed_permutation
 
 from conftest import (gram_surface_area, mc_volume, parallelepiped,
                       random_polytope, random_zonotope)
@@ -694,22 +695,55 @@ def test_scaled_and_translated_bodies_do_not_inherit_the_cache(rng, spec3):
                 support(shadow, u) + float(np.delete(t, i) @ u), rel=1e-9, abs=1e-9)
 
 
-def test_a_polytope_qhull_fails_on_raises_a_convexiq_error():
-    """The draws below make a 256-vertex unconditional 6-polytope whose
-    hull convex_hull could build only joggled (QJ), so it handed none
-    over, and on which plain qhull fails ("QH6271 ... wide merge").  A
-    joggled hull is not exact (its volume is 5.8e-9 relative off), so
-    measuring the body refuses with a convexiq error naming qhull's."""
+def _qhull_failing_body():
+    """A 256-vertex unconditional 6-polytope whose hull convex_hull could
+    build only joggled (QJ), so it handed none over, and on which plain
+    qhull fails ("QH6271 ... wide merge")."""
     rng = np.random.default_rng(3)
     for d in (4, 5, 6):     # the draws of a seeded random-body sweep
         bodies = [Zonotope(np.zeros(d), rng.standard_normal((d + 2, d))) for _ in range(5)]
         bodies += [unconditional_hull(rng.standard_normal((4, d))) for _ in range(5)]
         bodies += [convex_hull(rng.standard_normal((d + 8, d))) for _ in range(5)]
         rng.standard_normal(d)
-    p = bodies[6]   # the second 6-d unconditional hull
+    return bodies[6]   # the second 6-d unconditional hull
+
+
+def test_a_polytope_qhull_fails_on_raises_a_convexiq_error():
+    """A joggled hull is not exact (its volume is 5.8e-9 relative off), so
+    measuring the qhull-failing body refuses with a convexiq error naming
+    qhull's."""
+    p = _qhull_failing_body()
     assert p.vertex_count == 256 and "qhull" not in vars(p)
     with pytest.raises(UnsupportedOperation, match="qhull failed: QH6271"):
         vm(p, 6)
+
+
+def test_shadows_and_sections_of_a_polytope_qhull_fails_on_are_hulled():
+    """The qhull-failing 6-polytope has no boundary to read its shadows
+    and sections off (_on_boundary is False, not an error), so V_5 and
+    V_4 of each are vm of its hulled projection: it is mirror symmetric,
+    so its sections are its projections."""
+    p = _qhull_failing_body()
+    assert not _on_boundary(p)
+    for i in range(6):
+        for m in (5, 4):
+            want = vm(project_drop(p, i), m)
+            assert vm_projection(p, i, m) == want and vm_section(p, i, m) == want, (i, m)
+    assert vm_projection(p, 0, 5).value == pytest.approx(41.06838741926223, rel=1e-12)
+
+
+def test_entry_points_check_their_arguments():
+    """vm takes 0 <= m <= n, with V_0 = 1; vm_projection takes m <= n-1
+    and a non-zero direction."""
+    p = random_polytope(np.random.default_rng(8), 3)
+    assert vm(p, 0) == Measured.of_exact(1.0)
+    for m in (-1, 4):
+        with pytest.raises(InvalidArgument):
+            vm(p, m)
+    with pytest.raises(InvalidArgument):
+        vm_projection(p, 0, 3)
+    with pytest.raises(InvalidArgument):
+        vm_projection(p, np.zeros(3), 2)
 
 
 @pytest.mark.xfail(strict=True, raises=UnsupportedMeasure, reason=(
@@ -726,7 +760,7 @@ def test_angle_route_on_a_hull_with_points_on_lower_faces():
     planes agrees with the projection's within 2 sigma, not the hull's)."""
     body = unconditional_hull(np.random.default_rng(4).standard_normal((2, 6)))
     exact = project_drop(body, 0)
-    cut = convex_hull(np.delete(_cut(body, 0), 0, axis=1))
+    cut = convex_hull(_cut(body, 0))
     assert (exact.vertex_count, cut.vertex_count) == (64, 78)
     for m in (5, 4, 3, 2):
         assert vm(cut, m).value == pytest.approx(vm(exact, m).value, rel=1e-12)
@@ -775,13 +809,12 @@ def _dilate_calls(n: int) -> list:
     return calls
 
 
-def _dilate_mismatches(n: int, small_cuts: bool) -> list:
+def _dilate_mismatches(n: int) -> list:
     """The calls on scale_body(K, lam), for every case and scale, whose
     value or exactness differs from the same call on lam K built from
     scaled coordinates by more than 1e-12 relative, or that refuse on
-    only one of them.  A section that the body built at 1e-8 hulls as a
-    cut is compared only when ``small_cuts`` is set, and then only those;
-    every other call is compared when it is not."""
+    only one of them.  Some sections of the bodies built from scaled
+    coordinates are hulled cuts."""
     out, cuts = [], 0
     for body in _dilate_cases(n):
         for lam in SCALES:
@@ -798,10 +831,7 @@ def _dilate_mismatches(n: int, small_cuts: bool) -> list:
                         continue
                     out.append((f.__name__, args, lam, "refused on the fresh body only"))
                     continue
-                cut = f is vm_section and _cut_taken(fresh, args[0])
-                cuts += cut
-                if small_cuts != (cut and lam == SCALES[0]):
-                    continue
+                cuts += f is vm_section and _cut_taken(fresh, args[0])
                 got = f(dilate, *args)
                 if got.exact != want.exact or \
                         abs(got.value - want.value) > 1e-12 * abs(want.value):
@@ -817,23 +847,10 @@ def _dilate_mismatches(n: int, small_cuts: bool) -> list:
 def test_a_dilate_measures_like_the_body_built_at_scale(n):
     """vm, vm_projection and vm_section of scale_body(K, lam), read off K
     by homogeneity, match the same call on lam K built from scaled
-    coordinates within 1e-12, exactness included, for lam = 1e-8..1e8;
-    a call that refuses on one refuses on the other.  The sections that
-    the body built at 1e-8 hulls as cuts are the test below."""
-    assert _dilate_mismatches(n, small_cuts=False) == []
-
-
-_SMALL_CUT_DEFECT = pytest.mark.xfail(strict=True, reason=(
-    "the hulled cut of a body built at 1e-8 rests on absolute tolerances: "
-    "coordops.ON_PLANE_TOL snaps vertices within 1e-10 of the plane onto "
-    "it and convex_hull merges cut points within DEDUP_TOL = 1e-10, so "
-    "its sections are up to 3.3e-4 relative off (n = 4 zonotope, n = 5 "
-    "and 6 polytopes), while the dilate reads them off K at unit scale"))
-
-
-@pytest.mark.parametrize("n", [3] + [pytest.param(n, marks=_SMALL_CUT_DEFECT) for n in (4, 5, 6)])
-def test_a_dilate_measures_like_the_body_built_at_1e_8_on_the_cut(n):
-    assert _dilate_mismatches(n, small_cuts=True) == []
+    coordinates within 1e-12, exactness included, for lam = 1e-8..1e8,
+    the sections that the body built from scaled coordinates hulls as
+    cuts included; a call that refuses on one refuses on the other."""
+    assert _dilate_mismatches(n) == []
 
 
 def test_a_dilate_measures_an_inexact_v1_itself(monkeypatch):
@@ -873,6 +890,64 @@ def test_dilates_of_a_dilate_and_dropped_generators():
     for lost in (scale_body(p, 0.0), scale_body(ball(3), 2.0),
                  io.loads_body(io.dumps_body(scale_body(p, 2.0)))):
         assert bodies.dilate_source(lost) is None
+
+
+# ---------------------------------------------------------------------------
+# bodies built afresh at scale, translated and signed-permuted
+
+
+def _exact_measures(p) -> dict:
+    """{(call, axis, m): value} of a polytope P in R^n: vm for m >= n-3
+    (V_1 of a 5-polytope is quadrature), and vm_projection, vm_section
+    and vm of the hulled cut section_drop(P, i) along every axis i for
+    1 <= m <= n-1."""
+    n = p.n
+    out = {("vm", None, m): vm(p, m) for m in range(max(1, n - 3), n + 1)}
+    for i in range(n):
+        cut = section_drop(p, i)
+        for m in range(1, n):
+            out["projection", i, m] = vm_projection(p, i, m)
+            out["section", i, m] = vm_section(p, i, m)
+            out["cut", i, m] = Measured.of_exact(0.0) if cut is EMPTY else vm(cut, m)
+    return out
+
+
+def _off_by(got: Measured, want: float) -> bool:
+    """Whether got is inexact or more than 1e-12 relative off want."""
+    return not got.exact or abs(got.value - want) > 1e-12 * abs(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 5), e=st.integers(-12, 8))
+def test_hulls_and_measures_scale_translate_and_permute(seed, n, e):
+    """Built afresh from the points lam P, lam = 10^e, a random cloud's
+    hull keeps the vertex count and affine dimension of P's, and every
+    exact V_m of it, of its coordinate shadows and of its sections, the
+    hulled cuts included, is lam^m times P's within 1e-12.  Translating
+    lam P keeps its vm and vm_projection; a signed permutation g gives
+    the same vm, and axis i of g(lam P) has the shadow and section of
+    axis perm[i] of lam P."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((int(rng.integers(n + 2, 3 * n)), n))
+    lam = 10.0 ** e
+    p, scaled = convex_hull(pts), convex_hull(lam * pts)
+    assert (scaled.vertex_count, bodies.affine_dim(scaled)) == (p.vertex_count, bodies.affine_dim(p))
+    base = _exact_measures(p)
+    assert all(value.exact for value in base.values())
+    want = {key: lam ** key[2] * value.value for key, value in base.items()}
+    got = _exact_measures(scaled)
+    assert [key for key, value in got.items() if _off_by(value, want[key])] == []
+    moved = translate_body(scaled, lam * rng.standard_normal(n))
+    for key in want:
+        call, i, m = key
+        if call == "vm":
+            assert not _off_by(vm(moved, m), want[key]), key
+        elif call == "projection":
+            assert not _off_by(vm_projection(moved, i, m), want[key]), key
+    g = random_signed_permutation(n, rng)
+    image = _exact_measures(convex_hull(g.apply_points(lam * pts)))
+    assert [(call, i, m) for (call, i, m), value in image.items()
+            if _off_by(value, want[call, None if i is None else g.perm[i], m])] == []
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +1043,7 @@ def test_shadows_of_a_hull_that_does_not_close_take_the_hull_route():
     off; its angle route refuses."""
     body = unconditional_hull(np.random.default_rng(4).standard_normal((2, 6)))
     exact = project_drop(body, 0)
-    cut = convex_hull(np.delete(_cut(body, 0), 0, axis=1))
+    cut = convex_hull(_cut(body, 0))
     assert exact.vertex_count == 64 and _boundary(exact)[1]
     assert not _boundary(cut)[1]
     assert not _on_boundary(cut)
@@ -1073,8 +1148,7 @@ def test_sections_scale_and_follow_signed_permutations(n):
     """V_m(lam K ∩ e_i^perp) = lam^m V_m(K ∩ e_i^perp) from 1e-8 to 1e8,
     and a signed permutation of the axes permutes the sections.  No
     vertex lies on a plane, so no section is hulled, though at 1e-8 some
-    lie within coordops.ON_PLANE_TOL = 1e-10 of one (n = 5, 6), where the
-    skeleton cut would put them on it."""
+    lie within 1e-10 of one (n = 5, 6)."""
     rng = np.random.default_rng(30 + n)
     p = convex_hull(rng.standard_normal((2 * n + 2, n)))
     perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], n)
@@ -1117,7 +1191,7 @@ def test_section_fallbacks_give_the_cut_route_bytes():
                 assert vm_section(moved, i, m) == Measured.of_exact(0.0)
             assert not _cut_taken(moved, i) and _cut_route(moved, i, n - 1).value == 0.0
     body = unconditional_hull(np.random.default_rng(4).standard_normal((2, 6)))
-    cut = convex_hull(np.delete(_cut(body, 0), 0, axis=1))
+    cut = convex_hull(_cut(body, 0))
     assert not _boundary(cut)[1]
     for i in range(5):
         assert not mirror_symmetric(cut, i)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexiq import SignedPermutation, apply_symmetry, hyperoctahedral_group
-from convexiq.bodies import (Zonotope, cross_polytope, cube, k1, scale_body,
+from convexiq.bodies import (Ball, Zonotope, cross_polytope, cube, k1, scale_body,
                              support_many)
 from convexiq.errors import InvalidArgument
 from convexiq.symmetry import (invariance_defect, is_group_invariant,
@@ -65,6 +65,20 @@ def test_apply_symmetry_moves_support(rng):
     np.testing.assert_allclose(support_many(moved, dirs),
                                support_many(p, dirs @ g.matrix()),
                                atol=1e-10)
+
+
+def test_apply_symmetry_moves_every_body_kind(rng):
+    """h_{gK}(u) = h_K(g^T u) on random u for a zonotope, a ball flattened
+    along two axes and K1, which every signed permutation maps onto
+    itself."""
+    for body in (Zonotope(rng.standard_normal(4), rng.standard_normal((6, 4))),
+                 Ball(rng.standard_normal(4), 1.5, frozenset({0, 2})), k1()):
+        for _ in range(8):
+            g = random_signed_permutation(body.n, rng)
+            dirs = rng.standard_normal((24, body.n))
+            np.testing.assert_allclose(support_many(apply_symmetry(body, g), dirs),
+                                       support_many(body, dirs @ g.matrix()),
+                                       rtol=0.0, atol=1e-12)
 
 
 def test_invariance_of_named_bodies(rng):
