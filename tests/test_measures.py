@@ -809,12 +809,13 @@ def _dilate_calls(n: int) -> list:
     return calls
 
 
-def _dilate_mismatches(n: int) -> list:
+def _dilate_mismatches(n: int, small_cuts: bool) -> list:
     """The calls on scale_body(K, lam), for every case and scale, whose
     value or exactness differs from the same call on lam K built from
     scaled coordinates by more than 1e-12 relative, or that refuse on
-    only one of them.  Some sections of the bodies built from scaled
-    coordinates are hulled cuts."""
+    only one of them.  A section that the body built at 1e-8 hulls as a
+    cut is compared only when ``small_cuts`` is set, and then only those;
+    every other call is compared when it is not."""
     out, cuts = [], 0
     for body in _dilate_cases(n):
         for lam in SCALES:
@@ -831,7 +832,10 @@ def _dilate_mismatches(n: int) -> list:
                         continue
                     out.append((f.__name__, args, lam, "refused on the fresh body only"))
                     continue
-                cuts += f is vm_section and _cut_taken(fresh, args[0])
+                cut = f is vm_section and _cut_taken(fresh, args[0])
+                cuts += cut
+                if small_cuts != (cut and lam == SCALES[0]):
+                    continue
                 got = f(dilate, *args)
                 if got.exact != want.exact or \
                         abs(got.value - want.value) > 1e-12 * abs(want.value):
@@ -847,10 +851,19 @@ def _dilate_mismatches(n: int) -> list:
 def test_a_dilate_measures_like_the_body_built_at_scale(n):
     """vm, vm_projection and vm_section of scale_body(K, lam), read off K
     by homogeneity, match the same call on lam K built from scaled
-    coordinates within 1e-12, exactness included, for lam = 1e-8..1e8,
-    the sections that the body built from scaled coordinates hulls as
-    cuts included; a call that refuses on one refuses on the other."""
-    assert _dilate_mismatches(n) == []
+    coordinates within 1e-12, exactness included, for lam = 1e-8..1e8;
+    a call that refuses on one refuses on the other.  The sections that
+    the body built at 1e-8 hulls as cuts are the test below."""
+    assert _dilate_mismatches(n, small_cuts=False) == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_dilate_measures_like_the_body_built_at_1e_8_on_the_cut(n):
+    """The sections that the body built from 1e-8-scaled coordinates hulls
+    as cuts match the dilate's, read off K at unit scale, within 1e-12:
+    the cut, the hull's rank cut and its merge of points are relative to
+    the points' scale."""
+    assert _dilate_mismatches(n, small_cuts=True) == []
 
 
 def test_a_dilate_measures_an_inexact_v1_itself(monkeypatch):
