@@ -31,7 +31,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import DimensionMismatch, InvalidArgument, UnsupportedOperation
 
 # Vertex merge tolerance, relative to the largest |coordinate| of the
-# points merged (:func:`_merged`); absolute for zonotope generators.
+# points merged (:func:`_dedup_points`).
 DEDUP_TOL = 1e-10
 # Singular-value cutoff used by affine rank computations.
 RANK_TOL = 1e-9
@@ -67,8 +67,10 @@ def _as_point_array(points, what: str = "points") -> np.ndarray:
     return pts
 
 
-def _dedup_points(pts: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Collapse rows that coincide within tol in max-norm.
+def _dedup_points(pts: np.ndarray) -> np.ndarray:
+    """Collapse rows that coincide in max-norm within tol, DEDUP_TOL times
+    their largest |coordinate|, so that a dilate merges the rows its source
+    merges.
 
     Deterministic: rows are visited in lexicographic order and the first
     representative of each cluster survives, so the result is already
@@ -85,6 +87,7 @@ def _dedup_points(pts: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     if pts.shape[0] <= 1:
         return np.array(pts, copy=True)
+    tol = DEDUP_TOL * float(np.max(np.abs(pts)))
     sp = pts[np.lexsort(pts.T[::-1])]
     col = 0
     if sp[0, 0] == sp[-1, 0]:
@@ -188,9 +191,10 @@ class Zonotope:
 
     Generators are stored sign-normalized and lexicographically sorted,
     so that structurally equal zonotopes compare equal.  Both steps decide
-    "zero" at DEDUP_TOL: a generator with every entry within DEDUP_TOL of
-    0 is dropped, and each other one is flipped so that its first entry
-    beyond DEDUP_TOL in magnitude is positive.
+    "zero" exactly: a generator whose entries are all 0.0 (or -0.0) is
+    dropped, and each other one is flipped so that its first nonzero entry
+    is positive.  A generator's share of every V_m is continuous and
+    homogeneous in it, so a small one is kept at any scale.
     """
 
     center: np.ndarray
@@ -209,10 +213,10 @@ class Zonotope:
         if c.shape[0] > MAX_DIM:
             raise UnsupportedOperation(
                 f"ambient dimension {c.shape[0]} exceeds the supported cap {MAX_DIM}")
-        big = np.abs(g) > DEDUP_TOL
-        live = big.any(axis=1)
-        g, big = g[live], big[live]
-        lead = g[np.arange(g.shape[0]), np.argmax(big, axis=1)]
+        nonzero = g != 0.0
+        live = nonzero.any(axis=1)
+        g, nonzero = g[live], nonzero[live]
+        lead = g[np.arange(g.shape[0]), np.argmax(nonzero, axis=1)]
         norm = _lexsorted(np.where(lead[:, None] > 0, g, -g))
         object.__setattr__(self, "center", _freeze(c))
         object.__setattr__(self, "generators", _freeze(norm))
@@ -423,7 +427,7 @@ def support_many(body: Body, directions: np.ndarray) -> np.ndarray:
 
 def convex_hull(points) -> VPolytope:
     """Canonical hull of a point cloud: extreme points only, merged
-    (:func:`_merged`), lexicographically sorted.
+    (:func:`_dedup_points`), lexicographically sorted.
 
     The cloud's affine rank cuts singular values at RANK_TOL times the
     largest, as :func:`affine_dim` does.  Full-dimensional input is
@@ -450,26 +454,19 @@ def convex_hull(points) -> VPolytope:
     try:
         hull = ConvexHull(coords)
     except QhullError:
-        return VPolytope(_merged(pts[ConvexHull(coords, qhull_options="QJ").vertices]))
+        return VPolytope(_dedup_points(pts[ConvexHull(coords, qhull_options="QJ").vertices]))
     if coords is pts:
         return hulled(pts, hull)
-    return VPolytope(_merged(pts[hull.vertices]))
-
-
-def _merged(pts: np.ndarray) -> np.ndarray:
-    """The rows of pts deduplicated (:func:`_dedup_points`) within DEDUP_TOL
-    times their largest |coordinate|, so that a dilate merges the rows its
-    source merges."""
-    return _dedup_points(pts, DEDUP_TOL * float(np.max(np.abs(pts))))
+    return VPolytope(_dedup_points(pts[hull.vertices]))
 
 
 def hulled(points: np.ndarray, hull: ConvexHull) -> VPolytope:
     """The polytope of the extreme points of ``hull``, a qhull hull of the
-    full-dimensional cloud ``points``, merged (:func:`_merged`).  The hull
-    becomes its :attr:`VPolytope.qhull` unless that merged two of its
-    vertices, since then it is no longer the hull of exactly those
+    full-dimensional cloud ``points``, merged (:func:`_dedup_points`).
+    The hull becomes its :attr:`VPolytope.qhull` unless that merged two of
+    its vertices, since then it is no longer the hull of exactly those
     vertices."""
-    p = VPolytope(_merged(points[hull.vertices]))
+    p = VPolytope(_dedup_points(points[hull.vertices]))
     if p.vertex_count == hull.vertices.size:
         vars(p)["qhull"] = hull
     return p
@@ -656,7 +653,7 @@ def _affine_dim(body: Body) -> int:
 
 def to_affine_coords(p: VPolytope) -> VPolytope:
     """Isometric coordinates for a lower-dimensional polytope: project onto
-    an orthonormal basis of the affine span, merged (:func:`_merged`).
+    an orthonormal basis of the affine span, merged (:func:`_dedup_points`).
     Intrinsic volumes agree."""
     d = affine_dim(p)
     if d == 0:
@@ -664,7 +661,7 @@ def to_affine_coords(p: VPolytope) -> VPolytope:
     centered = p.vertices - p.vertices.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     coords = centered @ vt[:d].T
-    return VPolytope(_merged(coords))
+    return VPolytope(_dedup_points(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +677,8 @@ def scale_body(body: Body, factor: float) -> Body:
     repairs rounding ties.  Factor 0 gives the origin as one vertex.
 
     A polytope dilated by a positive factor lambda, and a zonotope that
-    keeps every generator, is the dilate lambda K of the resolved body K
+    keeps every generator (it loses one only where lambda g underflows
+    to 0), is the dilate lambda K of the resolved body K
     and remembers it (:func:`dilate_source`).  Its measures come from K:
     V_m(lambda K) = lambda^m V_m(K), and the same for the V_m of its
     shadows and sections, so ``measures.vm``, ``vm_projection`` and

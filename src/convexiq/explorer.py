@@ -36,7 +36,7 @@ def mean_width_ratio(body: Body, spec: QuadratureSpec | None = None) -> float:
     """
     body = resolve(body)
     den = sum(measures.vm_projection(body, i, 1, spec).value for i in range(body.n))
-    if den <= 1e-12:
+    if den == 0.0:
         raise UndefinedValue("projection widths all vanish (point-like body)")
     return vm(body, 1, spec).value / den
 

@@ -668,7 +668,7 @@ def segment_from_projections(a) -> SegmentResult:
     total = sum(x * x for x in a)
     sq = [(total - (n - 1) * ai * ai) / (n - 1) for ai in a]
     for i, v in enumerate(sq):
-        if v < -1e-12 * max(1.0, total):
+        if v < -1e-12 * total:
             return SegmentResult(False, None, i + 1, ())
     x = np.sqrt(np.maximum(sq, 0.0))
     seg = convex_hull(np.vstack([x / 2.0, -x / 2.0]))

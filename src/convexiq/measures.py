@@ -359,12 +359,12 @@ def _zonotope_sums(g: np.ndarray, m: int) -> list[float]:
     generators g (rows), with C over every m-subset of the n columns and
     then over those that avoid column i, for each i: V_m of the zonotope
     and of its shadow along each axis, whose generators are g less column
-    i.  As in the shadow's :class:`Zonotope`, a generator whose entries
-    off column i are all within DEDUP_TOL of 0 is none of its generators,
-    so the subsets holding it are left out of that shadow's sum.  A
-    subset that spans fewer than m dimensions (parallel generators) has
-    minors of roundoff size, where the root of its Gram determinant would
-    be about sqrt(eps) times the subset's content scale.
+    i.  A generator whose entries off column i are all 0.0 is none of the
+    shadow's generators, and every minor avoiding column i of a subset
+    holding it is exactly 0, so the sum leaves it out alike.  A subset
+    that spans fewer than m dimensions (parallel generators) has minors
+    of roundoff size, where the root of its Gram determinant would be
+    about sqrt(eps) times the subset's content scale.
 
     The generators are scaled by a power of 2 first, exactly while no
     entry is below 1e-300 times the largest, so that no minor or square
@@ -382,8 +382,6 @@ def _zonotope_sums(g: np.ndarray, m: int) -> list[float]:
     if count > MAX_SUBSETS:
         raise UnsupportedMeasure(f"{count} generator subsets exceed the enumeration guard")
     weights = np.column_stack([np.ones(math.comb(n, m)), _avoiding(n, m)])
-    big = np.abs(g) > _b.DEDUP_TOL
-    dropped = big.sum(axis=1)[:, None] == big    # generator, axis
     scale = math.frexp(float(np.max(np.abs(g))))[1]     # entries below 1
     g = np.ldexp(g, -scale)
     flat = itertools.chain.from_iterable(itertools.combinations(range(k), m))
@@ -392,10 +390,7 @@ def _zonotope_sums(g: np.ndarray, m: int) -> list[float]:
         rows = min(SUBSET_BLOCK, count - start)
         subsets = np.fromiter(flat, np.intp, rows * m).reshape(rows, m)
         # einsum, not @: BLAS sums a row differently as the row count changes
-        roots = np.sqrt(np.einsum("sc,ci->is", _minors(g[subsets]) ** 2, weights))
-        if dropped.any():
-            roots[1:] *= ~dropped[subsets].any(axis=1).T
-        roots = roots.tolist()
+        roots = np.sqrt(np.einsum("sc,ci->is", _minors(g[subsets]) ** 2, weights)).tolist()
         if start + rows == count:
             sums = np.array([math.fsum(p + r) for p, r in zip(parts, roots)])
             return np.ldexp(sums, m * (scale + 1)).tolist()

@@ -132,30 +132,44 @@ def _greedy_dedup(pts, tol):
     return np.array(kept)
 
 
+def _anchored(pts, top):
+    """pts with a row of ``top`` appended, ``top`` above every |coordinate|
+    of pts, so that the merge tolerance is DEDUP_TOL * top exactly."""
+    return np.vstack([pts, np.full((1, pts.shape[1]), top)])
+
+
 def test_dedup_matches_greedy_reference(rng):
-    for _ in range(300):
-        n = int(rng.integers(2, 6))
-        centers = rng.integers(-2, 3, size=(int(rng.integers(1, 8)), n)).astype(float)
-        pts = centers[rng.integers(0, centers.shape[0], size=40)]
-        # offsets inside, at and beyond the tolerance
-        pts += (rng.choice([0.0, 0.5, 1.0, 2.0], size=pts.shape) * DEDUP_TOL
-                * rng.choice([-1.0, 1.0], size=pts.shape))
-        const = int(rng.integers(0, n + 1))   # constant leading columns
-        pts[:, :const] = rng.integers(-1, 2, size=const)
-        assert np.array_equal(_dedup_points(pts), _greedy_dedup(pts, DEDUP_TOL))
+    """Rows merge within DEDUP_TOL times the largest |coordinate|: offsets
+    inside, at and beyond that tolerance, at scales 1e-9 to 1e9."""
+    for scale in (1e-9, 1.0, 1e9):
+        top = 4.0 * scale
+        tol = DEDUP_TOL * top
+        for _ in range(100):
+            n = int(rng.integers(2, 6))
+            centers = rng.integers(-2, 3, size=(int(rng.integers(1, 8)), n)) * scale
+            pts = centers[rng.integers(0, centers.shape[0], size=40)]
+            # offsets inside, at and beyond the tolerance
+            pts += (rng.choice([0.0, 0.5, 1.0, 2.0], size=pts.shape) * tol
+                    * rng.choice([-1.0, 1.0], size=pts.shape))
+            const = int(rng.integers(0, n + 1))   # constant leading columns
+            pts[:, :const] = rng.integers(-1, 2, size=const) * scale
+            pts = _anchored(pts, top)
+            assert np.array_equal(_dedup_points(pts), _greedy_dedup(pts, tol))
     # A tie-heavy symmetric cloud: signed-permutation orbits of a few
     # points, repeated, with small offsets on some copies.
+    tol = DEDUP_TOL * 4.0
     base = np.array([[0.5, 0.25, 0.0], [1.0, 1.0, 0.5], [0.25, 0.0, 0.0]])
     orbit = np.vstack([g.apply_points(base) for g in hyperoctahedral_group(3)])
-    sym = np.vstack([orbit, orbit, orbit + rng.choice([-1.0, 0.0, 1.0], size=orbit.shape)
-                     * rng.choice([0.5, 1.0, 2.0], size=orbit.shape) * DEDUP_TOL])
-    assert np.array_equal(_dedup_points(sym), _greedy_dedup(sym, DEDUP_TOL))
+    sym = _anchored(np.vstack([orbit, orbit, orbit + rng.choice([-1.0, 0.0, 1.0], size=orbit.shape)
+                               * rng.choice([0.5, 1.0, 2.0], size=orbit.shape) * tol]), 4.0)
+    assert np.array_equal(_dedup_points(sym), _greedy_dedup(sym, tol))
     # A near-duplicate cloud: chains of copies 0.6 tol apart, so a row's
     # neighbours on both sides are close to it but not to each other.
-    steps = np.arange(6)[:, None, None] * 0.6 * DEDUP_TOL
-    centers = rng.standard_normal((40, 4))
-    near = (centers[None] + steps * rng.choice([-1.0, 1.0], size=(1, 40, 4))).reshape(-1, 4)
-    assert np.array_equal(_dedup_points(near), _greedy_dedup(near, DEDUP_TOL))
+    steps = np.arange(6)[:, None, None] * 0.6 * tol
+    centers = rng.uniform(-2.0, 2.0, (40, 4))
+    near = _anchored((centers[None] + steps * rng.choice([-1.0, 1.0], size=(1, 40, 4)))
+                     .reshape(-1, 4), 4.0)
+    assert np.array_equal(_dedup_points(near), _greedy_dedup(near, tol))
 
 
 def test_convex_hull_degenerate_rank():
@@ -269,9 +283,10 @@ def test_zonotope_generator_normalization():
     z1 = Zonotope(np.zeros(2), np.array([[1.0, 2.0], [-3.0, 1.0]]))
     z2 = Zonotope(np.zeros(2), np.array([[3.0, -1.0], [1.0, 2.0]]))
     assert np.array_equal(z1.generators, z2.generators)
-    # zero generators are dropped
+    # zero generators are dropped; any other one is kept, however small
     z3 = Zonotope(np.zeros(2), np.array([[1.0, 2.0], [0.0, 0.0]]))
     assert z3.generators.shape[0] == 1
+    assert Zonotope(np.zeros(3), 1e-11 * np.eye(3)).generator_count == 3
 
 
 def test_zonotope_expansion_matches_support(rng):
@@ -289,14 +304,14 @@ def test_unit_generators_make_cube():
 
 def _generators_row_by_row(g):
     """Reference canonicalization, one generator at a time: drop it when
-    every entry is within DEDUP_TOL of 0, else flip it so that its first
-    entry beyond DEDUP_TOL is positive; then sort."""
+    every entry is 0.0 or -0.0, else flip it so that its first nonzero
+    entry is positive; then sort."""
     keep = []
     for row in np.asarray(g, dtype=float):
-        if np.max(np.abs(row)) <= DEDUP_TOL:
+        nonzero = np.flatnonzero(row)
+        if not nonzero.size:
             continue
-        j = int(np.argmax(np.abs(row) > DEDUP_TOL))
-        keep.append(row if row[j] > 0 else -row)
+        keep.append(row if row[nonzero[0]] > 0 else -row)
     return _lexsorted(np.array(keep)) if keep else np.zeros((0, g.shape[1]))
 
 
@@ -312,6 +327,8 @@ def _generator_cases(rng):
     t = DEDUP_TOL
     yield np.array([[t, -1.0], [-t, 2.0], [t, t], [-t, -t], [0.0, -t]])
     yield np.array([[np.nextafter(t, 1.0), -1.0], [-np.nextafter(t, 1.0), 1.0]])
+    tiny = np.nextafter(0.0, 1.0)           # the least subnormal is kept
+    yield np.array([[-tiny, 1.0], [0.0, -tiny], [-0.0, tiny], [tiny, tiny]])
     yield np.array([[-0.0, -3.0, 0.0], [0.0, -0.0, -1.0], [-0.0, 0.0, 0.0],
                     [-t, -0.0, 5.0], [0.0, 2.0, -0.0]])
     yield np.zeros((3, 4))

@@ -31,10 +31,13 @@ def test_width_ratio_on_cross(spec3):
 
 
 def test_width_ratio_scale_invariant(rng, spec3):
-    p = random_polytope(rng, 3)
-    r1 = explorer.mean_width_ratio(p, spec3)
-    r2 = explorer.mean_width_ratio(bodies.scale_body(p, 7.5), spec3)
-    assert r2 == pytest.approx(r1, rel=1e-9)
+    """The ratio of a dilate is the body's at every scale from 1e-14 to
+    1e8: only a point's projection widths sum to 0."""
+    for body in (random_polytope(rng, 3), bodies.cube(3)):
+        r1 = explorer.mean_width_ratio(body, spec3)
+        for lam in (1e-14, 1e-8, 7.5, 1e8):
+            r2 = explorer.mean_width_ratio(bodies.scale_body(body, lam), spec3)
+            assert r2 == pytest.approx(r1, rel=1e-9), lam
 
 
 def test_width_ratio_undefined_for_points(spec3):

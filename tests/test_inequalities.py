@@ -561,21 +561,29 @@ def test_cross_from_sections_hits_targets(spec3):
 
 
 def test_segment_from_balanced_projections(spec3):
+    """Equal widths lam give half extents lam / (2 sqrt 2), and the
+    segment's shadows have width lam, at every scale."""
     from convexiq import coordops, measures
-    res = iq.segment_from_projections([1.0, 1.0, 1.0])
-    assert res.feasible
-    assert res.violating_index is None
-    assert res.half_extents == pytest.approx((0.35355339059327373,) * 3)
-    for i in range(3):
-        w = measures.vm(coordops.project_drop(res.segment, i), 1, spec3).value
-        assert w == pytest.approx(1.0, rel=1e-9)
+    for lam in (1e-8, 1.0, 1e8):
+        res = iq.segment_from_projections([lam] * 3)
+        assert res.feasible
+        assert res.violating_index is None
+        assert res.half_extents == pytest.approx((lam * 0.35355339059327373,) * 3,
+                                                 rel=1e-12, abs=0.0)
+        for i in range(3):
+            w = measures.vm(coordops.project_drop(res.segment, i), 1, spec3).value
+            assert w == pytest.approx(lam, rel=1e-12, abs=0.0)
 
 
 def test_segment_reconstruction_reports_infeasibility():
-    res = iq.segment_from_projections([1.0, 1.0, 2.0])
-    assert not res.feasible
-    assert res.segment is None
-    assert res.violating_index == 3
+    """Widths lam (1, 1, 2) and lam (1, 1, 3) have no segment at any
+    scale: the test of x_i^2 < 0 is relative to the summed squares."""
+    for lam in (1e-8, 1.0, 1e8):
+        for widths in ([1.0, 1.0, 2.0], [1.0, 1.0, 3.0]):
+            res = iq.segment_from_projections([lam * w for w in widths])
+            assert not res.feasible, (lam, widths)
+            assert res.segment is None
+            assert res.violating_index == 3
     with pytest.raises(InvalidArgument):
         iq.segment_from_projections([1.0, -1.0, 1.0])
 

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -542,17 +542,18 @@ def test_vm_zonotope_matches_the_gram_loop(rng):
 
 def test_zonotope_measures_hold_at_extreme_scales(rng, monkeypatch):
     """The pass scales the generators by a power of 2 before it takes
-    minors: V_m(2^e Z) = 2^{e m} V_m(Z) bit for bit for e = -20 and 500,
-    and V_m(lam Z) = lam^m V_m(Z) at lam = 1e150 (m = 2) and 1e70 (m = 4),
-    where the Gram determinant, of size lam^{2m}, overflowed to inf.  A
-    value past the double range is inf, also when it is summed over
-    several blocks.  (Generators below DEDUP_TOL are no generators, so
-    tiny scales have nothing to underflow.)"""
+    minors: V_m(2^e Z) = 2^{e m} V_m(Z) bit for bit for e = -500, -20 and
+    500 while |e m| < 1000, and V_m(lam Z) = lam^m V_m(Z) at lam = 1e150
+    (m = 2) and 1e70 (m = 4), where the Gram determinant, of size
+    lam^{2m}, overflowed to inf.  A value past the double range is inf,
+    also when it is summed over several blocks."""
     z = Zonotope(np.zeros(4), rng.standard_normal((7, 4)))
     for m in range(1, 5):
         base = _zonotope_sums(z.generators, m)
-        for e in (-20, 500):
-            if e * m < 1000:
+        for e in (-500, -20, 500):
+            if abs(e * m) < 1000:
+                assert vm(Zonotope(np.zeros(4), np.ldexp(z.generators, e)), m).value == \
+                    math.ldexp(base[0], e * m), (e, m)
                 assert _zonotope_sums(np.ldexp(z.generators, e), m) == \
                     np.ldexp(base, e * m).tolist(), (e, m)
     for lam, m in ((1e150, 2), (1e70, 4)):
@@ -638,24 +639,31 @@ def test_zonotope_shadows_scale_and_follow_signed_permutations(n):
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_a_generator_the_shadow_drops_stays_within_the_error(n):
-    """A generator whose entries off axis i are all within DEDUP_TOL of 0
-    is dropped by project_drop(Z, i), and left out of the minors' shadow
-    sum alike: it moves V_m(Z | e_i^perp) by no more than the stated
-    error, on bodies from 1e-3 to 1e3 in scale.  (Kept, it would move
-    V_1 by up to 2 sqrt(n-1) DEDUP_TOL, above the error of a small body.)"""
+    """A generator along e_i is dropped by project_drop(Z, i), and leaves
+    V_m(Z | e_i^perp) as it was bit for bit: every minor of the pass that
+    avoids column i is exactly 0 on it.  One whose entries off axis i are
+    DEDUP_TOL or less is a generator of the shadow like any other, and the
+    pass gives vm of project_drop(Z, i) within 1e-12, on bodies from 1e-3
+    to 1e3 in scale."""
     rng = np.random.default_rng(100 + n)
     for scale in (1e-3, 1.0, 1e3):
         z = Zonotope(np.zeros(n), scale * rng.standard_normal((n + 2, n)))
         for i in range(n):
+            h = np.zeros(n)
+            h[i] = 2.0 * scale
+            w = Zonotope(z.center, np.vstack([z.generators, h]))
+            assert w.generator_count == z.generator_count + 1
+            assert np.array_equal(project_drop(w, i).generators, project_drop(z, i).generators)
+            for m in range(1, n):
+                assert vm_projection(w, i, m).value == vm_projection(z, i, m).value, (scale, i, m)
             h = rng.uniform(-DEDUP_TOL, DEDUP_TOL, n)
             h[i] = 2.0 * scale
             w = Zonotope(z.center, np.vstack([z.generators, h]))
-            assert w.generators.shape[0] == z.generators.shape[0] + 1
-            assert np.array_equal(project_drop(w, i).generators, project_drop(z, i).generators)
+            shadow = project_drop(w, i)
+            assert shadow.generator_count == z.generator_count + 1
             for m in range(1, n):
-                got, want = vm_projection(w, i, m), vm_projection(z, i, m)
-                assert abs(got.value - want.value) <= got.error, (scale, i, m)
-                assert abs(got.value - want.value) <= 1e-12 * want.value, (scale, i, m)
+                got, want = vm_projection(w, i, m), vm(shadow, m).value
+                assert got.exact and abs(got.value - want) <= 1e-12 * want, (scale, i, m)
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +897,7 @@ def test_a_dilate_measures_an_inexact_v1_itself(monkeypatch):
 
 def test_dilates_of_a_dilate_and_dropped_generators():
     """A dilate of a dilate reads off the dilate it scales; factor 0, a
-    ball and a zonotope that loses a generator to DEDUP_TOL remember no
+    ball and a zonotope that loses a generator to underflow remember no
     source; io reads a dilate back with none."""
     p = random_polytope(np.random.default_rng(116), 4)
     twice = scale_body(scale_body(p, 1e3), 1e-3)
@@ -897,9 +905,10 @@ def test_dilates_of_a_dilate_and_dropped_generators():
     assert factor == 1e-3 and bodies.dilate_source(once)[0] is p
     for m in range(1, 5):
         assert vm(twice, m).value == pytest.approx(vm(p, m).value, rel=1e-13)
-    z = Zonotope(np.zeros(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-4]])
-    assert bodies.dilate_source(scale_body(z, 1e-7)) is None
-    assert scale_body(z, 1e-7).generator_count == 2
+    z = Zonotope(np.zeros(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-300]])
+    assert bodies.dilate_source(scale_body(z, 1e-30)) is None
+    assert scale_body(z, 1e-30).generator_count == 2
+    assert bodies.dilate_source(scale_body(z, 1e-7))[0] is z
     for lost in (scale_body(p, 0.0), scale_body(ball(3), 2.0),
                  io.loads_body(io.dumps_body(scale_body(p, 2.0)))):
         assert bodies.dilate_source(lost) is None
@@ -945,22 +954,64 @@ def test_hulls_and_measures_scale_translate_and_permute(seed, n, e):
     lam = 10.0 ** e
     p, scaled = convex_hull(pts), convex_hull(lam * pts)
     assert (scaled.vertex_count, bodies.affine_dim(scaled)) == (p.vertex_count, bodies.affine_dim(p))
-    base = _exact_measures(p)
+    moved = translate_body(scaled, lam * rng.standard_normal(n))
+    g = random_signed_permutation(n, rng)
+    _assert_homogeneous(_exact_measures(p), lam, _exact_measures(scaled), moved,
+                        _exact_measures(convex_hull(g.apply_points(lam * pts))), g.perm)
+
+
+def _assert_homogeneous(base: dict, lam: float, scaled: dict, moved, image: dict, perm):
+    """Every value of ``base`` (a body's exact measures, keyed (call, axis,
+    m)) is exact, and ``scaled``'s is lam^m times it within 1e-12.  The
+    translate ``moved`` of the scaled body has the same vm and
+    vm_projection, and ``image``, the scaled body's signed permutation,
+    the same vm and along axis i the values of axis perm[i]."""
     assert all(value.exact for value in base.values())
     want = {key: lam ** key[2] * value.value for key, value in base.items()}
-    got = _exact_measures(scaled)
-    assert [key for key, value in got.items() if _off_by(value, want[key])] == []
-    moved = translate_body(scaled, lam * rng.standard_normal(n))
-    for key in want:
-        call, i, m = key
+    assert [key for key, value in scaled.items() if _off_by(value, want[key])] == []
+    for (call, i, m), value in want.items():
         if call == "vm":
-            assert not _off_by(vm(moved, m), want[key]), key
+            assert not _off_by(vm(moved, m), value), (call, i, m)
         elif call == "projection":
-            assert not _off_by(vm_projection(moved, i, m), want[key]), key
-    g = random_signed_permutation(n, rng)
-    image = _exact_measures(convex_hull(g.apply_points(lam * pts)))
+            assert not _off_by(vm_projection(moved, i, m), value), (call, i, m)
     assert [(call, i, m) for (call, i, m), value in image.items()
-            if _off_by(value, want[call, None if i is None else g.perm[i], m])] == []
+            if _off_by(value, want[call, None if i is None else perm[i], m])] == []
+
+
+def _zonotope_measures(z) -> dict:
+    """{(call, axis, m): value} of a zonotope Z in R^n: vm for 1 <= m <= n,
+    and vm_projection and vm_section along every axis i for
+    1 <= m <= n-1."""
+    n = z.n
+    out = {("vm", None, m): vm(z, m) for m in range(1, n + 1)}
+    for i in range(n):
+        for m in range(1, n):
+            out["projection", i, m] = vm_projection(z, i, m)
+            out["section", i, m] = vm_section(z, i, m)
+    return out
+
+
+@example(seed=0, n=3, e=-12)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 5), e=st.integers(-12, 8))
+def test_zonotopes_scale_translate_and_permute(seed, n, e):
+    """Built afresh as Zonotope(lam c, lam G), lam = 10^e, a random
+    zonotope keeps its generator count, and every V_m of it, of its
+    coordinate shadows and of its sections is lam^m times Z's within
+    1e-12.  Translating it keeps its vm and vm_projection; a signed
+    permutation g gives the same vm, and axis i of g(lam Z) has the
+    shadow and section of axis perm[i] of lam Z."""
+    rng = np.random.default_rng(seed)
+    c = 0.3 * rng.standard_normal(n)
+    gens = rng.standard_normal((int(rng.integers(n, n + 4)), n))
+    lam = 10.0 ** e
+    z, scaled = Zonotope(c, gens), Zonotope(lam * c, lam * gens)
+    assert scaled.generator_count == z.generator_count
+    moved = translate_body(scaled, lam * rng.standard_normal(n))
+    g = random_signed_permutation(n, rng)
+    _assert_homogeneous(_zonotope_measures(z), lam, _zonotope_measures(scaled), moved,
+                        _zonotope_measures(Zonotope(g.apply(lam * c), g.apply_points(lam * gens))),
+                        g.perm)
 
 
 # ---------------------------------------------------------------------------
