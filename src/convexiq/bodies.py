@@ -172,10 +172,10 @@ class VPolytope:
     def qhull(self) -> ConvexHull:
         """Qhull triangulation of the (full-dimensional) polytope.
 
-        :func:`convex_hull` and :func:`coordops.g_symmetral` hand over the
-        hull they built, whose input cloud may hold more points than
-        ``vertices`` and in another order: index ``hull.points`` with
-        ``hull.simplices`` and ``hull.vertices``, never ``vertices``.
+        :func:`convex_hull` hands over the hull it built, whose input
+        cloud may hold more points than ``vertices`` and in another
+        order: index ``hull.points`` with ``hull.simplices`` and
+        ``hull.vertices``, never ``vertices``.
         Where qhull fails (callers check :func:`affine_dim` first) it raises
         UnsupportedOperation: a joggled (QJ) hull is not exact.
         """
@@ -429,56 +429,54 @@ def convex_hull(points) -> VPolytope:
     """Canonical hull of a point cloud: extreme points only, merged
     (:func:`_dedup_points`), lexicographically sorted.
 
-    The cloud's affine rank cuts singular values at RANK_TOL times the
-    largest, as :func:`affine_dim` does.  Full-dimensional input is
-    hulled in its own coordinates, and that hull becomes the result's
-    :attr:`VPolytope.qhull`.  Degenerate
-    (lower-dimensional) input is reduced to its affine span before
-    calling qhull.
+    The cloud's affine span is :func:`_span`'s.  Full-dimensional input
+    is hulled in its own coordinates, and that hull becomes the result's
+    :attr:`VPolytope.qhull` unless merging joined two of its vertices.
+    Degenerate input is reduced to its affine span before calling qhull.
     """
     pts = _as_point_array(points)
     if pts.shape[0] == 1:
         return VPolytope(pts)
-    origin = pts.mean(axis=0)
-    centered = pts - origin
-    # Affine rank via SVD; project to span coordinates when degenerate.
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(svals > RANK_TOL * svals[0]))
+    rank, origin, vt = _span(pts)
     if rank == 0:
         return VPolytope(origin[None, :])
     if rank == 1:
-        t = centered @ vt[0]
+        t = (pts - origin) @ vt[0]
         sel = pts[[int(np.argmin(t)), int(np.argmax(t))]]
         return VPolytope(_lexsorted(sel))
-    coords = pts if rank == pts.shape[1] else centered @ vt[:rank].T
+    coords = pts if rank == pts.shape[1] else (pts - origin) @ vt[:rank].T
     try:
         hull = ConvexHull(coords)
     except QhullError:
         return VPolytope(_dedup_points(pts[ConvexHull(coords, qhull_options="QJ").vertices]))
-    if coords is pts:
-        return hulled(pts, hull)
-    return VPolytope(_dedup_points(pts[hull.vertices]))
-
-
-def hulled(points: np.ndarray, hull: ConvexHull) -> VPolytope:
-    """The polytope of the extreme points of ``hull``, a qhull hull of the
-    full-dimensional cloud ``points``, merged (:func:`_dedup_points`).
-    The hull becomes its :attr:`VPolytope.qhull` unless that merged two of
-    its vertices, since then it is no longer the hull of exactly those
-    vertices."""
-    p = VPolytope(_dedup_points(points[hull.vertices]))
-    if p.vertex_count == hull.vertices.size:
+    p = VPolytope(_dedup_points(pts[hull.vertices]))
+    if coords is pts and p.vertex_count == hull.vertices.size:
         vars(p)["qhull"] = hull
     return p
+
+
+def _span(points: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(rank, mean, vt) of a point set's affine span: the SVD about the
+    mean, not about one of the points, so the rank does not depend on
+    which point is listed first; singular values are cut at RANK_TOL
+    times the largest.  The first rank rows of vt span it."""
+    mean = points.mean(axis=0)
+    _, svals, vt = np.linalg.svd(points - mean, full_matrices=False)
+    return int(np.sum(svals > RANK_TOL * svals[0])), mean, vt
+
+
+def _byte_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array as ``np.void`` scalars of their bytes, which
+    compare and sort exactly."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
 
 
 def facets(hull: ConvexHull) -> np.ndarray:
     """Each qhull boundary simplex's facet index: qhull gives the simplices
     of a merged facet its equation, so simplices with bitwise equal
     ``equations`` rows form one facet."""
-    eq = np.ascontiguousarray(hull.equations)
-    return np.unique(eq.view(np.dtype((np.void, eq.strides[0]))).ravel(),
-                     return_inverse=True)[1]
+    return np.unique(_byte_rows(hull.equations), return_inverse=True)[1]
 
 
 def bent_ridges(p: VPolytope):
@@ -492,8 +490,7 @@ def bent_ridges(p: VPolytope):
     no silhouette."""
     def find():
         hull = p.qhull
-        tri, nb, eq = hull.simplices, hull.neighbors, np.ascontiguousarray(hull.equations)
-        rows = eq.view(np.dtype((np.void, eq.strides[0]))).ravel()
+        tri, nb, rows = hull.simplices, hull.neighbors, _byte_rows(hull.equations)
         s, k = np.nonzero((nb > np.arange(tri.shape[0])[:, None]) & (rows[:, None] != rows[nb]))
         return s, nb[s, k], tri[s[:, None], (k[:, None] + np.arange(1, p.n)) % p.n]
     return derived(p, "bent_ridges", find)
@@ -597,9 +594,9 @@ def _polytope_skeleton(p: VPolytope) -> tuple[np.ndarray, np.ndarray]:
         hull = p.qhull
         pts, tri = hull.points, hull.simplices
     else:
-        centered = p.vertices - p.vertices.mean(axis=0)
-        coords = centered @ np.linalg.svd(centered, full_matrices=False)[2][:d].T
         pts = p.vertices
+        _, mean, vt = _span(pts)
+        coords = (pts - mean) @ vt[:d].T
         if d == 1:
             tri = np.array([[np.argmin(coords[:, 0]), np.argmax(coords[:, 0])]])
         else:
@@ -624,9 +621,9 @@ def _polytope_skeleton(p: VPolytope) -> tuple[np.ndarray, np.ndarray]:
 
 
 def affine_dim(body: Body) -> int:
-    """Dimension of the affine hull: singular values cut at RANK_TOL times
-    the largest, so that a dilate has its source's dimension at any
-    scale, which is where a dilate's is read (:func:`dilate_source`)."""
+    """Dimension of the affine hull: a polytope's :func:`_span` rank, a
+    zonotope's generator rank, both cut at RANK_TOL times the largest
+    singular value; a dilate's is its source's (:func:`dilate_source`)."""
     body = resolve(body)
     return derived(body, "affine_dim", lambda: _affine_dim(body))
 
@@ -640,14 +637,12 @@ def _affine_dim(body: Body) -> int:
     if isinstance(body, DiskHull):
         return 3
     if isinstance(body, VPolytope):
-        spans = body.vertices - body.vertices[0] if body.vertex_count > 1 else None
-    elif isinstance(body, Zonotope):
-        spans = body.generators if body.generator_count else None
-    else:
+        return _span(body.vertices)[0]
+    if not isinstance(body, Zonotope):
         raise InvalidArgument(f"not a body: {type(body).__name__}")
-    if spans is None:
+    if not body.generator_count:
         return 0
-    svals = np.linalg.svd(spans, compute_uv=False)
+    svals = np.linalg.svd(body.generators, compute_uv=False)
     return int(np.sum(svals > RANK_TOL * float(svals[0])))
 
 
@@ -658,10 +653,8 @@ def to_affine_coords(p: VPolytope) -> VPolytope:
     d = affine_dim(p)
     if d == 0:
         raise InvalidArgument("a point has no affine coordinate view")
-    centered = p.vertices - p.vertices.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    coords = centered @ vt[:d].T
-    return VPolytope(_dedup_points(coords))
+    _, mean, vt = _span(p.vertices)
+    return VPolytope(_dedup_points((p.vertices - mean) @ vt[:d].T))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import math
 from functools import cache
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import bodies as _b
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, convex_hull,
@@ -378,8 +377,7 @@ class _ChainOracle:
 
 def _distinct(a: np.ndarray, **kwargs):
     """np.unique over the rows of a, sorted exactly on their bytes."""
-    a = np.ascontiguousarray(a)
-    return np.unique(a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel(), **kwargs)
+    return np.unique(_b._byte_rows(a), **kwargs)
 
 
 def _merge(blocks: list, n: int) -> None:
@@ -470,9 +468,10 @@ def g_symmetral(body: Body) -> VPolytope:
     in R^3, of the four cells around every crossing of two images'
     normal-fan arcs (:func:`_cell_directions`): the average's fan refines
     its summands', so each of its facets is parallel to a facet of some
-    gK or to edges of two images whose arcs cross.  Each round adds the
-    oracle point of every hull facet (a, b) with h(a) > b + SUPPORT_TOL *
-    scale; when none is added the hull is the average.  :func:`_sum_budget`
+    gK or to edges of two images whose arcs cross.  Each round hulls the
+    candidates (:func:`bodies.convex_hull`) and adds the oracle point of
+    every hull facet (a, b) with h(a) > b + SUPPORT_TOL * scale; when
+    none is added that hull is the average.  :func:`_sum_budget`
     caps the distinct seed tuples before any is assembled, and the
     candidates before every hull.
     """
@@ -490,8 +489,8 @@ def g_symmetral(body: Body) -> VPolytope:
     cands = _distinct_rows(oracle.points(oracle.orbit_tuples(seeds)))
     while n > 1 and len(cands) > 1:   # else a point, or a segment in R^1
         _merge([cands], n)   # the cap, before every hull
-        qh = ConvexHull(cands)
-        eq = _distinct_rows(qh.equations)
+        hull = convex_hull(cands)
+        eq = _distinct_rows(hull.qhull.equations)
         bound = SUPPORT_TOL * float(np.max(np.abs(cands))) - eq[:, n]
         over = [cands]
         _, table, index, e = oracle.tabulate(eq[:, :n])
@@ -501,6 +500,6 @@ def g_symmetral(body: Body) -> VPolytope:
             over.append(pts[np.einsum("ij,ij->i", pts, eq[rows, :n]) > bound[rows]])
         grown = _distinct_rows(np.vstack(over))
         if len(grown) == len(cands):
-            return _b.hulled(cands, qh)
+            return hull
         cands = grown
     return convex_hull(cands)

@@ -33,7 +33,7 @@ CONJECTURE = "conjecture"
 CONDITIONAL = "conditional"
 OPEN = "open"
 
-# Classifier tolerances (on bodies at unit scale).
+# Classifier tolerance, relative to the body's size, and near-equality band.
 CLASSIFY_TOL = 1e-7
 NEAR_EQUALITY_FACTOR = 1e-6
 # Depth of the origin inside a body, relative to the body's size, below
@@ -539,7 +539,8 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
              tolerance: float | None = None) -> IneqReport:
     """Evaluate one catalog inequality on one body.
 
-    ``tolerance`` overrides the propagated-error tolerance when given.
+    ``tolerance`` only raises the links' propagated-error tolerances; the
+    report states the largest tolerance a link was held to.
     Violated conjectures do not raise; callers inspect ``satisfied`` and
     ``status``.
     """
@@ -571,12 +572,10 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
             links=())
 
     primary = links[0]
-    tol = max(l.tolerance for l in links)
-    if tolerance is not None:
-        tol = float(tolerance)
+    floor = float(tolerance) if tolerance is not None else 0.0
+    tol = max(floor, *(l.tolerance for l in links))
     slack = min(l.slack for l in links)
-    satisfied = all(l.slack >= -max(l.tolerance, tol if tolerance is not None else 0.0)
-                    for l in links)
+    satisfied = all(l.slack >= -max(l.tolerance, floor) for l in links)
     quad_err = None
     if any(not (l.lhs.exact and l.rhs.exact) for l in links):
         quad_err = max(l.lhs.error + l.rhs.error for l in links
@@ -700,7 +699,8 @@ def equality_case_classifier(body: Body, m: int | None = None,
     Returns one of ``coordinate-box``, ``coordinate-cross-polytope``,
     ``o-symmetric-coordinate-cross-polytope``,
     ``regular-coordinate-cross-polytope``, ``diagonal-generators``,
-    ``flat`` (dimension <= m), or ``unmatched``.
+    ``flat`` (dimension <= m), or ``unmatched``.  A polytope is compared
+    within ``tol`` times its largest |coordinate|, at any scale.
     """
     body = resolve(body)
     if m is not None and affine_dim(body) <= m:
@@ -716,7 +716,7 @@ def equality_case_classifier(body: Body, m: int | None = None,
     if not isinstance(body, VPolytope):
         return "unmatched"
     v = body.vertices
-    scale = max(1.0, float(np.max(np.abs(v))))
+    scale = float(np.max(np.abs(v)))
     if _is_coordinate_box(v, tol * scale):
         return "coordinate-box"
     cross_kind = _cross_polytope_kind(v, tol * scale)

@@ -18,7 +18,8 @@ from convexiq.bodies import (DEDUP_TOL, _dedup_points, _lexsorted,
                              same_vertices, scale_body, translate_body)
 from convexiq.coordops import g_symmetral
 from convexiq.errors import InvalidArgument, UnsupportedOperation
-from convexiq.symmetry import hyperoctahedral_group
+from convexiq.symmetry import (SignedPermutation, apply_symmetry,
+                               hyperoctahedral_group, random_signed_permutation)
 
 from conftest import random_polytope
 
@@ -453,6 +454,45 @@ def test_affine_dim_is_relative_to_the_body_size(lam):
             assert abs(vm(q, m).value - want) <= 1e-12 * want, m
     square = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
     assert affine_dim(VPolytope(lam * square)) == 2
+
+
+def _thin_clouds():
+    """Clouds a relative 1.5e-9 thick, so that their smallest singular
+    value lies about the rank cut (RANK_TOL = 1e-9 of the largest): seeds
+    0..39 of 8 points in R^3 with last coordinate 1.5e-9 times a standard
+    normal, and 20 such clouds in R^4 and in R^5, each rotated."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((8, 3))
+        pts[:, 2] = 1.5e-9 * rng.standard_normal(8)
+        yield pts
+    for n in (4, 5):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(20):
+            pts = rng.standard_normal((2 * n + 2, n))
+            pts[:, -1] *= 1.5e-9
+            yield pts @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def test_affine_dim_moves_with_the_body():
+    """A polytope's span is taken about its vertices' mean, not about its
+    lexicographically first vertex, so a thin cloud's hull keeps its
+    affine_dim under its mirror image in x_0, three random signed
+    permutations and a translation, and V_n of the body and of each
+    image agree within their stated errors."""
+    rng = np.random.default_rng(41)
+    for k, pts in enumerate(_thin_clouds()):
+        p = convex_hull(pts)
+        n = p.n
+        mirror = SignedPermutation(tuple(range(n)), (-1,) + (1,) * (n - 1))
+        images = [apply_symmetry(p, g) for g in
+                  [mirror] + [random_signed_permutation(n, rng) for _ in range(3)]]
+        images.append(translate_body(p, rng.standard_normal(n)))
+        d, v = affine_dim(p), vm(p, n)
+        for q in images:
+            w = vm(q, n)
+            assert affine_dim(q) == d, k
+            assert abs(w.value - v.value) <= w.error + v.error, k
 
 
 def test_disk_hull_fineness_cap():

@@ -628,8 +628,8 @@ def test_symmetral_budget_guard_in_high_dimension():
 
 
 def _count_hulls(monkeypatch) -> list:
-    """Record the input shape of every qhull call made through
-    bodies and coordops."""
+    """Record the input shape of every qhull call; the library reaches
+    qhull only through bodies."""
     calls = []
     real = bodies.ConvexHull
 
@@ -638,7 +638,6 @@ def _count_hulls(monkeypatch) -> list:
         return real(points, *args, **kwargs)
 
     monkeypatch.setattr(bodies, "ConvexHull", counting)
-    monkeypatch.setattr(coordops, "ConvexHull", counting)
     return calls
 
 
@@ -729,12 +728,22 @@ def test_a_width_ratio_hulls_only_the_body(monkeypatch):
 ], ids=["five-vertices", "random-8"])
 def test_the_symmetral_hulls_its_candidates_once(monkeypatch, body, k):
     """The arc-crossing seeds reach every vertex before the first hull,
-    so the verification pass adds none and no second hull is built."""
+    so the verification pass adds none and no second hull is built.  The
+    candidates are hulled through coordops.convex_hull, the binding the
+    benchmark tracer wraps, so it sees every qhull call."""
     assert body.vertex_count == k
-    calls = _count_hulls(monkeypatch)
+    calls, hulled = _count_hulls(monkeypatch), []
+    real = coordops.convex_hull
+
+    def counting(points):
+        hulled.append(np.shape(points))
+        return real(points)
+
+    monkeypatch.setattr(coordops, "convex_hull", counting)
     sym = coordops.g_symmetral(body)
     assert len(calls) == 1 and calls[0][1] == 3
     assert calls[0][0] >= sym.vertex_count
+    assert hulled == calls
 
 
 def test_symmetral_budget_guard_in_three_dimensions(monkeypatch):

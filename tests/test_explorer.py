@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexiq import QuadratureSpec, bodies, cli, coordops, explorer, inequalities as iq, io
+from convexiq import QuadratureSpec, bodies, cli, explorer, inequalities as iq, io
 from convexiq.errors import InvalidArgument, UndefinedValue
 
 from conftest import FIVE_VERTICES, random_polytope
@@ -405,7 +405,6 @@ def test_a_prob4_search_hulls_no_normalized_body(monkeypatch):
         return real(points, *args, **kwargs)
 
     monkeypatch.setattr(bodies, "ConvexHull", counting)
-    monkeypatch.setattr(coordops, "ConvexHull", counting)
     cfg = explorer.SearchConfig(problem="prob4", n=4, m=1,
                                 family="unconditional-polytope", iterations=3,
                                 restarts=2, seed=1, constant=1.0, quad_resolution=64)

@@ -84,6 +84,28 @@ def test_no_unread_constants():
     assert [c for c in consts if c[2] not in reads] == []
 
 
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Every module an import statement names, and for ``from m import x``
+    also ``m.x``, since x may be a submodule."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names |= {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_only_bodies_reaches_qhull():
+    """qhull is reached only through ``bodies``, so one wrapper around
+    ``bodies.convex_hull`` sees every hull the library builds: no other
+    library module imports ``scipy.spatial``."""
+    importers = [path.name for path in SRC if path.name != "bodies.py" and any(
+        name == "scipy.spatial" or name.startswith("scipy.spatial.")
+        for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert importers == []
+
+
 def test_every_exported_name_exists():
     """Every name in ``convexiq.__all__`` is an attribute of the package,
     so ``from convexiq import *`` runs; a deleted function left in

@@ -684,9 +684,33 @@ def test_summary_line_format(spec3):
 
 
 def test_tolerance_override(spec3):
+    """``tolerance`` only raises the links' own tolerances, and the report
+    states the one it held them to, so ``oriented_slack >= -tolerance``
+    says whether the inequality held.  Meyer's bound on a dilated
+    cross-polytope holds with equality, up to a slack of -2.8e-17."""
     r = iq.evaluate("loomis_whitney", bodies.cube(3), spec=spec3,
                     tolerance=0.5)
     assert r.tolerance == 0.5
+    body = bodies.scale_body(bodies.cross_polytope(3), 0.7)
+    own = iq.evaluate("meyer", body)
+    assert own.tolerance > 0.0
+    for t in (0.0, 0.5):
+        r = iq.evaluate("meyer", body, tolerance=t)
+        assert r.tolerance == max(t, own.tolerance)
+        assert r.satisfied and r.oriented_slack >= -r.tolerance
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("n", [3, 4])
+def test_equality_flags_hold_at_every_scale(n, lam):
+    """The classifier compares vertices within CLASSIFY_TOL times the
+    body's largest |coordinate|, with no floor at 1, so a dilated cube
+    or cross-polytope is matched to its family at any scale."""
+    for ineq_id, body in (("loomis_whitney", bodies.cube(n)),
+                          ("meyer", bodies.cross_polytope(n)),
+                          ("sqrt_n_lower", bodies.cross_polytope(n))):
+        r = iq.evaluate(ineq_id, bodies.scale_body(body, lam))
+        assert r.equality_flag == "equality-case-matched", ineq_id
 
 
 # ---------------------------------------------------------------------------
