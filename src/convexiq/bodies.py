@@ -8,9 +8,9 @@ A "body" is one of:
 * :class:`Ball` -- Euclidean ball, optionally flattened along coordinate
   axes (so that coordinate projections of balls stay symbolic);
 * :class:`DiskHull` -- the convex hull of the three unit coordinate disks
-  in R^3 (exact support function; its inscribed polytope, reached only
-  through :meth:`DiskHull.as_polytope`, carries a stated error where the
-  measures use it);
+  in R^3 (exact support function; :mod:`measures` takes its intrinsic
+  volumes and those of its shadows from its structure, with no polytope
+  stand-in);
 * :class:`NamedBody` -- thin serializable wrapper around a named
   construction (``cross``, ``cube``, ``K1``, ``K2``).
 
@@ -268,27 +268,12 @@ class Ball:
 
 @dataclass(frozen=True)
 class DiskHull:
-    """Convex hull of the three unit coordinate disks B^3 \\cap e_i^perp.
-
-    The support function is exact: h(u) = sqrt(|u|^2 - min_i u_i^2).
-    ``fineness`` sets the vertices per disk of the inscribed polytope
-    :meth:`as_polytope`; the measures taken on it add its deficit to their
-    error (:func:`measures.with_polygon_error`).
-    """
-
-    fineness: int = 256
-
-    def __post_init__(self):
-        if not (8 <= int(self.fineness) <= 4096):
-            raise InvalidArgument("fineness must be in [8, 4096]")
-        object.__setattr__(self, "fineness", int(self.fineness))
+    """Convex hull of the three unit coordinate disks B^3 \\cap e_i^perp,
+    with exact support function h(u) = sqrt(|u|^2 - min_i u_i^2)."""
 
     @property
     def n(self) -> int:
         return 3
-
-    def as_polytope(self) -> "VPolytope":
-        return _disk_hull_polytope(self.fineness)
 
 
 @dataclass(frozen=True)
@@ -302,7 +287,6 @@ class NamedBody:
 
     name: str
     n: int
-    fineness: int = 256
 
     _ALLOWED = ("cross", "cube", "K1", "K2")
 
@@ -316,7 +300,6 @@ class NamedBody:
         if not (MIN_DIM <= n <= MAX_DIM):
             raise InvalidArgument(f"dimension {n} outside supported range")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "fineness", int(self.fineness))
 
     def expand(self) -> "Body":
         if self.name == "cross":
@@ -324,7 +307,7 @@ class NamedBody:
         if self.name == "cube":
             return cube(self.n)
         if self.name == "K1":
-            return DiskHull(self.fineness)
+            return DiskHull()
         return k2()
 
 
@@ -366,22 +349,15 @@ def ball(n: int, radius: float = 1.0, center=None) -> Ball:
     return Ball(c, radius)
 
 
-def k1(fineness: int = 256) -> DiskHull:
+def k1() -> DiskHull:
     """Convex hull of the three unit coordinate disks in R^3."""
-    return DiskHull(fineness)
+    return DiskHull()
 
 
 def k2() -> VPolytope:
     """The cross-polytope sqrt(pi/2) * conv{+-e_i} in R^3 (the scaled
     octahedron whose coordinate sections are unit disks in area)."""
     return scale_body(cross_polytope(3), math.sqrt(math.pi / 2.0))
-
-
-@cache
-def _disk_hull_polytope(fineness: int) -> VPolytope:
-    t = 2.0 * np.pi * np.arange(fineness) / fineness
-    disk = np.stack([np.cos(t), np.sin(t)], axis=1)
-    return convex_hull(np.vstack([np.insert(disk, i, 0.0, axis=1) for i in range(3)]))
 
 
 # ---------------------------------------------------------------------------

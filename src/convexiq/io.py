@@ -47,11 +47,12 @@ def _float_list(arr) -> list:
 # body serialization
 
 
+# Named and disk-hull payloads carry a fixed "fineness": 256, which no
+# measure reads, so that body/1 files keep their bytes; readers ignore it.
 def body_payload(body: Body) -> dict:
     if isinstance(body, NamedBody):
         return {"schema": BODY_SCHEMA, "kind": "named",
-                "name": body.name, "dimension": body.n,
-                "fineness": body.fineness}
+                "name": body.name, "dimension": body.n, "fineness": 256}
     if isinstance(body, VPolytope):
         return {"schema": BODY_SCHEMA, "kind": "polytope",
                 "vertices": _float_list(body.vertices)}
@@ -65,8 +66,7 @@ def body_payload(body: Body) -> dict:
                 "radius": float(body.radius),
                 "zeroed": sorted(int(i) for i in body.zeroed)}
     if isinstance(body, DiskHull):
-        return {"schema": BODY_SCHEMA, "kind": "disk-hull",
-                "fineness": body.fineness}
+        return {"schema": BODY_SCHEMA, "kind": "disk-hull", "fineness": 256}
     raise InvalidArgument(f"not a serializable body: {type(body).__name__}")
 
 
@@ -84,8 +84,7 @@ def body_from_payload(payload, context: str = "<payload>") -> Body:
     kind = payload.get("kind")
     try:
         if kind == "named":
-            return NamedBody(str(payload["name"]), int(payload["dimension"]),
-                             int(payload.get("fineness", 256)))
+            return NamedBody(str(payload["name"]), int(payload["dimension"]))
         if kind == "polytope":
             verts = np.asarray(payload["vertices"], dtype=float)
             return VPolytope(verts)
@@ -97,7 +96,7 @@ def body_from_payload(payload, context: str = "<payload>") -> Body:
                         float(payload["radius"]),
                         frozenset(int(i) for i in payload.get("zeroed", ())))
         if kind == "disk-hull":
-            return DiskHull(int(payload.get("fineness", 256)))
+            return DiskHull()
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, InvalidArgument) as exc:

@@ -28,9 +28,10 @@ Exact paths:
   minors of its generator subsets (Cauchy-Binet, :func:`vm_zonotope`),
   the coordinate shadows of one degree in the same pass;
 * closed forms for balls;
-* V_1 of the cross-polytope C_n and of K1 from fixed Gauss-Legendre rules
-  on analytic one-dimensional integrals, whose truncation is below 1e-14
-  relative (tested) and so below the nominal roundoff;
+* V_1 of the cross-polytope C_n and of K1, and V_1 and V_2 of K1's
+  oblique shadows, from fixed Gauss-Legendre rules on analytic 1-d
+  integrals, whose truncation is below 1e-14 relative (tested) and so
+  below the nominal roundoff; V_2 and V_3 of K1 in closed form;
 * lower-dimensional polytopes are reduced isometrically to their affine
   span first (``bodies.to_affine_coords``), which also makes e.g. V_1 of
   a planar body in R^3 exact.
@@ -76,7 +77,7 @@ EXACT_REL_ERR = 1e-10
 MAX_SUBSETS = 2_000_000
 # Generator subsets whose minors are taken in one block (:func:`_zonotope_sums`).
 SUBSET_BLOCK = 4096
-# Gauss-Legendre rules of the 1-d V_1 integrals (C_n: panels on [0, cutoff]).
+# Gauss-Legendre rules of the 1-d integrals (C_n: panels on [0, cutoff]).
 CROSS_CUTOFF, CROSS_PANELS, CROSS_NODES = 12.0, 8, 32
 K1_NODES = 96
 # A boundary ridge lower than this times its longest edge is flat.
@@ -313,6 +314,44 @@ def _v1_k1_rule(nodes: int) -> float:
     return 48.0 * float(np.dot(w, polar)) / math.pi
 
 
+def _vm_k1(m: int) -> float:
+    """V_m of K1, m = 1, 2, 3.  Its boundary is 8 unit equilateral
+    triangles at height 2/sqrt 6, on the normals (+-1, +-1, +-1)/sqrt 3,
+    and 24 copies of the developable patch over the normals (t, t, 1),
+    t in [0, 1], ruled from P = (0, t, 1)/s to Q = (t, 0, 1)/s, s =
+    sqrt(1 + t^2).  As P' x (Q - P) = Q' x (Q - P) = -(t^2, t^2, t)/s^4,
+    the patch has area int_0^1 t sqrt(1 + 2t^2)/s^4 dt = pi/12 + 1/2 -
+    sqrt(3)/4, and at height s/sqrt(1 + 2t^2) its cone from the origin
+    has volume int_0^1 t/(3 s^3) dt = (1 - 1/sqrt 2)/3."""
+    if m == 1:
+        return _v1_k1_rule(K1_NODES)
+    triangle = math.sqrt(3.0) / 4.0
+    if m == 2:
+        return 4.0 * triangle + 12.0 * (math.pi / 12.0 + 0.5 - triangle)
+    return 8.0 * triangle * 2.0 / math.sqrt(6.0) / 3.0 + 8.0 * (1.0 - math.sqrt(0.5))
+
+
+def _k1_shadow(u: np.ndarray, m: int, nodes: int) -> float:
+    """V_m(K1 | u^perp), m = 1 or 2, for a unit u off the axes, from the
+    support function on the circle w = cos(theta) e + sin(theta) f of
+    u^perp (e, f orthonormal): h^2 = 1 - w_k^2, k the coordinate of least
+    |w_k|, so h' = -w_k w_k' / h.  Half the perimeter, V_1 = 1/2 int h,
+    and the area, V_2 = 1/2 int (h^2 - h'^2), are each the integral over a
+    half turn, as h(theta + pi) = h(theta).  h is analytic between the
+    angles where w_i = +-w_j, w normal to e_i -+ e_j, and each panel
+    between them takes a ``nodes``-point Gauss-Legendre rule."""
+    e, f = np.linalg.svd(u[None, :])[2][1:]
+    tie = np.cross(u, [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]])
+    cut = np.sort(np.arctan2(tie @ f, tie @ e) % math.pi)
+    ends = np.append(cut[1:], cut[0] + math.pi)
+    theta, weight = gauss_legendre(cut[:, None], ends[:, None], nodes)
+    c, s = np.cos(theta), np.sin(theta)
+    k = np.abs(np.multiply.outer(c, e) + np.multiply.outer(s, f)).argmin(axis=-1)
+    wk, dwk = c * e[k] + s * f[k], c * f[k] - s * e[k]
+    h2 = 1.0 - wk * wk
+    return float(np.sum(weight * (np.sqrt(h2) if m == 1 else h2 - (wk * dwk) ** 2 / h2)))
+
+
 # ---------------------------------------------------------------------------
 # quadrature mean width
 
@@ -463,10 +502,7 @@ def _vm(body: Body, m: int, spec: QuadratureSpec | None) -> Measured:
     if isinstance(body, Ball):
         return Measured.of_exact(vm_ball(body, m))
     if isinstance(body, DiskHull):
-        if m == 1:
-            return Measured.of_exact(_v1_k1_rule(K1_NODES))
-        return with_polygon_error(
-            body, _vm_polytope_measured(body.as_polytope(), m, None))
+        return Measured.of_exact(_vm_k1(m))
     if isinstance(body, VPolytope):
         return _vm_polytope_measured(body, m, spec)
     raise InvalidArgument(f"not a body: {type(body).__name__}")
@@ -492,8 +528,8 @@ def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> 
     does not close up (:func:`_boundary`), it is :func:`vm` of the
     projection: ``project_drop(K, i)`` along a coordinate axis (+-e_i
     included, so that it is that coordinate's term bit for bit),
-    otherwise ``project_along(K, u)``, where K1 is replaced by its
-    inscribed polytope, whose error the result carries.  A dilate
+    otherwise ``project_along(K, u)``.  An oblique shadow of K1 is
+    measured from its support function (:func:`_k1_shadow`).  A dilate
     lambda K takes lambda^m V_m(K | u^perp) when that is exact
     (:func:`_off_source`).
     """
@@ -525,7 +561,7 @@ def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> 
         g = body.generators
         return Measured.of_exact(_zonotope_sums(g - np.outer(g @ u, u), m)[0] if m else 1.0)
     if isinstance(body, DiskHull):
-        return with_polygon_error(body, vm_projection(body.as_polytope(), u, m, spec))
+        return Measured.of_exact(_k1_shadow(u, m, K1_NODES) if m else 1.0)
     if top and _on_boundary(body):
         return Measured.of_exact(_shadows(body, u, m))
     return vm(coordops.project_along(body, u), m, spec)
@@ -745,19 +781,6 @@ def _staircases(n: int) -> np.ndarray:
             out[k, p, 1:, 0] = np.cumsum(steps)
             out[k, p, 1:, 1] = k + np.cumsum(~steps)
     return out
-
-
-def with_polygon_error(body: DiskHull, val: Measured) -> Measured:
-    """``val``, measured on K1's inscribed polytope (or on a projection of
-    it), with the k-gon deficit added to its error.
-
-    K1 lies inside the inscribed polytope dilated by sec(pi/k), and each
-    projection of K1 inside the same projection dilated alike; V_m (m <= 3)
-    thus falls short by at most sec(pi/k)^3 - 1 < 18/k^2 relative (k >= 8),
-    reported as 40/k^2.
-    """
-    rel = 40.0 / body.fineness ** 2
-    return Measured(val.value, val.error + rel * max(1.0, abs(val.value)), False)
 
 
 def _vm_polytope_measured(p: VPolytope, m: int, spec) -> Measured:

@@ -6,6 +6,8 @@ surface areas from summing simplex areas with explicit Gram determinants.
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -26,6 +28,17 @@ def rng() -> np.random.Generator:
 # A generic 3-polytope with five vertices and no symmetry.
 FIVE_VERTICES = convex_hull(np.array(
     [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-0.5, -0.5, 0], [0.2, 0.3, -0.8]]))
+
+
+@cache
+def k1_polygon(k: int) -> VPolytope:
+    """The hull of the regular k-gons inscribed in K1's three coordinate
+    unit disks: inside K1, and K1 inside its dilate by sec(pi/k), so its
+    V_m (m <= 3) and those of its shadows fall short of K1's by at most
+    sec(pi/k)^3 - 1 < 18/k^2 relative (k >= 8)."""
+    t = 2.0 * np.pi * np.arange(k) / k
+    disk = np.stack([np.cos(t), np.sin(t)], axis=1)
+    return convex_hull(np.vstack([np.insert(disk, i, 0.0, axis=1) for i in range(3)]))
 
 
 def random_polytope(rng: np.random.Generator, n: int, k: int | None = None) -> VPolytope:

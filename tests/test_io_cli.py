@@ -31,7 +31,7 @@ def test_canonical_json_shape():
                     np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])),
     bodies.Ball(np.array([0.0, 1.0, 0.0]), 2.0, zeroed=frozenset({0})),
     bodies.NamedBody("K1", 3),
-    bodies.DiskHull(64),
+    bodies.DiskHull(),
 ])
 def test_body_round_trip(body):
     text = io.dumps_body(body)
@@ -43,11 +43,23 @@ def test_body_round_trip(body):
             bodies.support(body, u), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("payload", [
+    {"schema": "body/1", "kind": "disk-hull", "fineness": 64},
+    {"schema": "body/1", "kind": "named", "name": "K1", "dimension": 3, "fineness": 64},
+])
+def test_fineness_is_read_and_ignored(payload):
+    """body/1 payloads keep their "fineness" key at 256; a K1 read with
+    any other value is K1 and writes back the fixed bytes."""
+    body = io.loads_body(io.canonical_json(payload))
+    assert isinstance(bodies.resolve(body), bodies.DiskHull)
+    assert io.dumps_body(body) == io.canonical_json({**payload, "fineness": 256})
+
+
 def test_body_payload_kinds():
     assert io.body_payload(bodies.cube(3))["kind"] == "polytope"
     assert io.body_payload(bodies.NamedBody("cross", 4))["kind"] == "named"
     assert io.body_payload(bodies.ball(3))["kind"] == "ball"
-    assert io.body_payload(bodies.DiskHull(32))["kind"] == "disk-hull"
+    assert io.body_payload(bodies.DiskHull())["kind"] == "disk-hull"
     z = bodies.Zonotope(np.zeros(2), np.eye(2))
     assert io.body_payload(z)["kind"] == "zonotope"
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +29,7 @@ from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
 from convexiq.quadrature import gauss_legendre
 from convexiq.symmetry import random_signed_permutation
 
-from conftest import (gram_surface_area, mc_volume, parallelepiped,
+from conftest import (gram_surface_area, k1_polygon, mc_volume, parallelepiped,
                       random_polytope, random_zonotope)
 
 ARCCOS_THIRD = 1.2309594173407747
@@ -224,12 +225,46 @@ def test_v1_quadrature_ball(spec3):
     assert est.value == pytest.approx(4.0, rel=1e-6)
 
 
-def test_k1_mean_width(spec3):
-    est = vm(k1(), 1, spec3)
+def _k1_patch_rule(m: int, nodes: int) -> float:
+    """V_2 or V_3 of K1 from its 8 unit triangles at height 2/sqrt 6 and a
+    Gauss-Legendre rule over t in [0, 1] on its 24 ruled patches from
+    P(t) = (0, t, 1)/s to Q(t) = (t, 0, 1)/s, s = sqrt(1 + t^2): area
+    int (|P' x (Q - P)| + |Q' x (Q - P)|)/2 dt, and the cone's volume the
+    same integrand times h/3, h = s/sqrt(1 + 2t^2)."""
+    t, w = gauss_legendre(0.0, 1.0, nodes)
+    zero, one, s = np.zeros_like(t), np.ones_like(t), np.sqrt(1.0 + t * t)
+    p, q = np.stack([zero, t, one], 1) / s[:, None], np.stack([t, zero, one], 1) / s[:, None]
+    dp = np.stack([zero, one, -t], 1) / s[:, None] ** 3
+    dq = np.stack([one, zero, -t], 1) / s[:, None] ** 3
+    area = 0.5 * (np.linalg.norm(np.cross(dp, q - p), axis=1)
+                  + np.linalg.norm(np.cross(dq, q - p), axis=1))
+    triangle = math.sqrt(3.0) / 4.0
+    if m == 2:
+        return 0.5 * (8.0 * triangle + 24.0 * float(w @ area))
+    h = s / np.sqrt(1.0 + 2.0 * t * t)
+    return 8.0 * triangle * 2.0 / math.sqrt(6.0) / 3.0 + 24.0 * float(w @ (area * h)) / 3.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_k1_mean_width(m, spec3):
+    """V_m of K1 is exact: the V_1 rule, or a Gauss-Legendre rule on the
+    boundary patches for the closed-form V_2 and V_3, meets it within
+    1e-14 relative at K1_NODES and at twice as many nodes; the hulls of
+    inscribed k-gons fall short of it by less than 40/k^2 relative, and
+    Richardson extrapolation of the 1024- and 4096-gon values (errors
+    c/k^2) meets it within 1e-9."""
+    est = vm(k1(), m, spec3)
     assert est.exact
-    assert abs(est.value - 3.86633974622) <= 1e-12
-    # the fixed rule is converged: doubling its nodes moves nothing
-    assert abs(_v1_k1_rule(2 * K1_NODES) - est.value) <= 1e-12
+    value = est.value
+    assert value == pytest.approx(
+        {1: 3.8663397462206, 2: 5.67749103845204, 3: 3.285954792089684}[m], rel=1e-13)
+    rule = _v1_k1_rule if m == 1 else partial(_k1_patch_rule, m)
+    for nodes in (K1_NODES, 2 * K1_NODES):
+        assert abs(rule(nodes) - value) <= 1e-14 * value
+    polygon = {k: vm(k1_polygon(k), m).value for k in (256, 1024, 4096)}
+    for k, v in polygon.items():
+        assert value - 40.0 / k ** 2 * value <= v <= value
+    assert abs((16.0 * polygon[4096] - polygon[1024]) / 15.0 - value) <= 1e-9
 
 
 @pytest.mark.parametrize("n", range(2, 9))
