@@ -597,9 +597,11 @@ def _polytope_skeleton(p: VPolytope) -> tuple[np.ndarray, np.ndarray]:
 
 
 def affine_dim(body: Body) -> int:
-    """Dimension of the affine hull: a polytope's :func:`_span` rank, a
-    zonotope's generator rank, both cut at RANK_TOL times the largest
-    singular value; a dilate's is its source's (:func:`dilate_source`)."""
+    """Dimension of the affine hull: the rank of a polytope's vertices
+    about their mean (the rank :func:`_span` gives, from the singular
+    values alone) or of a zonotope's generators, both cut at RANK_TOL
+    times the largest singular value; a dilate's is its source's
+    (:func:`dilate_source`)."""
     body = resolve(body)
     return derived(body, "affine_dim", lambda: _affine_dim(body))
 
@@ -613,12 +615,17 @@ def _affine_dim(body: Body) -> int:
     if isinstance(body, DiskHull):
         return 3
     if isinstance(body, VPolytope):
-        return _span(body.vertices)[0]
+        v = body.vertices
+        return _rank(v - v.mean(axis=0))
     if not isinstance(body, Zonotope):
         raise InvalidArgument(f"not a body: {type(body).__name__}")
-    if not body.generator_count:
-        return 0
-    svals = np.linalg.svd(body.generators, compute_uv=False)
+    return _rank(body.generators) if body.generator_count else 0
+
+
+def _rank(x: np.ndarray) -> int:
+    """The number of singular values of x above RANK_TOL times the
+    largest, from the singular values alone."""
+    svals = np.linalg.svd(x, compute_uv=False)
     return int(np.sum(svals > RANK_TOL * float(svals[0])))
 
 
@@ -650,9 +657,11 @@ def scale_body(body: Body, factor: float) -> Body:
     to 0), is the dilate lambda K of the resolved body K
     and remembers it (:func:`dilate_source`).  Its measures come from K:
     V_m(lambda K) = lambda^m V_m(K), and the same for the V_m of its
-    shadows and sections, so ``measures.vm``, ``vm_projection`` and
-    ``vm_section`` read every exact value off K, and :func:`affine_dim`
-    is K's.  The dilate keeps K alive."""
+    shadows and sections, so ``measures.vm``, ``vm_shadows``,
+    ``vm_sections`` and ``vm_projection`` read every exact value off K,
+    and :func:`affine_dim` is K's.  The dilate keeps K alive.  A zonotope
+    dilate whose scaled rows are still canonical keeps them as they are
+    (:func:`_scaled_zonotope`)."""
     if not (factor >= 0 and math.isfinite(factor)):
         raise InvalidArgument("scale factor must be non-negative and finite")
     body = resolve(body)
@@ -661,7 +670,7 @@ def scale_body(body: Body, factor: float) -> Body:
             return VPolytope(np.zeros((1, body.n)))
         out = VPolytope(_lexsorted(factor * body.vertices))
     elif isinstance(body, Zonotope):
-        out = Zonotope(factor * body.center, factor * body.generators)
+        out = _scaled_zonotope(body, factor)
         if out.generator_count != body.generator_count:
             return out
     elif isinstance(body, Ball):
@@ -672,6 +681,35 @@ def scale_body(body: Body, factor: float) -> Body:
     if factor > 0:
         vars(out)["dilate_of"] = (body, factor)
     return out
+
+
+def _scaled_zonotope(z: Zonotope, factor: float) -> Zonotope:
+    """``Zonotope(factor c, factor G)``.  A positive factor that turns no
+    entry of G into 0 keeps each generator's zeros (-0.0 included) and
+    its positive leading entry, so when the rows of factor G are still
+    in lexicographic order the canonical form is factor G itself, kept
+    without ``Zonotope.__post_init__``.  Rounding can tie entries that
+    differed only in their last bits or in subnormals, and so reorder
+    rows; those are built as usual."""
+    c, g = factor * z.center, factor * z.generators
+    if not (factor > 0 and np.isfinite(c).all() and np.isfinite(g).all()
+            and np.count_nonzero(g) == np.count_nonzero(z.generators) and _rows_sorted(g)):
+        return Zonotope(c, g)
+    out = object.__new__(Zonotope)
+    object.__setattr__(out, "center", _freeze(c))
+    object.__setattr__(out, "generators", _freeze(g))
+    return out
+
+
+def _rows_sorted(a: np.ndarray) -> bool:
+    """Whether the rows of a are in lexicographic order, equal rows
+    included, so that the stable sort of :func:`_lexsorted` keeps them in
+    place: each row is at most the next in the first column where they
+    differ (column 0 when they are equal)."""
+    above, below = a[:-1], a[1:]
+    j = (above != below).argmax(axis=1)
+    r = np.arange(j.size)
+    return bool((above[r, j] <= below[r, j]).all())
 
 
 def dilate_source(body: Body) -> tuple[Body, float] | None:

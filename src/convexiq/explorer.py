@@ -35,7 +35,7 @@ def mean_width_ratio(body: Body, spec: QuadratureSpec | None = None) -> float:
     cross-polytopes.
     """
     body = resolve(body)
-    den = sum(measures.vm_projection(body, i, 1, spec).value for i in range(body.n))
+    den = sum(p.value for p in measures.vm_shadows(body, 1, spec))
     if den == 0.0:
         raise UndefinedValue("projection widths all vanish (point-like body)")
     return vm(body, 1, spec).value / den

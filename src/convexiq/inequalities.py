@@ -178,34 +178,34 @@ def _origin_interior(body: Body) -> bool:
 
 
 def _ev_loomis_whitney(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, n - 1, spec)
     vol = vm(body, n, spec)
     return [Link("projection-product", m_prod(projs), m_pow(vol, n - 1))]
 
 
 def _ev_meyer(body, n, m, params, spec):
-    sects = [measures.vm_section(body, i, n - 1, spec) for i in range(n)]
+    sects = measures.vm_sections(body, n - 1, spec)
     vol = vm(body, n, spec)
     c = math.factorial(n - 1) / float(n ** (n - 1))
     return [Link("dual-product", m_pow(vol, n - 1), m_scale(m_prod(sects), c))]
 
 
 def _ev_bm_upper(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, n - 1, spec)
     top = vm(body, n - 1, spec)
     return [Link("projection-sum", m_add(*projs), top)]
 
 
 def _ev_cg_upper(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, m, spec)
     val = vm(body, m, spec)
     return [Link("scaled-projection-sum",
                  m_scale(m_add(*projs), 1.0 / (n - m)), val)]
 
 
 def _ev_sqrt_n_lower(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
-    sects = [measures.vm_section(body, i, n - 1, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, n - 1, spec)
+    sects = measures.vm_sections(body, n - 1, spec)
     top = vm(body, n - 1, spec)
     psum = m_scale(m_add(*projs), 1.0 / math.sqrt(n))
     ssum = m_scale(m_add(*sects), 1.0 / math.sqrt(n))
@@ -214,7 +214,7 @@ def _ev_sqrt_n_lower(body, n, m, params, spec):
 
 def _ev_weighted_bm(body, n, m, params, spec):
     a = params["a"]
-    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, n - 1, spec)
     top = vm(body, n - 1, spec)
     if top.value <= 0:
         raise InvalidArgument("weighted bound needs a body with positive V_{n-1}")
@@ -225,8 +225,8 @@ def _ev_weighted_bm(body, n, m, params, spec):
 
 
 def _ev_square_lower(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, n - 1, spec) for i in range(n)]
-    sects = [measures.vm_section(body, i, n - 1, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, n - 1, spec)
+    sects = measures.vm_sections(body, n - 1, spec)
     top = vm(body, n - 1, spec)
     return [Link("projections", m_mul(top, top), m_sum_sq(projs)),
             Link("sections", m_sum_sq(projs), m_sum_sq(sects))]
@@ -234,7 +234,7 @@ def _ev_square_lower(body, n, m, params, spec):
 
 def _ev_pythagorean(body, n, m, params, spec):
     u = params["u"]
-    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, m, spec)
     mu = measures.vm_projection(body, u, m, spec)
     return [Link("direction-split", m_sum_sq(projs), m_mul(mu, mu))]
 
@@ -242,7 +242,7 @@ def _ev_pythagorean(body, n, m, params, spec):
 def _ev_zonoid_lower(body, n, m, params, spec):
     if not isinstance(resolve(body), Zonotope):
         raise InvalidArgument("this bound is stated for zonotopes")
-    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, m, spec)
     val = vm(body, m, spec)
     return [Link("zonotope-square", m_mul(val, val),
                  m_scale(m_sum_sq(projs), 1.0 / (n - m)))]
@@ -257,14 +257,14 @@ def mth_lower_constant(n: int, m: int) -> float:
 
 
 def _ev_mth_lower(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, m, spec)
     val = vm(body, m, spec)
     c = mth_lower_constant(n, m)
     return [Link("gamma-square", m_mul(val, val), m_scale(m_sum_sq(projs), c))]
 
 
 def _ev_reverse_cs(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, m, spec)
     total = m_add(*projs)
     return [Link("sum-square", m_scale(m_mul(total, total),
                                        1.0 / math.sqrt(n - m)),
@@ -272,7 +272,7 @@ def _ev_reverse_cs(body, n, m, params, spec):
 
 
 def _ev_cond_eq111(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, m, spec)
     total = m_add(*projs)
     bound = total.value / (n - m)
     tol = 10.0 * total.error + 1e-12 * max(1.0, total.value)
@@ -284,8 +284,8 @@ def _ev_cond_eq111(body, n, m, params, spec):
 
 def _ev_easy_bounds(body, n, m, params, spec):
     p = params["p"]
-    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
-    sects = [measures.vm_section(body, i, m, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, m, spec)
+    sects = measures.vm_sections(body, m, spec)
     val = vm(body, m, spec)
     pmean = lambda xs: m_pow(m_scale(m_add(*[m_pow(x, p) for x in xs]), 1.0 / n),
                              1.0 / p)
@@ -295,15 +295,15 @@ def _ev_easy_bounds(body, n, m, params, spec):
 
 
 def _ev_trivmax(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
-    sects = [measures.vm_section(body, i, m, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, m, spec)
+    sects = measures.vm_sections(body, m, spec)
     val = vm(body, m, spec)
     return [Link("projections", val, m_max(projs)),
             Link("sections", m_max(projs), m_max(sects))]
 
 
 def _ev_bm_v1_lower(body, n, m, params, spec):
-    projs = [measures.vm_projection(body, i, 1, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, 1, spec)
     val = vm(body, 1, spec)
     c0 = min_mean_width_ratio(n)
     return [Link("width-sum", val, m_mul(c0, m_add(*projs)))]
@@ -312,7 +312,7 @@ def _ev_bm_v1_lower(body, n, m, params, spec):
 def _ev_heron(body, n, m, params, spec):
     if n != 3:
         raise InvalidArgument("the Heron-type bound is three-dimensional")
-    a = [measures.vm_section(body, i, 1, spec) for i in range(3)]
+    a = measures.vm_sections(body, 1, spec)
     top = vm(body, 2, spec)
     sq = m_sum_sq(a)
     quads = m_add(*[m_pow(x, 4.0) for x in a])
@@ -322,8 +322,8 @@ def _ev_heron(body, n, m, params, spec):
 
 def _ev_prob4(body, n, m, params, spec):
     c2 = params["c2"]
-    projs = [measures.vm_projection(body, i, m, spec) for i in range(n)]
-    sects = [measures.vm_section(body, i, m, spec) for i in range(n)]
+    projs = measures.vm_shadows(body, m, spec)
+    sects = measures.vm_sections(body, m, spec)
     val = vm(body, m, spec)
     return [Link("projections", m_mul(val, val), m_scale(m_sum_sq(projs), c2)),
             Link("sections", m_scale(m_sum_sq(projs), c2),
@@ -332,7 +332,7 @@ def _ev_prob4(body, n, m, params, spec):
 
 def _ev_prob5(body, n, m, params, spec):
     c3 = params["c3"]
-    sects = [measures.vm_section(body, i, m, spec) for i in range(n)]
+    sects = measures.vm_sections(body, m, spec)
     val = vm(body, m + 1, spec)
     lhs = m_pow(val, float(m * n))
     rhs = m_scale(m_prod([m_pow(s, float(m + 1)) for s in sects]), c3)

@@ -12,11 +12,12 @@ Exact paths:
   up (:func:`_boundary`) raises :class:`UnsupportedMeasure`;
 * V_{n-1} and V_{n-2} of every shadow K | u^perp of a full-dimensional
   polytope K from K's own boundary triangulation, with no hull of the
-  shadow (:func:`vm_projection`): Cauchy's projection formula over the
-  boundary simplices and the projected silhouette ridges;
+  shadow (:func:`vm_shadows`, :func:`vm_projection`): Cauchy's
+  projection formula over the boundary simplices and the projected
+  silhouette ridges;
 * V_{n-1} and V_{n-2} of every section K ∩ e_i^perp of a full-dimensional
   polytope K from the same triangulation, with no hull of the section
-  (:func:`vm_section`): each boundary simplex that crosses the plane is
+  (:func:`vm_sections`): each boundary simplex that crosses the plane is
   cut into a product of simplices, whose staircase triangulation tiles
   the section's boundary.  A vertex on the plane counts on the plane's
   upper side, x_i >= 0 when K has a vertex with x_i < 0 and x_i <= 0
@@ -40,9 +41,15 @@ V_1 of a full-dimensional polytope in d >= 5 falls back to mean-width
 quadrature over the sphere.  The remaining pairs (2 <= m <= d-4) raise
 :class:`UnsupportedMeasure` rather than silently degrading.
 
+The n coordinate shadows of one degree are measured as one tuple,
+:func:`vm_shadows`, and the n coordinate sections as another,
+:func:`vm_sections`, each once per body instance and (m, spec);
+:func:`vm_projection` and :func:`vm_section` along e_i index them.
+
 A dilate lambda K made by ``bodies.scale_body`` (:func:`bodies.dilate_source`)
-is measured on K: each of :func:`vm`, :func:`vm_projection` and
-:func:`vm_section` makes the same call on K and, when K's value is exact,
+is measured on K: each of :func:`vm`, :func:`vm_shadows`,
+:func:`vm_sections` and an oblique :func:`vm_projection` makes the same
+call on K and, where K's value is exact (axis by axis for the tuples),
 returns lambda^m times it, since V_m of a body, of its shadows and of its
 sections is homogeneous of degree m.  An inexact value (quadrature) is
 measured on the dilate itself.
@@ -420,7 +427,7 @@ def _zonotope_sums(g: np.ndarray, m: int) -> list[float]:
     count = math.comb(k, m)
     if count > MAX_SUBSETS:
         raise UnsupportedMeasure(f"{count} generator subsets exceed the enumeration guard")
-    weights = np.column_stack([np.ones(math.comb(n, m)), _avoiding(n, m)])
+    weights = _pass_weights(n, m)
     scale = math.frexp(float(np.max(np.abs(g))))[1]     # entries below 1
     g = np.ldexp(g, -scale)
     flat = itertools.chain.from_iterable(itertools.combinations(range(k), m))
@@ -516,39 +523,25 @@ def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> 
     """V_m(K | u^perp), 0 <= m <= n-1, for a coordinate axis ``u = i`` or
     a direction u.
 
-    On a zonotope it comes from the minors of its generator subsets
-    (:func:`_zonotope_sums`), with no projected body: along e_i from the
-    pass that gives V_m(Z) and every coordinate shadow, once per body
-    instance and m; along an oblique u from the projected generators
-    G - (G u) u^T.  On a full-dimensional polytope with m = n-1 or m = n-2
-    it is read off K's own boundary triangulation (:func:`_shadows`),
-    with no hull of the projection.  Both degrees of all n coordinate
-    shadows are measured together, once per body instance, since they
-    read the same triangulation.  Elsewhere, or when that triangulation
-    does not close up (:func:`_boundary`), it is :func:`vm` of the
-    projection: ``project_drop(K, i)`` along a coordinate axis (+-e_i
-    included, so that it is that coordinate's term bit for bit),
-    otherwise ``project_along(K, u)``.  An oblique shadow of K1 is
-    measured from its support function (:func:`_k1_shadow`).  A dilate
-    lambda K takes lambda^m V_m(K | u^perp) when that is exact
-    (:func:`_off_source`).
+    Along e_i (+-e_i included, so that it is that coordinate's term bit
+    for bit) it is entry i of :func:`vm_shadows`, so it refuses where any
+    coordinate shadow of degree m does.  Along an oblique u, a
+    zonotope's comes from the minors of its projected generators
+    G - (G u) u^T (:func:`_zonotope_sums`), K1's from its support
+    function (:func:`_k1_shadow`), and a full-dimensional polytope's with
+    m = n-1 or m = n-2 from K's own boundary triangulation
+    (:func:`_shadows`) when it closes up (:func:`_boundary`); elsewhere it
+    is :func:`vm` of ``project_along(K, u)``.  A dilate lambda K takes
+    lambda^m V_m(K | u^perp) when that is exact (:func:`_off_source`).
     """
     body = resolve(body)
-    if not 0 <= m < body.n:
-        raise InvalidArgument(f"need 0 <= m <= {body.n - 1}, got m={m}")
+    _check_degree(body.n, m)
+    if isinstance(u, (int, np.integer)):
+        i = coordops._check_axis(body.n, u)
+        return vm_shadows(body, m, spec)[i]
     scaled = _off_source(body, m, lambda k: vm_projection(k, u, m, spec))
     if scaled is not None:
         return scaled
-    top = m >= 1 and body.n - m in (1, 2)
-    if isinstance(u, (int, np.integer)):
-        i = coordops._check_axis(body.n, u)
-        if isinstance(body, Zonotope):
-            return Measured.of_exact(_zonotope_pass(body, m)[1 + i] if m else 1.0)
-        if top and isinstance(body, VPolytope):
-            shadows = _b.derived(body, "shadows", lambda: _coordinate_shadows(body))
-            if shadows is not None:
-                return shadows[m][i]
-        return vm(coordops.project_drop(body, i), m, spec)
     u = _b.as_vector(u, body.n)
     norm = float(np.linalg.norm(u))
     if norm == 0:
@@ -556,15 +549,65 @@ def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> 
     u = u / norm
     axes = np.flatnonzero(u)
     if axes.size == 1:
-        return vm_projection(body, int(axes[0]), m, spec)
+        return vm_shadows(body, m, spec)[int(axes[0])]
     if isinstance(body, Zonotope):
         g = body.generators
         return Measured.of_exact(_zonotope_sums(g - np.outer(g @ u, u), m)[0] if m else 1.0)
     if isinstance(body, DiskHull):
         return Measured.of_exact(_k1_shadow(u, m, K1_NODES) if m else 1.0)
-    if top and _on_boundary(body):
+    if m >= 1 and body.n - m in (1, 2) and _on_boundary(body):
         return Measured.of_exact(_shadows(body, u, m))
     return vm(coordops.project_along(body, u), m, spec)
+
+
+def vm_shadows(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple[Measured, ...]:
+    """(V_m(K | e_0^perp), ..., V_m(K | e_{n-1}^perp)), 0 <= m <= n-1,
+    once per body instance and (m, spec) (:func:`bodies.derived`).
+
+    On a zonotope they come from the pass that gives V_m(Z) and every
+    coordinate shadow (:func:`_zonotope_pass`), with no projected body.
+    On a full-dimensional polytope with m = n-1 or m = n-2 they are read
+    off K's own boundary triangulation (:func:`_shadows`), with no hull
+    of a projection; both degrees are measured together, once per body
+    instance.  Elsewhere, or when that triangulation does not close up
+    (:func:`_boundary`), each is :func:`vm` of ``project_drop(K, i)``.
+    An axis that refuses refuses the tuple.  A dilate lambda K takes each
+    value off K (:func:`_by_axis`).
+    """
+    body = resolve(body)
+    _check_degree(body.n, m)
+    return _b.derived(body, ("vm_shadows", m, spec), lambda: _by_axis(
+        body, m, lambda k: vm_shadows(k, m, spec), lambda i: _shadow(body, i, m, spec)))
+
+
+def _shadow(body: Body, i: int, m: int, spec: QuadratureSpec | None) -> Measured:
+    """V_m(K | e_i^perp) by the route of :func:`vm_shadows`, on body itself."""
+    if isinstance(body, Zonotope):
+        return Measured.of_exact(_zonotope_pass(body, m)[1 + i] if m else 1.0)
+    if m >= 1 and body.n - m in (1, 2) and isinstance(body, VPolytope):
+        shadows = _b.derived(body, "shadows", lambda: _coordinate_shadows(body))
+        if shadows is not None:
+            return shadows[m][i]
+    return vm(coordops.project_drop(body, i), m, spec)
+
+
+def _check_degree(n: int, m: int) -> None:
+    """Shadows and sections of a body in R^n have degrees 0..n-1."""
+    if not 0 <= m < n:
+        raise InvalidArgument(f"need 0 <= m <= {n - 1}, got m={m}")
+
+
+def _by_axis(body: Body, m: int, of_source, own) -> tuple[Measured, ...]:
+    """``own(i)`` for every axis i, the value measured on body itself; for
+    a dilate body = lambda K (:func:`bodies.dilate_source`), lambda^m
+    times ``of_source(K)[i]`` on each axis where that is exact, and
+    ``own(i)`` on the others, as :func:`_off_source` takes one value."""
+    source = _b.dilate_source(body)
+    if source is None:
+        return tuple(own(i) for i in range(body.n))
+    k, lam = source
+    return tuple(Measured.of_exact(lam ** m * v.value) if v.exact else own(i)
+                 for i, v in enumerate(of_source(k)))
 
 
 def _on_boundary(body: Body) -> bool:
@@ -631,6 +674,13 @@ def _avoiding(n: int, k: int) -> np.ndarray:
 
 
 @cache
+def _pass_weights(n: int, m: int) -> np.ndarray:
+    """[1 | _avoiding(n, m)]: column 0 sums every m-subset of range(n),
+    column 1 + i those that avoid column i (:func:`_zonotope_sums`)."""
+    return np.column_stack([np.ones(math.comb(n, m)), _avoiding(n, m)])
+
+
+@cache
 def _expansion(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each k-subset of range(n), k >= 2, in itertools order: its
     columns, the index of the subset less each of them among the
@@ -665,30 +715,41 @@ def _minors(e: np.ndarray) -> np.ndarray:
 
 def vm_section(body: Body, i: int, m: int, spec: QuadratureSpec | None = None) -> Measured:
     """V_m(K ∩ e_i^perp), 0 <= m <= n-1, measured in the n-1 coordinates
-    other than i.
+    other than i: entry i of :func:`vm_sections`, so it refuses where any
+    coordinate section of degree m does."""
+    body = resolve(body)
+    _check_degree(body.n, m)
+    i = coordops._check_axis(body.n, i)
+    return vm_sections(body, m, spec)[i]
 
-    A body that x_i -> -x_i maps onto itself
-    (:func:`coordops.mirror_symmetric`) has its projection as section, so
-    it is :func:`vm_projection`.  On any other full-dimensional polytope
-    in R^n, n >= 3, with m = n-1 or m = n-2, it is read off K's own
-    boundary triangulation (:func:`_sections`), with no hull of the
+
+def vm_sections(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple[Measured, ...]:
+    """(V_m(K ∩ e_0^perp), ..., V_m(K ∩ e_{n-1}^perp)), 0 <= m <= n-1,
+    once per body instance and (m, spec) (:func:`bodies.derived`).
+
+    Along an axis i that x_i -> -x_i maps onto itself
+    (:func:`coordops.mirror_symmetric`) the section is the projection, so
+    it is entry i of :func:`vm_shadows`.  On any other full-dimensional
+    polytope in R^n, n >= 3, with m = n-1 or m = n-2, it is read off K's
+    own boundary triangulation (:func:`_sections`), with no hull of the
     section; both degrees of all n coordinate sections are measured
     together, once per body instance.  Planes through a vertex, planes
     that K touches from one side and planes that miss K take the same
     route.  Elsewhere, or when that triangulation does not close up
     (:func:`_boundary`), it is :func:`vm` of ``section_drop(K, i)``, and
-    an exact 0 when the plane misses K.  A dilate lambda K takes
-    lambda^m V_m(K ∩ e_i^perp) when that is exact (:func:`_off_source`).
+    an exact 0 when the plane misses K.  An axis that refuses refuses the
+    tuple.  A dilate lambda K takes each value off K (:func:`_by_axis`).
     """
     body = resolve(body)
-    if not 0 <= m < body.n:
-        raise InvalidArgument(f"need 0 <= m <= {body.n - 1}, got m={m}")
-    i = coordops._check_axis(body.n, i)
-    scaled = _off_source(body, m, lambda k: vm_section(k, i, m, spec))
-    if scaled is not None:
-        return scaled
+    _check_degree(body.n, m)
+    return _b.derived(body, ("vm_sections", m, spec), lambda: _by_axis(
+        body, m, lambda k: vm_sections(k, m, spec), lambda i: _section(body, i, m, spec)))
+
+
+def _section(body: Body, i: int, m: int, spec: QuadratureSpec | None) -> Measured:
+    """V_m(K ∩ e_i^perp) by the route of :func:`vm_sections`, on body itself."""
     if coordops.mirror_symmetric(body, i):
-        return vm_projection(body, i, m, spec)
+        return vm_shadows(body, m, spec)[i]
     if isinstance(body, VPolytope) and body.n >= 3 and body.n - m in (1, 2):
         sections = _b.derived(body, "sections", lambda: _coordinate_sections(body))
         if sections is not None:

@@ -13,8 +13,9 @@ from scipy.spatial import ConvexHull
 from convexiq import (Ball, NamedBody, VPolytope, Zonotope,
                       as_vpolytope, ball, convex_hull, cross_polytope, cube,
                       k1, k2, minkowski_sum, support, support_many, vm)
+from convexiq import bodies
 from convexiq.bodies import (DEDUP_TOL, _dedup_points, _lexsorted,
-                             _sign_matrix, affine_dim, resolve, skeleton,
+                             _sign_matrix, _span, affine_dim, resolve, skeleton,
                              same_vertices, scale_body, translate_body)
 from convexiq.coordops import g_symmetral
 from convexiq.errors import InvalidArgument, UnsupportedOperation
@@ -342,6 +343,52 @@ def test_zonotope_canonical_generators_match_row_by_row_bytes(rng):
         assert got.tobytes() == ref.tobytes()
 
 
+def _dilated_zonotopes(rng):
+    """Canonical zonotopes for dilates: random ones, equal rows, rows one
+    ulp apart in their deciding column (a dilate rounds them to a tie and
+    the next column reorders them), subnormal entries, entries a small
+    factor turns into 0 (a leading one among them, so the row flips) and
+    -0.0 entries."""
+    for n, k in [(2, 3), (3, 5), (6, 8)]:
+        yield Zonotope(rng.standard_normal(n), rng.standard_normal((k, n)))
+    yield Zonotope(np.zeros(2), [[1.0, 2.0], [1.0, 2.0], [3.0, -1.0]])
+    ulp = np.nextafter(1.0, 2.0)
+    yield Zonotope(np.zeros(3), [[1.0, 3.0, 0.0], [ulp, -2.0, 1.0], [ulp, 5.0, -0.0]])
+    tiny = np.nextafter(0.0, 1.0)
+    yield Zonotope(np.ones(3), [[tiny, 1.0, -0.0], [2 * tiny, -1.0, 0.0], [1.0, -0.0, tiny]])
+    yield Zonotope(np.zeros(3), [[1e-300, -1.0, 0.0], [0.5, 1e-300, -0.0], [1.0, -0.0, 2.0]])
+    yield Zonotope(-np.ones(3), [[-0.0, 1.0, -0.0], [0.0, 0.0, 2.0], [3.0, -0.0, -1.0]])
+
+
+def test_a_zonotope_dilate_is_the_zonotope_built_at_scale(rng):
+    """scale_body(Z, lam) has the center and generators of Zonotope(lam c,
+    lam G) bit for bit, signbits included, for lam from 1e-310 to 1e300,
+    and remembers Z exactly when that keeps every generator.  The cases
+    include dilates whose rows tie and reorder, and dilates that lose
+    entries to underflow."""
+    factors = np.concatenate([np.geomspace(1e-310, 1e300, 150),
+                              10.0 ** rng.uniform(-310, 300, 150), [0.7, 1.0, 1e-8, 1e8]])
+    reordered = underflowed = 0
+    for z in _dilated_zonotopes(rng):
+        for lam in factors.tolist():
+            got = scale_body(z, lam)
+            want = Zonotope(lam * z.center, lam * z.generators)
+            assert got.center.tobytes() == want.center.tobytes(), lam
+            assert got.generators.shape == want.generators.shape, lam
+            assert got.generators.tobytes() == want.generators.tobytes(), lam
+            assert not (got.center.flags.writeable or got.generators.flags.writeable)
+            source = bodies.dilate_source(got)
+            kept = want.generator_count == z.generator_count
+            assert (source[0] is z and source[1] == lam) if kept else source is None
+            scaled = lam * z.generators
+            underflowed += np.count_nonzero(scaled) < np.count_nonzero(z.generators)
+            reordered += kept and scaled.tobytes() != want.generators.tobytes() and \
+                np.count_nonzero(scaled) == np.count_nonzero(z.generators)
+    assert reordered > 0 and underflowed > 0
+    with pytest.raises(InvalidArgument):
+        scale_body(Zonotope(np.zeros(2), [[1e10, 1.0]]), 1e300)
+
+
 def test_zonotope_canonicalization_leaves_its_input_alone(rng):
     g = -np.abs(rng.standard_normal((4, 3)))
     before = g.copy()
@@ -491,3 +538,27 @@ def test_affine_dim_moves_with_the_body():
             w = vm(q, n)
             assert affine_dim(q) == d, k
             assert abs(w.value - v.value) <= w.error + v.error, k
+
+
+def _clouds_about_the_cut(count: int):
+    """count rotated clouds of n+2 to 3n-1 points in R^n, n = 3..5, whose
+    last direction is 10^U(-10, -8) thick, so that their smallest
+    singular value straddles the rank cut."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(count):
+        n = int(rng.integers(3, 6))
+        pts = rng.standard_normal((int(rng.integers(n + 2, 3 * n)), n))
+        pts[:, -1] *= 10.0 ** rng.uniform(-10.0, -8.0)
+        yield pts @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def test_affine_dim_is_the_span_rank():
+    """A polytope's affine_dim, taken from the singular values alone, is
+    the rank _span gives the same points, on the thin clouds and on 2,000
+    clouds about the rank cut, which fall on both sides of it."""
+    sides = set()
+    for k, pts in enumerate(itertools.chain(_thin_clouds(), _clouds_about_the_cut(2000))):
+        rank = _span(pts)[0]
+        assert affine_dim(VPolytope(pts)) == rank, k
+        sides.add(pts.shape[1] - rank)
+    assert sides == {0, 1}

@@ -106,6 +106,53 @@ def test_only_bodies_reaches_qhull():
     assert importers == []
 
 
+class _AxisLoops(ast.NodeVisitor):
+    """Lines of calls to ``vm_projection`` or ``vm_section`` whose axis is
+    a variable of an enclosing loop or comprehension."""
+
+    def __init__(self):
+        self.bound, self.lines = [], []
+
+    def _visit_bound(self, node, targets):
+        self.bound.append({n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)})
+        self.generic_visit(node)
+        self.bound.pop()
+
+    def visit_For(self, node):
+        self._visit_bound(node, [node.target])
+
+    visit_AsyncFor = visit_For
+
+    def _visit_comprehension(self, node):
+        self._visit_bound(node, [g.target for g in node.generators])
+
+    visit_ListComp = visit_SetComp = visit_DictComp = visit_GeneratorExp = _visit_comprehension
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name in ("vm_projection", "vm_section"):
+            axis = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg in ("u", "i")), None)
+            if isinstance(axis, ast.Name) and any(axis.id in b for b in self.bound):
+                self.lines.append(node.lineno)
+        self.generic_visit(node)
+
+
+def test_only_measures_loops_over_the_axes():
+    """The n coordinate shadows or sections of one degree come from one
+    call (``measures.vm_shadows``, ``vm_sections``): no library module
+    but ``measures`` calls ``vm_projection`` or ``vm_section`` with a loop
+    or comprehension variable as the axis."""
+    found = []
+    for path in SRC:
+        if path.name != "measures.py":
+            visitor = _AxisLoops()
+            visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+            found += [f"{path.name}:{line}" for line in visitor.lines]
+    assert found == []
+
+
 def test_every_exported_name_exists():
     """Every name in ``convexiq.__all__`` is an attribute of the package,
     so ``from convexiq import *`` runs; a deleted function left in

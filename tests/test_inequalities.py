@@ -411,12 +411,10 @@ def test_conditional_bound_reports_inapplicability(monkeypatch, spec3):
     """When one projection dominates, the report says so instead of judging."""
     from convexiq.measures import Measured
 
-    fake = {0: 10.0, 1: 0.5, 2: 0.5}
+    def lopsided(body, m, spec):
+        return tuple(map(Measured.of_exact, (10.0, 0.5, 0.5)))
 
-    def lopsided(body, i, m, spec):
-        return Measured.of_exact(fake[i])
-
-    monkeypatch.setattr(measures, "vm_projection", lopsided)
+    monkeypatch.setattr(measures, "vm_shadows", lopsided)
     r = iq.evaluate("cond_eq111", bodies.cube(3), m=1, spec=spec3)
     assert r.satisfied
     assert r.links == ()

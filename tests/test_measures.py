@@ -19,12 +19,14 @@ from convexiq.coordops import (EMPTY, _cut, g_symmetral, mirror_symmetric,
 from convexiq.errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
                                K1_NODES, SUBSET_BLOCK, Measured, _boundary,
+                               _coordinate_sections, _coordinate_shadows,
                                _on_boundary, _shadows, _v1_cross_rule,
                                _v1_k1_rule, kappa,
                                surface_area, v1_cross_polytope,
                                v1_polytope_exact, v1_quadrature, vm_ball,
                                vm_polytope_angles, vm_projection, vm_section,
-                               vm_zonotope, _zonotope_sums,
+                               vm_sections, vm_shadows, vm_zonotope,
+                               _zonotope_pass, _zonotope_sums,
                                volume)
 from convexiq.quadrature import gauss_legendre
 from convexiq.symmetry import random_signed_permutation
@@ -883,9 +885,11 @@ def _dilate_mismatches(n: int, small_cuts: bool) -> list:
                 if got.exact != want.exact or \
                         abs(got.value - want.value) > 1e-12 * abs(want.value):
                     out.append((f.__name__, args, lam, got.value / want.value - 1.0))
-            # the dilate measured nothing itself
+            # the dilate measured nothing itself: it holds only values read off K
             assert "qhull" not in vars(dilate)
-            assert set(vars(dilate).get("_derived", {})) <= {("vm", m, None) for m in range(n + 1)}
+            assert set(vars(dilate).get("_derived", {})) <= {
+                (call, m, None) for call in ("vm", "vm_shadows", "vm_sections")
+                for m in range(n + 1)}
     assert cuts > 0
     return out
 
@@ -1399,3 +1403,139 @@ def test_vm_section_validates_the_degree():
                 vm_section(body, 0, m)
     assert vm_section(cases[1], 0, 0) == Measured.of_exact(0.0)
     assert vm_section(cases[1], 0, 2) == Measured.of_exact(0.0)
+
+
+# ---------------------------------------------------------------------------
+# the n coordinate values of one degree (measures.vm_shadows, vm_sections)
+
+
+def _bits(x: Measured) -> tuple:
+    return x.value.hex(), x.error.hex(), x.exact
+
+
+def _route_shadow(body, i: int, m: int, spec) -> Measured:
+    """V_m(K | e_i^perp) by the route axis i takes on body itself: the
+    zonotope pass, the boundary shadows (read from the body's cache, as
+    computing them again gives the same bits), or vm of the hulled
+    projection."""
+    body = bodies.resolve(body)
+    if isinstance(body, Zonotope):
+        return Measured.of_exact(_zonotope_pass(body, m)[1 + i] if m else 1.0)
+    if isinstance(body, VPolytope) and m >= 1 and body.n - m in (1, 2) and _on_boundary(body):
+        return bodies.derived(body, "shadows", lambda: _coordinate_shadows(body))[m][i]
+    return vm(project_drop(body, i), m, spec)
+
+
+def _route_section(body, i: int, m: int, spec) -> Measured:
+    """V_m(K ∩ e_i^perp) by the route axis i takes on body itself: the
+    shadow's by the mirror rule, the boundary sections, vm of the hulled
+    cut, or an exact 0 for a plane that misses K."""
+    body = bodies.resolve(body)
+    if mirror_symmetric(body, i):
+        return _route_shadow(body, i, m, spec)
+    if isinstance(body, VPolytope) and body.n >= 3 and body.n - m in (1, 2) \
+            and _on_boundary(body):
+        return bodies.derived(body, "sections", lambda: _coordinate_sections(body))[m][i]
+    s = section_drop(body, i)
+    return Measured.of_exact(0.0) if s is EMPTY else vm(s, m, spec)
+
+
+def _by_route(body, m: int, spec, route) -> list:
+    """route on every axis; for a dilate lam K, lam^m times K's value
+    where that is exact and route on the dilate where it is not."""
+    source = bodies.dilate_source(body)
+    if source is None:
+        return [route(body, i, m, spec) for i in range(body.n)]
+    k, lam = source
+    return [Measured.of_exact(lam ** m * v.value) if v.exact else route(body, i, m, spec)
+            for i, v in enumerate(_by_route(k, m, spec, route))]
+
+
+def _tuple_bodies(n: int) -> list:
+    """_shadow_bodies and _on_plane_bodies, a zonotope, an unconditional
+    hull, a ball and a flattened one, and K1 in R^3."""
+    rng = np.random.default_rng(130 + n)
+    out = _shadow_bodies(n) + [p for p, _ in _on_plane_bodies(n)]
+    out += [random_zonotope(rng, n), unconditional_hull(rng.standard_normal((2, n))),
+            ball(n, 1.3, rng.standard_normal(n)),
+            bodies.Ball(rng.standard_normal(n), 0.8, frozenset({0, n - 1}))]
+    return out + [k1()] if n == 3 else out
+
+
+def _refuses_bad_degrees(body) -> None:
+    """Every degree outside 0..n-1 raises InvalidArgument before any
+    route runs: nothing is derived from the body or its source."""
+    source = bodies.dilate_source(body)
+    seen = [body] if source is None else [body, source[0]]
+    before = [set(vars(b).get("_derived", {})) for b in seen]
+    for m in (-1, body.n, body.n + 3):
+        for call in (lambda: vm_shadows(body, m), lambda: vm_sections(body, m),
+                     lambda: vm_projection(body, 0, m), lambda: vm_section(body, 0, m)):
+            with pytest.raises(InvalidArgument, match=f"need 0 <= m <= {body.n - 1}"):
+                call()
+    assert [set(vars(b).get("_derived", {})) for b in seen] == before
+
+
+def _bits_or_refused(f, *args):
+    """The bits of every value f(*args) gives, or None where it refuses."""
+    try:
+        return [_bits(v) for v in f(*args)]
+    except UnsupportedMeasure:
+        return None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_tuples_take_each_axis_route(n):
+    """vm_shadows(K, m)[i] and vm_sections(K, m)[i] equal, bit for bit
+    and error field included, the route axis i takes on K, for every
+    degree, on every body and its dilates by 1e-8, 0.7 and 1e8, which
+    take lam^m times K's exact values; a tuple refuses where some axis's
+    route does.  vm_projection and vm_section along e_i are entry i.  At
+    n = 6 the dilates skip V_1: it is quadrature on every 5-d shadow and
+    section, so each dilate would hull and integrate every axis itself,
+    the route the test below covers."""
+    spec = QuadratureSpec(resolution=16)
+    cases = []
+    for body in _tuple_bodies(n):
+        scaled = [] if isinstance(body, bodies.DiskHull) else \
+            [scale_body(body, lam) for lam in (1e-8, 0.7, 1e8)]
+        for b in [body] + scaled:
+            _refuses_bad_degrees(b)
+            cases += [(b, m, _bits_or_refused(vm_shadows, b, m, spec),
+                       _bits_or_refused(vm_sections, b, m, spec)) for m in range(n)
+                      if b is body or n < 6 or m != 1]
+    for b, m, shadows, sections in cases:
+        for got, f, route, entry in ((shadows, vm_shadows, _route_shadow, vm_projection),
+                                     (sections, vm_sections, _route_section, vm_section)):
+            assert got == _bits_or_refused(_by_route, b, m, spec, route), (f.__name__, b, m)
+            if got is not None:
+                assert len(got) == n
+                assert all(entry(b, np.int64(i), m, spec) is f(b, m, spec)[i] for i in range(n))
+    inexact = sum(not exact for *_, values in cases for v in values or () for exact in v[2:])
+    refused = sum(values is None for *_, values in cases)
+    assert (inexact > 0, refused > 0) == (n >= 6, n >= 6)
+
+
+def test_a_dilate_measures_its_inexact_axes_itself():
+    """A 6-polytope flat in x_0 = 0: V_1 of its shadow along e_0, the
+    body itself in R^5, is sphere quadrature and is measured on the
+    dilate, as is its section, the same body; every other shadow and
+    section is flat, exact, and lam times K's."""
+    cloud = np.random.default_rng(17).standard_normal((14, 6))
+    cloud[:, 0] = 0.0
+    p = convex_hull(cloud)
+    spec = QuadratureSpec(resolution=16)
+    base = vm_shadows(p, 1, spec), vm_sections(p, 1, spec)
+    assert [v.exact for v in base[0]] == [v.exact for v in base[1]] == [False] + [True] * 5
+    for lam in (1e-8, 0.7, 1e8):
+        dilate = scale_body(p, lam)
+        for got, source in zip((vm_shadows(dilate, 1, spec), vm_sections(dilate, 1, spec)), base):
+            own = vm(project_drop(dilate, 0), 1, spec)
+            assert _bits(got[0]) == _bits(own) and not own.exact
+            assert own.value == pytest.approx(lam * source[0].value, rel=1e-3)
+            assert [_bits(v) for v in got[1:]] == \
+                [_bits(Measured.of_exact(lam * v.value)) for v in source[1:]]
+        derived = set(vars(dilate)["_derived"])
+        assert ("project_drop", 0) in derived
+        assert not any(key[0] in ("project_drop", "section_drop") and key[1] > 0
+                       for key in derived)
