@@ -658,10 +658,10 @@ def scale_body(body: Body, factor: float) -> Body:
     and remembers it (:func:`dilate_source`).  Its measures come from K:
     V_m(lambda K) = lambda^m V_m(K), and the same for the V_m of its
     shadows and sections, so ``measures.vm``, ``vm_shadows``,
-    ``vm_sections`` and ``vm_projection`` read every exact value off K,
-    and :func:`affine_dim` is K's.  The dilate keeps K alive.  A zonotope
-    dilate whose scaled rows are still canonical keeps them as they are
-    (:func:`_scaled_zonotope`)."""
+    ``vm_sections`` and an oblique ``vm_projection`` read every exact
+    value off K (``measures._off_source``), and :func:`affine_dim` is
+    K's.  The dilate keeps K alive.  A zonotope dilate whose scaled rows
+    are still canonical keeps them as they are (:func:`_scaled_zonotope`)."""
     if not (factor >= 0 and math.isfinite(factor)):
         raise InvalidArgument("scale factor must be non-negative and finite")
     body = resolve(body)

@@ -43,16 +43,19 @@ quadrature over the sphere.  The remaining pairs (2 <= m <= d-4) raise
 
 The n coordinate shadows of one degree are measured as one tuple,
 :func:`vm_shadows`, and the n coordinate sections as another,
-:func:`vm_sections`, each once per body instance and (m, spec);
-:func:`vm_projection` and :func:`vm_section` along e_i index them.
+:func:`vm_sections`, each once per body instance and (m, spec); these are
+the only coordinate entry points.  :func:`vm_projection` takes a
+direction, and along +-e_i it reads entry i of :func:`vm_shadows`.  V_0 of
+a shadow is an exact 1 before any route runs, and V_0 of a section is 1
+or 0 as the plane meets K or misses it, decided with no hull.
 
 A dilate lambda K made by ``bodies.scale_body`` (:func:`bodies.dilate_source`)
-is measured on K: each of :func:`vm`, :func:`vm_shadows`,
-:func:`vm_sections` and an oblique :func:`vm_projection` makes the same
-call on K and, where K's value is exact (axis by axis for the tuples),
-returns lambda^m times it, since V_m of a body, of its shadows and of its
-sections is homogeneous of degree m.  An inexact value (quadrature) is
-measured on the dilate itself.
+is measured on K (:func:`_off_source`): each of :func:`vm`,
+:func:`vm_shadows`, :func:`vm_sections` and an oblique
+:func:`vm_projection` reads the same call on K once and, where K's value
+is exact (entry by entry for the tuples), returns lambda^m times it,
+since V_m of a body, of its shadows and of its sections is homogeneous of
+degree m.  An inexact value (quadrature) is measured on the dilate itself.
 
 Normalization conventions: V_n is the volume; V_{n-1} is half the surface
 area for full-dimensional bodies and equals the (n-1)-measure (not
@@ -481,21 +484,22 @@ def vm(body: Body, m: int, spec: QuadratureSpec | None = None) -> Measured:
     """
     body = resolve(body)
     return _b.derived(body, ("vm", m, spec), lambda: _off_source(
-        body, m, lambda k: vm(k, m, spec)) or _vm(body, m, spec))
+        body, m, lambda k: (vm(k, m, spec),), lambda _: _vm(body, m, spec))[0])
 
 
-def _off_source(body: Body, m: int, measure) -> Measured | None:
-    """``measure(body)`` of a dilate body = lambda K
-    (:func:`bodies.dilate_source`) by homogeneity of degree m: lambda^m
-    ``measure(K)`` when K's value is exact.  None for a body with no
-    source, or when K's value carries an approximation error (quadrature
-    V_1 at d >= 5), which is then measured on the body itself."""
+def _off_source(body: Body, m: int, measure, own, count: int = 1) -> tuple[Measured, ...]:
+    """The ``count`` values ``measure(body)``, each homogeneous of degree m
+    in the body.  For a dilate body = lambda K (:func:`bodies.dilate_source`)
+    ``measure(K)`` is read once, and each of its values that is exact
+    gives lambda^m times it; ``own(j)`` measures value j on body itself
+    where K's carries an approximation error (quadrature V_1 at d >= 5),
+    and every value of a body with no source."""
     source = _b.dilate_source(body)
     if source is None:
-        return None
+        return tuple(map(own, range(count)))
     k, lam = source
-    value = measure(k)
-    return Measured.of_exact(lam ** m * value.value) if value.exact else None
+    return tuple(Measured.of_exact(lam ** m * v.value) if v.exact else own(j)
+                 for j, v in enumerate(measure(k)))
 
 
 def _vm(body: Body, m: int, spec: QuadratureSpec | None) -> Measured:
@@ -520,42 +524,44 @@ def _vm(body: Body, m: int, spec: QuadratureSpec | None) -> Measured:
 
 
 def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> Measured:
-    """V_m(K | u^perp), 0 <= m <= n-1, for a coordinate axis ``u = i`` or
-    a direction u.
+    """V_m(K | u^perp), 0 <= m <= n-1, for a non-zero direction u.
 
-    Along e_i (+-e_i included, so that it is that coordinate's term bit
-    for bit) it is entry i of :func:`vm_shadows`, so it refuses where any
-    coordinate shadow of degree m does.  Along an oblique u, a
-    zonotope's comes from the minors of its projected generators
+    Along +-e_i it is entry i of :func:`vm_shadows`, so that it is that
+    coordinate's term bit for bit and refuses where any coordinate shadow
+    of degree m does.  Along an oblique u, V_0 is an exact 1, a
+    zonotope's V_m comes from the minors of its projected generators
     G - (G u) u^T (:func:`_zonotope_sums`), K1's from its support
     function (:func:`_k1_shadow`), and a full-dimensional polytope's with
     m = n-1 or m = n-2 from K's own boundary triangulation
-    (:func:`_shadows`) when it closes up (:func:`_boundary`); elsewhere it
-    is :func:`vm` of ``project_along(K, u)``.  A dilate lambda K takes
+    (:func:`_shadows`) when it closes up (:func:`_on_boundary`); elsewhere
+    it is :func:`vm` of ``project_along(K, u)``.  A dilate lambda K takes
     lambda^m V_m(K | u^perp) when that is exact (:func:`_off_source`).
     """
     body = resolve(body)
     _check_degree(body.n, m)
-    if isinstance(u, (int, np.integer)):
-        i = coordops._check_axis(body.n, u)
-        return vm_shadows(body, m, spec)[i]
-    scaled = _off_source(body, m, lambda k: vm_projection(k, u, m, spec))
-    if scaled is not None:
-        return scaled
-    u = _b.as_vector(u, body.n)
-    norm = float(np.linalg.norm(u))
+    unit = _b.as_vector(u, body.n)
+    norm = float(np.linalg.norm(unit))
     if norm == 0:
         raise InvalidArgument("projection direction must be non-zero")
-    u = u / norm
-    axes = np.flatnonzero(u)
+    unit = unit / norm
+    axes = np.flatnonzero(unit)
     if axes.size == 1:
         return vm_shadows(body, m, spec)[int(axes[0])]
+    if m == 0:
+        return Measured.of_exact(1.0)
+    return _off_source(body, m, lambda k: (vm_projection(k, u, m, spec),),
+                       lambda _: _oblique(body, unit, m, spec))[0]
+
+
+def _oblique(body: Body, u: np.ndarray, m: int, spec: QuadratureSpec | None) -> Measured:
+    """V_m(K | u^perp), m >= 1, for a unit u off the axes by the route of
+    :func:`vm_projection`, on body itself."""
     if isinstance(body, Zonotope):
         g = body.generators
-        return Measured.of_exact(_zonotope_sums(g - np.outer(g @ u, u), m)[0] if m else 1.0)
+        return Measured.of_exact(_zonotope_sums(g - np.outer(g @ u, u), m)[0])
     if isinstance(body, DiskHull):
-        return Measured.of_exact(_k1_shadow(u, m, K1_NODES) if m else 1.0)
-    if m >= 1 and body.n - m in (1, 2) and _on_boundary(body):
+        return Measured.of_exact(_k1_shadow(u, m, K1_NODES))
+    if body.n - m in (1, 2) and _on_boundary(body):
         return Measured.of_exact(_shadows(body, u, m))
     return vm(coordops.project_along(body, u), m, spec)
 
@@ -564,31 +570,29 @@ def vm_shadows(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple[
     """(V_m(K | e_0^perp), ..., V_m(K | e_{n-1}^perp)), 0 <= m <= n-1,
     once per body instance and (m, spec) (:func:`bodies.derived`).
 
-    On a zonotope they come from the pass that gives V_m(Z) and every
-    coordinate shadow (:func:`_zonotope_pass`), with no projected body.
-    On a full-dimensional polytope with m = n-1 or m = n-2 they are read
-    off K's own boundary triangulation (:func:`_shadows`), with no hull
-    of a projection; both degrees are measured together, once per body
-    instance.  Elsewhere, or when that triangulation does not close up
-    (:func:`_boundary`), each is :func:`vm` of ``project_drop(K, i)``.
+    V_0 is an exact 1.  On a zonotope they come from the pass that gives
+    V_m(Z) and every coordinate shadow (:func:`_zonotope_pass`), with no
+    projected body.  On a full-dimensional polytope with m = n-1 or
+    m = n-2 they are read off K's own boundary triangulation
+    (:func:`_shadows`, :func:`_off_boundary`), with no hull of a
+    projection.  Elsewhere, or when that triangulation does not close up
+    (:func:`_on_boundary`), each is :func:`vm` of ``project_drop(K, i)``.
     An axis that refuses refuses the tuple.  A dilate lambda K takes each
-    value off K (:func:`_by_axis`).
+    value off K (:func:`_off_source`).
     """
     body = resolve(body)
     _check_degree(body.n, m)
-    return _b.derived(body, ("vm_shadows", m, spec), lambda: _by_axis(
-        body, m, lambda k: vm_shadows(k, m, spec), lambda i: _shadow(body, i, m, spec)))
+    return _b.derived(body, ("vm_shadows", m, spec), lambda: _off_source(
+        body, m, lambda k: vm_shadows(k, m, spec), lambda i: _shadow(body, i, m, spec), body.n))
 
 
 def _shadow(body: Body, i: int, m: int, spec: QuadratureSpec | None) -> Measured:
     """V_m(K | e_i^perp) by the route of :func:`vm_shadows`, on body itself."""
+    if m == 0:
+        return Measured.of_exact(1.0)
     if isinstance(body, Zonotope):
-        return Measured.of_exact(_zonotope_pass(body, m)[1 + i] if m else 1.0)
-    if m >= 1 and body.n - m in (1, 2) and isinstance(body, VPolytope):
-        shadows = _b.derived(body, "shadows", lambda: _coordinate_shadows(body))
-        if shadows is not None:
-            return shadows[m][i]
-    return vm(coordops.project_drop(body, i), m, spec)
+        return Measured.of_exact(_zonotope_pass(body, m)[1 + i])
+    return _off_boundary(body, "shadows", i, m) or vm(coordops.project_drop(body, i), m, spec)
 
 
 def _check_degree(n: int, m: int) -> None:
@@ -597,38 +601,38 @@ def _check_degree(n: int, m: int) -> None:
         raise InvalidArgument(f"need 0 <= m <= {n - 1}, got m={m}")
 
 
-def _by_axis(body: Body, m: int, of_source, own) -> tuple[Measured, ...]:
-    """``own(i)`` for every axis i, the value measured on body itself; for
-    a dilate body = lambda K (:func:`bodies.dilate_source`), lambda^m
-    times ``of_source(K)[i]`` on each axis where that is exact, and
-    ``own(i)`` on the others, as :func:`_off_source` takes one value."""
-    source = _b.dilate_source(body)
-    if source is None:
-        return tuple(own(i) for i in range(body.n))
-    k, lam = source
-    return tuple(Measured.of_exact(lam ** m * v.value) if v.exact else own(i)
-                 for i, v in enumerate(of_source(k)))
-
-
 def _on_boundary(body: Body) -> bool:
-    """Whether the shadows of body are measured on its boundary
+    """Whether the shadows and sections of body are read off its boundary
     triangulation: a full-dimensional polytope whose triangulation
     closes up."""
     if not (isinstance(body, VPolytope) and affine_dim(body) == body.n):
         return False
     try:
         return _boundary(body)[1]
-    except UnsupportedOperation:   # qhull failed on K; its shadows may hull
+    except UnsupportedOperation:   # qhull failed on K; its shadows and sections may hull
         return False
 
 
-def _coordinate_shadows(p: VPolytope) -> dict | None:
-    """{m: (V_m(K | e_i^perp) for every axis i)} for m = n-1 and n-2
-    (m >= 1), or None when the boundary does not measure them."""
-    if not _on_boundary(p):
+def _off_boundary(body: Body, kind: str, i: int, m: int) -> Measured | None:
+    """V_m of the coordinate shadow (``kind`` "shadows", :func:`_shadows`)
+    or section ("sections", :func:`_sections`, n >= 3) along e_i of a
+    polytope K in R^n, m >= 1 and m = n-1 or n-2, read off K's boundary
+    triangulation.  Both degrees of all n axes are measured together,
+    once per body instance and kind, and None is kept when the
+    triangulation does not measure them (:func:`_on_boundary`).  None for
+    any other body, degree or triangulation."""
+    n = body.n
+    if not (isinstance(body, VPolytope) and n - m in (1, 2) and (n >= 3 or kind == "shadows")):
         return None
-    return {m: tuple(map(Measured.of_exact, _shadows(p, None, m).tolist()))
-            for m in (p.n - 1, p.n - 2) if m >= 1}
+
+    def measure():
+        if not _on_boundary(body):
+            return None
+        values = _sections(body.qhull) if kind == "sections" else \
+            {d: _shadows(body, None, d) for d in range(max(1, n - 2), n)}
+        return {d: tuple(map(Measured.of_exact, v.tolist())) for d, v in values.items()}
+    values = _b.derived(body, kind, measure)
+    return None if values is None else values[m][i]
 
 
 def _shadows(p: VPolytope, u: np.ndarray | None, m: int):
@@ -713,58 +717,44 @@ def _minors(e: np.ndarray) -> np.ndarray:
 # sections
 
 
-def vm_section(body: Body, i: int, m: int, spec: QuadratureSpec | None = None) -> Measured:
-    """V_m(K ∩ e_i^perp), 0 <= m <= n-1, measured in the n-1 coordinates
-    other than i: entry i of :func:`vm_sections`, so it refuses where any
-    coordinate section of degree m does."""
-    body = resolve(body)
-    _check_degree(body.n, m)
-    i = coordops._check_axis(body.n, i)
-    return vm_sections(body, m, spec)[i]
-
-
 def vm_sections(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple[Measured, ...]:
     """(V_m(K ∩ e_0^perp), ..., V_m(K ∩ e_{n-1}^perp)), 0 <= m <= n-1,
-    once per body instance and (m, spec) (:func:`bodies.derived`).
+    each measured in the n-1 coordinates other than its axis, once per
+    body instance and (m, spec) (:func:`bodies.derived`).
 
     Along an axis i that x_i -> -x_i maps onto itself
     (:func:`coordops.mirror_symmetric`) the section is the projection, so
-    it is entry i of :func:`vm_shadows`.  On any other full-dimensional
-    polytope in R^n, n >= 3, with m = n-1 or m = n-2, it is read off K's
-    own boundary triangulation (:func:`_sections`), with no hull of the
-    section; both degrees of all n coordinate sections are measured
-    together, once per body instance.  Planes through a vertex, planes
-    that K touches from one side and planes that miss K take the same
-    route.  Elsewhere, or when that triangulation does not close up
-    (:func:`_boundary`), it is :func:`vm` of ``section_drop(K, i)``, and
-    an exact 0 when the plane misses K.  An axis that refuses refuses the
-    tuple.  A dilate lambda K takes each value off K (:func:`_by_axis`).
+    it is entry i of :func:`vm_shadows`.  Along any other, V_0 is 1 or 0
+    as the plane meets K or misses it, by the rule of ``section_drop``
+    with no hull: a ball's closed form, else whether the plane cuts K's
+    skeleton (``coordops._cut``).  On any other full-dimensional polytope
+    in R^n, n >= 3, with m = n-1 or m = n-2, it is read off K's own
+    boundary triangulation (:func:`_sections`, :func:`_off_boundary`),
+    with no hull of the section.  Planes through a vertex, planes that K
+    touches from one side and planes that miss K take the same route.
+    Elsewhere, or when that triangulation does not close up
+    (:func:`_on_boundary`), it is :func:`vm` of ``section_drop(K, i)``,
+    and an exact 0 when the plane misses K.  An axis that refuses refuses
+    the tuple.  A dilate lambda K takes each value off K
+    (:func:`_off_source`).
     """
     body = resolve(body)
     _check_degree(body.n, m)
-    return _b.derived(body, ("vm_sections", m, spec), lambda: _by_axis(
-        body, m, lambda k: vm_sections(k, m, spec), lambda i: _section(body, i, m, spec)))
+    return _b.derived(body, ("vm_sections", m, spec), lambda: _off_source(
+        body, m, lambda k: vm_sections(k, m, spec), lambda i: _section(body, i, m, spec), body.n))
 
 
 def _section(body: Body, i: int, m: int, spec: QuadratureSpec | None) -> Measured:
     """V_m(K ∩ e_i^perp) by the route of :func:`vm_sections`, on body itself."""
     if coordops.mirror_symmetric(body, i):
         return vm_shadows(body, m, spec)[i]
-    if isinstance(body, VPolytope) and body.n >= 3 and body.n - m in (1, 2):
-        sections = _b.derived(body, "sections", lambda: _coordinate_sections(body))
-        if sections is not None:
-            return sections[m][i]
+    if m == 0 and not isinstance(body, Ball):   # a ball's section_drop hulls nothing
+        return Measured.of_exact(float(coordops._cut(body, i) is not None))
+    value = _off_boundary(body, "sections", i, m)
+    if value is not None:
+        return value
     s = coordops.section_drop(body, i)
     return Measured.of_exact(0.0) if s is coordops.EMPTY else vm(s, m, spec)
-
-
-def _coordinate_sections(p: VPolytope) -> dict | None:
-    """{m: (V_m(K ∩ e_i^perp) for every axis i)} for m = n-1 and n-2, or
-    None when the boundary does not measure them."""
-    if not _on_boundary(p):
-        return None
-    values = _sections(p.qhull)
-    return {m: tuple(map(Measured.of_exact, values[m].tolist())) for m in (p.n - 1, p.n - 2)}
 
 
 def _sections(hull) -> dict:

@@ -700,7 +700,7 @@ def test_sections_of_an_asymmetric_body_hull_nothing(monkeypatch, n):
     for m in (n - 1, n - 2):
         iq.evaluate("trivmax", body, m=m)
     assert calls == [(3 * n, n)]
-    assert all(measures.vm_section(body, i, n - 1).value > 0 for i in range(n))
+    assert all(v.value > 0 for v in measures.vm_sections(body, n - 1))
 
 
 def test_the_symmetral_is_not_hulled_again(monkeypatch):

@@ -10,6 +10,8 @@ them as expressions) or re-exported through ``__all__``.
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -107,8 +109,8 @@ def test_only_bodies_reaches_qhull():
 
 
 class _AxisLoops(ast.NodeVisitor):
-    """Lines of calls to ``vm_projection`` or ``vm_section`` whose axis is
-    a variable of an enclosing loop or comprehension."""
+    """Lines of calls to ``vm_projection`` whose direction is a variable
+    of an enclosing loop or comprehension."""
 
     def __init__(self):
         self.bound, self.lines = [], []
@@ -131,9 +133,9 @@ class _AxisLoops(ast.NodeVisitor):
     def visit_Call(self, node):
         f = node.func
         name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-        if name in ("vm_projection", "vm_section"):
+        if name == "vm_projection":
             axis = node.args[1] if len(node.args) > 1 else next(
-                (k.value for k in node.keywords if k.arg in ("u", "i")), None)
+                (k.value for k in node.keywords if k.arg == "u"), None)
             if isinstance(axis, ast.Name) and any(axis.id in b for b in self.bound):
                 self.lines.append(node.lineno)
         self.generic_visit(node)
@@ -142,8 +144,8 @@ class _AxisLoops(ast.NodeVisitor):
 def test_only_measures_loops_over_the_axes():
     """The n coordinate shadows or sections of one degree come from one
     call (``measures.vm_shadows``, ``vm_sections``): no library module
-    but ``measures`` calls ``vm_projection`` or ``vm_section`` with a loop
-    or comprehension variable as the axis."""
+    but ``measures`` calls ``vm_projection`` with a loop or comprehension
+    variable as the direction."""
     found = []
     for path in SRC:
         if path.name != "measures.py":
@@ -163,3 +165,51 @@ def test_every_exported_name_exists():
     namespace: dict = {}
     exec("from convexiq import *", namespace)
     assert set(convexiq.__all__) <= set(namespace)
+
+
+_ROLE_REF = re.compile(r":(func|class|meth|mod):`~?([^`]+)`")
+
+
+def _docstring_references(tree: ast.Module):
+    """(class, role, target) of every Sphinx reference in a docstring of
+    the module, its classes and their functions, with the name of the
+    enclosing class (None outside one)."""
+    def walk(node, cls):
+        doc = ast.get_docstring(node, clean=False) if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for role, target in _ROLE_REF.findall(doc or ""):
+            yield cls, role, target
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, child.name if isinstance(child, ast.ClassDef) else cls)
+    return list(walk(tree, None))
+
+
+def _lookup(root, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(root, part):
+            return False
+        root = getattr(root, part)
+    return True
+
+
+def test_docstring_references_resolve():
+    """Every ``:func:``, ``:class:``, ``:meth:`` and ``:mod:`` reference in
+    a library docstring names something that exists: looked up from the
+    module's own namespace, from the package (``bodies.derived``, with or
+    without a ``convexiq.`` prefix), or, for a ``:meth:``, from its
+    enclosing class.  A deleted or renamed helper left in a docstring
+    fails here."""
+    import convexiq
+    missing, count = [], 0
+    for path in SRC:
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"convexiq.{path.stem}" if path.stem != "__init__"
+                                         else "convexiq")
+        for cls, role, target in _docstring_references(ast.parse(path.read_text(encoding="utf-8"))):
+            count += 1
+            name = target.removeprefix("convexiq.")
+            roots = [module, convexiq] + ([getattr(module, cls)] if role == "meth" and cls else [])
+            if not any(_lookup(root, name) for root in roots):
+                missing.append(f"{path.name}: :{role}:`{target}`")
+    assert missing == [] and count > 100

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from convexiq import QuadratureSpec, Zonotope, bodies, cross_polytope, cube, io, measures, vm
+from convexiq import (QuadratureSpec, Zonotope, bodies, coordops, cross_polytope, cube, io,
+                      measures, vm)
 from convexiq.bodies import (DEDUP_TOL, VPolytope, as_vpolytope, ball, convex_hull, k1, k2,
                              scale_body, support, translate_body, unconditional_hull)
 from convexiq.coordops import (EMPTY, _cut, g_symmetral, mirror_symmetric,
@@ -19,12 +20,11 @@ from convexiq.coordops import (EMPTY, _cut, g_symmetral, mirror_symmetric,
 from convexiq.errors import InvalidArgument, UnsupportedMeasure, UnsupportedOperation
 from convexiq.measures import (CROSS_CUTOFF, CROSS_NODES, CROSS_PANELS,
                                K1_NODES, SUBSET_BLOCK, Measured, _boundary,
-                               _coordinate_sections, _coordinate_shadows,
-                               _on_boundary, _shadows, _v1_cross_rule,
-                               _v1_k1_rule, kappa,
+                               _off_boundary, _on_boundary, _shadows,
+                               _v1_cross_rule, _v1_k1_rule, kappa,
                                surface_area, v1_cross_polytope,
                                v1_polytope_exact, v1_quadrature, vm_ball,
-                               vm_polytope_angles, vm_projection, vm_section,
+                               vm_polytope_angles, vm_projection,
                                vm_sections, vm_shadows, vm_zonotope,
                                _zonotope_pass, _zonotope_sums,
                                volume)
@@ -623,9 +623,11 @@ def test_parallel_generators_have_no_content(rng):
             assert got.exact and abs(got.value) <= got.error, (n, m, got)
             if m == n:
                 continue
-            for u in list(range(n)) + list(rng.standard_normal((3, n))):
-                got = vm_projection(z, u, m)
-                assert got.exact and abs(got.value) <= got.error, (n, m, u, got)
+            shadows = list(vm_shadows(z, m))
+            for u in rng.standard_normal((3, n)):
+                shadows.append(vm_projection(z, u, m))
+            for got in shadows:
+                assert got.exact and abs(got.value) <= got.error, (n, m, got)
         assert vm(z, r).value > 1.0
 
 
@@ -648,7 +650,7 @@ def test_zonotope_shadows_match_the_projected_zonotopes(n):
         oblique = Zonotope(z.center @ b.T, z.generators @ b.T)
         for m in range(1, n):
             for i in range(n):
-                got = vm_projection(z, i, m)
+                got = vm_shadows(z, m)[i]
                 want = vm(project_drop(z, i), m).value
                 assert got.exact and abs(got.value - want) <= 1e-12 * want, (k, m, i)
             got = vm_projection(z, u, m)
@@ -665,12 +667,12 @@ def test_zonotope_shadows_scale_and_follow_signed_permutations(n):
     perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], n)
     q = Zonotope(z.center[perm] * signs, z.generators[:, perm] * signs)
     for m in range(1, n):
-        base = np.array([vm_projection(z, i, m).value for i in range(n)])
+        base = np.array([v.value for v in vm_shadows(z, m)])
         for lam in (1e-8, 1e-3, 1e3, 1e8):
             scaled = Zonotope(lam * z.center, lam * z.generators)
-            got = np.array([vm_projection(scaled, i, m).value for i in range(n)])
+            got = np.array([v.value for v in vm_shadows(scaled, m)])
             assert np.all(np.abs(got - lam ** m * base) <= 1e-12 * lam ** m * base), (m, lam)
-        got = np.array([vm_projection(q, j, m).value for j in range(n)])
+        got = np.array([v.value for v in vm_shadows(q, m)])
         assert np.all(np.abs(got - base[perm]) <= 1e-12 * base[perm]), m
 
 
@@ -692,14 +694,14 @@ def test_a_generator_the_shadow_drops_stays_within_the_error(n):
             assert w.generator_count == z.generator_count + 1
             assert np.array_equal(project_drop(w, i).generators, project_drop(z, i).generators)
             for m in range(1, n):
-                assert vm_projection(w, i, m).value == vm_projection(z, i, m).value, (scale, i, m)
+                assert vm_shadows(w, m)[i].value == vm_shadows(z, m)[i].value, (scale, i, m)
             h = rng.uniform(-DEDUP_TOL, DEDUP_TOL, n)
             h[i] = 2.0 * scale
             w = Zonotope(z.center, np.vstack([z.generators, h]))
             shadow = project_drop(w, i)
             assert shadow.generator_count == z.generator_count + 1
             for m in range(1, n):
-                got, want = vm_projection(w, i, m), vm(shadow, m).value
+                got, want = vm_shadows(w, m)[i], vm(shadow, m).value
                 assert got.exact and abs(got.value - want) <= 1e-12 * want, (scale, i, m)
 
 
@@ -773,8 +775,8 @@ def test_shadows_and_sections_of_a_polytope_qhull_fails_on_are_hulled():
     for i in range(6):
         for m in (5, 4):
             want = vm(project_drop(p, i), m)
-            assert vm_projection(p, i, m) == want and vm_section(p, i, m) == want, (i, m)
-    assert vm_projection(p, 0, 5).value == pytest.approx(41.06838741926223, rel=1e-12)
+            assert vm_shadows(p, m)[i] == want and vm_sections(p, m)[i] == want, (i, m)
+    assert vm_shadows(p, 5)[0].value == pytest.approx(41.06838741926223, rel=1e-12)
 
 
 def test_entry_points_check_their_arguments():
@@ -786,9 +788,23 @@ def test_entry_points_check_their_arguments():
         with pytest.raises(InvalidArgument):
             vm(p, m)
     with pytest.raises(InvalidArgument):
-        vm_projection(p, 0, 3)
+        vm_projection(p, [1.0, 0.0, 0.0], 3)
     with pytest.raises(InvalidArgument):
         vm_projection(p, np.zeros(3), 2)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_vm_projection_takes_no_axis(m):
+    """vm_projection takes a direction only: an integer axis raises
+    InvalidArgument, before anything is derived from the body, while
+    +-e_i reads entry i of vm_shadows."""
+    p = random_polytope(np.random.default_rng(8), 3)
+    for axis in (0, 2, np.int64(1)):
+        with pytest.raises(InvalidArgument, match="1-d vector"):
+            vm_projection(p, axis, m)
+    assert "_derived" not in vars(p)
+    for i in range(3):
+        assert vm_projection(p, -np.eye(3)[i], m) is vm_shadows(p, m)[i]
 
 
 @pytest.mark.xfail(strict=True, raises=UnsupportedMeasure, reason=(
@@ -841,17 +857,24 @@ def _scaled_coordinates(body, lam: float):
 
 
 def _dilate_calls(n: int) -> list:
-    """(function, args) of vm, vm_projection (every axis and an oblique u)
-    and vm_section: every degree for n <= 4, m >= n-3 above, where V_1 is
-    quadrature (tested on its own)."""
+    """(function, args, axis) of vm, vm_shadows (entry ``axis``, every
+    axis), vm_projection along an oblique u and vm_sections (every axis):
+    every degree for n <= 4, m >= n-3 above, where V_1 is quadrature
+    (tested on its own).  ``axis`` is None for a single value."""
     u = np.arange(1.0, n + 1.0)
     calls = []
     for m in range(1 if n <= 4 else n - 3, n + 1):
-        calls.append((vm, (m,)))
+        calls.append((vm, (m,), None))
         if m < n:
-            calls += [(vm_projection, (i, m)) for i in range(n)] + [(vm_projection, (u, m))]
-            calls += [(vm_section, (i, m)) for i in range(n)]
+            calls += [(vm_shadows, (m,), i) for i in range(n)] + [(vm_projection, (u, m), None)]
+            calls += [(vm_sections, (m,), i) for i in range(n)]
     return calls
+
+
+def _call(f, body, args: tuple, axis: int | None) -> Measured:
+    """f(body, *args), or its entry ``axis`` when that is not None."""
+    value = f(body, *args)
+    return value if axis is None else value[axis]
 
 
 def _dilate_mismatches(n: int, small_cuts: bool) -> list:
@@ -867,24 +890,24 @@ def _dilate_mismatches(n: int, small_cuts: bool) -> list:
             dilate, fresh = scale_body(body, lam), _scaled_coordinates(body, lam)
             source, factor = bodies.dilate_source(dilate)
             assert source is body and factor == lam
-            for f, args in _dilate_calls(n):
+            for f, args, i in _dilate_calls(n):
                 try:
-                    want = f(fresh, *args)
+                    want = _call(f, fresh, args, i)
                 except UnsupportedMeasure:
                     try:
-                        f(dilate, *args)
+                        _call(f, dilate, args, i)
                     except UnsupportedMeasure:
                         continue
-                    out.append((f.__name__, args, lam, "refused on the fresh body only"))
+                    out.append((f.__name__, args, i, lam, "refused on the fresh body only"))
                     continue
-                cut = f is vm_section and _cut_taken(fresh, args[0])
+                cut = f is vm_sections and _cut_taken(fresh, i)
                 cuts += cut
                 if small_cuts != (cut and lam == SCALES[0]):
                     continue
-                got = f(dilate, *args)
+                got = _call(f, dilate, args, i)
                 if got.exact != want.exact or \
                         abs(got.value - want.value) > 1e-12 * abs(want.value):
-                    out.append((f.__name__, args, lam, got.value / want.value - 1.0))
+                    out.append((f.__name__, args, i, lam, got.value / want.value - 1.0))
             # the dilate measured nothing itself: it holds only values read off K
             assert "qhull" not in vars(dilate)
             assert set(vars(dilate).get("_derived", {})) <= {
@@ -896,11 +919,12 @@ def _dilate_mismatches(n: int, small_cuts: bool) -> list:
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_a_dilate_measures_like_the_body_built_at_scale(n):
-    """vm, vm_projection and vm_section of scale_body(K, lam), read off K
-    by homogeneity, match the same call on lam K built from scaled
-    coordinates within 1e-12, exactness included, for lam = 1e-8..1e8;
-    a call that refuses on one refuses on the other.  The sections that
-    the body built at 1e-8 hulls as cuts are the test below."""
+    """vm, vm_shadows, vm_sections and an oblique vm_projection of
+    scale_body(K, lam), read off K by homogeneity, match the same call on
+    lam K built from scaled coordinates within 1e-12, exactness included,
+    for lam = 1e-8..1e8; a call that refuses on one refuses on the other.
+    The sections that the body built at 1e-8 hulls as cuts are the test
+    below."""
     assert _dilate_mismatches(n, small_cuts=False) == []
 
 
@@ -959,16 +983,16 @@ def test_dilates_of_a_dilate_and_dropped_generators():
 
 def _exact_measures(p) -> dict:
     """{(call, axis, m): value} of a polytope P in R^n: vm for m >= n-3
-    (V_1 of a 5-polytope is quadrature), and vm_projection, vm_section
-    and vm of the hulled cut section_drop(P, i) along every axis i for
-    1 <= m <= n-1."""
+    (V_1 of a 5-polytope is quadrature), and entry i of vm_shadows and
+    vm_sections and vm of the hulled cut section_drop(P, i) along every
+    axis i for 1 <= m <= n-1."""
     n = p.n
     out = {("vm", None, m): vm(p, m) for m in range(max(1, n - 3), n + 1)}
     for i in range(n):
         cut = section_drop(p, i)
         for m in range(1, n):
-            out["projection", i, m] = vm_projection(p, i, m)
-            out["section", i, m] = vm_section(p, i, m)
+            out["projection", i, m] = vm_shadows(p, m)[i]
+            out["section", i, m] = vm_sections(p, m)[i]
             out["cut", i, m] = Measured.of_exact(0.0) if cut is EMPTY else vm(cut, m)
     return out
 
@@ -985,7 +1009,7 @@ def test_hulls_and_measures_scale_translate_and_permute(seed, n, e):
     hull keeps the vertex count and affine dimension of P's, and every
     exact V_m of it, of its coordinate shadows and of its sections, the
     hulled cuts included, is lam^m times P's within 1e-12.  Translating
-    lam P keeps its vm and vm_projection; a signed permutation g gives
+    lam P keeps its vm and vm_shadows; a signed permutation g gives
     the same vm, and axis i of g(lam P) has the shadow and section of
     axis perm[i] of lam P."""
     rng = np.random.default_rng(seed)
@@ -1003,7 +1027,7 @@ def _assert_homogeneous(base: dict, lam: float, scaled: dict, moved, image: dict
     """Every value of ``base`` (a body's exact measures, keyed (call, axis,
     m)) is exact, and ``scaled``'s is lam^m times it within 1e-12.  The
     translate ``moved`` of the scaled body has the same vm and
-    vm_projection, and ``image``, the scaled body's signed permutation,
+    vm_shadows, and ``image``, the scaled body's signed permutation,
     the same vm and along axis i the values of axis perm[i]."""
     assert all(value.exact for value in base.values())
     want = {key: lam ** key[2] * value.value for key, value in base.items()}
@@ -1012,21 +1036,21 @@ def _assert_homogeneous(base: dict, lam: float, scaled: dict, moved, image: dict
         if call == "vm":
             assert not _off_by(vm(moved, m), value), (call, i, m)
         elif call == "projection":
-            assert not _off_by(vm_projection(moved, i, m), value), (call, i, m)
+            assert not _off_by(vm_shadows(moved, m)[i], value), (call, i, m)
     assert [(call, i, m) for (call, i, m), value in image.items()
             if _off_by(value, want[call, None if i is None else perm[i], m])] == []
 
 
 def _zonotope_measures(z) -> dict:
     """{(call, axis, m): value} of a zonotope Z in R^n: vm for 1 <= m <= n,
-    and vm_projection and vm_section along every axis i for
+    and entry i of vm_shadows and vm_sections along every axis i for
     1 <= m <= n-1."""
     n = z.n
     out = {("vm", None, m): vm(z, m) for m in range(1, n + 1)}
     for i in range(n):
         for m in range(1, n):
-            out["projection", i, m] = vm_projection(z, i, m)
-            out["section", i, m] = vm_section(z, i, m)
+            out["projection", i, m] = vm_shadows(z, m)[i]
+            out["section", i, m] = vm_sections(z, m)[i]
     return out
 
 
@@ -1037,7 +1061,7 @@ def test_zonotopes_scale_translate_and_permute(seed, n, e):
     """Built afresh as Zonotope(lam c, lam G), lam = 10^e, a random
     zonotope keeps its generator count, and every V_m of it, of its
     coordinate shadows and of its sections is lam^m times Z's within
-    1e-12.  Translating it keeps its vm and vm_projection; a signed
+    1e-12.  Translating it keeps its vm and vm_shadows; a signed
     permutation g gives the same vm, and axis i of g(lam Z) has the
     shadow and section of axis perm[i] of lam Z."""
     rng = np.random.default_rng(seed)
@@ -1054,7 +1078,7 @@ def test_zonotopes_scale_translate_and_permute(seed, n, e):
 
 
 # ---------------------------------------------------------------------------
-# coordinate shadows from the body's boundary (measures.vm_projection)
+# coordinate shadows from the body's boundary (measures.vm_shadows, vm_projection)
 
 
 def _shadow_bodies(n: int) -> list:
@@ -1089,7 +1113,7 @@ def test_shadows_from_the_boundary_match_the_hull_route(n):
         assert _on_boundary(p)
         for m in (n - 1, n - 2):
             for i in range(n):
-                got = vm_projection(p, i, m)
+                got = vm_shadows(p, m)[i]
                 want = vm(project_drop(p, i), m).value
                 assert got.exact and abs(got.value - want) <= 1e-12 * want, (i, m)
             for u in rng.standard_normal((2, n)):
@@ -1112,7 +1136,7 @@ def test_shadows_of_boxes(n):
                     n - 2: sum(np.prod(c) for c in combinations(b, n - 2))}
             for m in (n - 1, n - 2):
                 if m >= 1:
-                    got = vm_projection(box, i, m).value
+                    got = vm_shadows(box, m)[i].value
                     assert abs(got - want[m]) <= 1e-13 * want[m], (sides, i, m)
     # the cube's shadow along its main diagonal is a regular hexagon of
     # side 2 sqrt(2/3)
@@ -1130,12 +1154,12 @@ def test_shadows_scale_and_follow_signed_permutations(n):
     perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], n)
     q = convex_hull(p.vertices[:, perm] * signs)   # axis j of q is axis perm[j] of p
     for m in (n - 1, n - 2):
-        base = np.array([vm_projection(p, i, m).value for i in range(n)])
+        base = np.array([v.value for v in vm_shadows(p, m)])
         for lam in (1e-8, 1e-3, 1e3, 1e8):
             scaled = VPolytope(lam * p.vertices)
-            got = np.array([vm_projection(scaled, i, m).value for i in range(n)])
+            got = np.array([v.value for v in vm_shadows(scaled, m)])
             assert np.all(np.abs(got - lam ** m * base) <= 1e-12 * lam ** m * base), lam
-        got = np.array([vm_projection(q, j, m).value for j in range(n)])
+        got = np.array([v.value for v in vm_shadows(q, m)])
         assert np.all(np.abs(got - base[perm]) <= 1e-12 * base[perm])
 
 
@@ -1153,11 +1177,12 @@ def test_shadows_of_a_hull_that_does_not_close_take_the_hull_route():
     for m in (4, 3):
         wrong = _shadows(cut, None, m)
         for i in range(5):
-            got = vm_projection(cut, i, m)
+            got = vm_shadows(cut, m)[i]
             assert got.value == vm(project_drop(cut, i), m).value
-            want = vm_projection(exact, i, m).value
+            want = vm_shadows(exact, m)[i].value
             assert abs(got.value - want) <= 1e-12 * want
             assert abs(wrong[i] - want) > 1e-2 * want
+    assert vars(cut)["_derived"]["shadows"] is None   # cached, so not tried again
     with pytest.raises(UnsupportedMeasure, match="does not close"):
         vm_polytope_angles(cut, 3)
 
@@ -1184,13 +1209,13 @@ def test_shadows_of_nearly_vertical_prisms():
         want = {(2, 2): area + eps * w2, (2, 1): perimeter / 2.0 + eps,
                 (0, 2): w2, (0, 1): w2 + 1.0, (1, 2): w1, (1, 1): w1 + math.hypot(1.0, eps)}
         for (i, m), value in want.items():
-            got = vm_projection(p, i, m)
+            got = vm_shadows(p, m)[i]
             assert abs(got.value - value) <= 1e-14 * value, (i, m)
             assert abs(got.value - value) <= got.error
 
 
 # ---------------------------------------------------------------------------
-# coordinate sections from the body's boundary (measures.vm_section)
+# coordinate sections from the body's boundary (measures.vm_sections)
 
 
 def _cut_route(p, i: int, m: int) -> Measured:
@@ -1216,11 +1241,11 @@ def test_sections_from_the_boundary_match_the_cut_route(n):
         assert _on_boundary(p)
         for i in range(n):
             mirror = mirror_symmetric(p, i)
-            got = {m: vm_section(p, i, m) for m in (n - 1, n - 2)}
+            got = {m: vm_sections(p, m)[i] for m in (n - 1, n - 2)}
             assert not _cut_taken(p, i)
             for m, value in got.items():
                 if mirror:
-                    assert value == vm_projection(p, i, m)
+                    assert value == vm_shadows(p, m)[i]
                 want = _cut_route(p, i, m).value
                 assert value.exact and abs(value.value - want) <= 1e-12 * want, (i, m)
             taken += not mirror
@@ -1241,7 +1266,7 @@ def test_sections_of_boxes(n):
             want = {n - 1: np.prod(b),
                     n - 2: sum(np.prod(c) for c in combinations(b, n - 2))}
             for m in (n - 1, n - 2):
-                got = vm_section(box, i, m).value
+                got = vm_sections(box, m)[i].value
                 assert abs(got - want[m]) <= 1e-13 * want[m], (sides, i, m)
             assert not _cut_taken(box, i)
 
@@ -1257,14 +1282,14 @@ def test_sections_scale_and_follow_signed_permutations(n):
     perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], n)
     q = convex_hull(p.vertices[:, perm] * signs)   # axis j of q is axis perm[j] of p
     for m in (n - 1, n - 2):
-        base = np.array([vm_section(p, i, m).value for i in range(n)])
+        base = np.array([v.value for v in vm_sections(p, m)])
         assert np.all(base > 0)
         for lam in (1e-8, 1e-3, 1e3, 1e8):
             scaled = VPolytope(lam * p.vertices)
-            got = np.array([vm_section(scaled, i, m).value for i in range(n)])
+            got = np.array([v.value for v in vm_sections(scaled, m)])
             assert np.all(np.abs(got - lam ** m * base) <= 1e-12 * lam ** m * base), lam
             assert not any(_cut_taken(scaled, i) for i in range(n))
-        got = np.array([vm_section(q, j, m).value for j in range(n)])
+        got = np.array([v.value for v in vm_sections(q, m)])
         assert np.all(np.abs(got - base[perm]) <= 1e-12 * base[perm])
 
 
@@ -1281,7 +1306,7 @@ def test_section_fallbacks_give_the_cut_route_bytes():
         cloud[0, 0] = 5.0   # an extreme point on every plane but x_0 = 0
         p = convex_hull(cloud)
         for i in range(n):
-            got = [vm_section(p, i, m) for m in (n - 1, n - 2)]
+            got = [vm_sections(p, m)[i] for m in (n - 1, n - 2)]
             assert not _cut_taken(p, i)
             want = [_cut_route(p, i, m) for m in (n - 1, n - 2)]
             assert got[0].value == pytest.approx(want[0].value, rel=1e-12)
@@ -1291,7 +1316,7 @@ def test_section_fallbacks_give_the_cut_route_bytes():
             t[i] = 10.0
             moved = translate_body(p, t)
             for m in (n - 1, n - 2):
-                assert vm_section(moved, i, m) == Measured.of_exact(0.0)
+                assert vm_sections(moved, m)[i] == Measured.of_exact(0.0)
             assert not _cut_taken(moved, i) and _cut_route(moved, i, n - 1).value == 0.0
     body = unconditional_hull(np.random.default_rng(4).standard_normal((2, 6)))
     cut = convex_hull(_cut(body, 0))
@@ -1299,7 +1324,8 @@ def test_section_fallbacks_give_the_cut_route_bytes():
     for i in range(5):
         assert not mirror_symmetric(cut, i)
         for m in (4, 3):
-            assert vm_section(cut, i, m) == _cut_route(cut, i, m)
+            assert vm_sections(cut, m)[i] == _cut_route(cut, i, m)
+    assert vars(cut)["_derived"]["sections"] is None
 
 
 def _on_plane_bodies(n: int) -> list:
@@ -1349,7 +1375,7 @@ def test_sections_through_vertices_take_the_boundary_route(n):
         for i in range(n):
             assert not mirror_symmetric(p, i)
             on_plane += bool(np.any(p.vertices[:, i] == 0.0))
-            got = {m: vm_section(p, i, m) for m in (n - 1, n - 2)}
+            got = {m: vm_sections(p, m)[i] for m in (n - 1, n - 2)}
             assert not _cut_taken(p, i)
             for m, value in got.items():
                 want = _cut_route(p, i, m).value
@@ -1378,12 +1404,12 @@ def test_sections_through_a_vertex_are_homogeneous(n):
         cloud[2, rng.integers(0, n)] = 0.0
         p = convex_hull(cloud)
         calls = [(i, m) for i in range(n) if not mirror_symmetric(p, i) for m in (n - 1, n - 2)]
-        base = {call: vm_section(p, *call).value for call in calls}
+        base = {(i, m): vm_sections(p, m)[i].value for i, m in calls}
         for lam in (1e-8, 1e-6, 1e6, 1e8):
             scaled = VPolytope(lam * p.vertices)
-            for call in calls:
-                got, want = vm_section(scaled, *call), lam ** call[1] * base[call]
-                assert got.exact and abs(got.value - want) <= 1e-12 * want, (call, lam)
+            for i, m in calls:
+                got, want = vm_sections(scaled, m)[i], lam ** m * base[i, m]
+                assert got.exact and abs(got.value - want) <= 1e-12 * want, (i, m, lam)
         compared += sum(value > 0.0 for value in base.values())
     assert compared >= 15 * n
 
@@ -1400,9 +1426,9 @@ def test_vm_section_validates_the_degree():
     for body in cases:
         for m in (-1, 3, 7):
             with pytest.raises(InvalidArgument, match="need 0 <= m <= 2"):
-                vm_section(body, 0, m)
-    assert vm_section(cases[1], 0, 0) == Measured.of_exact(0.0)
-    assert vm_section(cases[1], 0, 2) == Measured.of_exact(0.0)
+                vm_sections(body, m)
+    assert vm_sections(cases[1], 0)[0] == Measured.of_exact(0.0)
+    assert vm_sections(cases[1], 2)[0] == Measured.of_exact(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1415,34 +1441,38 @@ def _bits(x: Measured) -> tuple:
 
 def _route_shadow(body, i: int, m: int, spec) -> Measured:
     """V_m(K | e_i^perp) by the route axis i takes on body itself: the
-    zonotope pass, the boundary shadows (read from the body's cache, as
-    computing them again gives the same bits), or vm of the hulled
-    projection."""
+    zonotope pass, the boundary shadows (read from the body's cache by
+    _off_boundary, as computing them again gives the same bits), or vm of
+    the hulled projection, which also gives V_0 here (the library takes
+    it as an exact 1 with no hull)."""
     body = bodies.resolve(body)
-    if isinstance(body, Zonotope):
-        return Measured.of_exact(_zonotope_pass(body, m)[1 + i] if m else 1.0)
+    if isinstance(body, Zonotope) and m >= 1:
+        return Measured.of_exact(_zonotope_pass(body, m)[1 + i])
     if isinstance(body, VPolytope) and m >= 1 and body.n - m in (1, 2) and _on_boundary(body):
-        return bodies.derived(body, "shadows", lambda: _coordinate_shadows(body))[m][i]
+        return _off_boundary(body, "shadows", i, m)
     return vm(project_drop(body, i), m, spec)
 
 
 def _route_section(body, i: int, m: int, spec) -> Measured:
     """V_m(K ∩ e_i^perp) by the route axis i takes on body itself: the
-    shadow's by the mirror rule, the boundary sections, vm of the hulled
-    cut, or an exact 0 for a plane that misses K."""
+    shadow's by the mirror rule, the boundary sections (from the cache,
+    by _off_boundary), vm of the hulled cut, or an exact 0 for a plane
+    that misses K.  V_0 comes from the hulled cut here (the library
+    decides it on the skeleton cut, with no hull)."""
     body = bodies.resolve(body)
     if mirror_symmetric(body, i):
         return _route_shadow(body, i, m, spec)
     if isinstance(body, VPolytope) and body.n >= 3 and body.n - m in (1, 2) \
             and _on_boundary(body):
-        return bodies.derived(body, "sections", lambda: _coordinate_sections(body))[m][i]
+        return _off_boundary(body, "sections", i, m)
     s = section_drop(body, i)
     return Measured.of_exact(0.0) if s is EMPTY else vm(s, m, spec)
 
 
 def _by_route(body, m: int, spec, route) -> list:
     """route on every axis; for a dilate lam K, lam^m times K's value
-    where that is exact and route on the dilate where it is not."""
+    where that is exact and route on the dilate where it is not, as
+    measures._off_source does."""
     source = bodies.dilate_source(body)
     if source is None:
         return [route(body, i, m, spec) for i in range(body.n)]
@@ -1464,13 +1494,16 @@ def _tuple_bodies(n: int) -> list:
 
 def _refuses_bad_degrees(body) -> None:
     """Every degree outside 0..n-1 raises InvalidArgument before any
-    route runs: nothing is derived from the body or its source."""
+    route runs, from both tuples and from vm_projection along e_0 and
+    along an oblique u: nothing is derived from the body or its source."""
     source = bodies.dilate_source(body)
     seen = [body] if source is None else [body, source[0]]
     before = [set(vars(b).get("_derived", {})) for b in seen]
+    axis, oblique = np.eye(body.n)[0], np.arange(1.0, body.n + 1.0)
     for m in (-1, body.n, body.n + 3):
         for call in (lambda: vm_shadows(body, m), lambda: vm_sections(body, m),
-                     lambda: vm_projection(body, 0, m), lambda: vm_section(body, 0, m)):
+                     lambda: vm_projection(body, axis, m),
+                     lambda: vm_projection(body, oblique, m)):
             with pytest.raises(InvalidArgument, match=f"need 0 <= m <= {body.n - 1}"):
                 call()
     assert [set(vars(b).get("_derived", {})) for b in seen] == before
@@ -1490,10 +1523,11 @@ def test_the_tuples_take_each_axis_route(n):
     and error field included, the route axis i takes on K, for every
     degree, on every body and its dilates by 1e-8, 0.7 and 1e8, which
     take lam^m times K's exact values; a tuple refuses where some axis's
-    route does.  vm_projection and vm_section along e_i are entry i.  At
-    n = 6 the dilates skip V_1: it is quadrature on every 5-d shadow and
-    section, so each dilate would hull and integrate every axis itself,
-    the route the test below covers."""
+    route does.  Each tuple is measured once per body, and vm_projection
+    along +-e_i is entry i of vm_shadows.  At n = 6 the dilates skip V_1:
+    it is quadrature on every 5-d shadow and section, so each dilate
+    would hull and integrate every axis itself, the route the test below
+    covers."""
     spec = QuadratureSpec(resolution=16)
     cases = []
     for body in _tuple_bodies(n):
@@ -1505,15 +1539,59 @@ def test_the_tuples_take_each_axis_route(n):
                        _bits_or_refused(vm_sections, b, m, spec)) for m in range(n)
                       if b is body or n < 6 or m != 1]
     for b, m, shadows, sections in cases:
-        for got, f, route, entry in ((shadows, vm_shadows, _route_shadow, vm_projection),
-                                     (sections, vm_sections, _route_section, vm_section)):
+        for got, f, route in ((shadows, vm_shadows, _route_shadow),
+                              (sections, vm_sections, _route_section)):
             assert got == _bits_or_refused(_by_route, b, m, spec, route), (f.__name__, b, m)
             if got is not None:
-                assert len(got) == n
-                assert all(entry(b, np.int64(i), m, spec) is f(b, m, spec)[i] for i in range(n))
+                assert len(got) == n and f(b, m, spec) is f(b, m, spec)
+        if shadows is not None:
+            assert all(vm_projection(b, (-1.0) ** i * np.eye(n)[i], m, spec)
+                       is vm_shadows(b, m, spec)[i] for i in range(n))
     inexact = sum(not exact for *_, values in cases for v in values or () for exact in v[2:])
     refused = sum(values is None for *_, values in cases)
     assert (inexact > 0, refused > 0) == (n >= 6, n >= 6)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_v0_of_shadows_and_sections_takes_no_hull(n, monkeypatch):
+    """V_0 of every coordinate shadow and of an oblique one is an exact
+    1, and V_0 of a section is 1 or 0 as the plane meets K or misses it,
+    decided on the skeleton cut (section_drop's rule): on every tuple
+    body and its dilates none of them calls convex_hull.  That these are
+    the hulled cuts' values is the test above."""
+    cases = []
+    for body in _tuple_bodies(n):
+        cases += [body] if isinstance(body, bodies.DiskHull) else \
+            [body, scale_body(body, 1e-8), scale_body(body, 1e8)]
+    hulls, real = [], bodies.convex_hull
+
+    def counting(points):
+        hulls.append(np.shape(points))
+        return real(points)
+
+    monkeypatch.setattr(bodies, "convex_hull", counting)
+    monkeypatch.setattr(coordops, "convex_hull", counting)
+    one, zero, u = Measured.of_exact(1.0), Measured.of_exact(0.0), np.arange(1.0, n + 1.0)
+    missed = 0
+    for b in cases:
+        assert vm_shadows(b, 0) == (one,) * n
+        assert vm_projection(b, u, 0) == one
+        sections = vm_sections(b, 0)
+        assert set(sections) <= {one, zero}
+        missed += sections.count(zero)
+    assert hulls == []
+    assert missed >= 2 * 3 * n   # the two translated clouds of _on_plane_bodies and their dilates
+
+
+def test_the_oblique_v0_of_a_flattened_ball_is_1():
+    """An oblique shadow of a flattened ball that is an ellipsoid has no
+    route for m >= 1, but its V_0 is an exact 1, as every shadow's is."""
+    flat = bodies.Ball(np.zeros(4), 1.0, frozenset({0, 1}))
+    u = [1.0, 0.0, 1.0, 0.0]
+    assert vm_projection(flat, u, 0) == Measured.of_exact(1.0)
+    for m in (1, 2, 3):
+        with pytest.raises(UnsupportedMeasure, match="ellipsoid"):
+            vm_projection(flat, u, m)
 
 
 def test_a_dilate_measures_its_inexact_axes_itself():
