@@ -156,9 +156,9 @@ def section(p: Body, i: int):
 
 def _upper(pts: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The side rule of the planes x_i = 0 (x's last axis) for the body
-    that the points pts span: whether each point of x lies on the upper
-    side, x_i >= 0 when some point of pts has x_i < 0 and x_i <= 0
-    otherwise.  A point on the plane is always upper, so a plane through
+    that the points pts span (or rows whose least x_i on each axis is the
+    body's): whether each point of x lies on the upper side, x_i >= 0
+    when some point of pts has x_i < 0 and x_i <= 0 otherwise.  A point on the plane is always upper, so a plane through
     K's interior is cut as the limit of x_i = -eps, and every point is
     upper only when K lies in the plane."""
     return np.where(np.any(pts < 0, axis=0), x >= 0, x <= 0)
@@ -216,8 +216,10 @@ def section_drop(p: Body, i: int):
     skeleton edges (:func:`_cut`), by the side rule of :func:`_upper` and
     with no tolerance: a point on the plane is its own cut point.  For a
     zonotope the skeleton is its sign points and sign-cube edges, so it
-    is never expanded.  That cut is hulled once, in the n-1 kept
-    coordinates, so that hull is the one its measures read."""
+    is never expanded (``measures`` reads V_{n-1} and V_{n-2} of a
+    zonotope in general position off its facets, with no cut).  That cut
+    is hulled once, in the n-1 kept coordinates, so that hull is the one
+    its measures read."""
     p = resolve(p)
     i = _check_axis(p.n, i)
     return _b.derived(p, ("section_drop", i), lambda: _section_drop(p, i))

@@ -28,6 +28,10 @@ Exact paths:
 * every V_m of a zonotope and of each of its shadows from the m x m
   minors of its generator subsets (Cauchy-Binet, :func:`vm_zonotope`),
   the coordinate shadows of one degree in the same pass;
+* V_{n-1} and V_{n-2} of every coordinate section of a zonotope in
+  general position from its parallelotope facets, with no sign point and
+  no hull (:func:`_zonotope_sections`): each facet's cut is a cube slice
+  measured by cones over the cube's faces, under the same side rule;
 * closed forms for balls;
 * V_1 of the cross-polytope C_n and of K1, and V_1 and V_2 of K1's
   oblique shadows, from fixed Gauss-Legendre rules on analytic 1-d
@@ -617,20 +621,27 @@ def _off_boundary(body: Body, kind: str, i: int, m: int) -> Measured | None:
     """V_m of the coordinate shadow (``kind`` "shadows", :func:`_shadows`)
     or section ("sections", :func:`_sections`, n >= 3) along e_i of a
     polytope K in R^n, m >= 1 and m = n-1 or n-2, read off K's boundary
-    triangulation.  Both degrees of all n axes are measured together,
-    once per body instance and kind, and None is kept when the
-    triangulation does not measure them (:func:`_on_boundary`).  None for
-    any other body, degree or triangulation."""
-    n = body.n
-    if not (isinstance(body, VPolytope) and n - m in (1, 2) and (n >= 3 or kind == "shadows")):
+    triangulation, or of the section of a zonotope in general position
+    read off its facets (:func:`_zonotope_sections`).  Both degrees of
+    all n axes are measured together, once per body instance and kind,
+    and None is kept when the triangulation does not measure them
+    (:func:`_on_boundary`) or the zonotope is not in general position.
+    None for any other body, degree or kind."""
+    n, zonotope = body.n, isinstance(body, Zonotope) and kind == "sections"
+    if not ((zonotope or isinstance(body, VPolytope)) and n - m in (1, 2)
+            and (n >= 3 or kind == "shadows")):
         return None
 
     def measure():
-        if not _on_boundary(body):
+        if zonotope:
+            values = _zonotope_sections(body)
+        elif _on_boundary(body):
+            values = _sections(body.qhull) if kind == "sections" else \
+                {d: _shadows(body, None, d) for d in range(max(1, n - 2), n)}
+        else:
             return None
-        values = _sections(body.qhull) if kind == "sections" else \
-            {d: _shadows(body, None, d) for d in range(max(1, n - 2), n)}
-        return {d: tuple(map(Measured.of_exact, v.tolist())) for d, v in values.items()}
+        return None if values is None else \
+            {d: tuple(map(Measured.of_exact, v.tolist())) for d, v in values.items()}
     values = _b.derived(body, kind, measure)
     return None if values is None else values[m][i]
 
@@ -725,18 +736,22 @@ def vm_sections(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple
     Along an axis i that x_i -> -x_i maps onto itself
     (:func:`coordops.mirror_symmetric`) the section is the projection, so
     it is entry i of :func:`vm_shadows`.  Along any other, V_0 is 1 or 0
-    as the plane meets K or misses it, by the rule of ``section_drop``
-    with no hull: a ball's closed form, else whether the plane cuts K's
-    skeleton (``coordops._cut``).  On any other full-dimensional polytope
-    in R^n, n >= 3, with m = n-1 or m = n-2, it is read off K's own
-    boundary triangulation (:func:`_sections`, :func:`_off_boundary`),
-    with no hull of the section.  Planes through a vertex, planes that K
+    as the plane meets K or misses it, with no hull: for a zonotope 1
+    exactly when |c_i| <= sum_l |g_li| (:func:`_reach`), for a ball by its
+    closed form, else by whether the plane cuts K's skeleton
+    (``coordops._cut``, the rule of ``section_drop``).  In R^n, n >= 3,
+    with m = n-1 or m = n-2, the sections of any other full-dimensional
+    polytope are read off K's own boundary triangulation
+    (:func:`_sections`), and those of a zonotope in general position off
+    its facets (:func:`_zonotope_sections`), with no hull of the section
+    and with no sign point, so past 16 generators too (both
+    :func:`_off_boundary`).  Planes through a vertex, planes that K
     touches from one side and planes that miss K take the same route.
     Elsewhere, or when that triangulation does not close up
-    (:func:`_on_boundary`), it is :func:`vm` of ``section_drop(K, i)``,
-    and an exact 0 when the plane misses K.  An axis that refuses refuses
-    the tuple.  A dilate lambda K takes each value off K
-    (:func:`_off_source`).
+    (:func:`_on_boundary`) or the zonotope is not in general position, it
+    is :func:`vm` of ``section_drop(K, i)``, and an exact 0 when the
+    plane misses K.  An axis that refuses refuses the tuple.  A dilate
+    lambda K takes each value off K (:func:`_off_source`).
     """
     body = resolve(body)
     _check_degree(body.n, m)
@@ -748,6 +763,9 @@ def _section(body: Body, i: int, m: int, spec: QuadratureSpec | None) -> Measure
     """V_m(K ∩ e_i^perp) by the route of :func:`vm_sections`, on body itself."""
     if coordops.mirror_symmetric(body, i):
         return vm_shadows(body, m, spec)[i]
+    if m == 0 and isinstance(body, Zonotope):
+        low, high = _reach(body.center, body.generators)
+        return Measured.of_exact(float(low[i] <= 0.0 <= high[i]))
     if m == 0 and not isinstance(body, Ball):   # a ball's section_drop hulls nothing
         return Measured.of_exact(float(coordops._cut(body, i) is not None))
     value = _off_boundary(body, "sections", i, m)
@@ -832,6 +850,197 @@ def _staircases(n: int) -> np.ndarray:
             out[k, p, 1:, 0] = np.cumsum(steps)
             out[k, p, 1:, 1] = k + np.cumsum(~steps)
     return out
+
+
+def _zonotope_sections(z: Zonotope) -> dict | None:
+    """{m: V_m(Z ∩ e_i^perp) for every axis i} for m = n-1 and n-2 from
+    the facets of a zonotope Z = c + sum_l [-1, 1] g_l in R^n, n >= 3, in
+    general position (:func:`_generic_dets`); None for any other.
+
+    Each (n-1)-subset T of the generators, with cofactor normal nu_T,
+    gives two facets (McMullen 1971), the parallelotopes x_F + sum_{j in
+    T} t_j g_j, t in [-1, 1]^{n-1}, x_F = c + s sum_{l not in T} sigma_l
+    g_l, s = +-1 and sigma_l = sgn(nu_T . g_l) = sgn det(T, l), the sign
+    of a determinant of :func:`_generic_dets`.  A facet's vertex
+    c + sum_l eps_l g_l takes its x_i summed over l in order, so a vertex
+    of several facets has the same x_i in each, and the side rule of the
+    plane x_i = 0 is :mod:`coordops`' (``_upper``): the vertex c - sum_l
+    |g_l| that is lowest on every axis, to the bit, says whether Z has a
+    point with x_i < 0.  In t the facet's cut is the cube slice w . t =
+    const, w the i-th coordinates of T, and by :func:`_cube_slices` its
+    (n-2)-volume is D |nu_T with entry i dropped|.  Planes through a
+    vertex, touching planes and missed planes take the same route.  In
+    the n-1 coordinates other than i, for every axis in one pass:
+
+    * V_{n-2}: half the sum of the facet cuts' (n-2)-volumes.
+    * V_{n-1}: the cones over the facet cuts from the point o = c +
+      sum_l lambda_l g_l, lambda_l = -r sgn(g_li), r = c_i / sum_l |g_li|,
+      of the section, each D times nu_F . (x_F - o) = sum_{l not in T}
+      |det(T, l)| (1 - s sigma_l lambda_l) over n-1, every term >= 0.
+
+    The generators are scaled by a power of 2 first, as in
+    :func:`_zonotope_sums`, and the facets are taken SECTION_BLOCK cube
+    vertices at a time; past MAX_SUBSETS facets or generator subsets the
+    sections are refused."""
+    g, c = z.generators, z.center
+    k, n = g.shape
+    if k < n:
+        return None
+    count = max(2 * math.comb(k, n - 1), math.comb(k, n))
+    if count > MAX_SUBSETS:
+        raise UnsupportedMeasure(f"{count} facets or generator subsets exceed the enumeration guard")
+    scale = math.frexp(float(np.max(np.abs(g))))[1]
+    g, c = np.ldexp(g, -scale), np.ldexp(c, -scale)
+    det = _generic_dets(g)
+    if det is None:
+        return None
+    low, reach = _reach(c, g)[0], np.abs(g).sum(axis=0)
+    lam = -np.clip(c / reach, -1.0, 1.0) * np.sign(g)   # o = c + lam^T g, o_i = 0
+    d = n - 1
+    vertices = _cube_faces(d)[0]
+    per = max(1, (SECTION_BLOCK >> d) // (2 * n))
+    total = np.zeros((2, n))
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), d))
+    for start in range(0, math.comb(k, d), per):
+        t = np.fromiter(flat, np.intp, min(per, math.comb(k, d) - start) * d).reshape(-1, d)
+        # det(T, l) for every l and |nu_T with entry i dropped| for every i
+        dets = _facet_dets(t, det, k)
+        rest = np.sqrt(np.einsum("tj,ji->ti", _minors(g[t])[:, ::-1] ** 2, 1.0 - np.eye(n)))
+        # facets 2r (s = 1) and 2r + 1 (s = -1) of subset r: s sigma_l off T
+        t, dets = np.repeat(t, 2, axis=0), np.repeat(dets, 2, axis=0)
+        signs = np.sign(dets) * np.tile([1.0, -1.0], len(t) // 2)[:, None]
+        height = np.einsum("fl,fli->fi", np.abs(dets), 1.0 - signs[:, :, None] * lam)
+        eps = np.repeat(signs[:, None, :], 1 << d, axis=1)
+        eps[np.arange(len(t))[:, None, None], np.arange(1 << d)[:, None], t[:, None, :]] = vertices
+        x = c
+        for l in range(k):
+            x = x + eps[:, :, l, None] * g[l]
+        up = coordops._upper(low[None], x)   # facet, vertex, axis
+        f, i = np.nonzero(up.any(axis=1) & ~up.all(axis=1))
+        size = _cube_slices(x[f, :, i], up[f, :, i], g[t[f], i[:, None]])
+        total += np.stack([np.bincount(i, size * height[f, i], n),
+                           np.bincount(i, size * rest[f // 2, i], n)])
+    return {n - 1: np.ldexp(total[0] / d, (n - 1) * scale),
+            n - 2: np.ldexp(0.5 * total[1], (n - 2) * scale)}
+
+
+def _reach(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c - |g_0| - |g_1| - ... and c + |g_0| + |g_1| + ..., summed in
+    generator order: the least and the greatest x_i of the zonotope's
+    vertices c + sum_l eps_l g_l on every axis i, when each vertex is
+    summed in that order too (rounding is monotone), so the plane x_i = 0
+    meets Z exactly when the two enclose 0."""
+    low, high = c, c
+    for row in np.abs(g):
+        low, high = low - row, high + row
+    return low, high
+
+
+def _generic_dets(g: np.ndarray) -> np.ndarray | None:
+    """det(g_S) of every n-subset S of the k >= n generators g (rows, no
+    entry of 1 or more), in itertools order, SUBSET_BLOCK subsets at a
+    time; None when some determinant is not told from 0.
+
+    :func:`_minors` expands det(g_S) into its n! signed products, each
+    with at most N = (n-1)(n+2)/2 roundings (row r adds one product and r
+    sums), so the computed value is within gamma_N per(|g_S|) of the
+    exact one (Higham 2002, lemma 3.1), gamma_N = N u / (1 - N u) <= 2 N u
+    with u the unit roundoff, and per(|g_S|) is at most the product of
+    the rows' 1-norms; products that underflow add less than 2^-1022.  A
+    determinant above 2 N u times that product plus 2^-1022 in absolute
+    value has the sign of the exact one, so Z is in general position
+    (every n generators independent) and its facets are those of the
+    exact generators."""
+    k, n = g.shape
+    count, norm = math.comb(k, n), np.abs(g).sum(axis=1)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), n))
+    out = np.empty(count)
+    for start in range(0, count, SUBSET_BLOCK):
+        rows = min(SUBSET_BLOCK, count - start)
+        s = np.fromiter(flat, np.intp, rows * n).reshape(rows, n)
+        det = _minors(g[s])[:, 0]
+        bound = (n - 1) * (n + 2) * np.finfo(float).epsneg * np.prod(norm[s], axis=1)
+        if np.any(np.abs(det) <= bound + np.finfo(float).tiny):
+            return None
+        out[start:start + rows] = det
+    return out
+
+
+def _facet_dets(t: np.ndarray, det: np.ndarray, k: int) -> np.ndarray:
+    """det(T, l), the determinant of T's rows with row l appended, for the
+    sorted (n-1)-subsets T of range(k) in the rows of t and every l in
+    range(k), from the determinants ``det`` of the n-subsets in
+    itertools order: the sorted subset T + {l} has index C(k, n) - 1 -
+    sum_j C(k - 1 - s_j, n - j), and moving row l to its place p flips
+    the sign n-1-p times.  0 where l is in T."""
+    b, m = t.shape
+    n, l = m + 1, np.arange(k)
+    binom = np.array([[math.comb(a, r) for r in range(n + 1)] for a in range(k + 1)],
+                     dtype=np.intp)
+    less = t[:, None, :] < l[:, None]   # subset, l, j
+    p = less.sum(axis=2)
+    at = math.comb(k, n) - 1 - binom[k - 1 - l, n - p] - \
+        binom[k - 1 - t[:, None, :], n - np.arange(m) - ~less].sum(axis=2)
+    inside = (t[:, None, :] == l[:, None]).any(axis=2)
+    return np.where(inside, 0.0, np.where((m - p) % 2, -1.0, 1.0) * det[np.where(inside, 0, at)])
+
+
+@cache
+def _cube_faces(d: int) -> tuple:
+    """The cube [-1, 1]^d, d >= 2, for :func:`_cube_slices`: its vertices
+    in itertools.product order; its edges as rows (vertex at t_j = -1,
+    vertex at t_j = 1, j); and for each k = 2..d its k-faces as an array
+    (3, face, 2k): the index among the (k-1)-faces (the edges for k = 2)
+    of each facet t_j = sigma of the face, its j and its sigma."""
+    faces = [[f for f in itertools.product((-1, 0, 1), repeat=d) if f.count(0) == k]
+             for k in range(d + 1)]
+    index = [{f: r for r, f in enumerate(level)} for level in faces]
+
+    def vertex(f, j, s):
+        return sum(1 << (d - 1 - a) for a, x in enumerate(f[:j] + (s,) + f[j + 1:]) if x > 0)
+
+    edges = np.array([[vertex(f, f.index(0), -1), vertex(f, f.index(0), 1), f.index(0)]
+                      for f in faces[1]], dtype=np.intp)
+    levels = [np.array([[(index[k - 1][f[:j] + (s,) + f[j + 1:]], j, s)
+                         for j in range(d) if f[j] == 0 for s in (-1, 1)] for f in faces[k]],
+                       dtype=np.intp).transpose(2, 0, 1) for k in range(2, d + 1)]
+    return np.array(list(itertools.product((-1.0, 1.0), repeat=d))), edges, levels
+
+
+def _cube_slices(x: np.ndarray, up: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """D = vol_{d-1}(C ∩ L) / |w| for the cube C = [-1, 1]^d, d >= 2, of
+    each row, cut by the plane L where the affine x = x_0 + w . t is 0:
+    x (rows, 2^d) and the side labels ``up`` (:func:`coordops._upper`) at
+    its vertices, in the order of :func:`_cube_faces`.
+
+    An edge crosses L when its ends have different labels, at its cut
+    point anchored at the upper end, and gives D = 1 / |w_j|.  A k-face
+    phi's slice is the union of the cones over its facets' slices from a
+    point p of it, the mean of phi's edges' cut points, with heights
+    (1 - sigma p_j) |w_J| / |w_{J-j}| over the facet t_j = sigma, so
+    D(phi) = sum (1 - sigma p_j) D(facet) / (k - 1): every term is
+    nonnegative and nothing cancels.  A face whose edges do not cross,
+    one parallel to L included, has D = 0; a plane through a vertex or
+    along a face is the limit that the labels choose."""
+    vertices, edges, levels = _cube_faces(w.shape[1])
+    x, up, w = x.T, up.T, w.T   # pairs last, so that faces gather whole rows
+    lo, hi, j = edges.T
+    first, ends = up[lo], np.arange(len(edges))
+    cross = first != up[hi]
+    a = np.where(first, x[lo], x[hi])   # upper end, then lower
+    b = np.where(first, x[hi], x[lo])
+    tau = np.divide(a, a - b, out=np.zeros_like(a), where=cross)
+    total = vertices[lo][:, :, None] * cross[:, None, :]   # edge, coordinate, pair
+    total[ends, j] = np.where(first, -1.0 + 2.0 * tau, 1.0 - 2.0 * tau) * cross
+    count = cross.astype(float)
+    size = np.divide(1.0, np.abs(w[j]), out=np.zeros_like(a), where=cross)
+    for k, (facet, axis, sigma) in enumerate(levels, start=2):
+        # each edge of a k-face lies in k - 1 of its facets
+        total, count = total[facet].sum(axis=1), count[facet].sum(axis=1)
+        p = total / np.maximum(count, 1.0)[:, None]
+        at = p[np.arange(len(facet))[:, None], axis]   # p_j of each facet t_j = sigma
+        size = ((1.0 - sigma[..., None] * at) * size[facet]).sum(axis=1) / (k - 1)
+    return size[0]
 
 
 def _vm_polytope_measured(p: VPolytope, m: int, spec) -> Measured:

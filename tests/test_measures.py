@@ -836,16 +836,20 @@ SCALES = (1e-8, 1e-3, 1e3, 1e8)
 
 def _dilate_cases(n: int) -> list:
     """A random polytope in R^n; for n <= 5 also an unconditional hull, a
-    zonotope, whose sections are hulled cuts, and a polytope with a
-    vertex on every coordinate plane but x_0 = 0."""
+    zonotope, whose sections of degree n-1 and n-2 come from its facets,
+    the same zonotope with a parallel generator added, whose sections are
+    hulled cuts, and a polytope with a vertex on every coordinate plane
+    but x_0 = 0."""
     rng = np.random.default_rng(110 + n)
     out = [random_polytope(rng, n)]
     if n <= 5:
         cloud = rng.standard_normal((2 * n + 4, n))
         cloud[0] = 0.0
         cloud[0, 0] = 5.0
-        out += [unconditional_hull(rng.standard_normal((2, n))),
-                random_zonotope(rng, n), convex_hull(cloud)]
+        z = random_zonotope(rng, n)
+        out += [unconditional_hull(rng.standard_normal((2, n))), z,
+                Zonotope(z.center, np.vstack([z.generators, 2.0 * z.generators[:1]])),
+                convex_hull(cloud)]
     return out
 
 
@@ -1432,6 +1436,212 @@ def test_vm_section_validates_the_degree():
 
 
 # ---------------------------------------------------------------------------
+# coordinate sections of a zonotope from its facets (measures._zonotope_sections)
+
+
+def _hulls_counted(monkeypatch) -> list:
+    """The shapes of the clouds every later convex_hull call, through
+    bodies and coordops, is given."""
+    hulls, real = [], bodies.convex_hull
+
+    def counting(points):
+        hulls.append(np.shape(points))
+        return real(points)
+
+    monkeypatch.setattr(bodies, "convex_hull", counting)
+    monkeypatch.setattr(coordops, "convex_hull", counting)
+    return hulls
+
+
+def _facet_route_taken(z, n: int, m: int) -> list:
+    """vm_sections(z, m) for m = n-1 or n-2, asserting that it reached no
+    skeleton and no section_drop of z."""
+    got = vm_sections(z, m)
+    derived = set(vars(z)["_derived"])
+    assert "skeleton" not in derived and not any(_cut_taken(z, i) for i in range(n))
+    assert vars(z)["_derived"]["sections"] is not None
+    return list(got)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_zonotope_sections_from_the_facets_match_the_cut_route(n, monkeypatch):
+    """V_{n-1} and V_{n-2} of every coordinate section of a zonotope in
+    general position, read off its facets with no hull, skeleton or
+    section_drop, match vm of the hulled skeleton cut within 1e-12
+    relative; its dilates by 1e-8 and 1e8, read off it, and the same
+    zonotope built from scaled coordinates, measured on its own facets,
+    are homogeneous at 1e-12."""
+    rng = np.random.default_rng(300 + n)
+    cases = [Zonotope(0.4 * rng.standard_normal(n), rng.standard_normal((k, n)))
+             for k in range(n, n + 4)]
+    hulls = _hulls_counted(monkeypatch)
+    got = {(j, m): _facet_route_taken(z, n, m) for j, z in enumerate(cases) for m in (n - 1, n - 2)}
+    assert hulls == []
+    for lam in (1e-8, 1e8):
+        for j, z in enumerate(cases):
+            fresh = Zonotope(lam * z.center, lam * z.generators)
+            for m in (n - 1, n - 2):
+                want = np.array([v.value for v in got[j, m]]) * lam ** m
+                for values in (vm_sections(scale_body(z, lam), m), _facet_route_taken(fresh, n, m)):
+                    assert all(v.exact for v in values)
+                    assert np.all(np.abs([v.value for v in values] - want) <= 1e-12 * want)
+    assert hulls == []
+    monkeypatch.undo()
+    crossed = 0
+    for (j, m), values in got.items():
+        for i, value in enumerate(values):
+            want = _cut_route(cases[j], i, m).value
+            assert value.exact and abs(value.value - want) <= 1e-12 * want, (j, m, i)
+            crossed += want > 0.0
+    assert crossed >= 7 * n
+
+
+def _integer_zonotope(rng, n: int, flat: int | None) -> Zonotope:
+    """A zonotope with n + 2 integer generators in general position (every
+    n x n determinant a nonzero integer), the first with coordinate
+    ``flat`` 0 when that is not None, centered so that a vertex that is
+    not the lowest or the highest on x_0 lies on x_0 = 0, the plane
+    x_1 = 0 touches it from above and x_2 = 0 misses it."""
+    while True:
+        g = rng.integers(-3, 4, (n + 2, n)).astype(float)
+        if flat is not None:
+            g[0, flat] = 0.0
+        dets = [np.linalg.det(g[list(s)]) for s in combinations(range(n + 2), n)]
+        if min(abs(d) for d in dets) < 0.5 or not np.all(np.any(g != 0.0, axis=1)):
+            continue
+        vertex = np.sign(g @ rng.standard_normal(n)) @ g
+        reach = np.abs(g).sum(axis=0)
+        if abs(vertex[0]) == reach[0]:
+            continue
+        c = np.zeros(n)
+        c[:3] = -vertex[0], reach[1], reach[2] + 1.0
+        return Zonotope(c, g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_zonotope_sections_through_vertices_from_the_facets(n):
+    """Integer zonotopes in general position, with and without a
+    generator in each plane x_i = 0: a plane through a vertex, a plane
+    that touches Z in a vertex or an edge and a plane that misses it take
+    the facet route, within 1e-12 relative of the hulled cut (exactly 0
+    where the cut is a point or empty)."""
+    rng = np.random.default_rng(320 + n)
+    for flat in (None, 0, 1, 2):
+        z = _integer_zonotope(rng, n, flat)
+        got = {m: _facet_route_taken(z, n, m) for m in (n - 1, n - 2)}
+        for m, values in got.items():
+            for i, value in enumerate(values):
+                want = _cut_route(z, i, m).value
+                assert value.exact and abs(value.value - want) <= 1e-12 * want, (flat, m, i)
+            assert values[0].value > 0.0 and values[2] == Measured.of_exact(0.0)
+        assert vm_sections(z, 0)[:3] == (Measured.of_exact(1.0),) * 2 + (Measured.of_exact(0.0),)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_zonotopes_with_zero_determinants_take_the_cut_route(n):
+    """The section cases of test_coordops: the parallel-generator one and
+    the integer one (for n <= 5) have n generators with determinant
+    exactly 0, so they are not in general position and their sections
+    are the hulled cuts; the others (the integer one at n = 6 too, whose
+    determinants are nonzero integers) take the facet route.  Both match
+    the cut."""
+    from test_coordops import _section_cases
+    cut = 0
+    for z in _section_cases(n, np.random.default_rng(200 + n)):
+        g = z.generators
+        zero = min(abs(np.linalg.det(g[list(s)])) for s in combinations(range(len(g)), n)) < 1e-9
+        got = {m: vm_sections(z, m) for m in (n - 1, n - 2)}
+        assert (vars(z)["_derived"]["sections"] is None) == zero
+        assert all(_cut_taken(z, i) for i in range(n)) == zero
+        for m, values in got.items():
+            want = [_cut_route(z, i, m) for i in range(n)]
+            if zero:
+                assert list(values) == want
+            assert all(abs(v.value - w.value) <= 1e-12 * w.value for v, w in zip(values, want))
+        cut += zero
+    assert cut == (2 if n <= 5 else 1)
+
+
+def test_zonotope_section_blocks_do_not_change_the_values(monkeypatch):
+    """One facet pair and one determinant per block give the values of
+    one block, within roundoff; past MAX_SUBSETS facets the sections are
+    refused."""
+    rng = np.random.default_rng(340)
+    cases = [Zonotope(0.3 * rng.standard_normal(n), rng.standard_normal((n + 3, n)))
+             for n in (3, 4, 5)]
+    want = [measures._zonotope_sections(z) for z in cases]
+    monkeypatch.setattr(measures, "SECTION_BLOCK", 1)
+    monkeypatch.setattr(measures, "SUBSET_BLOCK", 1)
+    for z, values in zip(cases, want):
+        got = measures._zonotope_sections(z)
+        for m, v in values.items():
+            assert np.all(np.abs(got[m] - v) <= 1e-14 * v)
+    monkeypatch.setattr(measures, "MAX_SUBSETS", 2 * math.comb(6, 2) - 1)
+    with pytest.raises(UnsupportedMeasure, match="enumeration guard"):
+        vm_sections(Zonotope(np.zeros(3), rng.standard_normal((6, 3))), 2)
+
+
+def test_v0_of_a_zonotope_section_in_closed_form():
+    """V_0 of a zonotope's section is 1 exactly when |c_i| <= sum_l |g_li|,
+    with no sign point, so it is measured past 16 generators; with 16 or
+    fewer it agrees with the skeleton cut, a plane that touches Z
+    included."""
+    z = Zonotope(np.array([0.0, 30.0, 0.0]), np.random.default_rng(1).standard_normal((17, 3)))
+    one, zero = Measured.of_exact(1.0), Measured.of_exact(0.0)
+    assert vm_sections(z, 0) == (one, zero, one)
+    rng = np.random.default_rng(350)
+    cases = []
+    for n in (3, 4, 5):
+        for k in (n, n + 3, 16):
+            g = rng.standard_normal((k, n))
+            cases.append(Zonotope(rng.uniform(-1.5, 1.5, n) * np.abs(g).sum(axis=0), g))
+            ints = rng.integers(-2, 3, (k, n)).astype(float)
+            reach = np.abs(ints).sum(axis=0)
+            cases += [Zonotope(reach * sign, ints) for sign in (-1.0, 1.0)]
+    touched = 0
+    for z in cases:
+        reach = np.abs(z.generators).sum(axis=0)
+        touched += int(np.sum(np.abs(z.center) == reach))
+        want = tuple(Measured.of_exact(float(_cut(z, i) is not None)) for i in range(z.n))
+        assert vm_sections(z, 0) == want
+        assert want == tuple(Measured.of_exact(float(abs(c) <= r))
+                             for c, r in zip(z.center, reach))
+    assert touched >= 6 * (3 + 4 + 5)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_zonotope_sections_past_16_generators(n, monkeypatch):
+    """With 17 generators the facet route measures V_{n-1} and V_{n-2} of
+    every section, where the skeleton cut refuses; it matches that cut,
+    let through for the reference only, within 1e-12."""
+    rng = np.random.default_rng(360 + n)
+    z = Zonotope(0.5 * rng.standard_normal(n), rng.standard_normal((17, n)))
+    got = {m: vm_sections(z, m) for m in (n - 1, n - 2)}
+    with pytest.raises(UnsupportedOperation, match="2\\*\\*17"):
+        vm_sections(z, n - 3) if n > 3 else section_drop(z, 0)
+    monkeypatch.setattr(bodies, "MAX_ZONOTOPE_EXPAND_GENERATORS", 17)
+    try:
+        reference = Zonotope(z.center, z.generators)
+        for m, values in got.items():
+            for i, value in enumerate(values):
+                want = _cut_route(reference, i, m).value
+                assert value.exact and abs(value.value - want) <= 1e-12 * want, (m, i)
+    finally:   # no 17-generator sign matrix outlives the patch
+        bodies._sign_matrix.cache_clear()
+        bodies._sign_cube_edges.cache_clear()
+
+
+def test_easy_bounds_on_a_5_zonotope_hulls_nothing(monkeypatch):
+    """easy_bounds at m = n-2 on a generic 5-zonotope measures every
+    section from the zonotope's facets: no convex_hull call."""
+    from convexiq import inequalities
+    z = random_zonotope(np.random.default_rng(370), 5)
+    hulls = _hulls_counted(monkeypatch)
+    report = inequalities.evaluate("easy_bounds", z, m=3)
+    assert report.satisfied and hulls == []
+
+
+# ---------------------------------------------------------------------------
 # the n coordinate values of one degree (measures.vm_shadows, vm_sections)
 
 
@@ -1455,16 +1665,20 @@ def _route_shadow(body, i: int, m: int, spec) -> Measured:
 
 def _route_section(body, i: int, m: int, spec) -> Measured:
     """V_m(K ∩ e_i^perp) by the route axis i takes on body itself: the
-    shadow's by the mirror rule, the boundary sections (from the cache,
-    by _off_boundary), vm of the hulled cut, or an exact 0 for a plane
-    that misses K.  V_0 comes from the hulled cut here (the library
-    decides it on the skeleton cut, with no hull)."""
+    shadow's by the mirror rule, the boundary or facet sections of a
+    polytope or a zonotope in general position (from the cache, by
+    _off_boundary), vm of the hulled cut, or an exact 0 for a plane that
+    misses K.  V_0 comes from the hulled cut here (the library decides it
+    on the skeleton cut, or in closed form for a zonotope, with no
+    hull)."""
     body = bodies.resolve(body)
     if mirror_symmetric(body, i):
         return _route_shadow(body, i, m, spec)
-    if isinstance(body, VPolytope) and body.n >= 3 and body.n - m in (1, 2) \
-            and _on_boundary(body):
-        return _off_boundary(body, "sections", i, m)
+    if m >= 1 and body.n >= 3 and body.n - m in (1, 2) and (
+            isinstance(body, Zonotope) or isinstance(body, VPolytope) and _on_boundary(body)):
+        value = _off_boundary(body, "sections", i, m)
+        if value is not None:
+            return value
     s = section_drop(body, i)
     return Measured.of_exact(0.0) if s is EMPTY else vm(s, m, spec)
 
@@ -1556,21 +1770,15 @@ def test_the_tuples_take_each_axis_route(n):
 def test_v0_of_shadows_and_sections_takes_no_hull(n, monkeypatch):
     """V_0 of every coordinate shadow and of an oblique one is an exact
     1, and V_0 of a section is 1 or 0 as the plane meets K or misses it,
-    decided on the skeleton cut (section_drop's rule): on every tuple
-    body and its dilates none of them calls convex_hull.  That these are
-    the hulled cuts' values is the test above."""
+    decided on the skeleton cut (section_drop's rule) or, for a zonotope,
+    in closed form: on every tuple body and its dilates none of them
+    calls convex_hull.  That these are the hulled cuts' values is the
+    test above."""
     cases = []
     for body in _tuple_bodies(n):
         cases += [body] if isinstance(body, bodies.DiskHull) else \
             [body, scale_body(body, 1e-8), scale_body(body, 1e8)]
-    hulls, real = [], bodies.convex_hull
-
-    def counting(points):
-        hulls.append(np.shape(points))
-        return real(points)
-
-    monkeypatch.setattr(bodies, "convex_hull", counting)
-    monkeypatch.setattr(coordops, "convex_hull", counting)
+    hulls = _hulls_counted(monkeypatch)
     one, zero, u = Measured.of_exact(1.0), Measured.of_exact(0.0), np.arange(1.0, n + 1.0)
     missed = 0
     for b in cases:
