@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -472,16 +472,6 @@ def bent_ridges(p: VPolytope):
     return derived(p, "bent_ridges", find)
 
 
-def minkowski_sum(p: Body, q: Body) -> VPolytope:
-    """Minkowski sum of two polytopal bodies (hull of pairwise vertex sums)."""
-    pv = as_vpolytope(p).vertices
-    qv = as_vpolytope(q).vertices
-    if pv.shape[1] != qv.shape[1]:
-        raise DimensionMismatch("summands live in different dimensions")
-    sums = (pv[:, None, :] + qv[None, :, :]).reshape(-1, pv.shape[1])
-    return convex_hull(sums)
-
-
 def unconditional_hull(base) -> VPolytope:
     """Hull of every coordinate sign flip of a base point set (2^n images
     of each point): an unconditional polytope."""
@@ -518,7 +508,6 @@ def _sign_points(z: Zonotope) -> np.ndarray:
     return z.center + _sign_matrix(z.generator_count) @ z.generators
 
 
-@cache
 def _sign_matrix(k: int) -> np.ndarray:
     """The 2**k sign vectors of {-1, 1}^k as rows, in itertools.product
     order: entry j of row r is -1 where bit k-1-j of r is 0, +1 where it
@@ -532,7 +521,6 @@ def _sign_matrix(k: int) -> np.ndarray:
     return _freeze(2.0 * bits - 1.0)
 
 
-@cache
 def _sign_cube_edges(k: int) -> np.ndarray:
     """Row-index pairs of the sign vectors that differ in one generator
     only: the k * 2**(k-1) edges of the cube {-1, 1}^k."""
@@ -658,23 +646,25 @@ def scale_body(body: Body, factor: float) -> Body:
     and remembers it (:func:`dilate_source`).  Its measures come from K:
     V_m(lambda K) = lambda^m V_m(K), and the same for the V_m of its
     shadows and sections, so ``measures.vm``, ``vm_shadows``,
-    ``vm_sections`` and an oblique ``vm_projection`` read every exact
-    value off K (``measures._off_source``), and :func:`affine_dim` is
-    K's.  The dilate keeps K alive.  A zonotope dilate whose scaled rows
-    are still canonical keeps them as they are (:func:`_scaled_zonotope`)."""
+    ``vm_sections`` and an oblique ``vm_projection`` read every value off
+    K, a quadrature estimate with its error (``measures._off_source``),
+    and :func:`affine_dim` is K's.  The dilate keeps K alive.  A zonotope
+    dilate whose scaled rows are still canonical keeps them as they are
+    (:func:`_scaled_zonotope`).  A factor that takes a coordinate past
+    the double range raises :class:`InvalidArgument` (:func:`_scaled`)."""
     if not (factor >= 0 and math.isfinite(factor)):
         raise InvalidArgument("scale factor must be non-negative and finite")
-    body = resolve(body)
+    factor, body = float(factor), resolve(body)   # a numpy scalar would warn on overflow
     if isinstance(body, VPolytope):
         if factor == 0:
             return VPolytope(np.zeros((1, body.n)))
-        out = VPolytope(_lexsorted(factor * body.vertices))
+        out = VPolytope(_lexsorted(_scaled(body.vertices, factor)))
     elif isinstance(body, Zonotope):
         out = _scaled_zonotope(body, factor)
         if out.generator_count != body.generator_count:
             return out
     elif isinstance(body, Ball):
-        return Ball(factor * body.center, factor * body.radius, body.zeroed)
+        return Ball(_scaled(body.center, factor), factor * body.radius, body.zeroed)
     else:
         raise UnsupportedOperation(
             "a DiskHull (K1) is represented at unit scale only")
@@ -691,14 +681,23 @@ def _scaled_zonotope(z: Zonotope, factor: float) -> Zonotope:
     without ``Zonotope.__post_init__``.  Rounding can tie entries that
     differed only in their last bits or in subnormals, and so reorder
     rows; those are built as usual."""
-    c, g = factor * z.center, factor * z.generators
-    if not (factor > 0 and np.isfinite(c).all() and np.isfinite(g).all()
-            and np.count_nonzero(g) == np.count_nonzero(z.generators) and _rows_sorted(g)):
+    c, g = _scaled(z.center, factor), _scaled(z.generators, factor)
+    if not (factor > 0 and np.count_nonzero(g) == np.count_nonzero(z.generators)
+            and _rows_sorted(g)):
         return Zonotope(c, g)
     out = object.__new__(Zonotope)
     object.__setattr__(out, "center", _freeze(c))
     object.__setattr__(out, "generators", _freeze(g))
     return out
+
+
+def _scaled(a: np.ndarray, factor: float) -> np.ndarray:
+    """factor * a, refused with :class:`InvalidArgument` when an entry
+    leaves the double range: the largest |entry| is scaled first, as a
+    Python float, so that numpy never overflows."""
+    if not math.isfinite(factor * float(np.max(np.abs(a), initial=0.0))):
+        raise InvalidArgument(f"scaling by {factor!r} overflows the body's coordinates")
+    return factor * a
 
 
 def _rows_sorted(a: np.ndarray) -> bool:
@@ -732,9 +731,3 @@ def translate_body(body: Body, t) -> Body:
     raise UnsupportedOperation(
         "a DiskHull (K1) is represented at the origin only")
 
-
-def same_vertices(p: VPolytope, q: VPolytope, tol: float = 1e-9) -> bool:
-    """Structural equality of canonical vertex lists within a tolerance."""
-    if p.n != q.n or p.vertex_count != q.vertex_count:
-        return False
-    return bool(np.max(np.abs(p.vertices - q.vertices)) <= tol)

@@ -41,85 +41,27 @@ def mean_width_ratio(body: Body, spec: QuadratureSpec | None = None) -> float:
     return vm(body, 1, spec).value / den
 
 
-def sine_power_integral(t: float, n: int, nodes: int = GL_NODES) -> float:
-    """Integral of sin^(n-1) over the polar band [pi/2 - arctan t, pi/2];
-    nonnegative, increasing, and continuous in t >= 0.
-    """
-    t = float(t)
-    if t < 0:
-        raise InvalidArgument("band parameter t must be >= 0")
-    if n < 2:
-        raise InvalidArgument("need ambient dimension n >= 2")
-    phi, w = gauss_legendre(math.pi / 2.0 - math.atan(t), math.pi / 2.0, nodes)
-    return float(np.sum(w * np.sin(phi) ** (n - 1)))
+def support_ratio_profile(body: Body, points: int = J_GRID_POINTS) -> np.ndarray:
+    """Sample the equatorial support ratio h_K(x1, x2, 0)/x1, x1 =
+    sqrt(1 - x2^2), of a three-dimensional body with the full
+    coordinate-cube symmetry group on an even grid over [0, 1/sqrt(2)];
+    returns an array of shape (points, 2) with columns (x2, ratio).
 
-
-def equatorial_support_ratio(body: Body, x2: float,
-                             check_symmetry: bool = True) -> float:
-    """h_K(x1, x2, 0)/x1 with x1 = sqrt(1 - x2^2), for three-dimensional
-    bodies with the full coordinate-cube symmetry group.
-
-    Nondecreasing in x2 on [0, 1/sqrt(2)] for such bodies; identically 1
-    on the standard cross-polytope.
-    """
-    x2 = float(x2)
-    if not -1e-12 <= x2 <= 1.0 / math.sqrt(2.0) + 1e-12:
-        raise InvalidArgument("x2 must lie in [0, 1/sqrt(2)]")
-    x2 = min(max(x2, 0.0), 1.0 / math.sqrt(2.0))
-    return float(_support_ratios(body, np.array([x2]), check_symmetry)[0])
-
-
-def support_ratio_profile(body: Body, points: int = J_GRID_POINTS,
-                          check_symmetry: bool = True) -> np.ndarray:
-    """Sample the equatorial support ratio on an even grid over
-    [0, 1/sqrt(2)]; returns an array of shape (points, 2) with columns
-    (x2, ratio)."""
+    The ratio is nondecreasing in x2 for such bodies and identically 1 on
+    the standard cross-polytope.  A body that fails
+    :func:`symmetry.is_group_invariant` raises :class:`InvalidArgument`."""
     if points < 2:
         raise InvalidArgument("need at least two grid points")
-    x2 = np.linspace(0.0, 1.0 / math.sqrt(2.0), points)
-    return np.column_stack([x2, _support_ratios(body, x2, check_symmetry)])
-
-
-def _support_ratios(body: Body, x2: np.ndarray, check_symmetry: bool) -> np.ndarray:
     body = resolve(body)
     if body.n != 3:
         raise InvalidArgument("the equatorial support ratio is defined for n = 3")
-    if check_symmetry and not symmetry.is_group_invariant(
-            body, np.random.default_rng(20240)):
+    if not symmetry.is_group_invariant(body, np.random.default_rng(20240)):
         raise InvalidArgument(
             "body lacks the signed-permutation symmetries this ratio assumes")
+    x2 = np.linspace(0.0, 1.0 / math.sqrt(2.0), points)
     x1 = np.sqrt(np.maximum(1.0 - x2 * x2, 0.0))
-    return support_many(body, np.column_stack([x1, x2, np.zeros_like(x2)])) / x1
-
-
-def chebyshev_sum_check(f, g, tol: float = 1e-9) -> bool | None:
-    """Discrete check that sum(f*g) >= 0 for a zero-average f that is
-    <= 0 then >= 0, against a nonnegative nondecreasing g.
-
-    Returns None when the preconditions fail (the check is inapplicable,
-    not falsified).
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.ndim != 1 or f.shape != g.shape or f.size < 2:
-        raise InvalidArgument("f and g must be 1-d sample arrays of equal length")
-    fscale = max(1.0, float(np.max(np.abs(f))))
-    gscale = max(1.0, float(np.max(np.abs(g))))
-    if abs(float(np.mean(f))) > tol * fscale:
-        return None
-    signs = np.sign(f[np.abs(f) > tol * fscale])
-    if signs.size:
-        changes = int(np.sum(signs[1:] != signs[:-1]))
-        # Admissible patterns are a (possibly empty) negative block followed
-        # by a (possibly empty) positive block.
-        if changes > 1 or (changes == 1 and signs[0] > 0):
-            return None
-    if float(np.min(g)) < -tol * gscale:
-        return None
-    if np.any(np.diff(g) < -tol * gscale):
-        return None
-    total = float(np.dot(f, g))
-    return total >= -tol * fscale * gscale * f.size
+    return np.column_stack(
+        [x2, support_many(body, np.column_stack([x1, x2, np.zeros_like(x2)])) / x1])
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +402,10 @@ def _objective(config: SearchConfig, state: np.ndarray):
     degenerate state.  The report holds the normalized body.
 
     The state body K is measured once, for its size: the normalized body
-    is the dilate ``scale_body(K, lam)``, and ``evaluate`` reads its exact
-    measures off K by homogeneity (``measures._off_source``), so it hulls
-    and measures nothing of its own."""
+    is the dilate ``scale_body(K, lam)``, and ``evaluate`` reads its
+    measures off K by homogeneity, a quadrature estimate with its error
+    (``measures._off_source``), so it hulls and integrates nothing of its
+    own."""
     ineq_id, degree_fn = _PROBLEM_TABLE[config.problem]
     deg = degree_fn(config.n, config.m)
     body = _state_body(config, state)
@@ -536,7 +479,9 @@ def _run_restart(config: SearchConfig, restart: int, seed_seq) -> dict:
     }
 
 
-def _trajectory_summary(slack_arrays, chunk: int = 1000) -> tuple:
+def _trajectory_summary(slack_arrays) -> tuple:
+    """Quantiles of the pooled restart slacks per chunk of 1000 iterations."""
+    chunk = 1000
     total = max(arr.size for arr in slack_arrays)
     out = []
     for start in range(0, total, chunk):

@@ -692,15 +692,14 @@ def min_mean_width_ratio(n: int) -> Measured:
 # equality-case classifier
 
 
-def equality_case_classifier(body: Body, m: int | None = None,
-                             tol: float = CLASSIFY_TOL) -> str:
+def equality_case_classifier(body: Body, m: int | None = None) -> str:
     """Match a body against the extremal families of the catalog.
 
     Returns one of ``coordinate-box``, ``coordinate-cross-polytope``,
     ``o-symmetric-coordinate-cross-polytope``,
     ``regular-coordinate-cross-polytope``, ``diagonal-generators``,
     ``flat`` (dimension <= m), or ``unmatched``.  A polytope is compared
-    within ``tol`` times its largest |coordinate|, at any scale.
+    within ``CLASSIFY_TOL`` times its largest |coordinate|, at any scale.
     """
     body = resolve(body)
     if m is not None and affine_dim(body) <= m:
@@ -710,16 +709,16 @@ def equality_case_classifier(body: Body, m: int | None = None,
         if g.shape[0] >= 1:
             norms = np.linalg.norm(g, axis=1)
             pattern = np.abs(g) / norms[:, None]
-            if np.max(np.abs(pattern - pattern[0])) <= tol:
+            if np.max(np.abs(pattern - pattern[0])) <= CLASSIFY_TOL:
                 return "diagonal-generators"
         return "unmatched"
     if not isinstance(body, VPolytope):
         return "unmatched"
     v = body.vertices
-    scale = float(np.max(np.abs(v)))
-    if _is_coordinate_box(v, tol * scale):
+    tol = CLASSIFY_TOL * float(np.max(np.abs(v)))
+    if _is_coordinate_box(v, tol):
         return "coordinate-box"
-    cross_kind = _cross_polytope_kind(v, tol * scale)
+    cross_kind = _cross_polytope_kind(v, tol)
     if cross_kind is not None:
         return cross_kind
     return "unmatched"

@@ -56,10 +56,12 @@ or 0 as the plane meets K or misses it, decided with no hull.
 A dilate lambda K made by ``bodies.scale_body`` (:func:`bodies.dilate_source`)
 is measured on K (:func:`_off_source`): each of :func:`vm`,
 :func:`vm_shadows`, :func:`vm_sections` and an oblique
-:func:`vm_projection` reads the same call on K once and, where K's value
-is exact (entry by entry for the tuples), returns lambda^m times it,
-since V_m of a body, of its shadows and of its sections is homogeneous of
-degree m.  An inexact value (quadrature) is measured on the dilate itself.
+:func:`vm_projection` reads the same call on K once and returns lambda^m
+times each of its values, since V_m of a body, of its shadows and of its
+sections is homogeneous of degree m.  An inexact value (quadrature) is
+scaled with its error, as the sphere rule is linear in the support
+function and h_{lambda K} = lambda h_K, so a dilate runs no quadrature
+and takes no hull of its own.
 
 Normalization conventions: V_n is the volume; V_{n-1} is half the surface
 area for full-dimensional bodies and equals the (n-1)-measure (not
@@ -484,26 +486,27 @@ def vm(body: Body, m: int, spec: QuadratureSpec | None = None) -> Measured:
     Raises UnsupportedMeasure for combinations with no implemented path
     (full-dimensional d-polytopes with 2 <= m <= d-4).  Each (m, spec) is
     measured once per body instance (:func:`bodies.derived`).  A dilate
-    lambda K takes lambda^m V_m(K) when that is exact (:func:`_off_source`).
+    lambda K takes lambda^m V_m(K) (:func:`_off_source`).
     """
     body = resolve(body)
     return _b.derived(body, ("vm", m, spec), lambda: _off_source(
-        body, m, lambda k: (vm(k, m, spec),), lambda _: _vm(body, m, spec))[0])
+        body, m, lambda k: (vm(k, m, spec),), lambda: (_vm(body, m, spec),))[0])
 
 
-def _off_source(body: Body, m: int, measure, own, count: int = 1) -> tuple[Measured, ...]:
-    """The ``count`` values ``measure(body)``, each homogeneous of degree m
-    in the body.  For a dilate body = lambda K (:func:`bodies.dilate_source`)
-    ``measure(K)`` is read once, and each of its values that is exact
-    gives lambda^m times it; ``own(j)`` measures value j on body itself
-    where K's carries an approximation error (quadrature V_1 at d >= 5),
-    and every value of a body with no source."""
+def _off_source(body: Body, m: int, measure, own) -> tuple[Measured, ...]:
+    """The values ``measure(body)``, each homogeneous of degree m in the
+    body.  For a dilate body = lambda K (:func:`bodies.dilate_source`)
+    ``measure(K)`` is read once and scaled by lambda^m: an exact value as
+    an exact value, an inexact one (quadrature V_1 at d >= 5) with its
+    error, since h_{lambda K} = lambda h_K and the sphere rule is linear
+    in h.  ``own()`` measures every value of a body with no source."""
     source = _b.dilate_source(body)
     if source is None:
-        return tuple(map(own, range(count)))
+        return own()
     k, lam = source
-    return tuple(Measured.of_exact(lam ** m * v.value) if v.exact else own(j)
-                 for j, v in enumerate(measure(k)))
+    scale = lam ** m
+    return tuple(Measured.of_exact(scale * v.value) if v.exact else
+                 Measured(scale * v.value, scale * v.error, False) for v in measure(k))
 
 
 def _vm(body: Body, m: int, spec: QuadratureSpec | None) -> Measured:
@@ -539,7 +542,7 @@ def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> 
     m = n-1 or m = n-2 from K's own boundary triangulation
     (:func:`_shadows`) when it closes up (:func:`_on_boundary`); elsewhere
     it is :func:`vm` of ``project_along(K, u)``.  A dilate lambda K takes
-    lambda^m V_m(K | u^perp) when that is exact (:func:`_off_source`).
+    lambda^m V_m(K | u^perp) (:func:`_off_source`).
     """
     body = resolve(body)
     _check_degree(body.n, m)
@@ -554,7 +557,7 @@ def vm_projection(body: Body, u, m: int, spec: QuadratureSpec | None = None) -> 
     if m == 0:
         return Measured.of_exact(1.0)
     return _off_source(body, m, lambda k: (vm_projection(k, u, m, spec),),
-                       lambda _: _oblique(body, unit, m, spec))[0]
+                       lambda: (_oblique(body, unit, m, spec),))[0]
 
 
 def _oblique(body: Body, u: np.ndarray, m: int, spec: QuadratureSpec | None) -> Measured:
@@ -587,7 +590,8 @@ def vm_shadows(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple[
     body = resolve(body)
     _check_degree(body.n, m)
     return _b.derived(body, ("vm_shadows", m, spec), lambda: _off_source(
-        body, m, lambda k: vm_shadows(k, m, spec), lambda i: _shadow(body, i, m, spec), body.n))
+        body, m, lambda k: vm_shadows(k, m, spec),
+        lambda: tuple(_shadow(body, i, m, spec) for i in range(body.n))))
 
 
 def _shadow(body: Body, i: int, m: int, spec: QuadratureSpec | None) -> Measured:
@@ -756,7 +760,8 @@ def vm_sections(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple
     body = resolve(body)
     _check_degree(body.n, m)
     return _b.derived(body, ("vm_sections", m, spec), lambda: _off_source(
-        body, m, lambda k: vm_sections(k, m, spec), lambda i: _section(body, i, m, spec), body.n))
+        body, m, lambda k: vm_sections(k, m, spec),
+        lambda: tuple(_section(body, i, m, spec) for i in range(body.n))))
 
 
 def _section(body: Body, i: int, m: int, spec: QuadratureSpec | None) -> Measured:

@@ -57,10 +57,10 @@ class QuadratureSpec:
         object.__setattr__(self, "max_resolution", m)
 
     @classmethod
-    def for_dimension(cls, n: int, target_error: float | None = None) -> "QuadratureSpec":
+    def for_dimension(cls, n: int) -> "QuadratureSpec":
         """Dimension-aware default resolutions (cost grows like res^(n-1))."""
         table = {2: 1024, 3: 512, 4: 96, 5: 48, 6: 24, 7: 16, 8: 16}
-        return cls(resolution=table.get(n, 512), target_error=target_error)
+        return cls(resolution=table.get(n, 512))
 
 
 class QuadratureEstimate(NamedTuple):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from convexiq import QuadratureSpec, VPolytope, Zonotope, convex_hull
+from convexiq import (Body, DimensionMismatch, QuadratureSpec, VPolytope, Zonotope,
+                      as_vpolytope, convex_hull)
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +40,16 @@ def k1_polygon(k: int) -> VPolytope:
     t = 2.0 * np.pi * np.arange(k) / k
     disk = np.stack([np.cos(t), np.sin(t)], axis=1)
     return convex_hull(np.vstack([np.insert(disk, i, 0.0, axis=1) for i in range(3)]))
+
+
+def minkowski_sum(p: Body, q: Body) -> VPolytope:
+    """Minkowski sum of two polytopal bodies (hull of pairwise vertex sums)."""
+    pv = as_vpolytope(p).vertices
+    qv = as_vpolytope(q).vertices
+    if pv.shape[1] != qv.shape[1]:
+        raise DimensionMismatch("summands live in different dimensions")
+    sums = (pv[:, None, :] + qv[None, :, :]).reshape(-1, pv.shape[1])
+    return convex_hull(sums)
 
 
 def random_polytope(rng: np.random.Generator, n: int, k: int | None = None) -> VPolytope:

@@ -12,17 +12,17 @@ from scipy.spatial import ConvexHull
 
 from convexiq import (Ball, NamedBody, VPolytope, Zonotope,
                       as_vpolytope, ball, convex_hull, cross_polytope, cube,
-                      k1, k2, minkowski_sum, support, support_many, vm)
+                      k1, k2, support, support_many, vm)
 from convexiq import bodies
 from convexiq.bodies import (DEDUP_TOL, _dedup_points, _lexsorted,
                              _sign_matrix, _span, affine_dim, resolve, skeleton,
-                             same_vertices, scale_body, translate_body)
+                             scale_body, translate_body)
 from convexiq.coordops import g_symmetral
 from convexiq.errors import InvalidArgument, UnsupportedOperation
 from convexiq.symmetry import (SignedPermutation, apply_symmetry,
                                hyperoctahedral_group, random_signed_permutation)
 
-from conftest import random_polytope
+from conftest import minkowski_sum, random_polytope
 
 
 def sphere_points(rng, count, n):
@@ -91,7 +91,7 @@ def test_k1_contains_unit_disks(rng):
 def test_named_body_round_trip():
     nb = NamedBody("cross", 4)
     assert isinstance(resolve(nb), VPolytope)
-    assert same_vertices(resolve(nb), cross_polytope(4))
+    assert np.array_equal(resolve(nb).vertices, cross_polytope(4).vertices)
     with pytest.raises(InvalidArgument):
         NamedBody("simplex", 3)
     with pytest.raises(InvalidArgument):
@@ -113,7 +113,7 @@ def test_convex_hull_drops_interior_points(rng):
     base = cube(3).vertices
     cloud = np.vstack([base, rng.uniform(-0.9, 0.9, size=(40, 3))])
     hull = convex_hull(cloud)
-    assert same_vertices(hull, cube(3))
+    assert np.array_equal(hull.vertices, cube(3).vertices)
 
 
 def test_convex_hull_dedups_noise():
@@ -263,7 +263,7 @@ def test_cube_is_sum_of_segments():
     acc = segs[0]
     for s in segs[1:]:
         acc = minkowski_sum(acc, s)
-    assert same_vertices(acc, cube(3))
+    assert np.array_equal(acc.vertices, cube(3).vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_zonotope_expansion_matches_support(rng):
 
 def test_unit_generators_make_cube():
     z = Zonotope(np.zeros(3), np.eye(3))
-    assert same_vertices(as_vpolytope(z), cube(3))
+    assert np.array_equal(as_vpolytope(z).vertices, cube(3).vertices)
 
 
 def _generators_row_by_row(g):
@@ -389,6 +389,18 @@ def test_a_zonotope_dilate_is_the_zonotope_built_at_scale(rng):
         scale_body(Zonotope(np.zeros(2), [[1e10, 1.0]]), 1e300)
 
 
+@pytest.mark.parametrize("body", [scale_body(cube(3), 1e300),
+                                  Ball(np.full(3, 1e10), 1.0)])
+def test_a_dilate_past_the_double_range_raises(body):
+    """A factor that takes a vertex or a center past the double range
+    raises InvalidArgument before numpy multiplies, for a numpy scalar
+    factor too (a RuntimeWarning is an error under the test
+    configuration)."""
+    for factor in (1e300, np.float64(1e300)):
+        with pytest.raises(InvalidArgument, match="overflows"):
+            scale_body(body, factor)
+
+
 def test_zonotope_canonicalization_leaves_its_input_alone(rng):
     g = -np.abs(rng.standard_normal((4, 3)))
     before = g.copy()
@@ -464,7 +476,7 @@ def test_cube_corners_and_midpoints_hull_to_the_corners(n):
     lambda: as_vpolytope(k1()),
     lambda: scale_body(k1(), 2.0),
     lambda: translate_body(k1(), [0.1, 0.0, 0.0]),
-    lambda: minkowski_sum(k1(), cube(3)),
+    lambda: skeleton(k1()),
     lambda: g_symmetral(k1()),
 ])
 def test_curved_bodies_have_no_polytope_stand_in(call):

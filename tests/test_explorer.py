@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convexiq import QuadratureSpec, bodies, cli, explorer, inequalities as iq, io
+from convexiq import QuadratureSpec, bodies, cli, explorer, inequalities as iq, io, measures
 from convexiq.errors import InvalidArgument, UndefinedValue
 
 from conftest import FIVE_VERTICES, random_polytope
@@ -47,31 +47,6 @@ def test_width_ratio_undefined_for_points(spec3):
 
 
 # ---------------------------------------------------------------------------
-# band integral
-
-
-def test_band_integral_closed_forms():
-    # n = 2: integral of sin over the band is sin(arctan t) = t/sqrt(1+t^2)
-    for t in (0.3, 1.0, 2.5):
-        assert explorer.sine_power_integral(t, 2) == \
-            pytest.approx(t / math.sqrt(1.0 + t * t), rel=1e-12)
-    # n = 3 at t = 1: theta/2 + sin(2 theta)/4 with theta = pi/4
-    assert explorer.sine_power_integral(1.0, 3) == \
-        pytest.approx(math.pi / 8.0 + 0.25, rel=1e-12)
-    assert explorer.sine_power_integral(0.0, 5) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_band_integral_monotone():
-    ts = np.linspace(0.0, 3.0, 40)
-    vals = [explorer.sine_power_integral(t, 4) for t in ts]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    with pytest.raises(InvalidArgument):
-        explorer.sine_power_integral(-0.1, 3)
-    with pytest.raises(InvalidArgument):
-        explorer.sine_power_integral(1.0, 1)
-
-
-# ---------------------------------------------------------------------------
 # equatorial support profile
 
 
@@ -84,10 +59,9 @@ def test_support_ratio_constant_on_cross():
 
 
 def test_support_ratio_on_cube():
-    for x2 in (0.0, 0.3, 1.0 / math.sqrt(2.0)):
-        got = explorer.equatorial_support_ratio(bodies.cube(3), x2)
-        x1 = math.sqrt(1.0 - x2 * x2)
-        assert got == pytest.approx((x1 + x2) / x1, rel=1e-12)
+    prof = explorer.support_ratio_profile(bodies.cube(3), points=16)
+    x1 = np.sqrt(1.0 - prof[:, 0] ** 2)
+    np.testing.assert_allclose(prof[:, 1], (x1 + prof[:, 0]) / x1, rtol=1e-12)
 
 
 def test_support_ratio_profile_nondecreasing_on_invariant_bodies():
@@ -99,13 +73,9 @@ def test_support_ratio_profile_nondecreasing_on_invariant_bodies():
 def test_support_ratio_guards(rng):
     lopsided = random_polytope(rng, 3)
     with pytest.raises(InvalidArgument, match="symmetr"):
-        explorer.equatorial_support_ratio(lopsided, 0.2)
-    # the guard can be waived explicitly
-    explorer.equatorial_support_ratio(lopsided, 0.2, check_symmetry=False)
-    with pytest.raises(InvalidArgument):
-        explorer.equatorial_support_ratio(bodies.cube(3), 0.9)
-    with pytest.raises(InvalidArgument):
-        explorer.equatorial_support_ratio(bodies.cube(4), 0.2)
+        explorer.support_ratio_profile(lopsided)
+    with pytest.raises(InvalidArgument, match="n = 3"):
+        explorer.support_ratio_profile(bodies.cube(4))
     with pytest.raises(InvalidArgument):
         explorer.support_ratio_profile(bodies.cube(3), points=1)
 
@@ -124,31 +94,6 @@ def test_support_ratio_symmetry_check_is_relative(factor):
 def test_support_ratio_refuses_a_dilated_asymmetric_body(factor):
     with pytest.raises(InvalidArgument, match="symmetr"):
         explorer.support_ratio_profile(bodies.scale_body(FIVE_VERTICES, factor), points=8)
-
-
-# ---------------------------------------------------------------------------
-# discrete ordered-sum check
-
-
-def test_ordered_sum_check_true_case():
-    f = np.array([-1.0, -1.0, 1.0, 1.0])
-    g = np.array([0.0, 1.0, 2.0, 3.0])
-    assert explorer.chebyshev_sum_check(f, g) is True
-
-
-def test_ordered_sum_check_inapplicable_cases():
-    g = np.array([0.0, 1.0, 2.0, 3.0])
-    # nonzero mean
-    assert explorer.chebyshev_sum_check(np.array([1.0, 1.0, 1.0, 1.0]), g) is None
-    # wrong crossing direction (positive block first)
-    assert explorer.chebyshev_sum_check(np.array([1.0, 1.0, -1.0, -1.0]), g) is None
-    # g not nondecreasing
-    f = np.array([-1.0, -1.0, 1.0, 1.0])
-    assert explorer.chebyshev_sum_check(f, g[::-1].copy()) is None
-    # g negative
-    assert explorer.chebyshev_sum_check(f, g - 5.0) is None
-    with pytest.raises(InvalidArgument):
-        explorer.chebyshev_sum_check(f, g[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +358,26 @@ def test_a_prob4_search_hulls_no_normalized_body(monkeypatch):
     assert calls.count(4) == r.evaluations
     assert calls.count(3) == 4 * r.evaluations and len(calls) == 5 * r.evaluations
     assert "qhull" not in vars(r.best_body)
+
+
+def test_a_prob4_evaluation_at_n5_integrates_once(monkeypatch):
+    """At n = 5, V_1 of the state body is sphere quadrature, measured once
+    for its size; the normalized dilate reads its V_1, value and error,
+    off the state body, so one evaluation integrates once, not twice."""
+    calls = []
+    real = measures.integrate_sphere_with_error
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "integrate_sphere_with_error", counted)
+    cfg = explorer.validate_config(explorer.SearchConfig(
+        problem="prob4", n=5, m=1, family="unconditional-polytope", seed=3,
+        constant=1.0, quad_resolution=16))
+    state = explorer._initial_state(cfg, np.random.default_rng(3))
+    _, report, _ = explorer._objective(cfg, state)
+    assert calls == [5] and report.quadrature_error is not None
 
 
 # The search configs of the benchmark's search workloads (perfbench).

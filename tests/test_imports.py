@@ -19,6 +19,19 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "convexiq").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+
+# Public functions that no library module and no benchmark script calls,
+# kept for the reason given.
+UNCALLED_PUBLIC = {
+    "support": "the basic body API: the support function in one direction",
+    "translate_body": "the basic body API, beside scale_body",
+    "project": "acceptance criterion 5: the coordinate projection kept in R^n",
+    "cross_polytope_from_sections": "acceptance criterion 8's constructor",
+    "segment_from_projections": "acceptance criterion 8's constructor",
+    "inequality_status": "a catalog query: an inequality's proof status at (n, m)",
+    "load_finding": "the reader of the finding/1 files the CLI writes",
+}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -63,6 +76,28 @@ def test_no_unreferenced_functions():
                 defs.append((path.name, node.lineno, node.name))
     assert [d for d in defs if not (d[2].startswith("__") and d[2].endswith("__"))
             and d[2] not in refs] == []
+
+
+def test_every_public_function_has_a_caller():
+    """A public module-level function of the library that no library
+    module (``__init__.py`` only re-exports) and no benchmark script
+    mentions by name, attribute or string, outside its own body, is
+    reached by tests alone: it is deleted, or kept in UNCALLED_PUBLIC with
+    its reason.  An entry there that gains a caller leaves the table."""
+    refs, public = set(), set()
+    for path in [p for p in SRC if p.name != "__init__.py"] + BENCH:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if path in SRC and owner and not owner.startswith("_"):
+                public.add(owner)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.value if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str) else None)
+                if name is not None and name != owner:
+                    refs.add(name)
+    assert sorted(public - refs) == sorted(UNCALLED_PUBLIC)
 
 
 def test_no_unread_constants():

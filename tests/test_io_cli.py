@@ -1,6 +1,7 @@
 """Tests for serialization (canonical JSON bodies, reports, findings,
 corpus generation) and the command-line front end with its exit codes."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -203,10 +204,15 @@ def test_named_corpus_contents():
     assert names == ["cross", "cube"]
 
 
-def test_unconditional_corpus_has_sign_symmetry(rng):
+def test_unconditional_corpus_has_sign_symmetry():
+    """Every coordinate sign flip maps an unconditional body's canonical
+    vertex list onto itself bit for bit."""
     spec = io.CorpusSpec(family="unconditional", count=2, n=3, seed=4)
+    flips = [symmetry.SignedPermutation((0, 1, 2), signs)
+             for signs in itertools.product((-1, 1), repeat=3)]
     for _, body in io.generate_corpus(spec):
-        assert symmetry.is_signflip_invariant(body, rng)
+        for g in flips:
+            assert symmetry.apply_symmetry(body, g).vertices.tobytes() == body.vertices.tobytes()
 
 
 # ---------------------------------------------------------------------------
