@@ -13,7 +13,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from convexiq import (Body, DimensionMismatch, QuadratureSpec, VPolytope, Zonotope,
-                      as_vpolytope, convex_hull)
+                      as_vpolytope, convex_hull, cube)
 
 
 @pytest.fixture(scope="session")
@@ -21,14 +21,24 @@ def spec3() -> QuadratureSpec:
     return QuadratureSpec.for_dimension(3)
 
 
+RNG_SEED = 20240817
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
-    return np.random.default_rng(20240817)
+    return np.random.default_rng(RNG_SEED)
 
 
 # A generic 3-polytope with five vertices and no symmetry.
 FIVE_VERTICES = convex_hull(np.array(
     [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-0.5, -0.5, 0], [0.2, 0.3, -0.8]]))
+
+
+@cache
+def shared_cube(d: int) -> VPolytope:
+    """cube(d), one instance per session, so that each of its V_m is
+    measured once however many tests ask for it."""
+    return cube(d)
 
 
 @cache

@@ -246,6 +246,16 @@ def test_translate_shifts_support(rng):
                                atol=1e-10)
 
 
+def test_translate_moves_a_ball_within_its_slab():
+    """A ball moves by t; a flattened one moves only within its span."""
+    b = Ball(np.array([0.0, 1.0, 0.0]), 2.0, frozenset({2}))
+    moved = translate_body(b, [0.5, -1.0, 0.0])
+    assert np.array_equal(moved.center, [0.5, 0.0, 0.0])
+    assert (moved.radius, moved.zeroed) == (2.0, frozenset({2}))
+    with pytest.raises(InvalidArgument, match="off its slab"):
+        translate_body(b, [0.0, 0.0, 1e-300])
+
+
 def test_minkowski_sum_adds_supports(rng):
     p = random_polytope(rng, 3, 7)
     q = random_polytope(rng, 3, 9)

@@ -380,6 +380,12 @@ def test_a_prob4_evaluation_at_n5_integrates_once(monkeypatch):
     assert calls == [5] and report.quadrature_error is not None
 
 
+def test_a_degenerate_state_has_no_objective():
+    """A state whose body has no size is skipped, not normalized."""
+    cfg = explorer.validate_config(explorer.SearchConfig(problem="cg33", n=3, m=1))
+    assert explorer._objective(cfg, np.zeros((6, 3))) is None
+
+
 # The search configs of the benchmark's search workloads (perfbench).
 BENCH_SEARCHES = {
     "heron_n3": {"problem": "heron_n3", "n": 3, "family": "cross-perturbation"},

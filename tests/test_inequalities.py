@@ -430,6 +430,11 @@ def test_section_warning_when_origin_outside(spec3):
     # K1 contains conv{+-e_i}, so the origin is interior
     r = iq.evaluate("meyer", bodies.k1(), spec=spec3)
     assert r.warnings == ()
+    # a flat body has no interior
+    flat = bodies.convex_hull(np.c_[np.random.default_rng(1).standard_normal((6, 2)),
+                                    np.zeros(6)])
+    r = iq.evaluate("meyer", flat, spec=spec3)
+    assert any("origin not interior" in w for w in r.warnings)
 
 
 def _warns(body, spec):

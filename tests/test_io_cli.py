@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexiq import bodies, cli, explorer, inequalities as iq, io, symmetry
+from convexiq import QuadratureSpec, bodies, cli, explorer, inequalities as iq, io, symmetry
 from convexiq.errors import InvalidArgument, ParseError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -324,6 +324,47 @@ def test_cli_check_rejects_non_finite_values(tmp_path, capsys, flags):
     assert not (out / "finding-000.json").exists()
 
 
+def _check_report(tmp_path, ineq_id: str, flags: list, body_path: str):
+    """The exit code of ``check`` with these flags, and report.json."""
+    out = tmp_path / "out"
+    code = cli.main(["check", "--ineq", ineq_id, *flags, "--bodies", body_path,
+                     "--out", str(out)])
+    return code, (out / "report.json").read_bytes() if code == 0 else None
+
+
+@pytest.mark.parametrize("ineq_id, flags, kwargs", [
+    ("pythagorean", ["--m", "1", "--u", "1,2,3"],
+     {"m": 1, "params": {"u": [1.0, 2.0, 3.0]}}),
+    ("weighted_bm", ["--a", "1,2,3"], {"params": {"a": [1.0, 2.0, 3.0]}}),
+])
+def test_cli_check_vector_flags_give_the_evaluate_report(tmp_path, ineq_id, flags, kwargs):
+    paths = _make_named(tmp_path)
+    code, got = _check_report(tmp_path, ineq_id, flags, paths[1])
+    io.write_report(tmp_path / "want.json",
+                    [("cube", iq.evaluate(ineq_id, io.read_body(paths[1]), **kwargs))])
+    assert code == 0 and got == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("raw", ["1,x,3", "1,2"])
+def test_cli_check_rejects_a_bad_vector(tmp_path, capsys, raw):
+    paths = _make_named(tmp_path)
+    assert _check_report(tmp_path, "pythagorean", ["--m", "1", "--u", raw], paths[1])[0] == 64
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_check_quad_res_sets_the_resolution(tmp_path):
+    """V_1 of a 5-polytope is sphere quadrature: --quad-res 16 gives
+    evaluate's report at resolution 16, whose lhs is 7.306967 (the
+    default resolution gives 7.307469)."""
+    path = tmp_path / "hull.json"
+    io.write_body(path, bodies.convex_hull(np.random.default_rng(2).standard_normal((10, 5))))
+    code, got = _check_report(tmp_path, "bm_v1_lower", ["--quad-res", "16"], str(path))
+    coarse = iq.evaluate("bm_v1_lower", io.read_body(path), spec=QuadratureSpec(resolution=16))
+    io.write_report(tmp_path / "want.json", [("hull", coarse)])
+    assert code == 0 and got == (tmp_path / "want.json").read_bytes()
+    assert coarse.lhs == pytest.approx(7.306967, abs=1e-6)
+
+
 def test_cli_check_pairs_each_finding_with_its_own_body(tmp_path):
     """Two files with the same stem: each finding's witness is the body
     whose report it records."""
@@ -428,14 +469,16 @@ def test_cli_search_deterministic_artifacts(tmp_path, capsys):
 
 
 def test_cli_search_seed_override(tmp_path):
+    """--seed and --quad-res override the config's values."""
     cfg = _write_config(tmp_path)
-    code = cli.main(["search", "--config", cfg, "--seed", "99",
+    code = cli.main(["search", "--config", cfg, "--seed", "99", "--quad-res", "20",
                      "--out", str(tmp_path / "o")])
     assert code == 0
     payload = json.loads(
         (tmp_path / "o" / "search-result.json").read_text(encoding="utf-8"))
     assert payload["stamp"]["seed"] == 99
     assert payload["config"]["seed"] == 99
+    assert payload["config"]["quad_resolution"] == 20
 
 
 def test_cli_search_config_errors(tmp_path, capsys):
