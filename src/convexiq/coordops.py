@@ -217,7 +217,8 @@ def section_drop(p: Body, i: int):
     with no tolerance: a point on the plane is its own cut point.  For a
     zonotope the skeleton is its sign points and sign-cube edges, so it
     is never expanded (``measures`` reads V_{n-1} and V_{n-2} of a
-    zonotope in general position off its facets, with no cut).  That cut
+    zonotope in general position off its facets, and V_{n-3} off its
+    ridges, with no cut, so past 16 generators too).  That cut
     is hulled once, in the n-1 kept coordinates, so that hull is the one
     its measures read."""
     p = resolve(p)

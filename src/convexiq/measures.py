@@ -32,6 +32,9 @@ Exact paths:
   general position from its parallelotope facets, with no sign point and
   no hull (:func:`_zonotope_sections`): each facet's cut is a cube slice
   measured by cones over the cube's faces, under the same side rule;
+  V_{n-3} of those sections from its ridges in the same way
+  (:func:`_zonotope_ridges`), each ridge's cut weighted by its external
+  angle in the section;
 * closed forms for balls;
 * V_1 of the cross-polytope C_n and of K1, and V_1 and V_2 of K1's
   oblique shadows, from fixed Gauss-Legendre rules on analytic 1-d
@@ -626,18 +629,23 @@ def _off_boundary(body: Body, kind: str, i: int, m: int) -> Measured | None:
     or section ("sections", :func:`_sections`, n >= 3) along e_i of a
     polytope K in R^n, m >= 1 and m = n-1 or n-2, read off K's boundary
     triangulation, or of the section of a zonotope in general position
-    read off its facets (:func:`_zonotope_sections`).  Both degrees of
-    all n axes are measured together, once per body instance and kind,
-    and None is kept when the triangulation does not measure them
+    read off its facets (:func:`_zonotope_sections`), or for m = n-3,
+    n >= 4, off its ridges (:func:`_zonotope_ridges`).  The degrees of one
+    pass are measured together for all n axes, once per body instance
+    and kind, the ridges under a key of their own ("ridges"), and None
+    is kept when the triangulation does not measure them
     (:func:`_on_boundary`) or the zonotope is not in general position.
     None for any other body, degree or kind."""
     n, zonotope = body.n, isinstance(body, Zonotope) and kind == "sections"
-    if not ((zonotope or isinstance(body, VPolytope)) and n - m in (1, 2)
+    ridges = zonotope and n - m == 3 and n >= 4
+    if not (ridges or (zonotope or isinstance(body, VPolytope)) and n - m in (1, 2)
             and (n >= 3 or kind == "shadows")):
         return None
 
     def measure():
-        if zonotope:
+        if ridges:
+            values = _zonotope_ridges(body)
+        elif zonotope:
             values = _zonotope_sections(body)
         elif _on_boundary(body):
             values = _sections(body.qhull) if kind == "sections" else \
@@ -646,7 +654,7 @@ def _off_boundary(body: Body, kind: str, i: int, m: int) -> Measured | None:
             return None
         return None if values is None else \
             {d: tuple(map(Measured.of_exact, v.tolist())) for d, v in values.items()}
-    values = _b.derived(body, kind, measure)
+    values = _b.derived(body, "ridges" if ridges else kind, measure)
     return None if values is None else values[m][i]
 
 
@@ -747,11 +755,12 @@ def vm_sections(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple
     with m = n-1 or m = n-2, the sections of any other full-dimensional
     polytope are read off K's own boundary triangulation
     (:func:`_sections`), and those of a zonotope in general position off
-    its facets (:func:`_zonotope_sections`), with no hull of the section
-    and with no sign point, so past 16 generators too (both
-    :func:`_off_boundary`).  Planes through a vertex, planes that K
-    touches from one side and planes that miss K take the same route.
-    Elsewhere, or when that triangulation does not close up
+    its facets (:func:`_zonotope_sections`); with m = n-3, n >= 4, those
+    of such a zonotope are read off its ridges (:func:`_zonotope_ridges`).
+    Each takes no hull of the section and no sign point, so past 16
+    generators too (all :func:`_off_boundary`).  Planes through a vertex,
+    planes that K touches from one side and planes that miss K take the
+    same route.  Elsewhere, or when that triangulation does not close up
     (:func:`_on_boundary`) or the zonotope is not in general position, it
     is :func:`vm` of ``section_drop(K, i)``, and an exact 0 when the
     plane misses K.  An axis that refuses refuses the tuple.  A dilate
@@ -887,18 +896,16 @@ def _zonotope_sections(z: Zonotope) -> dict | None:
     :func:`_zonotope_sums`, and the facets are taken SECTION_BLOCK cube
     vertices at a time; past MAX_SUBSETS facets or generator subsets the
     sections are refused."""
-    g, c = z.generators, z.center
-    k, n = g.shape
+    k, n = z.generators.shape
     if k < n:
         return None
     count = max(2 * math.comb(k, n - 1), math.comb(k, n))
     if count > MAX_SUBSETS:
         raise UnsupportedMeasure(f"{count} facets or generator subsets exceed the enumeration guard")
-    scale = math.frexp(float(np.max(np.abs(g))))[1]
-    g, c = np.ldexp(g, -scale), np.ldexp(c, -scale)
-    det = _generic_dets(g)
+    det = _general_position(z)
     if det is None:
         return None
+    g, c, scale = _scaled(z)
     low, reach = _reach(c, g)[0], np.abs(g).sum(axis=0)
     lam = -np.clip(c / reach, -1.0, 1.0) * np.sign(g)   # o = c + lam^T g, o_i = 0
     d = n - 1
@@ -927,6 +934,103 @@ def _zonotope_sections(z: Zonotope) -> dict | None:
                            np.bincount(i, size * rest[f // 2, i], n)])
     return {n - 1: np.ldexp(total[0] / d, (n - 1) * scale),
             n - 2: np.ldexp(0.5 * total[1], (n - 2) * scale)}
+
+
+def _zonotope_ridges(z: Zonotope) -> dict | None:
+    """{n-3: V_{n-3}(Z ∩ e_i^perp) for every axis i} from the ridges of a
+    zonotope Z = c + sum_l [-1, 1] g_l in R^n, n >= 4, in general position
+    (:func:`_generic_dets`); None for any other.
+
+    The (n-3)-faces of a section S = Z ∩ e_i^perp are the cuts of Z's
+    (n-2)-faces R (McMullen 1971), and V_{n-3}(S) = sum_R vol(R ∩ H)
+    theta_R / (2 pi), theta_R the angle between the outer normals of S's
+    two facets at R ∩ H (Schneider, Convex Bodies, 4.2).  Each (n-2)-subset
+    U of the generators gives the ridges R = x_R + sum_{j in U} t_j g_j,
+    t in [-1, 1]^{n-2}, x_R = c + sum_{l not in U} sigma_l g_l, one per
+    sector of the 2-plane U^perp that the lines g_l^perp, l not in U,
+    split it into.  The sector is bounded by two rays s nu_T, the normals
+    of the facets (T, s) of :func:`_zonotope_sections` with T = U + {l}
+    that hold R: R is the face t_l = tau of facet (T, s), so its signs
+    are sigma_l = tau and sigma_m = s sgn det(T, m) for m not in T, signs
+    of determinants of :func:`_generic_dets`.  Each ridge is the face of
+    two facets, and the two incidences with the same signs are paired by
+    sorting them.  The normals nu_T are T's cofactors, so nu_T . g_l =
+    det(T, l).  A ridge vertex takes its x_i summed over l in order, and
+    the side rule is :mod:`coordops`' (``_upper``), as for the facets, so
+    planes through a vertex, touching planes and missed planes take the
+    same route.  In t the cut is the cube slice w . t = const, w the i-th
+    coordinates of U, and its (n-3)-volume is :func:`_cube_slices`' D
+    times the root of the sum of the squared (n-2)-minors of g_U over
+    the column sets that hold i (the facet route's |nu_T with entry i
+    dropped| is the case n-1 of this rule).  theta_R is the angle
+    between the two normals with coordinate i dropped.  Every axis is
+    measured in one pass.
+
+    The generators are scaled by a power of 2 first, as in
+    :func:`_zonotope_sums`, and the ridges are taken about SECTION_BLOCK
+    cube vertices at a time; past MAX_SUBSETS ridges or generator subsets
+    the sections are refused."""
+    k, n = z.generators.shape
+    if k < n:
+        return None
+    d, lines = n - 2, k - n + 2
+    count = max(2 * lines * math.comb(k, d), math.comb(k, n))
+    if count > MAX_SUBSETS:
+        raise UnsupportedMeasure(f"{count} ridges or generator subsets exceed the enumeration guard")
+    det = _general_position(z)
+    if det is None:
+        return None
+    g, c, scale = _scaled(z)
+    low, vertices = _reach(c, g)[0], _cube_faces(d)[0]
+    rest, sign = _expansion(n, n)[1:]
+    holds = 1.0 - _avoiding(n, d)   # column set C holds column i
+    others = coordops._others(n)
+    per = max(1, (SECTION_BLOCK >> d) // (2 * lines * n))
+    total = np.zeros(n)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), d))
+    for start in range(0, math.comb(k, d), per):
+        u = np.fromiter(flat, np.intp, min(per, math.comb(k, d) - start) * d).reshape(-1, d)
+        out = np.ones((len(u), k), dtype=bool)
+        out[np.arange(len(u))[:, None], u] = False
+        l = np.nonzero(out)[1]   # the lines l not in U, U by U
+        group = np.repeat(np.arange(len(u)), lines)
+        t = np.sort(np.column_stack([u[group], l]), axis=1)
+        nu = _minors(g[t])[:, rest[0]] * sign
+        # incidences (T, s, tau) of each U, four per line, and their signs
+        inc = np.repeat(np.arange(len(t)), 4)
+        s, tau = np.tile([1.0, 1.0, -1.0, -1.0], len(t)), np.tile([1.0, -1.0], 2 * len(t))
+        sigma = s[:, None] * np.sign(_facet_dets(t, det, k))[inc]
+        sigma[np.arange(len(inc)), l[inc]] = tau
+        pair = np.lexsort(np.vstack([sigma.T, group[inc]])).reshape(-1, 2)
+        a, b = inc[pair[:, 0]], inc[pair[:, 1]]
+        ridge_u, eps = group[a], np.repeat(sigma[pair[:, 0], None, :], 1 << d, axis=1)
+        eps[np.arange(len(a))[:, None, None], np.arange(1 << d)[:, None], u[ridge_u, None, :]] = \
+            vertices
+        x = c
+        for j in range(k):
+            x = x + eps[:, :, j, None] * g[j]
+        up = coordops._upper(low[None], x)   # ridge, vertex, axis
+        r, i = np.nonzero(up.any(axis=1) & ~up.all(axis=1))
+        size = _cube_slices(x[r, :, i], up[r, :, i], g[u[ridge_u[r]], i[:, None]])
+        content = np.sqrt(_minors(g[u]) ** 2 @ holds)[ridge_u[r], i]
+        ra = (s[pair[:, 0], None] * nu[a])[r[:, None], others[i]]
+        rb = (s[pair[:, 1], None] * nu[b])[r[:, None], others[i]]
+        total += np.bincount(i, size * content * _angle(ra, rb), n)
+    return {n - 3: np.ldexp(total / (2.0 * math.pi), (n - 3) * scale)}
+
+
+def _scaled(z: Zonotope) -> tuple[np.ndarray, np.ndarray, int]:
+    """Z's generators and centre times 2^-e, and e, the exponent that puts
+    every generator entry below 1 exactly (as in :func:`_zonotope_sums`)."""
+    scale = math.frexp(float(np.max(np.abs(z.generators))))[1]
+    return np.ldexp(z.generators, -scale), np.ldexp(z.center, -scale), scale
+
+
+def _general_position(z: Zonotope) -> np.ndarray | None:
+    """:func:`_generic_dets` of Z's scaled generators (:func:`_scaled`),
+    k >= n of them, once per body instance, so that the facet and the
+    ridge pass decide general position once."""
+    return _b.derived(z, "generic_dets", lambda: _generic_dets(_scaled(z)[0]))
 
 
 def _reach(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1214,19 +1214,26 @@ def _hulls_counted(monkeypatch) -> list:
 
 
 def test_zonotope_section_blocks_do_not_change_the_values(monkeypatch):
-    """One facet pair and one determinant per block give the values of
-    one block, within roundoff; past MAX_SUBSETS facets the sections are
-    refused."""
+    """One facet pair, one ridge subset and one determinant per block give
+    the values of one block, within roundoff; past MAX_SUBSETS facets the
+    sections are refused."""
     rng = np.random.default_rng(340)
     cases = [Zonotope(0.3 * rng.standard_normal(n), rng.standard_normal((n + 3, n)))
              for n in (3, 4, 5)]
-    want = [measures._zonotope_sections(z) for z in cases]
+
+    def passes(z):
+        """The facet pass and, for n >= 4, the ridge pass of a fresh copy of z."""
+        z = Zonotope(z.center, z.generators)
+        return [measures._zonotope_sections(z)] + \
+            ([measures._zonotope_ridges(z)] if z.n >= 4 else [])
+
+    want = [passes(z) for z in cases]
     monkeypatch.setattr(measures, "SECTION_BLOCK", 1)
     monkeypatch.setattr(measures, "SUBSET_BLOCK", 1)
     for z, values in zip(cases, want):
-        got = measures._zonotope_sections(z)
-        for m, v in values.items():
-            assert np.all(np.abs(got[m] - v) <= 1e-14 * v)
+        for one, got in zip(values, passes(z)):
+            for m, v in one.items():
+                assert np.all(np.abs(got[m] - v) <= 1e-14 * v)
     monkeypatch.setattr(measures, "MAX_SUBSETS", 2 * math.comb(6, 2) - 1)
     with pytest.raises(UnsupportedMeasure, match="enumeration guard"):
         vm_sections(Zonotope(np.zeros(3), rng.standard_normal((6, 3))), 2)
@@ -1263,13 +1270,14 @@ def test_v0_of_a_zonotope_section_in_closed_form():
 @pytest.mark.parametrize("n", [3, 4])
 def test_zonotope_sections_past_16_generators(n, monkeypatch):
     """With 17 generators the facet route measures V_{n-1} and V_{n-2} of
-    every section, where the skeleton cut refuses; it matches that cut,
-    let through for the reference only, within 1e-12."""
+    every section, and for n = 4 the ridge route V_{n-3}, where the
+    skeleton cut refuses; they match that cut, let through for the
+    reference only, within 1e-12."""
     rng = np.random.default_rng(360 + n)
     z = Zonotope(0.5 * rng.standard_normal(n), rng.standard_normal((17, n)))
-    got = {m: vm_sections(z, m) for m in (n - 1, n - 2)}
+    got = {m: vm_sections(z, m) for m in range(max(1, n - 3), n)}
     with pytest.raises(UnsupportedOperation, match="2\\*\\*17"):
-        vm_sections(z, n - 3) if n > 3 else section_drop(z, 0)
+        section_drop(z, 0)
     monkeypatch.setattr(bodies, "MAX_ZONOTOPE_EXPAND_GENERATORS", 17)
     reference = Zonotope(z.center, z.generators)
     for m, values in got.items():
@@ -1305,6 +1313,16 @@ def test_easy_bounds_on_a_5_zonotope_hulls_nothing(monkeypatch):
     assert report.satisfied and hulls == []
 
 
+def test_trivmax_at_m_1_on_a_4_zonotope_hulls_nothing(monkeypatch):
+    """trivmax at m = 1 = n-3 on a generic 4-zonotope measures every
+    section from the zonotope's ridges: no convex_hull call."""
+    from convexiq import inequalities
+    z = random_zonotope(np.random.default_rng(371), 4)
+    hulls = _hulls_counted(monkeypatch)
+    report = inequalities.evaluate("trivmax", z, m=1)
+    assert report.satisfied and hulls == []
+
+
 # ---------------------------------------------------------------------------
 # the n coordinate values of one degree (measures.vm_shadows, vm_sections)
 
@@ -1329,17 +1347,18 @@ def _route_shadow(body, i: int, m: int, spec) -> Measured:
 
 def _route_section(body, i: int, m: int, spec) -> Measured:
     """V_m(K ∩ e_i^perp) by the route axis i takes on body itself: the
-    shadow's by the mirror rule, the boundary or facet sections of a
-    polytope or a zonotope in general position (from the cache, by
-    _off_boundary), vm of the hulled cut, or an exact 0 for a plane that
-    misses K.  V_0 comes from the hulled cut here (the library decides it
-    on the skeleton cut, or in closed form for a zonotope, with no
-    hull)."""
+    shadow's by the mirror rule, the boundary sections of a polytope or
+    the facet or ridge sections of a zonotope in general position (from
+    the cache, by _off_boundary), vm of the hulled cut, or an exact 0 for
+    a plane that misses K.  V_0 comes from the hulled cut here (the
+    library decides it on the skeleton cut, or in closed form for a
+    zonotope, with no hull)."""
     body = bodies.resolve(body)
     if mirror_symmetric(body, i):
         return _route_shadow(body, i, m, spec)
-    if m >= 1 and body.n >= 3 and body.n - m in (1, 2) and (
-            isinstance(body, Zonotope) or isinstance(body, VPolytope) and _on_boundary(body)):
+    if m >= 1 and body.n >= 3 and (isinstance(body, Zonotope) and body.n - m in (1, 2, 3) or
+                                   isinstance(body, VPolytope) and body.n - m in (1, 2)
+                                   and _on_boundary(body)):
         value = _off_boundary(body, "sections", i, m)
         if value is not None:
             return value

@@ -195,8 +195,8 @@ def _integer_zonotopes(n: int) -> list:
     """Zonotopes with n + 2 integer generators in general position (every
     n x n determinant a nonzero integer), the first with coordinate 0, 1 or
     2 zeroed, or none; centered so that a vertex, neither lowest nor
-    highest on x_0, lies on x_0 = 0, x_1 = 0 touches Z from above and
-    x_2 = 0 misses it."""
+    highest on x_0, lies on x_0 = 0, x_1 = 0 touches Z from above (in a
+    vertex or along a face) and x_2 = 0 misses it."""
     rng, out = np.random.default_rng(320 + n), []
     for flat in (None, 0, 1, 2):
         while True:
@@ -211,7 +211,7 @@ def _integer_zonotopes(n: int) -> list:
                 break
         c = np.zeros(n)
         c[:3] = -vertex[0], reach[1], reach[2] + 1.0
-        out.append(Case(Zonotope(c, g), equal=frozenset({2})))
+        out.append(Case(Zonotope(c, g)))
     return out
 
 
@@ -224,9 +224,12 @@ def _generic(z: Zonotope) -> bool:
 def _degenerate_zonotopes(n: int) -> list:
     """test_coordops' section cases: the parallel-generator one and the
     integer one for n <= 5 have zero determinants; their sections are the
-    cut route's bytes."""
-    out = [Case(z, equal=frozenset(() if _generic(z) else range(n)))
-           for z in _section_cases(n, np.random.default_rng(200 + n))]
+    cut route's bytes.  At n = 6 the boundary triangulations of the
+    parallel-generator one's 5-d cuts do not close up, so both routes
+    refuse its V_3, and it is measured at n-1 and n-2 only."""
+    out = [Case(z, equal=frozenset(() if _generic(z) else range(n)),
+                degrees=(n - 1, n - 2) if (n, j) == (6, 1) else None)
+           for j, z in enumerate(_section_cases(n, np.random.default_rng(200 + n)))]
     assert sum(bool(c.equal) for c in out) == (2 if n <= 5 else 1)
     return out
 
@@ -277,11 +280,12 @@ def _boundary(case, got) -> None:
 
 
 def _facets(case, got) -> None:
-    """Read off the zonotope's facets (its source's, for a dilate): no
-    skeleton, no hulled cut."""
+    """Read off the zonotope's facets and, for n >= 4, its ridges (its
+    source's, for a dilate): no skeleton, no hulled cut."""
     z = (dilate_source(case.body) or (case.body,))[0]
     assert "skeleton" not in vars(z)["_derived"] and not any(_cut_taken(z, i) for i in range(z.n))
     assert vars(z)["_derived"]["sections"] is not None
+    assert z.n < 4 or vars(z)["_derived"]["ridges"] is not None
 
 
 def _vertex_planes(case, got) -> None:
@@ -292,10 +296,11 @@ def _vertex_planes(case, got) -> None:
 
 
 def _cut_unless_generic(case, got) -> None:
-    """Out of general position the facet route keeps None and every
-    section is a hulled cut; in it, none is."""
+    """Out of general position the facet and the ridge route keep None
+    and every section is a hulled cut; in it, none is."""
     z, generic = case.body, _generic(case.body)
     assert (vars(z)["_derived"]["sections"] is None) != generic
+    assert z.n - 3 not in got or (vars(z)["_derived"]["ridges"] is None) != generic
     assert all(_cut_taken(z, i) for i in range(z.n)) != generic
 
 
@@ -307,7 +312,8 @@ class Row(NamedTuple):
     """``taken(case, {m: values})`` asserts the route that ran; ``floor``
     scales tol by the body's extent^m where the reference is 0;
     ``hull_free``: the route hulls nothing; ``nonzero``: at least that
-    many nonzero reference values per unit of n."""
+    many nonzero reference values per unit of n; ``zeros``: the route
+    gives the reference's Measured where that is an exact 0."""
     route: str
     reference: str
     family: str
@@ -318,6 +324,7 @@ class Row(NamedTuple):
     floor: bool = False
     hull_free: bool = False
     nonzero: int = 0
+    zeros: bool = False
 
 
 def _low(d: int) -> tuple:
@@ -327,6 +334,11 @@ def _low(d: int) -> tuple:
 
 def _top(n: int) -> tuple:
     return tuple(m for m in (n - 1, n - 2) if m >= 1)
+
+
+def _faces(n: int) -> tuple:
+    """The degrees a zonotope's facets (n-1, n-2) and ridges (n-3) give."""
+    return tuple(m for m in (n - 1, n - 2, n - 3) if m >= 1)
 
 
 def _below(n: int) -> tuple:
@@ -356,11 +368,13 @@ ROUTE_ROWS = (
     + _rows(SECTIONS, "section_drop", "polytopes", N, taken=_boundary)
     + _rows(SECTIONS, "box_slices", "crossed_boxes", N, tol=1e-13, taken=_boundary)
     + _rows(SECTIONS, "section_drop", "on_plane", N, taken=_boundary, floor=True)
-    + _rows(SECTIONS, "section_drop", "generic_zonotopes", N, taken=_facets, hull_free=True,
-            nonzero=7)
-    + _rows(SECTIONS, "section_drop", "integer_zonotopes", N, taken=_vertex_planes)
-    + _rows(SECTIONS, "section_drop", "degenerate_zonotopes", N, taken=_cut_unless_generic)
-    + _rows(SECTIONS, "section_drop", "few_generators", N, taken=_cut_unless_generic)
+    + _rows(SECTIONS, "section_drop", "generic_zonotopes", N, _faces, taken=_facets,
+            hull_free=True, nonzero=7)
+    + _rows(SECTIONS, "section_drop", "integer_zonotopes", N, _faces, taken=_vertex_planes,
+            zeros=True)
+    + _rows(SECTIONS, "section_drop", "degenerate_zonotopes", N, _faces,
+            taken=_cut_unless_generic)
+    + _rows(SECTIONS, "section_drop", "few_generators", N, _faces, taken=_cut_unless_generic)
 )
 
 
@@ -374,7 +388,7 @@ def test_route(row, monkeypatch):
     got = [{m: MEASURES[row.route](c, m) for m in c.degrees or row.degrees} for c in cases]
     assert hulls == []
     monkeypatch.undo()
-    nonzero = 0
+    nonzero, zero = 0, Measured.of_exact(0.0)
     for case, values in zip(cases, got):
         row.taken(case, values)
         for m, route in values.items():
@@ -382,7 +396,8 @@ def test_route(row, monkeypatch):
             floor = np.ptp(case.body.vertices, axis=0).max() ** m if row.floor else 0.0
             assert len(route) == len(reference)
             for i, (a, b) in enumerate(zip(route, reference)):
-                assert i not in case.equal or a == b, (i, m, a, b)
+                assert i not in case.equal and not (row.zeros and b == zero) or a == b, \
+                    (i, m, a, b)
                 assert _agree(a, b, row.tol, floor), (i, m, a, b)
                 nonzero += _value(b) != 0.0
     assert nonzero >= row.nonzero * row.n
@@ -453,7 +468,7 @@ SCALING_ROWS = (
     # are up to 2.35e-2 off at 1e-8
     + _scalings(SECTIONS, "vertex_clouds", N, _vertex_clouds, scales=(1e-8, 1e-6, 1e6, 1e8),
                 nonzero=15)
-    + _scalings(SECTIONS, "generic_zonotopes", N, lambda n: (_generic_zonotopes(n), None),
+    + _scalings(SECTIONS, "generic_zonotopes", N, lambda n: (_generic_zonotopes(n), None), _faces,
                 scales=(1e-8, 1e8), builds=(scale_body, _scaled_coordinates), taken=_facets,
                 hull_free=True)
 )
