@@ -25,6 +25,12 @@ Exact paths:
   misses take the same route.  That side rule and the cut points are
   :mod:`coordops`' (``_upper``, ``_cut_points``), which its hulled cut
   (``section_drop``) uses too;
+* V_{n-3} of every section K ∩ e_i^perp, n >= 4, from the bent ridges of
+  the same triangulation (:func:`_ridge_sections`): each ridge that
+  crosses the plane is cut and split as the simplices are, and weighted
+  by its external angle in the section, under the same side rule.  Along
+  a mirror plane of K this is V_{n-3} of the shadow too, so the shadows
+  of an unconditional polytope take no hull at that degree either;
 * every V_m of a zonotope and of each of its shadows from the m x m
   minors of its generator subsets (Cauchy-Binet, :func:`vm_zonotope`),
   the coordinate shadows of one degree in the same pass;
@@ -585,8 +591,13 @@ def vm_shadows(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple[
     projected body.  On a full-dimensional polytope with m = n-1 or
     m = n-2 they are read off K's own boundary triangulation
     (:func:`_shadows`, :func:`_off_boundary`), with no hull of a
-    projection.  Elsewhere, or when that triangulation does not close up
-    (:func:`_on_boundary`), each is :func:`vm` of ``project_drop(K, i)``.
+    projection; with m = n-3, along an axis whose plane x_i -> -x_i maps
+    K onto itself (:func:`coordops.mirror_symmetric`), the shadow is the
+    section, read off K's bent ridges (:func:`_ridge_sections`; called
+    through :func:`_off_boundary`, not :func:`vm_sections`, whose mirror
+    axes read this tuple).  Elsewhere, or when that triangulation does
+    not close up (:func:`_on_boundary`), each is :func:`vm` of
+    ``project_drop(K, i)``.
     An axis that refuses refuses the tuple.  A dilate lambda K takes each
     value off K (:func:`_off_source`).
     """
@@ -603,7 +614,9 @@ def _shadow(body: Body, i: int, m: int, spec: QuadratureSpec | None) -> Measured
         return Measured.of_exact(1.0)
     if isinstance(body, Zonotope):
         return Measured.of_exact(_zonotope_pass(body, m)[1 + i])
-    return _off_boundary(body, "shadows", i, m) or vm(coordops.project_drop(body, i), m, spec)
+    # along a mirror plane the shadow is the section, whose ridges give degree n-3
+    kind = "sections" if body.n - m == 3 and coordops.mirror_symmetric(body, i) else "shadows"
+    return _off_boundary(body, kind, i, m) or vm(coordops.project_drop(body, i), m, spec)
 
 
 def _check_degree(n: int, m: int) -> None:
@@ -628,30 +641,32 @@ def _off_boundary(body: Body, kind: str, i: int, m: int) -> Measured | None:
     """V_m of the coordinate shadow (``kind`` "shadows", :func:`_shadows`)
     or section ("sections", :func:`_sections`, n >= 3) along e_i of a
     polytope K in R^n, m >= 1 and m = n-1 or n-2, read off K's boundary
-    triangulation, or of the section of a zonotope in general position
-    read off its facets (:func:`_zonotope_sections`), or for m = n-3,
-    n >= 4, off its ridges (:func:`_zonotope_ridges`).  The degrees of one
-    pass are measured together for all n axes, once per body instance
-    and kind, the ridges under a key of their own ("ridges"), and None
-    is kept when the triangulation does not measure them
+    triangulation, or for a section with m = n-3, n >= 4, off its bent
+    ridges (:func:`_ridge_sections`); or of the section of a zonotope in
+    general position read off its facets (:func:`_zonotope_sections`), or
+    for m = n-3, n >= 4, off its ridges (:func:`_zonotope_ridges`).  The
+    degrees of one pass are measured together for all n axes, once per
+    body instance and kind, the ridges under a key of their own
+    ("ridges"), so a body never asked for degree n-3 does not pay for
+    them, and None is kept when the triangulation does not measure them
     (:func:`_on_boundary`) or the zonotope is not in general position.
     None for any other body, degree or kind."""
     n, zonotope = body.n, isinstance(body, Zonotope) and kind == "sections"
-    ridges = zonotope and n - m == 3 and n >= 4
-    if not (ridges or (zonotope or isinstance(body, VPolytope)) and n - m in (1, 2)
-            and (n >= 3 or kind == "shadows")):
+    either = zonotope or isinstance(body, VPolytope)
+    ridges = either and kind == "sections" and n - m == 3 and n >= 4
+    if not (ridges or either and n - m in (1, 2) and (n >= 3 or kind == "shadows")):
         return None
 
     def measure():
-        if ridges:
-            values = _zonotope_ridges(body)
-        elif zonotope:
-            values = _zonotope_sections(body)
-        elif _on_boundary(body):
+        if zonotope:
+            values = (_zonotope_ridges if ridges else _zonotope_sections)(body)
+        elif not _on_boundary(body):
+            return None
+        elif ridges:
+            values = _ridge_sections(body)
+        else:
             values = _sections(body.qhull) if kind == "sections" else \
                 {d: _shadows(body, None, d) for d in range(max(1, n - 2), n)}
-        else:
-            return None
         return None if values is None else \
             {d: tuple(map(Measured.of_exact, v.tolist())) for d, v in values.items()}
     values = _b.derived(body, "ridges" if ridges else kind, measure)
@@ -756,7 +771,9 @@ def vm_sections(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple
     polytope are read off K's own boundary triangulation
     (:func:`_sections`), and those of a zonotope in general position off
     its facets (:func:`_zonotope_sections`); with m = n-3, n >= 4, those
-    of such a zonotope are read off its ridges (:func:`_zonotope_ridges`).
+    of such a polytope are read off the bent ridges of its triangulation
+    (:func:`_ridge_sections`) and those of such a zonotope off its ridges
+    (:func:`_zonotope_ridges`).
     Each takes no hull of the section and no sign point, so past 16
     generators too (all :func:`_off_boundary`).  Planes through a vertex,
     planes that K touches from one side and planes that miss K take the
@@ -984,7 +1001,6 @@ def _zonotope_ridges(z: Zonotope) -> dict | None:
     low, vertices = _reach(c, g)[0], _cube_faces(d)[0]
     rest, sign = _expansion(n, n)[1:]
     holds = 1.0 - _avoiding(n, d)   # column set C holds column i
-    others = coordops._others(n)
     per = max(1, (SECTION_BLOCK >> d) // (2 * lines * n))
     total = np.zeros(n)
     flat = itertools.chain.from_iterable(itertools.combinations(range(k), d))
@@ -1013,10 +1029,60 @@ def _zonotope_ridges(z: Zonotope) -> dict | None:
         r, i = np.nonzero(up.any(axis=1) & ~up.all(axis=1))
         size = _cube_slices(x[r, :, i], up[r, :, i], g[u[ridge_u[r]], i[:, None]])
         content = np.sqrt(_minors(g[u]) ** 2 @ holds)[ridge_u[r], i]
-        ra = (s[pair[:, 0], None] * nu[a])[r[:, None], others[i]]
-        rb = (s[pair[:, 1], None] * nu[b])[r[:, None], others[i]]
-        total += np.bincount(i, size * content * _angle(ra, rb), n)
+        total += _bent_sum(size * content, (s[pair[:, 0], None] * nu[a])[r],
+                           (s[pair[:, 1], None] * nu[b])[r], i)
     return {n - 3: np.ldexp(total / (2.0 * math.pi), (n - 3) * scale)}
+
+
+def _bent_sum(size: np.ndarray, a: np.ndarray, b: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """sum size * theta over the rows of each axis i, theta the angle
+    between the outer normals a and b (rows in R^n) of the two facets at a
+    cut ridge with coordinate i dropped: in e_i^perp they are the normals
+    of the section's two facets there, as the normal cone of a face of
+    K ∩ e_i^perp is the projection of K's (:func:`_ridge_sections`,
+    :func:`_zonotope_ridges`)."""
+    n = a.shape[1]
+    keep, rows = coordops._others(n)[i], np.arange(len(i))[:, None]
+    return np.bincount(i, size * _angle(a[rows, keep], b[rows, keep]), n)
+
+
+def _ridge_sections(p: VPolytope) -> dict:
+    """{n-3: V_{n-3}(K ∩ e_i^perp) for every axis i} from the bent ridges
+    of qhull's boundary triangulation of a full-dimensional polytope K in
+    R^n, n >= 4 (:func:`bodies.bent_ridges`).
+
+    A section S = K ∩ H, H = e_i^perp, is an (n-1)-polytope whose
+    (n-3)-faces are the cuts of K's (n-2)-faces, so V_{n-3}(S) = sum_R
+    vol(R ∩ H) theta_R / (2 pi) over the bent ridges R (Schneider, Convex
+    Bodies, 4.2), theta_R the angle between the outer normals of R's two
+    simplices with coordinate i dropped (:func:`_bent_sum`).  A ridge with
+    c of its n-1 points on the upper side (:func:`coordops._upper`) is cut
+    in Delta^{c-1} x Delta^{n-c-2}, split by :func:`_staircases` into
+    C(n-3, c-1) (n-3)-simplices, each of content the root of the sum of
+    its squared (n-3)-minors over (n-3)! in the n-1 coordinates other than
+    i, as in :func:`_sections`.  So planes through a vertex and planes
+    that K touches take the same route, as limits from inside K, and a
+    plane that misses K crosses no ridge and gives an exact 0.  Every axis
+    is measured in one pass, SECTION_BLOCK cut simplices at a time."""
+    hull, n = p.qhull, p.n
+    pts, normals = hull.points, hull.equations[:, :n]
+    s, t, ridge = _b.bent_ridges(p)
+    up = coordops._upper(pts[hull.vertices], pts[ridge])   # ridge, vertex, axis
+    count = up.sum(axis=1)
+    r, i = np.nonzero((count > 0) & (count < n - 1))
+    v = ridge[r[:, None], np.argsort(~up[r, :, i], axis=1, kind="stable")]   # upper first
+    pairs = _staircases(n - 1).reshape(n - 1, -1, 2)[count[r, i]]   # row, vertex, (a, b)
+    a = np.take_along_axis(v, pairs[..., 0], axis=1)
+    b = np.take_along_axis(v, pairs[..., 1], axis=1)
+    per = pairs.shape[1] // (n - 2)   # cut simplices per ridge
+    total, step = np.zeros(n), max(1, SECTION_BLOCK // per)
+    for start in range(0, r.size, step):
+        c = slice(start, start + step)
+        y = coordops._cut_points(pts, a[c], b[c], i[c]).reshape(-1, n - 2, n - 1)
+        minors = _minors(y[:, 1:] - y[:, :1])
+        size = np.sqrt(_dot(minors, minors)).reshape(-1, per).sum(axis=1)
+        total += _bent_sum(size, normals[s[r[c]]], normals[t[r[c]]], i[c])
+    return {n - 3: total / (math.factorial(n - 3) * 2.0 * math.pi)}
 
 
 def _scaled(z: Zonotope) -> tuple[np.ndarray, np.ndarray, int]:

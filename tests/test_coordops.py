@@ -651,9 +651,10 @@ def test_a_hulled_cloud_is_measured_without_a_second_hull(monkeypatch, n):
     assert calls == [(30, n)]
 
 
-def test_prob4_on_an_unconditional_body_hulls_each_coordinate_body_once(monkeypatch):
-    """Its sections are its projections: n coordinate hulls, not 2n, and
-    no skeleton."""
+def test_prob4_on_an_unconditional_body_hulls_no_coordinate_body(monkeypatch):
+    """Its sections are its projections, and V_1 = V_{n-3} of both comes
+    from the ridges of the body's own triangulation: no coordinate hull
+    and no skeleton."""
     body = bodies.unconditional_hull(np.random.default_rng(4).standard_normal((2, 4)))
     calls = _count_hulls(monkeypatch)
 
@@ -662,7 +663,7 @@ def test_prob4_on_an_unconditional_body_hulls_each_coordinate_body_once(monkeypa
 
     monkeypatch.setattr(bodies, "skeleton", no_skeleton)
     iq.evaluate("prob4_family", body, m=1, params={"c2": 1.0})
-    assert [shape[1] for shape in calls] == [3, 3, 3, 3]
+    assert calls == []
 
 
 def test_zonotope_shadows_project_no_body(monkeypatch):
@@ -685,10 +686,11 @@ def test_zonotope_shadows_project_no_body(monkeypatch):
     assert calls == [] and hulls == []
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_sections_of_an_asymmetric_body_hull_nothing(monkeypatch, n):
     """square_lower and trivmax read the sections of a fresh asymmetric
-    polytope off its own triangulation: one qhull call, for K, and no
+    polytope off its own triangulation, and V_{n-3} of every section
+    comes from its bent ridges: one qhull call, for K, and no
     skeleton."""
     calls = _count_hulls(monkeypatch)
 
@@ -701,6 +703,7 @@ def test_sections_of_an_asymmetric_body_hull_nothing(monkeypatch, n):
     iq.evaluate("square_lower", body)
     for m in (n - 1, n - 2):
         iq.evaluate("trivmax", body, m=m)
+    assert all(v.value > 0 for v in measures.vm_sections(body, n - 3))
     assert calls == [(3 * n, n)]
     assert all(v.value > 0 for v in measures.vm_sections(body, n - 1))
 

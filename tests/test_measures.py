@@ -750,7 +750,8 @@ def _dilate_cases(n: int) -> list:
     zonotope, whose sections of degree n-1 and n-2 come from its facets,
     the same zonotope with a parallel generator added, whose sections are
     hulled cuts, and a polytope with a vertex on every coordinate plane
-    but x_0 = 0."""
+    but x_0 = 0; for n = 6 a polytope flat in a hyperplane, whose
+    sections are hulled cuts, as the random polytope's are not."""
     rng = np.random.default_rng(110 + n)
     out = [random_polytope(rng, n)]
     if n <= 5:
@@ -761,6 +762,10 @@ def _dilate_cases(n: int) -> list:
         out += [unconditional_hull(rng.standard_normal((2, n))), z,
                 Zonotope(z.center, np.vstack([z.generators, 2.0 * z.generators[:1]])),
                 convex_hull(cloud)]
+    else:
+        w, cloud = rng.standard_normal(n), rng.standard_normal((2 * n + 4, n))
+        w /= np.linalg.norm(w)
+        out.append(convex_hull(cloud - (cloud @ w - 0.2)[:, None] * w))
     return out
 
 
@@ -903,7 +908,8 @@ def _exact_measures(p) -> dict:
     """{(call, axis, m): value} of a polytope P in R^n: vm for m >= n-3
     (V_1 of a 5-polytope is quadrature), and entry i of vm_shadows and
     vm_sections and vm of the hulled cut section_drop(P, i) along every
-    axis i for 1 <= m <= n-1."""
+    axis i for 1 <= m <= n-1; for n >= 4 the sections of degree n-3 are
+    read off P's bent ridges."""
     n = p.n
     out = {("vm", None, m): vm(p, m) for m in range(max(1, n - 3), n + 1)}
     for i in range(n):
@@ -912,6 +918,7 @@ def _exact_measures(p) -> dict:
             out["projection", i, m] = vm_shadows(p, m)[i]
             out["section", i, m] = vm_sections(p, m)[i]
             out["cut", i, m] = Measured.of_exact(0.0) if cut is EMPTY else vm(cut, m)
+    assert n < 4 or vars(p)["_derived"]["ridges"] is not None
     return out
 
 
@@ -926,7 +933,8 @@ def test_hulls_and_measures_scale_translate_and_permute(seed, n, e):
     """Built afresh from the points lam P, lam = 10^e, a random cloud's
     hull keeps the vertex count and affine dimension of P's, and every
     exact V_m of it, of its coordinate shadows and of its sections, the
-    hulled cuts included, is lam^m times P's within 1e-12.  Translating
+    hulled cuts and the sections of degree n-3 read off the bent ridges
+    included, is lam^m times P's within 1e-12.  Translating
     lam P keeps its vm and vm_shadows; a signed permutation g gives
     the same vm, and axis i of g(lam P) has the shadow and section of
     axis perm[i] of lam P."""
@@ -1239,6 +1247,21 @@ def test_zonotope_section_blocks_do_not_change_the_values(monkeypatch):
         vm_sections(Zonotope(np.zeros(3), rng.standard_normal((6, 3))), 2)
 
 
+def test_ridge_section_blocks_do_not_change_the_values(monkeypatch):
+    """One crossing ridge per block gives the values of one block, within
+    roundoff; a plane that misses K gives an exact 0 in any block."""
+    rng = np.random.default_rng(341)
+    cases = [convex_hull(rng.standard_normal((3 * n, n))) for n in (4, 5, 6)]
+    cases.append(translate_body(cases[0], [0.0, 9.0, 0.0, 0.0]))
+    want = [measures._ridge_sections(p) for p in cases]
+    monkeypatch.setattr(measures, "SECTION_BLOCK", 1)
+    for p, values in zip(cases, want):
+        got = measures._ridge_sections(VPolytope(p.vertices))[p.n - 3]
+        v = values[p.n - 3]
+        assert np.all(np.abs(got - v) <= 1e-14 * v) and np.count_nonzero(v) >= p.n - 1
+    assert want[-1][1][1] == 0.0
+
+
 def test_v0_of_a_zonotope_section_in_closed_form():
     """V_0 of a zonotope's section is 1 exactly when |c_i| <= sum_l |g_li|,
     with no sign point, so it is measured past 16 generators; with 16 or
@@ -1333,32 +1356,35 @@ def _bits(x: Measured) -> tuple:
 
 def _route_shadow(body, i: int, m: int, spec) -> Measured:
     """V_m(K | e_i^perp) by the route axis i takes on body itself: the
-    zonotope pass, the boundary shadows (read from the body's cache by
+    zonotope pass, the boundary shadows or, at degree n-3 along a mirror
+    plane, the ridge sections (read from the body's cache by
     _off_boundary, as computing them again gives the same bits), or vm of
     the hulled projection, which also gives V_0 here (the library takes
     it as an exact 1 with no hull)."""
     body = bodies.resolve(body)
     if isinstance(body, Zonotope) and m >= 1:
         return Measured.of_exact(_zonotope_pass(body, m)[1 + i])
-    if isinstance(body, VPolytope) and m >= 1 and body.n - m in (1, 2) and _on_boundary(body):
-        return _off_boundary(body, "shadows", i, m)
+    if isinstance(body, VPolytope) and m >= 1 and _on_boundary(body):
+        if body.n - m in (1, 2):
+            return _off_boundary(body, "shadows", i, m)
+        if body.n - m == 3 and mirror_symmetric(body, i):
+            return _off_boundary(body, "sections", i, m)
     return vm(project_drop(body, i), m, spec)
 
 
 def _route_section(body, i: int, m: int, spec) -> Measured:
     """V_m(K ∩ e_i^perp) by the route axis i takes on body itself: the
-    shadow's by the mirror rule, the boundary sections of a polytope or
-    the facet or ridge sections of a zonotope in general position (from
-    the cache, by _off_boundary), vm of the hulled cut, or an exact 0 for
-    a plane that misses K.  V_0 comes from the hulled cut here (the
-    library decides it on the skeleton cut, or in closed form for a
-    zonotope, with no hull)."""
+    shadow's by the mirror rule, the boundary or ridge sections of a
+    polytope or the facet or ridge sections of a zonotope in general
+    position (from the cache, by _off_boundary), vm of the hulled cut, or
+    an exact 0 for a plane that misses K.  V_0 comes from the hulled cut
+    here (the library decides it on the skeleton cut, or in closed form
+    for a zonotope, with no hull)."""
     body = bodies.resolve(body)
     if mirror_symmetric(body, i):
         return _route_shadow(body, i, m, spec)
-    if m >= 1 and body.n >= 3 and (isinstance(body, Zonotope) and body.n - m in (1, 2, 3) or
-                                   isinstance(body, VPolytope) and body.n - m in (1, 2)
-                                   and _on_boundary(body)):
+    if m >= 1 and body.n >= 3 and body.n - m in (1, 2, 3) and (
+            isinstance(body, Zonotope) or isinstance(body, VPolytope) and _on_boundary(body)):
         value = _off_boundary(body, "sections", i, m)
         if value is not None:
             return value

@@ -19,10 +19,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from convexiq import Zonotope, measures
-from convexiq.bodies import as_vpolytope, convex_hull, cross_polytope, dilate_source, scale_body
-from convexiq.coordops import mirror_symmetric, project_along, project_drop
+from convexiq.bodies import (as_vpolytope, convex_hull, cross_polytope, dilate_source, scale_body,
+                             unconditional_hull)
+from convexiq.coordops import _cut, mirror_symmetric, project_along, project_drop
 from convexiq.measures import Measured, _on_boundary, vm, vm_sections, vm_shadows
 
 from conftest import RNG_SEED, random_zonotope, shared_cube
@@ -62,6 +64,19 @@ def _along(z, u) -> Zonotope:
     return Zonotope(z.center @ b.T, z.generators @ b.T)
 
 
+def _extreme(points: np.ndarray) -> np.ndarray:
+    """The points of a cloud that no convex combination of the others
+    gives (an infeasible linprog), among the vertices of its hull."""
+    cloud = convex_hull(points).vertices
+    keep = []
+    for j, x in enumerate(cloud):
+        rest = np.delete(cloud, j, axis=0)
+        fit = linprog(np.zeros(len(rest)), A_eq=np.vstack([rest.T, np.ones(len(rest))]),
+                      b_eq=np.append(x, 1.0), method="highs")
+        keep.append(fit.status == 2)
+    return cloud[keep]
+
+
 def _axes(f):
     return lambda c, m: tuple(f(c, i, m) for i in range(c.body.n))
 
@@ -81,6 +96,9 @@ MEASURES = {
     "project_along": _directions(lambda p, u, m: vm(project_along(p, u / np.linalg.norm(u)), m)),
     "zonotope_along": _directions(lambda z, u, m: vm(_along(z, u), m)),
     "section_drop": _axes(lambda c, i, m: _cut_route(c.body, i, m)),
+    # the hull of the skeleton cut's extreme points, which qhull keeps
+    # among other points of its faces at n = 6 (ROADMAP item 5)
+    "lp_extreme": _axes(lambda c, i, m: vm(convex_hull(_extreme(_cut(c.body, i))), m)),
     "gram_loop": lambda c, m: (_gram_loop(c.body, m),),
     "hull_volume": lambda c, m: (measures.volume(as_vpolytope(c.body)),),
     "box": lambda c, m: (_box(c.data, m),),
@@ -185,6 +203,39 @@ def _on_plane(n: int) -> list:
     return out
 
 
+def _ridge_polytopes(n: int) -> list:
+    """Random and half-integer clouds, _on_plane_bodies, whose planes
+    through a vertex, touching planes and missed planes the ridge pass
+    takes as it takes the others, and below n = 6 the translated
+    unconditional hulls."""
+    rng = np.random.default_rng(400 + n)
+    out = [convex_hull(rng.standard_normal((n + 6, n))) for _ in range(2)]
+    out += [convex_hull(np.round(2.0 * rng.standard_normal((3 * n + 6, n))) / 2.0)
+            for _ in range(2)]
+    out = [Case(p) for p in out + [p for p, _ in _on_plane_bodies(n)]]
+    return out + (_translated_unconditional(n) if n < 6 else [])
+
+
+def _translated_unconditional(n: int) -> list:
+    """Unconditional hulls of two points moved off the origin by 0.05 N(n),
+    seeds 0-2 (ROADMAP item 1's bodies at n = 6, where qhull keeps other
+    points of their cuts' faces with the vertices, and the cut hulls
+    refuse their V_3)."""
+    out = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        base = unconditional_hull(rng.standard_normal((2, n))).vertices
+        out.append(Case(convex_hull(base + 0.05 * rng.standard_normal(n))))
+    return out
+
+
+def _unconditional(n: int) -> list:
+    """Unconditional hulls of two and of three points: every axis is a
+    mirror plane."""
+    rng = np.random.default_rng(410 + n)
+    return [Case(unconditional_hull(rng.standard_normal((k, n)))) for k in (2, 2, 3)]
+
+
 def _generic_zonotopes(n: int) -> list:
     rng = np.random.default_rng(300 + n)
     return [Zonotope(0.4 * rng.standard_normal(n), rng.standard_normal((k, n)))
@@ -255,6 +306,9 @@ FAMILIES = {
     "boxes": lambda n: _boxes(n, n, False),
     "crossed_boxes": lambda n: _boxes(n, 40 + n, True),
     "on_plane": _on_plane,
+    "ridge_polytopes": _ridge_polytopes,
+    "translated_unconditional": _translated_unconditional,
+    "unconditional": _unconditional,
     "generic_zonotopes": lambda n: list(map(Case, _generic_zonotopes(n))),
     "integer_zonotopes": _integer_zonotopes,
     "degenerate_zonotopes": _degenerate_zonotopes,
@@ -277,6 +331,23 @@ def _boundary(case, got) -> None:
     assert _on_boundary(p) and not any(_cut_taken(p, i) for i in range(p.n))
     for m, values in got.items():
         assert all(values[i] == vm_shadows(p, m)[i] for i in range(p.n) if mirror_symmetric(p, i))
+
+
+def _ridges(case, got) -> None:
+    """Read off K's bent ridges (its source's, for a dilate), with no
+    section hulled."""
+    p = (dilate_source(case.body) or (case.body,))[0]
+    assert vars(p)["_derived"]["ridges"] is not None
+    assert not any(_cut_taken(p, i) for i in range(p.n))
+
+
+def _ridge_shadows(case, got) -> None:
+    """Every axis a mirror plane, so each shadow is the section the
+    ridges give, and no shadow is hulled."""
+    p = case.body
+    assert all(mirror_symmetric(p, i) for i in range(p.n))
+    assert not any(("project_drop", i) in vars(p)["_derived"] for i in range(p.n))
+    _ridges(case, got)
 
 
 def _facets(case, got) -> None:
@@ -341,6 +412,10 @@ def _faces(n: int) -> tuple:
     return tuple(m for m in (n - 1, n - 2, n - 3) if m >= 1)
 
 
+def _ridge(n: int) -> tuple:
+    return (n - 3,)
+
+
 def _below(n: int) -> tuple:
     return tuple(range(1, n))
 
@@ -368,6 +443,12 @@ ROUTE_ROWS = (
     + _rows(SECTIONS, "section_drop", "polytopes", N, taken=_boundary)
     + _rows(SECTIONS, "box_slices", "crossed_boxes", N, tol=1e-13, taken=_boundary)
     + _rows(SECTIONS, "section_drop", "on_plane", N, taken=_boundary, floor=True)
+    + _rows(SECTIONS, "section_drop", "ridge_polytopes", range(4, 7), _ridge, taken=_ridges,
+            floor=True, hull_free=True, zeros=True, nonzero=7)
+    + _rows(SECTIONS, "lp_extreme", "translated_unconditional", (6,), _ridge,
+            taken=_ridges, hull_free=True, nonzero=3)
+    + _rows("vm_shadows", "project_drop", "unconditional", range(4, 7), _ridge,
+            taken=_ridge_shadows, hull_free=True, nonzero=3)
     + _rows(SECTIONS, "section_drop", "generic_zonotopes", N, _faces, taken=_facets,
             hull_free=True, nonzero=7)
     + _rows(SECTIONS, "section_drop", "integer_zonotopes", N, _faces, taken=_vertex_planes,
@@ -466,8 +547,11 @@ SCALING_ROWS = (
     _scalings("vm_shadows", "signed_polytopes", N, lambda n: _signed(n, 20 + n))
     # the hulled cuts of these sections, with their absolute tolerances,
     # are up to 2.35e-2 off at 1e-8
-    + _scalings(SECTIONS, "vertex_clouds", N, _vertex_clouds, scales=(1e-8, 1e-6, 1e6, 1e8),
-                nonzero=15)
+    + _scalings(SECTIONS, "vertex_clouds", N, _vertex_clouds, _faces,
+                scales=(1e-8, 1e-6, 1e6, 1e8), nonzero=15)
+    + _scalings(SECTIONS, "signed_clouds", range(4, 7), lambda n: _signed(n, 50 + n), _ridge,
+                scales=(1e-8, 1e-4, 1e4, 1e8), builds=(scale_body, _scaled_coordinates),
+                taken=_ridges, hull_free=True, nonzero=1)
     + _scalings(SECTIONS, "generic_zonotopes", N, lambda n: (_generic_zonotopes(n), None), _faces,
                 scales=(1e-8, 1e8), builds=(scale_body, _scaled_coordinates), taken=_facets,
                 hull_free=True)
