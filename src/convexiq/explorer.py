@@ -114,16 +114,17 @@ def _wedge_quadrature_mean_width(nodes: int) -> float:
 
     The wedge orders the coordinates: the azimuth range [pi/4, pi/2]
     enforces |u1| <= |u2| and the polar range [0, arctan(csc theta)]
-    enforces |u2| <= |u3| (octants x min-coordinate x swap = 48).
+    enforces |u2| <= |u3| (octants x min-coordinate x swap = 48).  The
+    polar rule of each azimuth node is a row of one (theta, phi) node
+    grid, so the support function is evaluated in a single call.
     """
-    body = _b.k1()
-    total = 0.0
-    for th, wth in zip(*gauss_legendre(math.pi / 4.0, math.pi / 2.0, nodes)):
-        phi, wphi = gauss_legendre(0.0, math.atan(1.0 / math.sin(th)), nodes)
-        sp = np.sin(phi)
-        u = np.column_stack([math.cos(th) * sp, math.sin(th) * sp, np.cos(phi)])
-        total += wth * float(np.sum(wphi * support_many(body, u) * sp))
-    return 48.0 * total / math.pi
+    th, wth = gauss_legendre(math.pi / 4.0, math.pi / 2.0, nodes)
+    phi, wphi = gauss_legendre(0.0, np.arctan(1.0 / np.sin(th))[:, None], nodes)
+    sp = np.sin(phi)
+    u = np.stack([np.cos(th)[:, None] * sp, np.sin(th)[:, None] * sp, np.cos(phi)],
+                 axis=-1)
+    h = support_many(_b.k1(), u.reshape(-1, 3)).reshape(phi.shape)
+    return 48.0 * float(wth @ np.sum(wphi * h * sp, axis=1)) / math.pi
 
 
 def disk_hull_mean_width_report() -> ReproReport:

@@ -24,7 +24,7 @@ from . import bodies as _b
 from . import measures
 from .bodies import (Ball, Body, DiskHull, VPolytope, Zonotope, affine_dim,
                      as_vector, convex_hull, resolve)
-from .errors import InvalidArgument
+from .errors import InvalidArgument, UndefinedValue
 from .measures import Measured, vm
 from .quadrature import QuadratureSpec
 
@@ -542,7 +542,9 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
     ``tolerance`` only raises the links' propagated-error tolerances; the
     report states the largest tolerance a link was held to.
     Violated conjectures do not raise; callers inspect ``satisfied`` and
-    ``status``.
+    ``status``.  A power of a measure that overflows a float, or a slack
+    or tolerance that comes out inf or NaN, raises
+    :class:`~convexiq.errors.UndefinedValue` naming the entry.
     """
     entry = _catalog_entry(ineq_id)
     if tolerance is not None and not 0.0 <= float(tolerance) < math.inf:
@@ -558,7 +560,10 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
     if entry.origin_check and not _origin_interior(body):
         warnings.append("origin not interior: the section bound may fail legitimately")
 
-    links = entry.evaluator(body, n, m_checked, params, spec)
+    try:
+        links = entry.evaluator(body, n, m_checked, params, spec)
+    except OverflowError:
+        raise UndefinedValue(f"{ineq_id}: a power of a measure overflows a float") from None
     status = entry.status_at(n, m_checked)
 
     if links is None:  # conditional hypothesis failed
@@ -575,6 +580,9 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
     floor = float(tolerance) if tolerance is not None else 0.0
     tol = max(floor, *(l.tolerance for l in links))
     slack = min(l.slack for l in links)
+    if not (math.isfinite(slack) and math.isfinite(tol)):
+        raise UndefinedValue(f"{ineq_id}: the slack {slack} or the tolerance {tol} "
+                             "is not a finite float")
     satisfied = all(l.slack >= -max(l.tolerance, floor) for l in links)
     quad_err = None
     if any(not (l.lhs.exact and l.rhs.exact) for l in links):

@@ -765,9 +765,10 @@ def vm_sections(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple
     it is entry i of :func:`vm_shadows`.  Along any other, V_0 is 1 or 0
     as the plane meets K or misses it, with no hull: for a zonotope 1
     exactly when |c_i| <= sum_l |g_li| (:func:`_reach`), for a ball by its
-    closed form, else by whether the plane cuts K's skeleton
-    (``coordops._cut``, the rule of ``section_drop``).  In R^n, n >= 3,
-    with m = n-1 or m = n-2, the sections of any other full-dimensional
+    closed form, and for a polytope exactly when min_v v_i <= 0 <= max_v
+    v_i over its vertices v, the side rule of ``section_drop``
+    (``coordops._upper``), with no skeleton.  In R^n, n >= 3, with
+    m = n-1 or m = n-2, the sections of any other full-dimensional
     polytope are read off K's own boundary triangulation
     (:func:`_sections`), and those of a zonotope in general position off
     its facets (:func:`_zonotope_sections`); with m = n-3, n >= 4, those
@@ -794,11 +795,10 @@ def _section(body: Body, i: int, m: int, spec: QuadratureSpec | None) -> Measure
     """V_m(K ∩ e_i^perp) by the route of :func:`vm_sections`, on body itself."""
     if coordops.mirror_symmetric(body, i):
         return vm_shadows(body, m, spec)[i]
-    if m == 0 and isinstance(body, Zonotope):
-        low, high = _reach(body.center, body.generators)
-        return Measured.of_exact(float(low[i] <= 0.0 <= high[i]))
     if m == 0 and not isinstance(body, Ball):   # a ball's section_drop hulls nothing
-        return Measured.of_exact(float(coordops._cut(body, i) is not None))
+        low, high = (_reach(body.center, body.generators) if isinstance(body, Zonotope)
+                     else (body.vertices.min(axis=0), body.vertices.max(axis=0)))
+        return Measured.of_exact(float(low[i] <= 0.0 <= high[i]))
     value = _off_boundary(body, "sections", i, m)
     if value is not None:
         return value

@@ -12,6 +12,7 @@ import pytest
 
 from convexiq import QuadratureSpec, bodies, cli, explorer, inequalities as iq, io, measures
 from convexiq.errors import InvalidArgument, UndefinedValue
+from convexiq.quadrature import gauss_legendre
 
 from conftest import FIVE_VERTICES, random_polytope
 
@@ -114,6 +115,31 @@ def test_repro_disk_hull_routes_agree():
         pytest.approx(3.8663, abs=1e-3)
     assert rows["route-agreement"].computed <= 1e-5
     assert rows["scaled-cross-exceeds-disk-hull"].computed > 0
+
+
+def _wedge_by_rows(nodes):
+    """The symmetry-wedge rule one azimuth node at a time: a polar
+    Gauss-Legendre rule and a support call per node."""
+    total = 0.0
+    for th, wth in zip(*gauss_legendre(math.pi / 4.0, math.pi / 2.0, nodes)):
+        phi, wphi = gauss_legendre(0.0, math.atan(1.0 / math.sin(th)), nodes)
+        sp = np.sin(phi)
+        u = np.column_stack([math.cos(th) * sp, math.sin(th) * sp, np.cos(phi)])
+        total += wth * float(np.sum(wphi * bodies.support_many(bodies.k1(), u) * sp))
+    return 48.0 * total / math.pi
+
+
+@pytest.mark.parametrize("nodes", [8, 32, 96])
+def test_wedge_tensor_rule_is_the_row_by_row_rule(nodes):
+    """The (theta, phi) tensor rule sums the same nodes and weights as
+    the rule taken one azimuth node at a time."""
+    assert explorer._wedge_quadrature_mean_width(nodes) == \
+        pytest.approx(_wedge_by_rows(nodes), rel=1e-14, abs=0.0)
+
+
+def test_wedge_tensor_rule_matches_the_closed_slice_route():
+    assert explorer._wedge_quadrature_mean_width(96) == \
+        pytest.approx(measures.vm(bodies.k1(), 1).value, rel=1e-12, abs=0.0)
 
 
 def test_repro_ratio_constants():

@@ -8,7 +8,7 @@ import pytest
 
 from convexiq import (bodies, coordops, explorer, inequalities as iq, measures,
                       quadrature)
-from convexiq.errors import InvalidArgument, UnsupportedMeasure
+from convexiq.errors import InvalidArgument, UndefinedValue, UnsupportedMeasure
 
 from conftest import k1_polygon, random_polytope, random_zonotope
 
@@ -728,6 +728,26 @@ def test_equality_flags_hold_at_every_scale(n, lam):
                           ("sqrt_n_lower", bodies.cross_polytope(n))):
         r = iq.evaluate(ineq_id, bodies.scale_body(body, lam))
         assert r.equality_flag == "equality-case-matched", ineq_id
+
+
+@pytest.mark.parametrize("ineq_id", ["loomis_whitney", "meyer"])
+def test_a_power_that_overflows_a_float_is_undefined(ineq_id):
+    """V_n(K)^(n-1) of 1e30 cube(4) overflows a float: the report is
+    refused, not an OverflowError."""
+    with pytest.raises(UndefinedValue, match=ineq_id):
+        iq.evaluate(ineq_id, bodies.scale_body(bodies.cube(4), 1e30))
+
+
+@pytest.mark.parametrize("ineq_id, lam, m, params", [
+    ("prob5_family", 2.1e12, 2, {"c3": 1.0}),   # rhs inf: slack -inf, tolerance inf
+    ("square_lower", 1e60, None, None),         # lhs and rhs inf: slack NaN
+])
+def test_a_slack_or_tolerance_that_is_not_finite_is_undefined(ineq_id, lam, m, params):
+    """A product of finite powers that overflows to inf is refused, not
+    reported as satisfied (prob5_family read near-equality with rhs inf)
+    or with a NaN slack."""
+    with pytest.raises(UndefinedValue, match=ineq_id):
+        iq.evaluate(ineq_id, bodies.scale_body(bodies.cube(4), lam), m=m, params=params)
 
 
 # ---------------------------------------------------------------------------

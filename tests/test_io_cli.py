@@ -324,6 +324,24 @@ def test_cli_check_rejects_non_finite_values(tmp_path, capsys, flags):
     assert not (out / "finding-000.json").exists()
 
 
+@pytest.mark.parametrize("ineq_id, lam, flags", [
+    ("meyer", 1e30, []),
+    ("prob5_family", 2.1e12, ["--m", "2", "--c3", "1"]),
+])
+def test_cli_check_refuses_a_report_that_overflows(tmp_path, capsys, ineq_id, lam, flags):
+    """A power that overflows a float, or a slack that comes out inf,
+    exits 64 with an error line naming the entry, and writes no report."""
+    path = tmp_path / "big.json"
+    io.write_body(path, bodies.scale_body(bodies.cube(4), lam))
+    out = tmp_path / "out"
+    code = cli.main(["check", "--ineq", ineq_id, *flags, "--bodies", str(path),
+                     "--out", str(out)])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ineq_id in err
+    assert not (out / "report.json").exists()
+
+
 def _check_report(tmp_path, ineq_id: str, flags: list, body_path: str):
     """The exit code of ``check`` with these flags, and report.json."""
     out = tmp_path / "out"

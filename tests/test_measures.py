@@ -5,7 +5,7 @@ import gc
 import math
 import tracemalloc
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -1378,8 +1378,8 @@ def _route_section(body, i: int, m: int, spec) -> Measured:
     polytope or the facet or ridge sections of a zonotope in general
     position (from the cache, by _off_boundary), vm of the hulled cut, or
     an exact 0 for a plane that misses K.  V_0 comes from the hulled cut
-    here (the library decides it on the skeleton cut, or in closed form
-    for a zonotope, with no hull)."""
+    here (the library decides it on the vertices' extent, or in closed
+    form for a zonotope, with no hull)."""
     body = bodies.resolve(body)
     if mirror_symmetric(body, i):
         return _route_shadow(body, i, m, spec)
@@ -1476,9 +1476,9 @@ def test_the_tuples_take_each_axis_route(n):
 def test_v0_of_shadows_and_sections_takes_no_hull(n, monkeypatch):
     """V_0 of every coordinate shadow and of an oblique one is an exact
     1, and V_0 of a section is 1 or 0 as the plane meets K or misses it,
-    decided on the skeleton cut (section_drop's rule) or, for a zonotope,
-    in closed form: on every tuple body and its dilates none of them
-    calls convex_hull.  That these are the hulled cuts' values is the
+    decided on the vertices' extent (section_drop's side rule) or, for a
+    zonotope, in closed form: on every tuple body and its dilates none of
+    them calls convex_hull.  That these are the hulled cuts' values is the
     test above."""
     cases = []
     for body in _tuple_bodies(n):
@@ -1495,6 +1495,42 @@ def test_v0_of_shadows_and_sections_takes_no_hull(n, monkeypatch):
         missed += sections.count(zero)
     assert hulls == []
     assert missed >= 2 * 3 * n   # the two translated clouds of _on_plane_bodies and their dilates
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_v0_of_a_section_is_the_side_rule_of_section_drop(n):
+    """V_0 of a polytope's section, read off its vertices' extent
+    min_v v_i <= 0 <= max_v v_i, is 1 exactly where section_drop's cut is
+    not EMPTY: planes through a vertex, touching a face, missing K and
+    through its interior, from above and from below."""
+    rng = np.random.default_rng(360 + n)
+    box = as_vpolytope(cube(n)).vertices + 1.0        # a facet on every plane, from above
+    cases = [p for p, _ in _on_plane_bodies(n)] + [
+        convex_hull(box), convex_hull(-box), convex_hull(box + 1e-300), convex_hull(box - 2.0),
+        random_polytope(rng, n), translate_body(random_polytope(rng, n), 3.0 * np.ones(n))]
+    planes = set()
+    for body in cases:
+        got = [v.value for v in vm_sections(body, 0)]
+        assert got == [float(section_drop(body, i) is not EMPTY) for i in range(n)]
+        low, high = body.vertices.min(axis=0), body.vertices.max(axis=0)
+        planes |= {("vertex" if 0.0 in body.vertices[:, i] else "interior") if lo < 0.0 < hi
+                   else "touching" if 0.0 in (lo, hi) else "missed"
+                   for i, (lo, hi) in enumerate(zip(low, high))}
+    assert planes == {"vertex", "interior", "touching", "missed"}
+
+
+def test_v0_of_a_section_needs_no_hull_of_the_body():
+    """V_0 of the sections of ROADMAP item 1's n = 8 translated
+    unconditional hull, built directly from its 512 vertices, hulls
+    nothing: qhull splits that body into 571,264 simplices."""
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((2, 8))
+    signs = np.array(list(product((-1.0, 1.0), repeat=8)))
+    cloud = (base[:, None, :] * signs).reshape(-1, 8) + 0.05 * rng.standard_normal(8)
+    body = VPolytope(cloud[np.lexsort(cloud.T[::-1])])
+    assert body.vertex_count == 512 and not any(mirror_symmetric(body, i) for i in range(8))
+    assert vm_sections(body, 0) == (Measured.of_exact(1.0),) * 8
+    assert "qhull" not in vars(body) and "skeleton" not in vars(body)["_derived"]
 
 
 def test_the_oblique_v0_of_a_flattened_ball_is_1():

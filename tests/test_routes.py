@@ -27,7 +27,7 @@ from convexiq.bodies import (as_vpolytope, convex_hull, cross_polytope, dilate_s
 from convexiq.coordops import _cut, mirror_symmetric, project_along, project_drop
 from convexiq.measures import Measured, _on_boundary, vm, vm_sections, vm_shadows
 
-from conftest import RNG_SEED, random_zonotope, shared_cube
+from conftest import RNG_SEED, random_polytope, random_zonotope, shared_cube
 from test_coordops import _section_cases
 from test_measures import (_assert_homogeneous, _betke_henk, _cut_route, _cut_taken,
                            _hulls_counted, _on_plane_bodies, _scaled_coordinates,
@@ -506,7 +506,7 @@ class Scaling(NamedTuple):
 
 def _measure(route: str, body, degrees: tuple) -> dict:
     """{(call, axis, m): value}, keyed as _assert_homogeneous reads them."""
-    call = {"vm_shadows": "projection", SECTIONS: "section"}[route]
+    call = {ANGLES: "vm", "vm_shadows": "projection", SECTIONS: "section"}[route]
     return {(call, i, m): v
             for m in degrees for i, v in enumerate(MEASURES[route](Case(body), m))}
 
@@ -539,12 +539,19 @@ def _vertex_clouds(n: int) -> tuple:
     return out, None
 
 
+def _random_polytopes(n: int) -> tuple:
+    """A hull of 14 random points in R^4, of 2n + 2 in R^5 and R^6."""
+    rng = np.random.default_rng(RNG_SEED)
+    return [random_polytope(rng, n, 14 if n == 4 else 2 * n + 2)], None
+
+
 def _scalings(route, family, ns, bodies, degrees=_top, **kw) -> list:
     return [Scaling(route, family, n, partial(bodies, n), degrees(n), **kw) for n in ns]
 
 
 SCALING_ROWS = (
-    _scalings("vm_shadows", "signed_polytopes", N, lambda n: _signed(n, 20 + n))
+    _scalings(ANGLES, "random_polytopes", (4, 5, 6), _random_polytopes, _low, scales=(1e-8, 1e8))
+    + _scalings("vm_shadows", "signed_polytopes", N, lambda n: _signed(n, 20 + n))
     # the hulled cuts of these sections, with their absolute tolerances,
     # are up to 2.35e-2 off at 1e-8
     + _scalings(SECTIONS, "vertex_clouds", N, _vertex_clouds, _faces,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexiq import SignedPermutation, apply_symmetry, hyperoctahedral_group
-from convexiq.bodies import (Ball, Zonotope, cross_polytope, cube, k1, scale_body,
+from convexiq.bodies import (Ball, Zonotope, convex_hull, cross_polytope, cube, k1, scale_body,
                              support_many)
 from convexiq.errors import InvalidArgument
 from convexiq.symmetry import is_group_invariant, random_signed_permutation
@@ -106,3 +106,46 @@ def test_invariance_defect_zero_on_cube(rng):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     assert _invariance_defect(cube(3), dirs) < 1e-12
     assert _invariance_defect(random_polytope(rng, 3), dirs) > 1e-3
+
+
+def _invariant_by_element(body, rng):
+    """The invariance check one group element at a time: the same 16
+    directions and 16 elements drawn in the same order, a support call
+    per element."""
+    dirs = rng.standard_normal((16, body.n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    elems = [random_signed_permutation(body.n, rng) for _ in range(16)]
+    base = support_many(body, dirs)
+    defect = max(float(np.max(np.abs(support_many(body, dirs @ g.matrix().T) - base)))
+                 for g in elems)
+    return defect <= 1e-8 * float(np.max(np.abs(base)))
+
+
+def _orbit_hull(rng, n):
+    """The hull of the signed-permutation orbit of one random point."""
+    x = rng.standard_normal(n)
+    return convex_hull(np.array([g.apply(x) for g in hyperoctahedral_group(n)]))
+
+
+def _invariance_cases(factor):
+    """(body, invariant) pairs dilated by factor; K1 is represented at
+    unit scale only, so it comes undilated."""
+    rng = np.random.default_rng(36)
+    invariant = [cube(3), cube(4), cross_polytope(3), cross_polytope(4),
+                 _orbit_hull(rng, 3), _orbit_hull(rng, 3), _orbit_hull(rng, 4)]
+    asymmetric = [random_polytope(rng, n) for n in (3, 3, 4, 4)]
+    return ([(scale_body(body, factor), True) for body in invariant]
+            + [(scale_body(body, factor), False) for body in asymmetric]
+            + ([(k1(), True)] if factor == 1.0 else []))
+
+
+@pytest.mark.parametrize("factor", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("seed", [0, 20240])
+def test_one_call_invariance_check_is_the_per_element_check(factor, seed):
+    """Stacking the 256 images into one support call returns what the
+    element-by-element check returns from the same seed, on invariant
+    bodies, on asymmetric ones and on their dilates."""
+    for body, invariant in _invariance_cases(factor):
+        answer = is_group_invariant(body, np.random.default_rng(seed))
+        assert answer is _invariant_by_element(body, np.random.default_rng(seed))
+        assert answer is invariant
