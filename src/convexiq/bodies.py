@@ -392,8 +392,8 @@ def support_many(body: Body, directions: np.ndarray) -> np.ndarray:
         mask[list(body.zeroed)] = False
         return U @ body.center + body.radius * np.linalg.norm(U[:, mask], axis=1)
     if isinstance(body, DiskHull):
-        sq = U * U
-        return np.sqrt(np.maximum(np.sum(sq, axis=1) - np.min(sq, axis=1), 0.0))
+        a, b, c = (U * U).T   # by columns: a reduction along a length-3 axis is slow
+        return np.sqrt(np.maximum(a + b + c - np.minimum(np.minimum(a, b), c), 0.0))
     raise InvalidArgument(f"not a body: {type(body).__name__}")
 
 

@@ -159,8 +159,13 @@ def body_fingerprint(body: Body) -> str:
 def _origin_interior(body: Body) -> bool:
     """Whether the origin lies inside the body by more than INTERIOR_TOL
     times its size: a ball's radius, a polytope's largest vertex
-    coordinate."""
+    coordinate.  A dilate lambda K answers as K does, since both sides
+    scale by lambda (:func:`bodies.dilate_source`), and takes no hull of
+    its own."""
     body = resolve(body)
+    source = _b.dilate_source(body)
+    if source is not None:
+        return _origin_interior(source[0])
     if isinstance(body, Ball):
         return (body.active_dim == body.n and
                 float(np.linalg.norm(body.center)) < body.radius * (1.0 - INTERIOR_TOL))
@@ -715,6 +720,9 @@ def equality_case_classifier(body: Body, m: int | None = None) -> str:
     if isinstance(body, Zonotope):
         g = body.generators
         if g.shape[0] >= 1:
+            # rows divided by their largest |entry| first: norms of tiny or
+            # huge generators underflow or overflow
+            g = g / np.max(np.abs(g), axis=1)[:, None]
             norms = np.linalg.norm(g, axis=1)
             pattern = np.abs(g) / norms[:, None]
             if np.max(np.abs(pattern - pattern[0])) <= CLASSIFY_TOL:

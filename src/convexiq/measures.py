@@ -40,7 +40,8 @@ Exact paths:
   measured by cones over the cube's faces, under the same side rule;
   V_{n-3} of those sections from its ridges in the same way
   (:func:`_zonotope_ridges`), each ridge's cut weighted by its external
-  angle in the section;
+  angle in the section; a zonotope centered at the origin cuts one face
+  of each antipodal pair and counts it twice (:func:`_crossings`);
 * closed forms for balls;
 * V_1 of the cross-polytope C_n and of K1, and V_1 and V_2 of K1's
   oblique shadows, from fixed Gauss-Legendre rules on analytic 1-d
@@ -774,7 +775,9 @@ def vm_sections(body: Body, m: int, spec: QuadratureSpec | None = None) -> tuple
     its facets (:func:`_zonotope_sections`); with m = n-3, n >= 4, those
     of such a polytope are read off the bent ridges of its triangulation
     (:func:`_ridge_sections`) and those of such a zonotope off its ridges
-    (:func:`_zonotope_ridges`).
+    (:func:`_zonotope_ridges`).  A zonotope centered at the origin cuts
+    one facet and one ridge of each antipodal pair, and counts it twice,
+    save where a vertex lies on the plane (:func:`_crossings`).
     Each takes no hull of the section and no sign point, so past 16
     generators too (all :func:`_off_boundary`).  Planes through a vertex,
     planes that K touches from one side and planes that miss K take the
@@ -909,6 +912,12 @@ def _zonotope_sections(z: Zonotope) -> dict | None:
       of the section, each D times nu_F . (x_F - o) = sum_{l not in T}
       |det(T, l)| (1 - s sigma_l lambda_l) over n-1, every term >= 0.
 
+    When c = 0 the facets (T, 1) and (T, -1) are antipodal, and only
+    (T, 1) is built: its cut counts twice, as (T, -1)'s has the same D,
+    |nu_T with entry i dropped| and height (lambda = 0), except where a
+    vertex lies on the plane, and there (T, -1) is cut too
+    (:func:`_crossings`).
+
     The generators are scaled by a power of 2 first, as in
     :func:`_zonotope_sums`, and the facets are taken SECTION_BLOCK cube
     vertices at a time; past MAX_SUBSETS facets or generator subsets the
@@ -925,7 +934,8 @@ def _zonotope_sections(z: Zonotope) -> dict | None:
     g, c, scale = _scaled(z)
     low, reach = _reach(c, g)[0], np.abs(g).sum(axis=0)
     lam = -np.clip(c / reach, -1.0, 1.0) * np.sign(g)   # o = c + lam^T g, o_i = 0
-    d = n - 1
+    d, centered = n - 1, not np.any(c)
+    sides = np.array([1.0] if centered else [1.0, -1.0])   # s of the facets cut
     vertices = _cube_faces(d)[0]
     per = max(1, (SECTION_BLOCK >> d) // (2 * n))
     total = np.zeros((2, n))
@@ -935,20 +945,19 @@ def _zonotope_sections(z: Zonotope) -> dict | None:
         # det(T, l) for every l and |nu_T with entry i dropped| for every i
         dets = _facet_dets(t, det, k)
         rest = np.sqrt(np.einsum("tj,ji->ti", _minors(g[t])[:, ::-1] ** 2, 1.0 - np.eye(n)))
-        # facets 2r (s = 1) and 2r + 1 (s = -1) of subset r: s sigma_l off T
-        t, dets = np.repeat(t, 2, axis=0), np.repeat(dets, 2, axis=0)
-        signs = np.sign(dets) * np.tile([1.0, -1.0], len(t) // 2)[:, None]
+        # the facets (T, s), s in sides, of subset r in a row each: s sigma_l off T
+        t, dets = np.repeat(t, len(sides), axis=0), np.repeat(dets, len(sides), axis=0)
+        signs = np.sign(dets) * np.tile(sides, len(t) // len(sides))[:, None]
         height = np.einsum("fl,fli->fi", np.abs(dets), 1.0 - signs[:, :, None] * lam)
         eps = np.repeat(signs[:, None, :], 1 << d, axis=1)
         eps[np.arange(len(t))[:, None, None], np.arange(1 << d)[:, None], t[:, None, :]] = vertices
         x = c
         for l in range(k):
             x = x + eps[:, :, l, None] * g[l]
-        up = coordops._upper(low[None], x)   # facet, vertex, axis
-        f, i = np.nonzero(up.any(axis=1) & ~up.all(axis=1))
-        size = _cube_slices(x[f, :, i], up[f, :, i], g[t[f], i[:, None]])
+        f, i, x, up, weight = _crossings(x, low, centered)
+        size = _cube_slices(x, up, g[t[f], i[:, None]]) * weight
         total += np.stack([np.bincount(i, size * height[f, i], n),
-                           np.bincount(i, size * rest[f // 2, i], n)])
+                           np.bincount(i, size * rest[f // len(sides), i], n)])
     return {n - 1: np.ldexp(total[0] / d, (n - 1) * scale),
             n - 2: np.ldexp(0.5 * total[1], (n - 2) * scale)}
 
@@ -981,7 +990,11 @@ def _zonotope_ridges(z: Zonotope) -> dict | None:
     the column sets that hold i (the facet route's |nu_T with entry i
     dropped| is the case n-1 of this rule).  theta_R is the angle
     between the two normals with coordinate i dropped.  Every axis is
-    measured in one pass.
+    measured in one pass.  When c = 0 the ridges come in antipodal pairs
+    +-R, with negated signs and normals, and only the one whose first
+    nonzero sign is +1 is built: its cut counts twice, as -R's has the
+    same slice, content and angle, except where a vertex lies on the
+    plane, and there -R is cut too (:func:`_crossings`).
 
     The generators are scaled by a power of 2 first, as in
     :func:`_zonotope_sums`, and the ridges are taken about SECTION_BLOCK
@@ -998,7 +1011,7 @@ def _zonotope_ridges(z: Zonotope) -> dict | None:
     if det is None:
         return None
     g, c, scale = _scaled(z)
-    low, vertices = _reach(c, g)[0], _cube_faces(d)[0]
+    low, vertices, centered = _reach(c, g)[0], _cube_faces(d)[0], not np.any(c)
     rest, sign = _expansion(n, n)[1:]
     holds = 1.0 - _avoiding(n, d)   # column set C holds column i
     per = max(1, (SECTION_BLOCK >> d) // (2 * lines * n))
@@ -1017,6 +1030,9 @@ def _zonotope_ridges(z: Zonotope) -> dict | None:
         s, tau = np.tile([1.0, 1.0, -1.0, -1.0], len(t)), np.tile([1.0, -1.0], 2 * len(t))
         sigma = s[:, None] * np.sign(_facet_dets(t, det, k))[inc]
         sigma[np.arange(len(inc)), l[inc]] = tau
+        if centered:   # of each pair +-R, the ridge whose first nonzero sign is +1
+            keep = sigma[np.arange(len(inc)), np.argmax(sigma != 0.0, axis=1)] > 0.0
+            inc, s, sigma = inc[keep], s[keep], sigma[keep]
         pair = np.lexsort(np.vstack([sigma.T, group[inc]])).reshape(-1, 2)
         a, b = inc[pair[:, 0]], inc[pair[:, 1]]
         ridge_u, eps = group[a], np.repeat(sigma[pair[:, 0], None, :], 1 << d, axis=1)
@@ -1025,13 +1041,41 @@ def _zonotope_ridges(z: Zonotope) -> dict | None:
         x = c
         for j in range(k):
             x = x + eps[:, :, j, None] * g[j]
-        up = coordops._upper(low[None], x)   # ridge, vertex, axis
-        r, i = np.nonzero(up.any(axis=1) & ~up.all(axis=1))
-        size = _cube_slices(x[r, :, i], up[r, :, i], g[u[ridge_u[r]], i[:, None]])
+        r, i, x, up, weight = _crossings(x, low, centered)
+        size = _cube_slices(x, up, g[u[ridge_u[r]], i[:, None]]) * weight
         content = np.sqrt(_minors(g[u]) ** 2 @ holds)[ridge_u[r], i]
         total += _bent_sum(size * content, (s[pair[:, 0], None] * nu[a])[r],
                            (s[pair[:, 1], None] * nu[b])[r], i)
     return {n - 3: np.ldexp(total / (2.0 * math.pi), (n - 3) * scale)}
+
+
+def _crossings(x: np.ndarray, low: np.ndarray, centered: bool) -> tuple:
+    """The faces (f, i) of a zonotope pass that cross the planes x_i = 0,
+    from their cube vertices' sums x (face, vertex, axis) and Z's lowest
+    vertex ``low`` (:func:`coordops._upper`), with each cut's x_i and
+    labels at the vertices, in the rows :func:`_cube_slices` reads, and
+    the weight it counts with.
+
+    A ``centered`` pass (c = 0) holds one face F of each antipodal pair
+    +-F.  The vertex v of -F is the negation of F's vertex 2^d - 1 - v,
+    bit for bit, as its terms are F's negated and summed in the same
+    order; so a plane that no vertex of F lies on cuts -F as the mirror
+    image of F's cut, of the same measure, and F's cut counts twice.  A
+    vertex on the plane is upper in both, so there -F's cut is the limit
+    from the other side: it is cut from those negated sums, which is -F's
+    own cut to the bit, and each counts once."""
+    up = coordops._upper(low[None], x)   # face, vertex, axis
+    source, weight = np.arange(len(x)), np.ones((len(x), x.shape[2]))
+    if centered:
+        on = (x == 0.0).any(axis=1)
+        weight += ~on
+        mirrored = np.nonzero(on.any(axis=1))[0]
+        mirror = -x[mirrored, ::-1]
+        x, source = np.concatenate([x, mirror]), np.concatenate([source, mirrored])
+        up = np.concatenate([up, coordops._upper(low[None], mirror)])
+        weight = np.concatenate([weight, on[mirrored]])
+    f, i = np.nonzero(up.any(axis=1) & ~up.all(axis=1) & (weight > 0.0))
+    return source[f], i, x[f, :, i], up[f, :, i], weight[f, i]
 
 
 def _bent_sum(size: np.ndarray, a: np.ndarray, b: np.ndarray, i: np.ndarray) -> np.ndarray:

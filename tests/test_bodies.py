@@ -88,6 +88,22 @@ def test_k1_contains_unit_disks(rng):
         assert np.all(h >= disk_support - 1e-12)
 
 
+def test_k1_support_from_columns_is_the_row_reduction():
+    """K1's support from the three columns of U^2 equals, bit for bit,
+    sqrt(max(sum - min, 0)) reduced along each row: on 10^5 random
+    directions, on them scaled by 1e-160 (squares underflow) and 1e150,
+    on +-e_i, and on integer directions with tied entries."""
+    rng = np.random.default_rng(37)
+    dirs = rng.standard_normal((100_000, 3))
+    ties = rng.integers(-2, 3, (3000, 3)).astype(float)
+    ties[:1000, 1] = ties[:1000, 0]
+    ties[1000:2000, 2] = -ties[1000:2000, 1]
+    for u in (dirs, 1e-160 * dirs, 1e150 * dirs, np.vstack([np.eye(3), -np.eye(3)]), ties):
+        sq = u * u
+        rows = np.sqrt(np.maximum(np.sum(sq, axis=1) - np.min(sq, axis=1), 0.0))
+        assert np.array_equal(support_many(k1(), u), rows)
+
+
 def test_named_body_round_trip():
     nb = NamedBody("cross", 4)
     assert isinstance(resolve(nb), VPolytope)

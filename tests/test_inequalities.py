@@ -2,6 +2,10 @@
 extremal constructors, and the sharp constants."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,6 +650,23 @@ def test_classifier_zonotope_labels():
     assert iq.equality_case_classifier(mixed) == "unmatched"
 
 
+@pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-8, 1e8, 1e160, 1e300])
+def test_classifier_zonotope_labels_hold_at_every_scale(lam):
+    """Each generator is divided by its largest |entry| before it is
+    normalized, so no norm underflows or overflows: a dilate, made by
+    scale_body or afresh, has its body's class (a 1e-170 dilate of the
+    diagonal one read ``unmatched``, and a 1e160 one of the random one
+    ``diagonal-generators``), and no RuntimeWarning is raised."""
+    diagonal = bodies.Zonotope(np.zeros(3), np.array([[1.0, 1.0, 1.0], [2.0, -2.0, 2.0],
+                                                      [1.0, 1.0, -1.0]]))
+    random = bodies.Zonotope(np.zeros(3), np.random.default_rng(0).standard_normal((5, 3)))
+    for z, label in ((diagonal, "diagonal-generators"), (random, "unmatched")):
+        assert iq.equality_case_classifier(z) == label
+        for dilate in (bodies.scale_body(z, lam), bodies.Zonotope(lam * z.center, lam * z.generators)):
+            assert dilate.generator_count == z.generator_count
+            assert iq.equality_case_classifier(dilate) == label
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -748,6 +769,40 @@ def test_a_slack_or_tolerance_that_is_not_finite_is_undefined(ineq_id, lam, m, p
     or with a NaN slack."""
     with pytest.raises(UndefinedValue, match=ineq_id):
         iq.evaluate(ineq_id, bodies.scale_body(bodies.cube(4), lam), m=m, params=params)
+
+
+def test_meyer_on_a_huge_dilate_is_undefined_not_a_crash():
+    """The origin test of a dilate reads its source, so qhull never sees
+    1e60 or 1e160 times cube(4) (it raised QH6154 at 1e60 and crashed the
+    interpreter at 1e160), and the overflow guard refuses the report.  The
+    1e160 case runs in its own interpreter."""
+    with pytest.raises(UndefinedValue, match="meyer"):
+        iq.evaluate("meyer", bodies.scale_body(bodies.cube(4), 1e60))
+    src = str(Path(iq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from convexiq import bodies, inequalities as iq\n"
+            "from convexiq.errors import UndefinedValue\n"
+            "try:\n"
+            "    iq.evaluate('meyer', bodies.scale_body(bodies.cube(4), 1e160))\n"
+            "except UndefinedValue:\n"
+            "    print('undefined')\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "undefined\n"), run.stderr
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-200, 1e-8, 1e8, 1e60, 1e100])
+def test_origin_interior_of_a_dilate_is_its_sources(lam):
+    """Whether the origin is interior does not change under dilation: the
+    dilate answers as its body for an origin inside, on a facet of and
+    outside cube(4) and inside a random 4-polytope."""
+    cube = bodies.cube(4)
+    shapes = [bodies.translate_body(cube, np.array([shift, 0.0, 0.0, 0.0]))
+              for shift in (0.0, 1.0, 2.0)]
+    shapes.append(bodies.convex_hull(np.random.default_rng(5).standard_normal((12, 4))))
+    assert [iq._origin_interior(k) for k in shapes[:3]] == [True, False, False]
+    for k in shapes:
+        assert iq._origin_interior(bodies.scale_body(k, lam)) == iq._origin_interior(k)
 
 
 # ---------------------------------------------------------------------------

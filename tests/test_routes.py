@@ -242,6 +242,50 @@ def _generic_zonotopes(n: int) -> list:
             for k in range(n, n + 4)]
 
 
+def _centered_zonotopes(n: int) -> tuple:
+    """Zonotopes about the origin with n to n + 3 generators, whose facets
+    and ridges come in antipodal pairs, and the signed permutation drawn
+    after them."""
+    rng = np.random.default_rng(340 + n)
+    out = [Zonotope(np.zeros(n), rng.standard_normal((k, n))) for k in range(n, n + 4)]
+    return out, (rng.permutation(n), rng.choice([-1.0, 1.0], n))
+
+
+# integer generators about the origin on which pairing each face with its
+# antipode, with no on-plane exception, gave V_{n-3} of the section by
+# x_0 = 0 as 21.4058 and 297.78, not 21.6963 and 320.34
+ON_PLANE_GENERATORS = {
+    4: [[0, -2, -1, -2], [-1, -1, 1, 2], [-1, -1, -1, -1], [-2, 2, 1, -2], [2, -1, -1, -1]],
+    5: [[0, -1, 2, -2, 2], [1, 0, 0, 1, -2], [-1, -1, -2, -2, 1], [0, -2, 1, 0, 0],
+        [1, 0, 1, 2, 2], [-1, -1, -1, 2, -1]],
+}
+
+
+def _centered_on_plane(n: int) -> list:
+    """Integer zonotopes about the origin in general position, with n + 2
+    generators of which the first 1 to n - 1 lie in e_0^perp, so that
+    vertices, and edges and higher faces along them, lie on x_0 = 0 and
+    on other planes; ON_PLANE_GENERATORS first."""
+    rng = np.random.default_rng(350 + n)
+    out = [np.array(g, dtype=float) for d, g in ON_PLANE_GENERATORS.items() if d == n]
+    while len(out) < 4:
+        g = rng.integers(-2, 3, (n + 2, n)).astype(float)
+        g[:rng.integers(1, n), 0] = 0.0
+        dets = [np.linalg.det(g[list(s)]) for s in combinations(range(n + 2), n)]
+        if min(abs(d) for d in dets) >= 0.5 and _vertices_on_planes(g)[0] > 0:
+            out.append(g)
+    assert all(_vertices_on_planes(g)[0] > 0 for g in out)
+    assert sum(_vertices_on_planes(g).sum() for g in out) >= 4 * n
+    return [Case(Zonotope(np.zeros(n), g)) for g in out]
+
+
+def _vertices_on_planes(g: np.ndarray) -> np.ndarray:
+    """How many vertices of the zonotope of g about the origin lie on each
+    plane x_i = 0, expanded on a zonotope of its own, so that the case
+    keeps no expansion."""
+    return (as_vpolytope(Zonotope(np.zeros(g.shape[1]), g)).vertices == 0.0).sum(axis=0)
+
+
 def _integer_zonotopes(n: int) -> list:
     """Zonotopes with n + 2 integer generators in general position (every
     n x n determinant a nonzero integer), the first with coordinate 0, 1 or
@@ -310,6 +354,8 @@ FAMILIES = {
     "translated_unconditional": _translated_unconditional,
     "unconditional": _unconditional,
     "generic_zonotopes": lambda n: list(map(Case, _generic_zonotopes(n))),
+    "centered_zonotopes": lambda n: list(map(Case, _centered_zonotopes(n)[0])),
+    "centered_on_plane": _centered_on_plane,
     "integer_zonotopes": _integer_zonotopes,
     "degenerate_zonotopes": _degenerate_zonotopes,
     "few_generators": _few_generators,
@@ -451,6 +497,10 @@ ROUTE_ROWS = (
             taken=_ridge_shadows, hull_free=True, nonzero=3)
     + _rows(SECTIONS, "section_drop", "generic_zonotopes", N, _faces, taken=_facets,
             hull_free=True, nonzero=7)
+    + _rows(SECTIONS, "section_drop", "centered_zonotopes", N, _faces, taken=_facets,
+            hull_free=True, nonzero=7)
+    + _rows(SECTIONS, "section_drop", "centered_on_plane", N, _faces, taken=_facets,
+            hull_free=True, nonzero=7)
     + _rows(SECTIONS, "section_drop", "integer_zonotopes", N, _faces, taken=_vertex_planes,
             zeros=True)
     + _rows(SECTIONS, "section_drop", "degenerate_zonotopes", N, _faces,
@@ -521,7 +571,17 @@ def _signed(n: int, seed: int) -> tuple:
 
 def _permuted(body, perm, signs):
     """The body whose axis j is axis perm[j] of body, times signs[j]."""
+    if isinstance(body, Zonotope):
+        return Zonotope(body.center[perm] * signs, body.generators[:, perm] * signs)
     return convex_hull(body.vertices[:, perm] * signs)
+
+
+def _shadow_zonotopes(n: int) -> tuple:
+    """A zonotope with a N(0, 1) center and n + 3 generators, and the
+    signed permutation drawn after it."""
+    rng = np.random.default_rng(90 + n)
+    z = Zonotope(rng.standard_normal(n), rng.standard_normal((n + 3, n)))
+    return [z], (rng.permutation(n), rng.choice([-1.0, 1.0], n))
 
 
 def _vertex_clouds(n: int) -> tuple:
@@ -552,6 +612,7 @@ def _scalings(route, family, ns, bodies, degrees=_top, **kw) -> list:
 SCALING_ROWS = (
     _scalings(ANGLES, "random_polytopes", (4, 5, 6), _random_polytopes, _low, scales=(1e-8, 1e8))
     + _scalings("vm_shadows", "signed_polytopes", N, lambda n: _signed(n, 20 + n))
+    + _scalings("vm_shadows", "signed_zonotopes", (3, 5, 8), _shadow_zonotopes, _below)
     # the hulled cuts of these sections, with their absolute tolerances,
     # are up to 2.35e-2 off at 1e-8
     + _scalings(SECTIONS, "vertex_clouds", N, _vertex_clouds, _faces,
@@ -560,6 +621,9 @@ SCALING_ROWS = (
                 scales=(1e-8, 1e-4, 1e4, 1e8), builds=(scale_body, _scaled_coordinates),
                 taken=_ridges, hull_free=True, nonzero=1)
     + _scalings(SECTIONS, "generic_zonotopes", N, lambda n: (_generic_zonotopes(n), None), _faces,
+                scales=(1e-8, 1e8), builds=(scale_body, _scaled_coordinates), taken=_facets,
+                hull_free=True)
+    + _scalings(SECTIONS, "centered_zonotopes", N, _centered_zonotopes, _faces,
                 scales=(1e-8, 1e8), builds=(scale_body, _scaled_coordinates), taken=_facets,
                 hull_free=True)
 )
