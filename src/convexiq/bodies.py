@@ -39,6 +39,9 @@ MIN_DIM = 2
 MAX_DIM = 8
 # Sign-enumeration guard for zonotope vertex expansion (2**k points).
 MAX_ZONOTOPE_EXPAND_GENERATORS = 16
+# Largest |coordinate| handed to qhull (:func:`_qhull`), below the least
+# scale at which qhull failed on cube(n) and random hulls, n = 2..8.
+MAX_HULL_COORD = 2.0 ** 150
 
 
 def as_vector(x, n: int | None = None) -> np.ndarray:
@@ -177,12 +180,9 @@ class VPolytope:
         order: index ``hull.points`` with ``hull.simplices`` and
         ``hull.vertices``, never ``vertices``.
         Where qhull fails (callers check :func:`affine_dim` first) it raises
-        UnsupportedOperation: a joggled (QJ) hull is not exact.
+        UnsupportedOperation: a joggled (QJ) hull is not exact (:func:`_qhull`).
         """
-        try:
-            return ConvexHull(self.vertices)
-        except QhullError as exc:
-            raise UnsupportedOperation(f"qhull failed: {str(exc).splitlines()[0]}") from exc
+        return _qhull(self.vertices)[0]
 
 
 @dataclass(frozen=True)
@@ -421,14 +421,32 @@ def convex_hull(points) -> VPolytope:
         sel = pts[[int(np.argmin(t)), int(np.argmax(t))]]
         return VPolytope(_lexsorted(sel))
     coords = pts if rank == pts.shape[1] else (pts - origin) @ vt[:rank].T
-    try:
-        hull = ConvexHull(coords)
-    except QhullError:
-        return VPolytope(_dedup_points(pts[ConvexHull(coords, qhull_options="QJ").vertices]))
+    hull, exact = _qhull(coords, joggle=True)
     p = VPolytope(_dedup_points(pts[hull.vertices]))
-    if coords is pts and p.vertex_count == hull.vertices.size:
+    if exact and coords is pts and p.vertex_count == hull.vertices.size:
         vars(p)["qhull"] = hull
     return p
+
+
+def _qhull(coords: np.ndarray, joggle: bool = False) -> tuple[ConvexHull, bool]:
+    """(qhull's hull of the points coords, whether it is exact), the one
+    call of ``ConvexHull``.  With ``joggle``, a cloud that plain qhull
+    fails on is hulled joggled (QJ), which is not exact.  A cloud
+    whose largest |coordinate| exceeds MAX_HULL_COORD, and every qhull
+    failure, raise UnsupportedOperation: past that range qhull refuses,
+    drops vertices or crashes the interpreter."""
+    top = float(np.max(np.abs(coords)))
+    if top > MAX_HULL_COORD:
+        raise UnsupportedOperation(
+            f"qhull takes coordinates up to {MAX_HULL_COORD:.3g}, not {top:.3g}")
+    for options in (None, "QJ") if joggle else (None,):
+        try:
+            hull = ConvexHull(coords, qhull_options=options)
+        except QhullError as exc:
+            error = exc
+            continue
+        return hull, options is None
+    raise UnsupportedOperation(f"qhull failed: {str(error).splitlines()[0]}") from error
 
 
 def _span(points: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -564,10 +582,7 @@ def _polytope_skeleton(p: VPolytope) -> tuple[np.ndarray, np.ndarray]:
         if d == 1:
             tri = np.array([[np.argmin(coords[:, 0]), np.argmax(coords[:, 0])]])
         else:
-            try:
-                tri = ConvexHull(coords).simplices
-            except QhullError:
-                tri = ConvexHull(coords, qhull_options="QJ").simplices
+            tri = _qhull(coords, joggle=True)[0].simplices
     # every pair of every simplex, once; points renumbered to the used ones
     pairs = tri[:, list(itertools.combinations(range(tri.shape[1]), 2))]
     used, edges = np.unique(np.sort(pairs.reshape(-1, 2), axis=1),

@@ -51,6 +51,14 @@ Exact paths:
   span first (``bodies.to_affine_coords``), which also makes e.g. V_1 of
   a planar body in R^3 exact.
 
+The four section passes write each cut step once per face kind: boundary
+simplices and bent ridges are cut by :func:`_face_cuts` and measured
+block by block by :func:`_cut_blocks`; zonotope facets and ridges start
+from :func:`_zonotope_faces` and are cut by :func:`_face_slices`; every
+loop over generator subsets takes :func:`_subsets`.  A pass over
+triangulated faces, the shadows' bent ridges included, takes SECTION_BLOCK
+cut simplices, or one face, per block (:func:`_blocks`).
+
 V_1 of a full-dimensional polytope in d >= 5 falls back to mean-width
 quadrature over the sphere.  The remaining pairs (2 <= m <= d-4) raise
 :class:`UnsupportedMeasure` rather than silently degrading.
@@ -431,13 +439,14 @@ def _zonotope_sums(g: np.ndarray, m: int) -> list[float]:
     of roundoff size, where the root of its Gram determinant would be
     about sqrt(eps) times the subset's content scale.
 
-    The generators are scaled by a power of 2 first, exactly while no
-    entry is below 1e-300 times the largest, so that no minor or square
-    overflows or underflows: V_m(2^e Z) = 2^{e m} V_m(Z) bit for bit, and
-    a value past the double range is inf.  Subsets are taken SUBSET_BLOCK
-    at a time, so that C(k, m) up to MAX_SUBSETS stays bounded in memory.
-    Each sum is exact before it is rounded (:func:`math.fsum`, carried
-    between blocks by :func:`_exact_parts`), and a subset's minors and
+    The generators are scaled by a power of 2 first (:func:`_scaled`),
+    exactly while no entry is below 1e-300 times the largest, so that no
+    minor or square overflows or underflows: V_m(2^e Z) = 2^{e m} V_m(Z)
+    bit for bit, and a value past the double range is inf.  Subsets are
+    taken SUBSET_BLOCK at a time (:func:`_subsets`), so that C(k, m) up to
+    MAX_SUBSETS stays bounded in memory.  Each sum is exact before it is
+    rounded (:func:`math.fsum` on the last block, carried between blocks
+    by :func:`_exact_parts`), and a subset's minors and
     their sums do not depend on the subsets stacked with it, so the
     result does not depend on the block size."""
     k, n = g.shape
@@ -447,19 +456,24 @@ def _zonotope_sums(g: np.ndarray, m: int) -> list[float]:
     if count > MAX_SUBSETS:
         raise UnsupportedMeasure(f"{count} generator subsets exceed the enumeration guard")
     weights = _pass_weights(n, m)
-    scale = math.frexp(float(np.max(np.abs(g))))[1]     # entries below 1
-    g = np.ldexp(g, -scale)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(k), m))
-    parts = [[] for _ in range(n + 1)]
-    for start in range(0, count, SUBSET_BLOCK):
-        rows = min(SUBSET_BLOCK, count - start)
-        subsets = np.fromiter(flat, np.intp, rows * m).reshape(rows, m)
+    g, scale = _scaled(g)
+    parts, roots = [[] for _ in range(n + 1)], None
+    for subsets in _subsets(k, m, SUBSET_BLOCK):
+        if roots is not None:   # the last block's roots go to one fsum
+            parts = [_exact_parts(p, r) for p, r in zip(parts, roots)]
         # einsum, not @: BLAS sums a row differently as the row count changes
         roots = np.sqrt(np.einsum("sc,ci->is", _minors(g[subsets]) ** 2, weights)).tolist()
-        if start + rows == count:
-            sums = np.array([math.fsum(p + r) for p, r in zip(parts, roots)])
-            return np.ldexp(sums, m * (scale + 1)).tolist()
-        parts = [_exact_parts(p, r) for p, r in zip(parts, roots)]
+    sums = np.array([math.fsum(p + r) for p, r in zip(parts, roots)])
+    return np.ldexp(sums, m * (scale + 1)).tolist()
+
+
+def _subsets(k: int, d: int, per: int):
+    """The d-subsets of range(k) in itertools order, as arrays of at most
+    ``per`` rows."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), d))
+    count = math.comb(k, d)
+    for start in range(0, count, per):
+        yield np.fromiter(flat, np.intp, min(per, count - start) * d).reshape(-1, d)
 
 
 def _exact_parts(parts: list, values: list) -> list:
@@ -690,6 +704,8 @@ def _shadows(p: VPolytope, u: np.ndarray | None, m: int):
       shadow, so the sum is continuous in u.  Along e_i, vol(P_u R) is
       the root of the sum of the squared (n-2)-minors of R's edges that
       avoid column i (Cauchy-Binet), taken for every i at once.
+
+    The bent ridges are taken SECTION_BLOCK at a time (:func:`_blocks`).
     """
     hull, n = p.qhull, p.n
     normals = hull.equations[:, :n]
@@ -697,15 +713,18 @@ def _shadows(p: VPolytope, u: np.ndarray | None, m: int):
     if m == n - 1:
         return 0.5 * (_boundary(p)[0] @ np.abs(up))
     s, t, ridge = _b.bent_ridges(p)
-    pts = hull.points
-    e = pts[ridge[:, 1:]] - pts[ridge[:, :1]]
-    sign = np.sign(up)
-    weight = np.abs(sign[s] - sign[t])
-    if u is None:
-        size = np.sqrt(_minors(e) ** 2 @ _avoiding(n, n - 2)) / math.factorial(n - 2)
-    else:
-        size = _simplex_content(e - (e @ u)[..., None] * u)
-    return 0.25 * np.sum(weight * size, axis=0)
+    pts, sign, total = hull.points, np.sign(up), np.zeros(n) if u is None else 0.0
+    for c in _blocks(len(s), 1):
+        e = pts[ridge[c, 1:]] - pts[ridge[c, :1]]
+        weight = np.abs(sign[s[c]] - sign[t[c]])
+        if u is None:
+            size = np.sqrt(_minors(e) ** 2 @ _avoiding(n, n - 2)) / math.factorial(n - 2)
+            # np.sum adds the rows down axis 0 in order, so with the running
+            # totals as the first row the blocks sum as one pass, bit for bit
+            total = np.sum(np.vstack([total, weight * size]), axis=0)
+        else:
+            total = total + np.sum(weight * _simplex_content(e - (e @ u)[..., None] * u))
+    return 0.25 * total
 
 
 @cache
@@ -840,24 +859,16 @@ def _sections(hull) -> dict:
       sum_sigma |det(y_0 - o, edges of sigma)| / (n-1)!, y_0 a vertex of
       sigma.
     """
-    pts, tri, n = hull.points, hull.simplices, hull.points.shape[1]
-    up = coordops._upper(pts[hull.vertices], pts[tri])   # simplex, vertex, axis
-    count = up.sum(axis=1)
-    s, i = np.nonzero((count > 0) & (count < n))
-    v = tri[s[:, None], np.argsort(~up[s, :, i], axis=1, kind="stable")]   # upper first
-    pairs = _staircases(n).reshape(n, -1, 2)[count[s, i]]   # row, vertex, (a, b)
-    a = np.take_along_axis(v, pairs[..., 0], axis=1)
-    b = np.take_along_axis(v, pairs[..., 1], axis=1)
+    pts, n = hull.points, hull.points.shape[1]
+    i, a, b = _face_cuts(hull, hull.simplices)[1:]
     # a point of each section: the mean of one cut point per crossing simplex
     per = i == np.arange(n)[:, None]
-    o = per @ coordops._cut_points(pts, a[:, 0], b[:, 0], i)
+    o = per @ coordops._cut_points(pts, a[:, 0, 0], b[:, 0, 0], i)
     o /= np.maximum(per.sum(axis=1), 1)[:, None]
     cols, rest, sign = _expansion(n - 1, n - 1)
-    total, blocks = np.zeros((2, n)), math.ceil(a.size / (n - 1) / SECTION_BLOCK)
-    for r in np.array_split(np.arange(s.size), max(1, blocks)):
-        axis = np.repeat(i[r], a.shape[1] // (n - 1))
-        y = coordops._cut_points(pts, a[r], b[r], i[r]).reshape(len(axis), n - 1, n - 1)
-        minors = _minors(y[:, 1:] - y[:, :1])
+    total = np.zeros((2, n))
+    for c, y, minors in _cut_blocks(pts, a, b, i):
+        axis = np.repeat(i[c], a.shape[1])
         cone = ((y[:, 0] - o[axis])[:, cols[0]] * minors[:, rest[0]]) @ sign
         size = np.stack([np.abs(cone), np.sqrt(_dot(minors, minors))])
         # pairwise sums along each contiguous row
@@ -918,47 +929,29 @@ def _zonotope_sections(z: Zonotope) -> dict | None:
     vertex lies on the plane, and there (T, -1) is cut too
     (:func:`_crossings`).
 
-    The generators are scaled by a power of 2 first, as in
-    :func:`_zonotope_sums`, and the facets are taken SECTION_BLOCK cube
-    vertices at a time; past MAX_SUBSETS facets or generator subsets the
-    sections are refused."""
-    k, n = z.generators.shape
-    if k < n:
+    The scaling, the general-position test, the guard and the blocks are
+    :func:`_zonotope_faces`', and each facet's cut is :func:`_face_slices`,
+    as for the ridges."""
+    n = z.n
+    setup = _zonotope_faces(z, n - 1, 2)
+    if setup is None:
         return None
-    count = max(2 * math.comb(k, n - 1), math.comb(k, n))
-    if count > MAX_SUBSETS:
-        raise UnsupportedMeasure(f"{count} facets or generator subsets exceed the enumeration guard")
-    det = _general_position(z)
-    if det is None:
-        return None
-    g, c, scale = _scaled(z)
-    low, reach = _reach(c, g)[0], np.abs(g).sum(axis=0)
-    lam = -np.clip(c / reach, -1.0, 1.0) * np.sign(g)   # o = c + lam^T g, o_i = 0
-    d, centered = n - 1, not np.any(c)
+    det, g, c, scale, low, centered, subsets = setup
+    lam = -np.clip(c / np.abs(g).sum(axis=0), -1.0, 1.0) * np.sign(g)   # o = c + lam^T g, o_i = 0
     sides = np.array([1.0] if centered else [1.0, -1.0])   # s of the facets cut
-    vertices = _cube_faces(d)[0]
-    per = max(1, (SECTION_BLOCK >> d) // (2 * n))
     total = np.zeros((2, n))
-    flat = itertools.chain.from_iterable(itertools.combinations(range(k), d))
-    for start in range(0, math.comb(k, d), per):
-        t = np.fromiter(flat, np.intp, min(per, math.comb(k, d) - start) * d).reshape(-1, d)
+    for t in subsets:
         # det(T, l) for every l and |nu_T with entry i dropped| for every i
-        dets = _facet_dets(t, det, k)
+        dets = _facet_dets(t, det, len(g))
         rest = np.sqrt(np.einsum("tj,ji->ti", _minors(g[t])[:, ::-1] ** 2, 1.0 - np.eye(n)))
         # the facets (T, s), s in sides, of subset r in a row each: s sigma_l off T
         t, dets = np.repeat(t, len(sides), axis=0), np.repeat(dets, len(sides), axis=0)
         signs = np.sign(dets) * np.tile(sides, len(t) // len(sides))[:, None]
         height = np.einsum("fl,fli->fi", np.abs(dets), 1.0 - signs[:, :, None] * lam)
-        eps = np.repeat(signs[:, None, :], 1 << d, axis=1)
-        eps[np.arange(len(t))[:, None, None], np.arange(1 << d)[:, None], t[:, None, :]] = vertices
-        x = c
-        for l in range(k):
-            x = x + eps[:, :, l, None] * g[l]
-        f, i, x, up, weight = _crossings(x, low, centered)
-        size = _cube_slices(x, up, g[t[f], i[:, None]]) * weight
+        f, i, size = _face_slices(signs, t, g, c, low, centered)
         total += np.stack([np.bincount(i, size * height[f, i], n),
                            np.bincount(i, size * rest[f // len(sides), i], n)])
-    return {n - 1: np.ldexp(total[0] / d, (n - 1) * scale),
+    return {n - 1: np.ldexp(total[0] / (n - 1), (n - 1) * scale),
             n - 2: np.ldexp(0.5 * total[1], (n - 2) * scale)}
 
 
@@ -996,29 +989,19 @@ def _zonotope_ridges(z: Zonotope) -> dict | None:
     same slice, content and angle, except where a vertex lies on the
     plane, and there -R is cut too (:func:`_crossings`).
 
-    The generators are scaled by a power of 2 first, as in
-    :func:`_zonotope_sums`, and the ridges are taken about SECTION_BLOCK
-    cube vertices at a time; past MAX_SUBSETS ridges or generator subsets
-    the sections are refused."""
+    The scaling, the general-position test, the guard and the blocks are
+    :func:`_zonotope_faces`', and each ridge's cut is :func:`_face_slices`,
+    as for the facets."""
     k, n = z.generators.shape
-    if k < n:
+    lines = k - n + 2
+    setup = _zonotope_faces(z, n - 2, 2 * lines)
+    if setup is None:
         return None
-    d, lines = n - 2, k - n + 2
-    count = max(2 * lines * math.comb(k, d), math.comb(k, n))
-    if count > MAX_SUBSETS:
-        raise UnsupportedMeasure(f"{count} ridges or generator subsets exceed the enumeration guard")
-    det = _general_position(z)
-    if det is None:
-        return None
-    g, c, scale = _scaled(z)
-    low, vertices, centered = _reach(c, g)[0], _cube_faces(d)[0], not np.any(c)
+    det, g, c, scale, low, centered, subsets = setup
     rest, sign = _expansion(n, n)[1:]
-    holds = 1.0 - _avoiding(n, d)   # column set C holds column i
-    per = max(1, (SECTION_BLOCK >> d) // (2 * lines * n))
+    holds = 1.0 - _avoiding(n, n - 2)   # column set C holds column i
     total = np.zeros(n)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(k), d))
-    for start in range(0, math.comb(k, d), per):
-        u = np.fromiter(flat, np.intp, min(per, math.comb(k, d) - start) * d).reshape(-1, d)
+    for u in subsets:
         out = np.ones((len(u), k), dtype=bool)
         out[np.arange(len(u))[:, None], u] = False
         l = np.nonzero(out)[1]   # the lines l not in U, U by U
@@ -1035,18 +1018,54 @@ def _zonotope_ridges(z: Zonotope) -> dict | None:
             inc, s, sigma = inc[keep], s[keep], sigma[keep]
         pair = np.lexsort(np.vstack([sigma.T, group[inc]])).reshape(-1, 2)
         a, b = inc[pair[:, 0]], inc[pair[:, 1]]
-        ridge_u, eps = group[a], np.repeat(sigma[pair[:, 0], None, :], 1 << d, axis=1)
-        eps[np.arange(len(a))[:, None, None], np.arange(1 << d)[:, None], u[ridge_u, None, :]] = \
-            vertices
-        x = c
-        for j in range(k):
-            x = x + eps[:, :, j, None] * g[j]
-        r, i, x, up, weight = _crossings(x, low, centered)
-        size = _cube_slices(x, up, g[u[ridge_u[r]], i[:, None]]) * weight
+        ridge_u = group[a]
+        r, i, size = _face_slices(sigma[pair[:, 0]], u[ridge_u], g, c, low, centered)
         content = np.sqrt(_minors(g[u]) ** 2 @ holds)[ridge_u[r], i]
         total += _bent_sum(size * content, (s[pair[:, 0], None] * nu[a])[r],
                            (s[pair[:, 1], None] * nu[b])[r], i)
     return {n - 3: np.ldexp(total / (2.0 * math.pi), (n - 3) * scale)}
+
+
+def _zonotope_faces(z: Zonotope, d: int, faces: int) -> tuple | None:
+    """What the d-face pass of a zonotope Z in R^n with ``faces`` d-faces
+    per d-subset of its k generators (:func:`_zonotope_sections`,
+    :func:`_zonotope_ridges`) starts from: (the determinants of
+    :func:`_general_position`, Z's generators and centre scaled by
+    :func:`_scaled` and the exponent, Z's lowest vertex (:func:`_reach`),
+    whether the centre is 0, and the d-subsets of the generators about
+    SECTION_BLOCK cube vertices at a time).  None for k < n or out of
+    general position; past MAX_SUBSETS faces or generator subsets the
+    sections are refused."""
+    k, n = z.generators.shape
+    if k < n:
+        return None
+    count = max(faces * math.comb(k, d), math.comb(k, n))
+    if count > MAX_SUBSETS:
+        raise UnsupportedMeasure(f"{count} faces or generator subsets exceed the enumeration guard")
+    det = _general_position(z)
+    if det is None:
+        return None
+    g, c, scale = _scaled(z.generators, z.center)
+    per = max(1, (SECTION_BLOCK >> d) // (faces * n))
+    return det, g, c, scale, _reach(c, g)[0], not np.any(c), _subsets(k, d, per)
+
+
+def _face_slices(signs: np.ndarray, span: np.ndarray, g: np.ndarray, c: np.ndarray,
+                 low: np.ndarray, centered: bool) -> tuple:
+    """(f, i, D x weight) of the faces c + sum_l sigma_l g_l + sum_{j in
+    span} t_j g_j, t in [-1, 1]^d, of a zonotope pass (``signs`` sigma_l
+    per face, any value on ``span``) that cross the planes x_i = 0
+    (:func:`_crossings`): each cube vertex sums its terms in generator
+    order, and D is the cube slice of :func:`_cube_slices`."""
+    d = span.shape[1]
+    eps = np.repeat(signs[:, None, :], 1 << d, axis=1)
+    eps[np.arange(len(span))[:, None, None], np.arange(1 << d)[:, None], span[:, None, :]] = \
+        _cube_faces(d)[0]
+    x = c
+    for l in range(len(g)):
+        x = x + eps[:, :, l, None] * g[l]
+    f, i, x, up, weight = _crossings(x, low, centered)
+    return f, i, _cube_slices(x, up, g[span[f], i[:, None]]) * weight
 
 
 def _crossings(x: np.ndarray, low: np.ndarray, centered: bool) -> tuple:
@@ -1109,38 +1128,64 @@ def _ridge_sections(p: VPolytope) -> dict:
     plane that misses K crosses no ridge and gives an exact 0.  Every axis
     is measured in one pass, SECTION_BLOCK cut simplices at a time."""
     hull, n = p.qhull, p.n
-    pts, normals = hull.points, hull.equations[:, :n]
+    normals = hull.equations[:, :n]
     s, t, ridge = _b.bent_ridges(p)
-    up = coordops._upper(pts[hull.vertices], pts[ridge])   # ridge, vertex, axis
-    count = up.sum(axis=1)
-    r, i = np.nonzero((count > 0) & (count < n - 1))
-    v = ridge[r[:, None], np.argsort(~up[r, :, i], axis=1, kind="stable")]   # upper first
-    pairs = _staircases(n - 1).reshape(n - 1, -1, 2)[count[r, i]]   # row, vertex, (a, b)
-    a = np.take_along_axis(v, pairs[..., 0], axis=1)
-    b = np.take_along_axis(v, pairs[..., 1], axis=1)
-    per = pairs.shape[1] // (n - 2)   # cut simplices per ridge
-    total, step = np.zeros(n), max(1, SECTION_BLOCK // per)
-    for start in range(0, r.size, step):
-        c = slice(start, start + step)
-        y = coordops._cut_points(pts, a[c], b[c], i[c]).reshape(-1, n - 2, n - 1)
-        minors = _minors(y[:, 1:] - y[:, :1])
-        size = np.sqrt(_dot(minors, minors)).reshape(-1, per).sum(axis=1)
+    r, i, a, b = _face_cuts(hull, ridge)
+    total = np.zeros(n)
+    for c, _, minors in _cut_blocks(hull.points, a, b, i):
+        size = np.sqrt(_dot(minors, minors)).reshape(-1, a.shape[1]).sum(axis=1)
         total += _bent_sum(size, normals[s[r[c]]], normals[t[r[c]]], i[c])
     return {n - 3: total / (math.factorial(n - 3) * 2.0 * math.pi)}
 
 
-def _scaled(z: Zonotope) -> tuple[np.ndarray, np.ndarray, int]:
-    """Z's generators and centre times 2^-e, and e, the exponent that puts
-    every generator entry below 1 exactly (as in :func:`_zonotope_sums`)."""
-    scale = math.frexp(float(np.max(np.abs(z.generators))))[1]
-    return np.ldexp(z.generators, -scale), np.ldexp(z.center, -scale), scale
+def _face_cuts(hull, faces: np.ndarray) -> tuple:
+    """(f, i, a, b) of the faces (rows of k indices into ``hull.points``:
+    boundary simplices or bent ridges) that cross the planes x_i = 0 by
+    the side rule of :func:`coordops._upper`: with c of its k points on
+    the upper side, face f is cut in Delta^{c-1} x Delta^{k-c-1}, and
+    a, b (crossing, sigma, vertex) are the upper and the lower ends of
+    the edges whose cut points are the vertices of the staircase
+    simplices sigma (:func:`_staircases`), the face's upper points first."""
+    pts, k = hull.points, faces.shape[1]
+    up = coordops._upper(pts[hull.vertices], pts[faces])   # face, vertex, axis
+    count = up.sum(axis=1)
+    f, i = np.nonzero((count > 0) & (count < k))
+    v = faces[f[:, None], np.argsort(~up[f, :, i], axis=1, kind="stable")]   # upper first
+    pairs = _staircases(k)[count[f, i]]   # crossing, sigma, vertex, (a, b)
+    rows = np.arange(len(f))[:, None, None]
+    return f, i, v[rows, pairs[..., 0]], v[rows, pairs[..., 1]]
+
+
+def _cut_blocks(pts: np.ndarray, a: np.ndarray, b: np.ndarray, i: np.ndarray):
+    """(rows, y, minors) for the crossings of :func:`_face_cuts`, about
+    SECTION_BLOCK cut simplices at a time (:func:`_blocks`): the slice of
+    crossings, the vertices y (simplex, vertex, coordinate) of their cut
+    simplices in the n-1 coordinates other than i, and the minors of each
+    simplex's edges from its first vertex (:func:`_minors`)."""
+    for c in _blocks(len(i), a.shape[1]):
+        y = coordops._cut_points(pts, a[c], b[c], i[c]).reshape(-1, a.shape[2], pts.shape[1] - 1)
+        yield c, y, _minors(y[:, 1:] - y[:, :1])
+
+
+def _blocks(count: int, per: int):
+    """Slices of range(count), each of rows with ``per`` simplices, that
+    hold SECTION_BLOCK simplices or one row."""
+    step = max(1, SECTION_BLOCK // per)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _scaled(g: np.ndarray, *points: np.ndarray) -> tuple:
+    """The generators g and each of ``points`` times 2^-e, and e, the
+    exponent that puts every entry of g below 1 exactly."""
+    scale = math.frexp(float(np.max(np.abs(g))))[1]
+    return (*(np.ldexp(x, -scale) for x in (g, *points)), scale)
 
 
 def _general_position(z: Zonotope) -> np.ndarray | None:
     """:func:`_generic_dets` of Z's scaled generators (:func:`_scaled`),
     k >= n of them, once per body instance, so that the facet and the
     ridge pass decide general position once."""
-    return _b.derived(z, "generic_dets", lambda: _generic_dets(_scaled(z)[0]))
+    return _b.derived(z, "generic_dets", lambda: _generic_dets(_scaled(z.generators)[0]))
 
 
 def _reach(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1171,18 +1216,14 @@ def _generic_dets(g: np.ndarray) -> np.ndarray | None:
     (every n generators independent) and its facets are those of the
     exact generators."""
     k, n = g.shape
-    count, norm = math.comb(k, n), np.abs(g).sum(axis=1)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(k), n))
-    out = np.empty(count)
-    for start in range(0, count, SUBSET_BLOCK):
-        rows = min(SUBSET_BLOCK, count - start)
-        s = np.fromiter(flat, np.intp, rows * n).reshape(rows, n)
+    norm, out = np.abs(g).sum(axis=1), []
+    for s in _subsets(k, n, SUBSET_BLOCK):
         det = _minors(g[s])[:, 0]
         bound = (n - 1) * (n + 2) * np.finfo(float).epsneg * np.prod(norm[s], axis=1)
         if np.any(np.abs(det) <= bound + np.finfo(float).tiny):
             return None
-        out[start:start + rows] = det
-    return out
+        out.append(det)
+    return np.concatenate(out)
 
 
 def _facet_dets(t: np.ndarray, det: np.ndarray, k: int) -> np.ndarray:

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from convexiq.bodies import (DEDUP_TOL, _dedup_points, _lexsorted,
                              scale_body, translate_body)
 from convexiq.coordops import g_symmetral
 from convexiq.errors import InvalidArgument, UnsupportedOperation
+from convexiq.inequalities import evaluate
 from convexiq.symmetry import (SignedPermutation, apply_symmetry,
                                hyperoctahedral_group, random_signed_permutation)
 
@@ -197,6 +202,36 @@ def test_convex_hull_degenerate_rank():
     sq = convex_hull(np.array([[0, 0, 1.0], [1, 0, 1.0], [0, 1, 1.0],
                                [1, 1, 1.0], [0.5, 0.5, 1.0]]))
     assert sq.vertex_count == 4
+
+
+def test_qhull_refuses_coordinates_past_its_range():
+    """Past MAX_HULL_COORD every hull raises UnsupportedOperation: plain
+    qhull failed on cube(4) from about 1e52 (QH6154), its joggled retry
+    kept 12 of the 16 vertices at 1e120 and let QhullError escape at
+    1e150, and 8e153 crashed the interpreter.  At the bound cube(4) keeps
+    its vertices.  The crash cases run in their own interpreter."""
+    corners = cube(4).vertices
+    assert convex_hull(bodies.MAX_HULL_COORD * corners).vertex_count == 16
+    flat = np.c_[cube(3).vertices, np.zeros(8)]
+    for call in (lambda: convex_hull(1e120 * corners), lambda: VPolytope(1e150 * corners).qhull,
+                 lambda: skeleton(VPolytope(1e60 * flat)),
+                 lambda: evaluate("meyer", VPolytope(1e150 * corners))):
+        with pytest.raises(UnsupportedOperation):
+            call()
+    src = str(Path(bodies.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from convexiq import bodies, inequalities as iq\n"
+            "from convexiq.errors import UnsupportedOperation\n"
+            "corners = bodies.cube(4).vertices\n"
+            "for call in (lambda: bodies.convex_hull(8e153 * corners),\n"
+            "             lambda: iq.evaluate('meyer', bodies.VPolytope(1e160 * corners))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except UnsupportedOperation:\n"
+            "        print('refused')\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "refused\nrefused\n"), run.stderr
 
 
 def test_vertices_are_lexsorted(rng):

@@ -136,11 +136,18 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 def test_only_bodies_reaches_qhull():
     """qhull is reached only through ``bodies``, so one wrapper around
     ``bodies.convex_hull`` sees every hull the library builds: no other
-    library module imports ``scipy.spatial``."""
+    library module imports ``scipy.spatial``, and exactly one function of
+    ``bodies`` calls ``ConvexHull``, so one guard sees every qhull call."""
     importers = [path.name for path in SRC if path.name != "bodies.py" and any(
         name == "scipy.spatial" or name.startswith("scipy.spatial.")
         for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))))]
     assert importers == []
+    tree = ast.parse((ROOT / "src" / "convexiq" / "bodies.py").read_text(encoding="utf-8"))
+    callers = [node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                       and call.func.id == "ConvexHull" for call in ast.walk(node))]
+    assert callers == ["_qhull"]
 
 
 class _AxisLoops(ast.NodeVisitor):

@@ -1080,28 +1080,6 @@ def _cut_taken(p, i: int) -> bool:
     return ("section_drop", i) in vars(p).get("_derived", {})
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_sections_scale_and_follow_signed_permutations(n):
-    """V_m(lam K ∩ e_i^perp) = lam^m V_m(K ∩ e_i^perp) from 1e-8 to 1e8,
-    and a signed permutation of the axes permutes the sections.  No
-    vertex lies on a plane, so no section is hulled, though at 1e-8 some
-    lie within 1e-10 of one (n = 5, 6)."""
-    rng = np.random.default_rng(30 + n)
-    p = convex_hull(rng.standard_normal((2 * n + 2, n)))
-    perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], n)
-    q = convex_hull(p.vertices[:, perm] * signs)   # axis j of q is axis perm[j] of p
-    for m in (n - 1, n - 2):
-        base = np.array([v.value for v in vm_sections(p, m)])
-        assert np.all(base > 0)
-        for lam in (1e-8, 1e-3, 1e3, 1e8):
-            scaled = VPolytope(lam * p.vertices)
-            got = np.array([v.value for v in vm_sections(scaled, m)])
-            assert np.all(np.abs(got - lam ** m * base) <= 1e-12 * lam ** m * base), lam
-            assert not any(_cut_taken(scaled, i) for i in range(n))
-        got = np.array([v.value for v in vm_sections(q, m)])
-        assert np.all(np.abs(got - base[perm]) <= 1e-12 * base[perm])
-
-
 def test_section_fallbacks_give_the_cut_route_bytes():
     """A vertex on the plane stays on the boundary route, within 1e-12 of
     the hulled cut and with no hull; a plane that misses the body gives
@@ -1203,45 +1181,59 @@ def _hulls_counted(monkeypatch) -> list:
     return hulls
 
 
-def test_zonotope_section_blocks_do_not_change_the_values(monkeypatch):
-    """One facet pair, one ridge subset and one determinant per block give
-    the values of one block, within roundoff; past MAX_SUBSETS facets the
-    sections are refused."""
+def _block_polytopes() -> list:
+    """Hulls in R^4..R^6, and the first moved off the plane x_1 = 0."""
+    rng = np.random.default_rng(341)
+    cases = [VPolytope(convex_hull(rng.standard_normal((3 * n, n))).vertices) for n in (4, 5, 6)]
+    return cases + [translate_body(cases[0], [0.0, 9.0, 0.0, 0.0])]
+
+
+def _block_zonotopes() -> list:
     rng = np.random.default_rng(340)
-    cases = [Zonotope(0.3 * rng.standard_normal(n), rng.standard_normal((n + 3, n)))
-             for n in (3, 4, 5)]
+    return [Zonotope(0.3 * rng.standard_normal(n), rng.standard_normal((n + 3, n)))
+            for n in (3, 4, 5)]
 
-    def passes(z):
-        """The facet pass and, for n >= 4, the ridge pass of a fresh copy of z."""
-        z = Zonotope(z.center, z.generators)
-        return [measures._zonotope_sections(z)] + \
-            ([measures._zonotope_ridges(z)] if z.n >= 4 else [])
 
-    want = [passes(z) for z in cases]
+# pass: (bodies, {m: values} of a fresh copy of a body, whether x_1 = 0
+# misses the moved hull, (n, k) of a zonotope past MAX_SUBSETS faces with
+# the guard one below them)
+BLOCKED_PASSES = {
+    "_sections": (_block_polytopes, lambda p: measures._sections(VPolytope(p.vertices).qhull),
+                  True, None),
+    "_ridge_sections": (_block_polytopes, lambda p: measures._ridge_sections(VPolytope(p.vertices)),
+                        True, None),
+    "_shadows": (_block_polytopes, lambda p: {m: measures._shadows(VPolytope(p.vertices), None, m)
+                                              for m in (p.n - 2, p.n - 1)}, False, None),
+    "_zonotope_sections": (_block_zonotopes, lambda z: measures._zonotope_sections(
+        Zonotope(z.center, z.generators)), False, ((3, 6), 2 * math.comb(6, 2))),
+    "_zonotope_ridges": (lambda: _block_zonotopes()[1:], lambda z: measures._zonotope_ridges(
+        Zonotope(z.center, z.generators)), False, ((4, 6), 2 * 4 * math.comb(6, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_PASSES))
+def test_blocks_do_not_change_the_values(monkeypatch, name):
+    """One crossing face, facet pair, ridge subset or determinant per
+    block gives the values of one block, within roundoff; a plane that
+    misses K gives an exact 0 in any block; past MAX_SUBSETS faces a
+    zonotope's sections are refused."""
+    cases, measure, missed, guard = BLOCKED_PASSES[name]
+    want = [measure(body) for body in cases()]
     monkeypatch.setattr(measures, "SECTION_BLOCK", 1)
     monkeypatch.setattr(measures, "SUBSET_BLOCK", 1)
-    for z, values in zip(cases, want):
-        for one, got in zip(values, passes(z)):
-            for m, v in one.items():
-                assert np.all(np.abs(got[m] - v) <= 1e-14 * v)
-    monkeypatch.setattr(measures, "MAX_SUBSETS", 2 * math.comb(6, 2) - 1)
-    with pytest.raises(UnsupportedMeasure, match="enumeration guard"):
-        vm_sections(Zonotope(np.zeros(3), rng.standard_normal((6, 3))), 2)
-
-
-def test_ridge_section_blocks_do_not_change_the_values(monkeypatch):
-    """One crossing ridge per block gives the values of one block, within
-    roundoff; a plane that misses K gives an exact 0 in any block."""
-    rng = np.random.default_rng(341)
-    cases = [convex_hull(rng.standard_normal((3 * n, n))) for n in (4, 5, 6)]
-    cases.append(translate_body(cases[0], [0.0, 9.0, 0.0, 0.0]))
-    want = [measures._ridge_sections(p) for p in cases]
-    monkeypatch.setattr(measures, "SECTION_BLOCK", 1)
-    for p, values in zip(cases, want):
-        got = measures._ridge_sections(VPolytope(p.vertices))[p.n - 3]
-        v = values[p.n - 3]
-        assert np.all(np.abs(got - v) <= 1e-14 * v) and np.count_nonzero(v) >= p.n - 1
-    assert want[-1][1][1] == 0.0
+    for body, values in zip(cases(), want):
+        got = measure(body)
+        assert sorted(got) == sorted(values)
+        for m, v in values.items():
+            assert np.all(np.abs(got[m] - v) <= 1e-14 * v) and np.count_nonzero(v) >= body.n - 1
+            if missed and body.vertices[:, 1].min() > 0.0:
+                assert got[m][1] == v[1] == 0.0
+    if guard is not None:
+        (n, k), count = guard
+        monkeypatch.setattr(measures, "MAX_SUBSETS", count - 1)
+        z = Zonotope(np.zeros(n), np.random.default_rng(342).standard_normal((k, n)))
+        with pytest.raises(UnsupportedMeasure, match="enumeration guard"):
+            vm_sections(z, n - 3 if "ridges" in name else n - 1)
 
 
 def test_v0_of_a_zonotope_section_in_closed_form():

@@ -612,6 +612,9 @@ def _scalings(route, family, ns, bodies, degrees=_top, **kw) -> list:
 SCALING_ROWS = (
     _scalings(ANGLES, "random_polytopes", (4, 5, 6), _random_polytopes, _low, scales=(1e-8, 1e8))
     + _scalings("vm_shadows", "signed_polytopes", N, lambda n: _signed(n, 20 + n))
+    # no vertex lies on a plane, though at 1e-8 some lie within 1e-10 of one (n = 5, 6)
+    + _scalings(SECTIONS, "signed_polytopes", N, lambda n: _signed(n, 30 + n), hull_free=True,
+                nonzero=2)
     + _scalings("vm_shadows", "signed_zonotopes", (3, 5, 8), _shadow_zonotopes, _below)
     # the hulled cuts of these sections, with their absolute tolerances,
     # are up to 2.35e-2 off at 1e-8
