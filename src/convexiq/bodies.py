@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
@@ -72,38 +72,45 @@ def _as_point_array(points, what: str = "points") -> np.ndarray:
 
 def _dedup_points(pts: np.ndarray) -> np.ndarray:
     """Collapse rows that coincide in max-norm within tol, DEDUP_TOL times
-    their largest |coordinate|, so that a dilate merges the rows its source
-    merges.
+    their largest |coordinate| R, so that a dilate merges the rows its
+    source merges.
 
     Deterministic: rows are visited in lexicographic order and the first
     representative of each cluster survives, so the result is already
-    sorted.  Close pairs are found by a vectorized sweep of the scan
-    column: round k compares every row with the row k places later, and
-    the sweep ends at the first k where no such pair is within tol in
-    that column (so it runs as many rounds as the largest tol-window
-    holds rows).  The scan column is the first one whose end values
-    differ: the columns before it are constant, so it is sorted too.
-    (Sections and projections zero a coordinate; a constant scan column
-    would put every row in one window.)  The greedy visit then only
-    walks the rows that have a close predecessor.
+    sorted.  Close pairs are found by a vectorized sweep along the fixed
+    direction w = (sqrt 2, sqrt 3, sqrt 5, ...), square roots of distinct
+    primes: a row ties on w with a signed permutation of itself only by
+    accident, and a rational row never does, where a coordinate column
+    has 2^(n-1)-fold ties on a sign-symmetric cloud.
+    Round k compares every row with the row k places later in w-order,
+    and the sweep ends at the first k where no such pair is within the
+    window in w.x.  Rows within tol in max-norm lie within |w|_1 tol in
+    w.x.  A computed dot product of length n errs by at most
+    gamma_n |w|_1 R, gamma_n = n (eps/2) / (1 - n eps/2), so the computed
+    values of a close pair differ by at most |w|_1 (tol + n eps R) to
+    first order, and the window |w|_1 (tol + 2 (n+1) eps R) holds every
+    close pair with room for the rounding of tol.  The exact max-norm
+    test then decides each pair, and the greedy visit only walks the
+    rows that have a close predecessor.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.shape[0] <= 1:
         return np.array(pts, copy=True)
-    tol = DEDUP_TOL * float(np.max(np.abs(pts)))
+    top, n = float(np.max(np.abs(pts))), pts.shape[1]
+    tol, (w, norm) = DEDUP_TOL * top, _sweep_direction(n)
+    window = norm * (tol + 2 * (n + 1) * 2.0 ** -52 * top)
     sp = pts[np.lexsort(pts.T[::-1])]
-    col = 0
-    if sp[0, 0] == sp[-1, 0]:
-        differ = np.flatnonzero(sp[0] != sp[-1])
-        col = int(differ[0]) if differ.size else 0
-    xs = sp[:, col]
+    xs = sp @ w
+    order = np.argsort(xs, kind="stable")
+    xs = xs[order]
     found = []
     for k in range(1, sp.shape[0]):
-        near = np.flatnonzero(xs[k:] - xs[:-k] <= tol)
+        near = np.flatnonzero(xs[k:] - xs[:-k] <= window)
         if not near.size:
             break
-        near = near[np.max(np.abs(sp[near + k] - sp[near]), axis=1) <= tol]
-        found.append(np.stack([near, near + k], axis=1))
+        a, b = order[near], order[near + k]
+        close = np.max(np.abs(sp[a] - sp[b]), axis=1) <= tol
+        found.append(np.sort(np.stack([a[close], b[close]], axis=1), axis=1))
     if not any(f.size for f in found):
         return sp
     # Group each row's close predecessors; visit rows in order.
@@ -115,6 +122,15 @@ def _dedup_points(pts: np.ndarray) -> np.ndarray:
     for j, lo, hi in zip(later.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
         kept[j] = not kept[pairs[lo:hi, 0]].any()
     return sp[kept]
+
+
+@cache
+def _sweep_direction(n: int) -> tuple[np.ndarray, float]:
+    """(w, |w|_1) of :func:`_dedup_points`' sweep in R^n, n <= 8: the square
+    roots of the first n primes, linearly independent over the rationals."""
+    w = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0])[:n])
+    w.flags.writeable = False
+    return w, float(np.sum(w))
 
 
 def _lexsorted(pts: np.ndarray) -> np.ndarray:

@@ -360,6 +360,13 @@ class _ChainOracle:
         _merge(found, n)
         return found[0]
 
+    def at(self, u: np.ndarray) -> np.ndarray:
+        """The average's oracle point in every direction of the rows of u."""
+        _, table, index, e = self.tabulate(u)
+        return np.vstack([np.zeros((0, u.shape[1]))] + [
+            self.points(table[index[b:b + self.per, None], self.paths(e[b:b + self.per])])
+            for b in range(0, len(u), self.per)])
+
     def points(self, t: np.ndarray) -> np.ndarray:
         """The average's point of every argmax tuple.  A sum's support
         point sums its summands', so each level sums its images' points in
@@ -388,7 +395,12 @@ def _merge(blocks: list, n: int) -> None:
     w = np.vstack(blocks)
     blocks.clear()
     blocks.append(_distinct(w).view(w.dtype).reshape(-1, w.shape[1]))
-    if len(blocks[0]) > _sum_budget(n):
+    _check_budget(len(blocks[0]), n)
+
+
+def _check_budget(count: int, n: int) -> None:
+    """Refuse more than _sum_budget(n) distinct candidate points."""
+    if count > _sum_budget(n):
         raise UnsupportedOperation(
             f"the symmetral needs more than {_sum_budget(n)} candidate points "
             f"in dimension {n}; the exact average is too complex "
@@ -471,12 +483,21 @@ def g_symmetral(body: Body) -> VPolytope:
     in R^3, of the four cells around every crossing of two images'
     normal-fan arcs (:func:`_cell_directions`): the average's fan refines
     its summands', so each of its facets is parallel to a facet of some
-    gK or to edges of two images whose arcs cross.  Each round hulls the
-    candidates (:func:`bodies.convex_hull`) and adds the oracle point of
-    every hull facet (a, b) with h(a) > b + SUPPORT_TOL * scale; when
-    none is added that hull is the average.  :func:`_sum_budget`
-    caps the distinct seed tuples before any is assembled, and the
-    candidates before every hull.
+    gK or to edges of two images whose arcs cross.
+
+    Each round hulls the candidates (:func:`bodies.convex_hull`) and
+    tests that hull's facets (a, b) for h(a) > b + SUPPORT_TOL * scale.
+    The candidates are G-invariant up to roundoff: the seeds are whole
+    orbits, the oracle's point at g a is g times its point at a up to
+    the order of its sums, and a round adds whole orbits.  So the hull's
+    facets come in orbits, and (a, b) holds iff (g a, b) does, since the
+    average's h is G-invariant.  Every orbit of unit normals meets the
+    closed chamber 0 <= a_1 <= ... <= a_n (sort |a|), so only the facets
+    whose normal lies within SUPPORT_TOL of it are tested.  A failing one
+    adds the oracle points of its whole orbit of normals (:func:`_orbit`),
+    which keeps the next candidates G-invariant; when none fails that hull
+    is the average.  :func:`_sum_budget` caps the distinct seed tuples
+    before any is assembled, and the candidates before every hull.
     """
     body = resolve(body)
     n = body.n
@@ -490,19 +511,19 @@ def g_symmetral(body: Body) -> VPolytope:
     if dim == n == 3:
         seeds = np.vstack([seeds, _cell_directions(k, oracle.perms, oracle.signs)])
     cands = _distinct_rows(oracle.points(oracle.orbit_tuples(seeds)))
+    step = max(1, oracle.per // n)
     while n > 1 and len(cands) > 1:   # else a point, or a segment in R^1
-        _merge([cands], n)   # the cap, before every hull
+        _check_budget(len(cands), n)   # the cap, before every hull
         hull = convex_hull(cands)
-        eq = _distinct_rows(hull.qhull.equations)
+        eq = hull.qhull.equations
+        chamber = np.all(np.diff(eq[:, :n], axis=1, prepend=0.0) >= -SUPPORT_TOL, axis=1)
+        eq = _distinct_rows(eq[chamber])
         bound = SUPPORT_TOL * float(np.max(np.abs(cands))) - eq[:, n]
-        over = [cands]
-        _, table, index, e = oracle.tabulate(eq[:, :n])
-        for b in range(0, len(eq), oracle.per):
-            rows = slice(b, b + oracle.per)
-            pts = oracle.points(table[index[rows, None], oracle.paths(e[rows])])
-            over.append(pts[np.einsum("ij,ij->i", pts, eq[rows, :n]) > bound[rows]])
-        grown = _distinct_rows(np.vstack(over))
-        if len(grown) == len(cands):
+        pts = oracle.at(eq[:, :n])
+        failed = eq[np.einsum("ij,ij->i", pts, eq[:, :n]) > bound, :n]
+        if not len(failed):
             return hull
-        cands = grown
+        cands = _distinct_rows(np.vstack([cands] + [
+            oracle.at(_orbit(failed[b:b + step], oracle.perms, oracle.signs))
+            for b in range(0, len(failed), step)]))
     return convex_hull(cands)

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,8 +59,18 @@ def m_scale(x: Measured, c: float) -> Measured:
     return Measured(c * x.value, abs(c) * x.error, x.exact)
 
 
+def _no_underflow(v: float) -> float:
+    """v, the product or power of nonzero values; FloatingPointError when
+    it fell below the least normal float, where it has lost precision
+    or reads 0 (``evaluate`` refuses the report)."""
+    if abs(v) < sys.float_info.min:
+        raise FloatingPointError("underflow")
+    return v
+
+
 def m_mul(x: Measured, y: Measured) -> Measured:
-    return Measured(x.value * y.value,
+    v = x.value * y.value
+    return Measured(_no_underflow(v) if x.value and y.value else v,
                     abs(x.value) * y.error + abs(y.value) * x.error,
                     x.exact and y.exact)
 
@@ -68,7 +79,7 @@ def m_pow(x: Measured, p: float) -> Measured:
     v = x.value ** p
     if x.value == 0.0:
         return Measured(0.0, x.error if p <= 1 else 0.0, x.exact)
-    return Measured(v, abs(p) * abs(x.value) ** (p - 1.0) * x.error, x.exact)
+    return Measured(_no_underflow(v), abs(p) * abs(x.value) ** (p - 1.0) * x.error, x.exact)
 
 
 def m_prod(xs) -> Measured:
@@ -547,8 +558,9 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
     ``tolerance`` only raises the links' propagated-error tolerances; the
     report states the largest tolerance a link was held to.
     Violated conjectures do not raise; callers inspect ``satisfied`` and
-    ``status``.  A power of a measure that overflows a float, or a slack
-    or tolerance that comes out inf or NaN, raises
+    ``status``.  A power of a measure that overflows a float, a product
+    or power of nonzero measures that underflows below the least normal
+    float, or a slack or tolerance that comes out inf or NaN, raises
     :class:`~convexiq.errors.UndefinedValue` naming the entry.
     """
     entry = _catalog_entry(ineq_id)
@@ -569,6 +581,9 @@ def evaluate(ineq_id: str, body: Body, m: int | None = None,
         links = entry.evaluator(body, n, m_checked, params, spec)
     except OverflowError:
         raise UndefinedValue(f"{ineq_id}: a power of a measure overflows a float") from None
+    except FloatingPointError:
+        raise UndefinedValue(f"{ineq_id}: a product or power of nonzero measures "
+                             "underflows below the least normal float") from None
     status = entry.status_at(n, m_checked)
 
     if links is None:  # conditional hypothesis failed

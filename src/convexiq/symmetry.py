@@ -62,12 +62,6 @@ def hyperoctahedral_group(n: int) -> list[SignedPermutation]:
             for signs in itertools.product((-1, 1), repeat=n)]
 
 
-def random_signed_permutation(n: int, rng: np.random.Generator) -> SignedPermutation:
-    perm = tuple(int(i) for i in rng.permutation(n))
-    signs = tuple(int(s) for s in rng.choice((-1, 1), size=n))
-    return SignedPermutation(perm, signs)
-
-
 def apply_symmetry(body: Body, g: SignedPermutation) -> Body:
     """Image of a body under a signed permutation.
 
@@ -95,13 +89,16 @@ def is_group_invariant(body: Body, rng: np.random.Generator) -> bool:
     256 (element, direction) pairs.  max |h(g u) - h(u)| must be at most
     1e-8 times max |h(u)| over the directions, relative to the body's
     size, so a dilation of the body never changes the answer.  The 16
+    elements are drawn as two arrays, the permutations (row e acts as
+    (g u)[i] = signs[e, i] u[perms[e, i]]) and then the signs, and the 16
     directions and their 256 images take one support call."""
     body = resolve(body)
     n = body.n
     dirs = rng.standard_normal((16, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    mats = np.stack([random_signed_permutation(n, rng).matrix() for _ in range(16)])
-    images = (dirs @ mats.transpose(0, 2, 1)).reshape(-1, n)
+    perms = rng.permuted(np.tile(np.arange(n), (16, 1)), axis=1)
+    signs = rng.choice((-1.0, 1.0), size=(16, n))
+    images = (dirs[:, perms].transpose(1, 0, 2) * signs[:, None, :]).reshape(-1, n)
     h = bodies.support_many(body, np.concatenate([dirs, images]))
     base, moved = h[:16], h[16:].reshape(16, 16)
     return float(np.max(np.abs(moved - base))) <= 1e-8 * float(np.max(np.abs(base)))

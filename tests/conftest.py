@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from convexiq import (Body, DimensionMismatch, QuadratureSpec, VPolytope, Zonotope,
-                      as_vpolytope, convex_hull, cube)
+from convexiq import (Body, DimensionMismatch, QuadratureSpec, SignedPermutation, VPolytope,
+                      Zonotope, as_vpolytope, convex_hull, cube)
 
 
 @pytest.fixture(scope="session")
@@ -60,6 +60,13 @@ def minkowski_sum(p: Body, q: Body) -> VPolytope:
         raise DimensionMismatch("summands live in different dimensions")
     sums = (pv[:, None, :] + qv[None, :, :]).reshape(-1, pv.shape[1])
     return convex_hull(sums)
+
+
+def random_signed_permutation(n: int, rng: np.random.Generator) -> SignedPermutation:
+    """A random signed permutation of R^n: a permutation, then signs."""
+    perm = tuple(int(i) for i in rng.permutation(n))
+    signs = tuple(int(s) for s in rng.choice((-1, 1), size=n))
+    return SignedPermutation(perm, signs)
 
 
 def random_polytope(rng: np.random.Generator, n: int, k: int | None = None) -> VPolytope:

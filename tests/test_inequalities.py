@@ -14,7 +14,7 @@ from convexiq import (bodies, coordops, explorer, inequalities as iq, measures,
                       quadrature)
 from convexiq.errors import InvalidArgument, UndefinedValue, UnsupportedMeasure
 
-from conftest import k1_polygon, random_polytope, random_zonotope
+from conftest import k1_polygon, random_polytope, random_zonotope, shared_cube
 
 ALL_IDS = [
     "bm_upper", "bm_v1_lower", "cg_upper", "cond_eq111", "easy_bounds",
@@ -769,6 +769,29 @@ def test_a_slack_or_tolerance_that_is_not_finite_is_undefined(ineq_id, lam, m, p
     or with a NaN slack."""
     with pytest.raises(UndefinedValue, match=ineq_id):
         iq.evaluate(ineq_id, bodies.scale_body(bodies.cube(4), lam), m=m, params=params)
+
+
+@pytest.mark.parametrize("n, lam, ineq_id, m, params", [
+    (8, 1e-6, "prob5_family", 6, {"c3": 1.0}),   # read lhs = rhs = 0, satisfied
+    (8, 1e-6, "meyer", None, None),               # read near-equality at lhs/rhs = 417
+    (4, 1e-20, "prob5_family", 2, {"c3": 1.0}),   # read lhs = rhs = 0, satisfied
+    (4, 1e-30, "loomis_whitney", None, None),     # read lhs = rhs = 0, equality case
+])
+def test_a_product_that_underflows_a_float_is_undefined(n, lam, ineq_id, m, params):
+    """A power or product of nonzero measures that falls below the least
+    normal float has lost its digits or reads 0: the report is refused,
+    not read as satisfied."""
+    with pytest.raises(UndefinedValue, match=f"{ineq_id}: .* underflows"):
+        iq.evaluate(ineq_id, bodies.scale_body(shared_cube(n), lam), m=m, params=params)
+
+
+def test_a_product_with_a_zero_measure_is_not_an_underflow():
+    """A zero factor is a true zero: a flat body's volume powers still
+    evaluate."""
+    flat = bodies.convex_hull(np.array([[0.0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 1, 0]]))
+    r = iq.evaluate("loomis_whitney", flat)
+    assert r.lhs == 0.0
 
 
 def test_meyer_on_a_huge_dilate_is_undefined_not_a_crash():

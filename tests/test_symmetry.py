@@ -10,9 +10,9 @@ from convexiq import SignedPermutation, apply_symmetry, hyperoctahedral_group
 from convexiq.bodies import (Ball, Zonotope, convex_hull, cross_polytope, cube, k1, scale_body,
                              support_many)
 from convexiq.errors import InvalidArgument
-from convexiq.symmetry import is_group_invariant, random_signed_permutation
+from convexiq.symmetry import is_group_invariant
 
-from conftest import random_polytope
+from conftest import random_polytope, random_signed_permutation
 
 
 def test_group_order():
@@ -110,11 +110,13 @@ def test_invariance_defect_zero_on_cube(rng):
 
 def _invariant_by_element(body, rng):
     """The invariance check one group element at a time: the same 16
-    directions and 16 elements drawn in the same order, a support call
-    per element."""
+    directions and 16 elements drawn in the same order, as
+    SignedPermutations, a support call per element."""
     dirs = rng.standard_normal((16, body.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    elems = [random_signed_permutation(body.n, rng) for _ in range(16)]
+    perms = rng.permuted(np.tile(np.arange(body.n), (16, 1)), axis=1)
+    signs = rng.choice((-1.0, 1.0), size=(16, body.n))
+    elems = [SignedPermutation(p, s) for p, s in zip(perms, signs)]
     base = support_many(body, dirs)
     defect = max(float(np.max(np.abs(support_many(body, dirs @ g.matrix().T) - base)))
                  for g in elems)
