@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -33,6 +33,9 @@ from .errors import DimensionMismatch, InvalidArgument, UnsupportedOperation
 # Vertex merge tolerance, relative to the largest |coordinate| of the
 # points merged (:func:`_dedup_points`).
 DEDUP_TOL = 1e-10
+# Sweep direction of :func:`_dedup_points` (its first n entries in R^n):
+# square roots of the first MAX_DIM primes.
+_SWEEP = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0])
 # Singular-value cutoff used by affine rank computations.
 RANK_TOL = 1e-9
 MIN_DIM = 2
@@ -97,8 +100,8 @@ def _dedup_points(pts: np.ndarray) -> np.ndarray:
     if pts.shape[0] <= 1:
         return np.array(pts, copy=True)
     top, n = float(np.max(np.abs(pts))), pts.shape[1]
-    tol, (w, norm) = DEDUP_TOL * top, _sweep_direction(n)
-    window = norm * (tol + 2 * (n + 1) * 2.0 ** -52 * top)
+    tol, w = DEDUP_TOL * top, _SWEEP[:n]
+    window = float(np.sum(w)) * (tol + 2 * (n + 1) * 2.0 ** -52 * top)
     sp = pts[np.lexsort(pts.T[::-1])]
     xs = sp @ w
     order = np.argsort(xs, kind="stable")
@@ -122,15 +125,6 @@ def _dedup_points(pts: np.ndarray) -> np.ndarray:
     for j, lo, hi in zip(later.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
         kept[j] = not kept[pairs[lo:hi, 0]].any()
     return sp[kept]
-
-
-@cache
-def _sweep_direction(n: int) -> tuple[np.ndarray, float]:
-    """(w, |w|_1) of :func:`_dedup_points`' sweep in R^n, n <= 8: the square
-    roots of the first n primes, linearly independent over the rationals."""
-    w = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0])[:n])
-    w.flags.writeable = False
-    return w, float(np.sum(w))
 
 
 def _lexsorted(pts: np.ndarray) -> np.ndarray:

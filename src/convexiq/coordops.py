@@ -493,11 +493,18 @@ def g_symmetral(body: Body) -> VPolytope:
     facets come in orbits, and (a, b) holds iff (g a, b) does, since the
     average's h is G-invariant.  Every orbit of unit normals meets the
     closed chamber 0 <= a_1 <= ... <= a_n (sort |a|), so only the facets
-    whose normal lies within SUPPORT_TOL of it are tested.  A failing one
+    whose normal lies within DEDUP_TOL of it are tested.  That slack is
+    for qhull's rounding: a facet of width w has its unit normal off by
+    about eps R / w, and a facet on a mirror (a_1 = 0 or a_i = a_{i+1})
+    has its chamber images only on the mirror.  A 5-vertex benchmark
+    body has one 6.6e-5 R wide with a_1 = -1.1e-12; DEDUP_TOL covers
+    widths down to about 2e-6 R, 30 times narrower.  A failing facet
     adds the oracle points of its whole orbit of normals (:func:`_orbit`),
-    which keeps the next candidates G-invariant; when none fails that hull
-    is the average.  :func:`_sum_budget` caps the distinct seed tuples
-    before any is assembled, and the candidates before every hull.
+    which keeps the next candidates G-invariant; when none fails, or the
+    oracle adds no new point (a near-duplicate vertex that
+    :func:`bodies.convex_hull` merged away), that hull is the average.
+    :func:`_sum_budget` caps the distinct seed tuples before any is
+    assembled, and the candidates before every hull.
     """
     body = resolve(body)
     n = body.n
@@ -516,14 +523,17 @@ def g_symmetral(body: Body) -> VPolytope:
         _check_budget(len(cands), n)   # the cap, before every hull
         hull = convex_hull(cands)
         eq = hull.qhull.equations
-        chamber = np.all(np.diff(eq[:, :n], axis=1, prepend=0.0) >= -SUPPORT_TOL, axis=1)
+        chamber = np.all(np.diff(eq[:, :n], axis=1, prepend=0.0) >= -_b.DEDUP_TOL, axis=1)
         eq = _distinct_rows(eq[chamber])
         bound = SUPPORT_TOL * float(np.max(np.abs(cands))) - eq[:, n]
         pts = oracle.at(eq[:, :n])
         failed = eq[np.einsum("ij,ij->i", pts, eq[:, :n]) > bound, :n]
         if not len(failed):
             return hull
-        cands = _distinct_rows(np.vstack([cands] + [
+        grown = _distinct_rows(np.vstack([cands] + [
             oracle.at(_orbit(failed[b:b + step], oracle.perms, oracle.signs))
             for b in range(0, len(failed), step)]))
+        if len(grown) == len(cands):   # the oracle adds nothing new
+            return hull
+        cands = grown
     return convex_hull(cands)

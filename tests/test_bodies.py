@@ -158,6 +158,16 @@ def _anchored(pts, top):
     return np.vstack([pts, np.full((1, pts.shape[1]), top)])
 
 
+def _planted(cloud, rng, tol):
+    """cloud with a copy of 12 of its rows moved by 0.5 tol (merged) or
+    2 tol (kept) in one coordinate and by at most 0.25 tol in the others."""
+    rows = cloud[rng.integers(0, len(cloud), 12)]
+    shift = 0.25 * tol * rng.uniform(-1.0, 1.0, rows.shape)
+    shift[np.arange(12), rng.integers(0, cloud.shape[1], 12)] = (
+        np.repeat([0.5, 2.0], 6) * tol * rng.choice([-1.0, 1.0], 12))
+    return np.vstack([cloud, rows + shift])
+
+
 def test_dedup_matches_greedy_reference(rng):
     """Rows merge within DEDUP_TOL times the largest |coordinate|: offsets
     inside, at and beyond that tolerance, at scales 1e-9 to 1e9."""
@@ -175,6 +185,23 @@ def test_dedup_matches_greedy_reference(rng):
             pts[:, :const] = rng.integers(-1, 2, size=const) * scale
             pts = _anchored(pts, top)
             assert np.array_equal(_dedup_points(pts), _greedy_dedup(pts, tol))
+    # Tie-heavy clouds for the sweep along a generic direction: random
+    # clouds, unconditional sign clouds (every sign pattern of a few
+    # points) and full signed-permutation orbits, with planted pairs at
+    # 0.5 and 2 times the tolerance, dilated by 1e-8 to 1e8.
+    for lam in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        top = 4.0 * lam
+        tol = DEDUP_TOL * top
+        for n in (2, 3, 4):
+            base = rng.uniform(0.1, 2.0, (3, n))
+            for cloud in (rng.uniform(-2.0, 2.0, (60, n)),
+                          (base[:, None, :] * _sign_matrix(n)[None]).reshape(-1, n),
+                          np.vstack([g.apply_points(base[:2])
+                                     for g in hyperoctahedral_group(n)])):
+                pts = _anchored(_planted(lam * cloud, rng, tol), top)
+                kept = _dedup_points(pts)
+                assert np.array_equal(kept, _greedy_dedup(pts, tol))
+                assert len(cloud) < len(kept) < len(pts)
     # A tie-heavy symmetric cloud: signed-permutation orbits of a few
     # points, repeated, with small offsets on some copies.
     tol = DEDUP_TOL * 4.0
@@ -190,37 +217,6 @@ def test_dedup_matches_greedy_reference(rng):
     near = _anchored((centers[None] + steps * rng.choice([-1.0, 1.0], size=(1, 40, 4)))
                      .reshape(-1, 4), 4.0)
     assert np.array_equal(_dedup_points(near), _greedy_dedup(near, tol))
-
-
-def _planted(cloud, rng, tol):
-    """cloud with a copy of 12 of its rows moved by 0.5 tol (merged) or
-    2 tol (kept) in one coordinate and by at most 0.25 tol in the others."""
-    rows = cloud[rng.integers(0, len(cloud), 12)]
-    shift = 0.25 * tol * rng.uniform(-1.0, 1.0, rows.shape)
-    shift[np.arange(12), rng.integers(0, cloud.shape[1], 12)] = (
-        np.repeat([0.5, 2.0], 6) * tol * rng.choice([-1.0, 1.0], 12))
-    return np.vstack([cloud, rows + shift])
-
-
-@pytest.mark.parametrize("lam", [1e-8, 1e-4, 1.0, 1e4, 1e8])
-def test_dedup_of_tie_heavy_clouds_matches_greedy_reference(lam):
-    """The sweep along a generic direction keeps the rows the greedy visit
-    keeps on random clouds, unconditional sign clouds (every sign pattern
-    of a few points) and full signed-permutation orbits, with planted
-    pairs at 0.5 and 2 times the tolerance, dilated by lam."""
-    rng = np.random.default_rng(39)
-    for n in (2, 3, 4):
-        base = rng.uniform(0.1, 2.0, (3, n))
-        clouds = [rng.uniform(-2.0, 2.0, (60, n)),
-                  (base[:, None, :] * _sign_matrix(n)[None]).reshape(-1, n),
-                  np.vstack([g.apply_points(base[:2]) for g in hyperoctahedral_group(n)])]
-        for cloud in clouds:
-            top = 4.0 * lam
-            tol = DEDUP_TOL * top
-            pts = _anchored(_planted(lam * cloud, rng, tol), top)
-            kept = _dedup_points(pts)
-            assert np.array_equal(kept, _greedy_dedup(pts, tol))
-            assert len(cloud) < len(kept) < len(pts)
 
 
 def test_convex_hull_degenerate_rank():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from convexiq import (bodies, coordops, explorer, inequalities as iq, io, measures,
                       quadrature, symmetry)
@@ -656,6 +657,62 @@ def test_the_symmetral_grows_to_the_pairwise_sums_without_cell_seeds(monkeypatch
     sym = coordops.g_symmetral(body)
     assert len(hulled) > 1 and hulled == sorted(hulled)
     assert sym.vertices.tobytes() == _pairwise_symmetral(body).vertices.tobytes()
+
+
+@pytest.mark.parametrize("k, seed", [(5, 2), (6, 1), (8, 1)])
+def test_the_symmetral_grown_without_cell_seeds_holds_on_every_facet(monkeypatch, k, seed):
+    """The growth loop tests one facet per orbit too: with no arc-crossing
+    seeds, every facet of the grown symmetral of a benchmark-like body
+    bounds the group average."""
+    monkeypatch.setattr(coordops, "_cell_directions", lambda k, perms, signs: np.zeros((0, 3)))
+    assert _facets_hold_on_the_group_average(_bench_like(k, seed))
+
+
+def test_the_stop_rule_asks_at_every_facet_orbit(monkeypatch):
+    """The 5-vertex body of seed 2 has a mirror facet (a_1 = 0) that
+    qhull's rounding puts at a_1 = -1.1e-12, outside the chamber by more
+    than SUPPORT_TOL: the oracle is still asked at a normal of every
+    facet's orbit (sort |a| of each normal is one it was asked at)."""
+    asked = []
+    real = coordops._ChainOracle.at
+
+    def recording(self, u):
+        asked.append(np.array(u))
+        return real(self, u)
+
+    monkeypatch.setattr(coordops._ChainOracle, "at", recording)
+    sym = coordops.g_symmetral(_bench_like(5, seed=2))
+    canon = np.sort(np.abs(sym.qhull.equations[:, :3]), axis=1)
+    gap, _ = cKDTree(np.vstack(asked)).query(canon, p=np.inf)
+    assert np.max(gap) <= 1e-9
+
+
+@pytest.mark.parametrize("cell_seeds", [True, False], ids=["cell-seeds", "no-cell-seeds"])
+def test_the_symmetral_of_a_body_with_a_short_edge_returns(monkeypatch, cell_seeds):
+    """An edge of 1e-9 R puts vertices of the average 1e-9 R / |G| apart,
+    inside convex_hull's merge tolerance: a facet can fail at an oracle
+    point the candidates already hold, and the growth loop then stops
+    instead of hulling the same candidates again."""
+    v = FIVE_VERTICES.vertices
+    body = bodies.convex_hull(np.vstack([v, v[1] + 1e-9 / np.sqrt(3.0)]))
+    assert body.vertex_count == 6
+    hulled = []
+    real = coordops.convex_hull
+
+    def counting(points):
+        hulled.append(len(points))
+        if len(hulled) > 20:
+            raise RuntimeError("the growth loop hulls the same candidates again")
+        return real(points)
+
+    monkeypatch.setattr(coordops, "convex_hull", counting)
+    if not cell_seeds:
+        monkeypatch.setattr(coordops, "_cell_directions",
+                            lambda k, perms, signs: np.zeros((0, 3)))
+    coordops.g_symmetral(body)
+    assert len(hulled) > 1 and all(a < b for a, b in zip(hulled, hulled[1:]))
+    monkeypatch.undo()
+    assert _facets_hold_on_the_group_average(body)
 
 
 def test_symmetral_budget_guard_in_high_dimension():
