@@ -182,8 +182,10 @@ class VPolytope:
         return self.vertices.shape[0]
 
     @cached_property
-    def qhull(self) -> ConvexHull:
-        """Qhull triangulation of the (full-dimensional) polytope.
+    def qhull(self) -> ConvexHull | Triangulation:
+        """Boundary triangulation of the (full-dimensional) polytope: a
+        qhull ``ConvexHull``, or a :class:`Triangulation` with the same
+        arrays (``coordops.g_symmetral`` hands one over).
 
         :func:`convex_hull` hands over the hull it built, whose input
         cloud may hold more points than ``vertices`` and in another
@@ -193,6 +195,34 @@ class VPolytope:
         UnsupportedOperation: a joggled (QJ) hull is not exact (:func:`_qhull`).
         """
         return _qhull(self.vertices)[0]
+
+
+@dataclass(frozen=True)
+class Triangulation:
+    """A closed boundary triangulation of a full-dimensional polytope put
+    together from qhull output rather than returned by qhull, with the
+    arrays of ``ConvexHull`` that convexiq reads: the ``points``; the boundary ``simplices`` (rows of
+    point indices); ``neighbors[s, k]``, the simplex across the ridge of s
+    opposite its vertex k; ``equations``, each simplex's outer unit normal
+    and offset, bitwise equal on the simplices of one facet; ``vertices``,
+    the indices of the points that are vertices; and the boundary's
+    ``area`` and the ``volume`` it encloses."""
+
+    points: np.ndarray
+    simplices: np.ndarray
+    neighbors: np.ndarray
+    equations: np.ndarray
+    vertices: np.ndarray
+    area: float
+    volume: float
+
+    def __post_init__(self):
+        for name in ("points", "equations"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        for name in ("simplices", "neighbors", "vertices"):
+            object.__setattr__(self, name, _freeze_index(getattr(self, name)))
+        object.__setattr__(self, "area", float(self.area))
+        object.__setattr__(self, "volume", float(self.volume))
 
 
 @dataclass(frozen=True)
@@ -476,7 +506,7 @@ def _byte_rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
 
 
-def facets(hull: ConvexHull) -> np.ndarray:
+def facets(hull: ConvexHull | Triangulation) -> np.ndarray:
     """Each qhull boundary simplex's facet index: qhull gives the simplices
     of a merged facet its equation, so simplices with bitwise equal
     ``equations`` rows form one facet."""

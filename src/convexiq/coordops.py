@@ -474,6 +474,113 @@ def _cell_directions(k: VPolytope, perms: np.ndarray, signs: np.ndarray):
     return np.vstack(out)
 
 
+def _orthant_cloud(cands: np.ndarray) -> np.ndarray:
+    """The candidates in the orthant x >= 0 and all their 2^n coordinate
+    projections (each subset of coordinates set to +0.0), distinct and
+    lexicographically sorted: for a sign-invariant cloud their hull is
+    the cloud's hull cut by the orthant, since an unconditional body
+    holds the coordinate projections of its points.  A coordinate within
+    DEDUP_TOL R of 0 (R the largest |coordinate|) is put on the mirror,
+    as :func:`bodies.convex_hull` would merge the point with its mirror
+    image."""
+    n, tol = cands.shape[1], _b.DEDUP_TOL * float(np.max(np.abs(cands)))
+    corner = cands[np.all(cands >= -tol, axis=1)]
+    corner = np.where(np.abs(corner) <= tol, 0.0, corner)   # +0.0, no -0.0
+    keep = _b._sign_matrix(n) > 0   # row r: the coordinates projection r keeps
+    return _distinct_rows((corner[:, None, :] * keep).reshape(-1, n))
+
+
+def _unfold(q: VPolytope) -> VPolytope:
+    """The unconditional polytope P whose cut by the orthant x >= 0 is q
+    (the hull of :func:`_orthant_cloud`), with its boundary triangulation
+    (:class:`bodies.Triangulation`) made from q's qhull triangulation and
+    its 2^n sign images, with no hull of P.
+
+    q's simplices whose normal has an entry below -DEDUP_TOL lie on the
+    cuts x_i = 0 (normal -e_i) and drop out, and so do the flat simplices
+    that qhull puts in a cut (all vertices on one x_i = 0), which their
+    mirror images would repeat; the others are P's boundary in the
+    orthant.  A point on x_i = 0 is its own image under the sign change
+    of x_i, and a zero coordinate of an image is made +0.0.  A facet of q
+    with |a_i| <= DEDUP_TOL that holds a simplex with n - 1 vertices on
+    x_i = 0 is half of a facet of P that the mirror maps to itself, so
+    its a_i is set to 0 and both halves carry one equation bit for bit,
+    as qhull's merged facet does; a facet with a ridge on the mirror and
+    a larger a_i (a cross-polytope's) bends there.  Each simplex's
+    neighbour across a ridge is the one other simplex holding it
+    (:func:`_ridge_neighbors`).  P's volume is 2^n times q's, and its
+    area 2^n times q's without the cuts.
+
+    The vertices of P are the points whose incident facet normals have
+    rank n.  A vertex p of q with zero coordinates Z is a vertex of q's
+    face x_Z = 0, so the uncut normals at p have rank n - |Z| outside
+    the coordinates Z; P's normals at p are their images under the sign
+    changes of Z, which add e_i for each i in Z where one of them has
+    a_i != 0.  So p is a vertex of P when every zero coordinate of p has
+    such a normal."""
+    h, n, images = q.qhull, q.n, 1 << q.n
+    pts, signs = h.points, _b._sign_matrix(n)   # sign row r: image r
+    uncut = (np.min(h.equations[:, :n], axis=1) >= -_b.DEDUP_TOL) & \
+        ~np.any(np.all(pts[h.simplices] == 0.0, axis=1), axis=1)
+    tri, eq, facet = h.simplices[uncut], h.equations[uncut], _b.facets(h)[uncut]
+    on_mirror = np.count_nonzero(pts[tri] == 0.0, axis=1) == n - 1   # simplex, axis
+    s, i = np.nonzero(on_mirror & (np.abs(eq[:, :n]) <= _b.DEDUP_TOL))
+    fixed = np.zeros((facet.max() + 1, n), dtype=bool)   # facets the mirror i maps to themselves
+    fixed[facet[s], i] = True
+    eq[:, :n][fixed[facet]] = 0.0
+    # image r of a point depends on the bits of r at its nonzero
+    # coordinates (coordinate j is bit n-1-j; :func:`bodies._sign_matrix`)
+    used, slot = np.unique(tri, return_inverse=True)
+    slot = slot.reshape(tri.shape)
+    live = pts[used] != 0.0
+    bits = live @ (1 << np.arange(n - 1, -1, -1))
+    keys = np.arange(used.size)[:, None] * images + (np.arange(images) & bits[:, None])
+    keys, image = np.unique(keys, return_inverse=True)
+    image = image.reshape(used.size, images)   # point of image r of used[u]
+    points = pts[used[keys // images]] * signs[keys % images] + 0.0
+    simplices = image[slot].transpose(2, 0, 1).reshape(-1, n)
+    equations = np.concatenate([
+        eq[None, :, :n] * signs[:, None, :] + 0.0,
+        np.broadcast_to(eq[None, :, n:], (images, len(eq), 1))], axis=2).reshape(-1, n + 1)
+    hit = np.zeros((used.size, n), dtype=bool)   # some uncut normal at u has a_i != 0
+    for j in range(n):
+        hit[slot[eq[:, j] != 0.0], j] = True
+    vertices = np.unique(image[np.all(hit | live, axis=1)])
+    cut = pts[h.simplices[~uncut]]   # rows: the normal, then the edges from vertex 0
+    cut[:, 1:] -= cut[:, :1]
+    cut[:, 0] = h.equations[~uncut, :n]
+    area = h.area - float(np.sum(np.abs(np.linalg.det(cut)))) / math.factorial(n - 1)
+    p = VPolytope(_b._lexsorted(points[vertices]))
+    vars(p)["qhull"] = _b.Triangulation(
+        points, simplices, _ridge_neighbors(simplices, len(points)), equations, vertices,
+        images * area, images * h.volume)
+    return p
+
+
+def _ridge_neighbors(simplices: np.ndarray, points: int) -> np.ndarray:
+    """neighbors[s, k], the other simplex holding the ridge of s opposite
+    its vertex k (qhull's layout), where every ridge is held by exactly
+    two simplices; otherwise the triangulation does not close up and
+    :class:`UnsupportedOperation` is raised.  A ridge is keyed by its
+    sorted point indices in base ``points``, which fits an int64 under
+    :func:`_sum_budget`'s caps: a candidate in the orthant with k nonzero
+    coordinates has 2^k sign images and its projections have 3^k, so
+    there are at most (3/2)^n points per candidate."""
+    count, n = simplices.shape
+    opposite = (np.arange(n)[:, None] + np.arange(1, n)) % n   # row k: the slots but k
+    ridge = np.sort(simplices[:, opposite], axis=2).reshape(-1, n - 1)   # row s n + k
+    key = ridge.astype(np.int64) @ (points ** np.arange(n - 2, -1, -1, dtype=np.int64))
+    order = np.argsort(key)
+    same = key[order[1:]] == key[order[:-1]]
+    if order.size % 2 or not same[::2].all() or same[1::2].any():
+        raise UnsupportedOperation(
+            "the sign images of the symmetral's orthant hull do not close up")
+    a, b = order[::2], order[1::2]
+    neighbors = np.empty(order.size, dtype=np.intp)
+    neighbors[a], neighbors[b] = b // n, a // n
+    return neighbors.reshape(count, n)
+
+
 def g_symmetral(body: Body) -> VPolytope:
     """Minkowski average (1/|G|) sum_{g in G} gK over all signed
     permutations, as an exact vertex list.
@@ -485,15 +592,34 @@ def g_symmetral(body: Body) -> VPolytope:
     its summands', so each of its facets is parallel to a facet of some
     gK or to edges of two images whose arcs cross.
 
-    Each round hulls the candidates (:func:`bodies.convex_hull`) and
-    tests that hull's facets (a, b) for h(a) > b + SUPPORT_TOL * scale.
+    The average is unconditional, so each round hulls one orthant of it
+    (:func:`bodies.convex_hull`, one qhull call): Q, the candidates in
+    the closed orthant x >= 0 and their coordinate projections
+    (:func:`_orthant_cloud`).  The candidates' sign images are candidates
+    bit for bit, and an unconditional body holds the coordinate
+    projections of its points, so Q's hull is the candidates' hull cut
+    by the orthant; without the projections it would lack its faces on
+    the mirrors x_i = 0 (the cube's Q would be one point).  The returned
+    polytope is Q's hull and its 2^n sign images (:func:`_unfold`),
+    whose triangulation is handed over as the result's ``qhull``
+    (:class:`bodies.Triangulation`), with no hull of the whole.  A facet
+    of Q with a ridge on x_i = 0 and |a_i| <= DEDUP_TOL is half of a
+    facet that the mirror fixes and gets a_i = 0, so that its halves are
+    one facet.  DEDUP_TOL is that rule's slack for the reason it is the
+    chamber's below: qhull's unit normal of a facet of width w is off by
+    about eps R / w, and the narrowest mirror facet seen (6.6e-5 R) has
+    a_i = -1.1e-12.
+
+    Each round tests the hull's facets (a, b) for
+    h(a) > b + SUPPORT_TOL * scale.
     The candidates are G-invariant up to roundoff: the seeds are whole
     orbits, the oracle's point at g a is g times its point at a up to
     the order of its sums, and a round adds whole orbits.  So the hull's
     facets come in orbits, and (a, b) holds iff (g a, b) does, since the
     average's h is G-invariant.  Every orbit of unit normals meets the
-    closed chamber 0 <= a_1 <= ... <= a_n (sort |a|), so only the facets
-    whose normal lies within DEDUP_TOL of it are tested.  That slack is
+    closed chamber 0 <= a_1 <= ... <= a_n (sort |a|), which lies in the
+    orthant, so only the facets of Q whose normal lies within DEDUP_TOL
+    of it are tested.  That slack is
     for qhull's rounding: a facet of width w has its unit normal off by
     about eps R / w, and a facet on a mirror (a_1 = 0 or a_i = a_{i+1})
     has its chamber images only on the mirror.  A 5-vertex benchmark
@@ -502,7 +628,8 @@ def g_symmetral(body: Body) -> VPolytope:
     adds the oracle points of its whole orbit of normals (:func:`_orbit`),
     which keeps the next candidates G-invariant; when none fails, or the
     oracle adds no new point (a near-duplicate vertex that
-    :func:`bodies.convex_hull` merged away), that hull is the average.
+    :func:`bodies.convex_hull` merged away), that hull unfolds to the
+    average.
     :func:`_sum_budget` caps the distinct seed tuples before any is
     assembled, and the candidates before every hull.
     """
@@ -521,7 +648,7 @@ def g_symmetral(body: Body) -> VPolytope:
     step = max(1, oracle.per // n)
     while n > 1 and len(cands) > 1:   # else a point, or a segment in R^1
         _check_budget(len(cands), n)   # the cap, before every hull
-        hull = convex_hull(cands)
+        hull = convex_hull(_orthant_cloud(cands))
         eq = hull.qhull.equations
         chamber = np.all(np.diff(eq[:, :n], axis=1, prepend=0.0) >= -_b.DEDUP_TOL, axis=1)
         eq = _distinct_rows(eq[chamber])
@@ -529,11 +656,11 @@ def g_symmetral(body: Body) -> VPolytope:
         pts = oracle.at(eq[:, :n])
         failed = eq[np.einsum("ij,ij->i", pts, eq[:, :n]) > bound, :n]
         if not len(failed):
-            return hull
+            return _unfold(hull)
         grown = _distinct_rows(np.vstack([cands] + [
             oracle.at(_orbit(failed[b:b + step], oracle.perms, oracle.signs))
             for b in range(0, len(failed), step)]))
         if len(grown) == len(cands):   # the oracle adds nothing new
-            return hull
+            return _unfold(hull)
         cands = grown
     return convex_hull(cands)

@@ -208,7 +208,9 @@ def vm_polytope_angles(p: VPolytope, m: int) -> float:
       below FLAT_TOL times its longest edge.
 
     A triangulation that does not close up (:func:`_boundary`) raises
-    :class:`UnsupportedMeasure`: its angles would be percents off.
+    :class:`UnsupportedMeasure`: its angles would be percents off; so
+    does one with no solid ridge for V_{d-3}, where face contents have
+    underflowed (a hull at 1e-100 scale).
     """
     d = p.n
     if m < 0 or m not in (d - 2, d - 3):
@@ -240,6 +242,10 @@ def vm_polytope_angles(p: VPolytope, m: int) -> float:
     through = np.bitwise_and.reduce(
         np.packbits(incidence, axis=1).view(np.uint64)[sigma], axis=2)
     r, j = np.nonzero((_POPCOUNT[through.view(np.uint8)].sum(axis=2) >= 3) & solid[:, None])
+    if not r.size:   # every ridge looks flat: its contents underflow
+        raise UnsupportedMeasure(
+            f"no ridge of this {d}-polytope is solid in floats (its face contents "
+            "underflow), so its ridge angles do not give V_{d-3}")
     # the sigmas in runs with equal facet sets, one run per (d-3)-face
     order = np.lexsort(through[r, j].T)
     r, j = r[order], j[order]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from convexiq import (bodies, coordops, explorer, inequalities as iq, io, measures,
                       quadrature, symmetry)
@@ -468,7 +468,7 @@ def _pairwise_symmetral(body):
     return acc
 
 
-@pytest.mark.parametrize("body", [
+SYMMETRAL_BODIES = [
     FIVE_VERTICES,
     bodies.convex_hull(np.array([[0.0, 0.0], [1.0, 0.0]])),
     bodies.convex_hull(np.array([[0.2, 0.5, 0.0], [1.0, 0.3, 0.0], [-0.6, 0.9, 0.0]])),
@@ -478,13 +478,70 @@ def _pairwise_symmetral(body):
     parallelepiped([[1.0, 0.2, 0.1], [0.3, 1.1, -0.2], [0.1, -0.4, 0.9]]),
     bodies.unconditional_hull([[1.0, 2.0, 3.0]]),
     bodies.translate_body(FIVE_VERTICES, [0.3, -0.2, 0.1]),
-], ids=["five-vertices", "segment", "flat-triangle", "cube2", "cube3", "cross2", "cross3",
-        "parallelepiped", "box", "five-vertices-shifted"])
+]
+SYMMETRAL_IDS = ["five-vertices", "segment", "flat-triangle", "cube2", "cube3", "cross2",
+                 "cross3", "parallelepiped", "box", "five-vertices-shifted"]
+
+
+@pytest.mark.parametrize("body", SYMMETRAL_BODIES, ids=SYMMETRAL_IDS)
 def test_symmetral_matches_pairwise_sums_bytewise(body):
     sym = coordops.g_symmetral(body)
     ref = _pairwise_symmetral(body)
     assert sym.vertices.shape == ref.vertices.shape
     assert sym.vertices.tobytes() == ref.vertices.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _bench_like(5, 1), lambda: _bench_like(6, 1), lambda: _bench_like(8, 1),
+    *[lambda b=b: b for b in SYMMETRAL_BODIES],
+    lambda: bodies.cube(4), lambda: bodies.cross_polytope(4), lambda: bodies.cross_polytope(5),
+], ids=["bench5", "bench6", "bench8", *SYMMETRAL_IDS, "cube4", "cross4", "cross5"])
+def test_the_handed_over_triangulation_measures_as_a_rehull(make):
+    """The symmetral's triangulation is one orthant's hull and its sign
+    images; every measure read off it agrees with qhull's hull of the
+    same vertex list: every V_m, and each shadow and section tuple at
+    every degree where the rehull's is exact, within 1e-12 relative.  The
+    cube's facet centres and edge midpoints are triangulation points but
+    not vertices, the cross-polytope's facets have an edge on a mirror
+    but bend there, and a zero coordinate's sign image is +0.0."""
+    sym = coordops.g_symmetral(make())
+    ref = bodies.VPolytope(sym.vertices)
+    n = sym.n
+    assert isinstance(sym.qhull, bodies.Triangulation)
+    assert isinstance(ref.qhull, ConvexHull)
+    assert measures._boundary(sym)[1]
+    for m in range(1, n + 1):
+        assert measures.vm(sym, m).value == pytest.approx(measures.vm(ref, m).value,
+                                                          rel=1e-12, abs=0.0)
+    for f in (measures.vm_shadows, measures.vm_sections):
+        for m in range(1, n):
+            try:
+                want = f(ref, m)
+            except UnsupportedMeasure:
+                continue
+            if all(v.exact for v in want):
+                np.testing.assert_allclose([v.value for v in f(sym, m)],
+                                           [v.value for v in want], rtol=1e-12, atol=0.0)
+    rows = {v.tobytes() for v in sym.vertices}
+    corner = sym.vertices[np.all(sym.vertices >= 0, axis=1)]
+    images = (corner[:, None, :] * bodies._sign_matrix(n)).reshape(-1, n) + 0.0
+    assert all(v.tobytes() in rows for v in images)
+
+
+@pytest.mark.parametrize("body", [bodies.cube(3), bodies.cube(4), bodies.cross_polytope(4),
+                                  bodies.cross_polytope(5), FIVE_VERTICES],
+                         ids=["cube3", "cube4", "cross4", "cross5", "five-vertices"])
+def test_the_symmetral_vertices_are_the_points_of_rank_n(body):
+    """The vertex list is the triangulation's points whose incident facet
+    normals have rank n, each facet's normal counted once."""
+    sym = coordops.g_symmetral(body)
+    hull, n = sym.qhull, sym.n
+    rank = [np.linalg.matrix_rank(np.unique(hull.equations[np.any(hull.simplices == j, axis=1),
+                                                           :n], axis=0), tol=1e-9)
+            for j in range(len(hull.points))]
+    corners = hull.points[np.array(rank) == n]
+    assert sym.vertices.tobytes() == bodies._lexsorted(corners).tobytes()
+    assert np.array_equal(np.sort(hull.vertices), np.flatnonzero(np.array(rank) == n))
 
 
 def _recursive_argmax(vertices, levels, u):
@@ -826,22 +883,30 @@ def test_a_width_ratio_hulls_only_the_body(monkeypatch):
 ], ids=["five-vertices", "random-8"])
 def test_the_symmetral_hulls_its_candidates_once(monkeypatch, body, k):
     """The arc-crossing seeds reach every vertex before the first hull,
-    so the verification pass adds none and no second hull is built.  The
-    candidates are hulled through coordops.convex_hull, the binding the
-    benchmark tracer wraps, so it sees every qhull call."""
+    so the verification pass adds none and no second hull is built.  That
+    hull is one orthant's: its input is the candidates in x >= 0 and
+    their coordinate projections (every vertex of the result there, and
+    closed under setting coordinates to 0), fewer points than the
+    result's vertices.  It is made through coordops.convex_hull, the
+    binding the benchmark tracer wraps, so it sees every qhull call."""
     assert body.vertex_count == k
     calls, hulled = _count_hulls(monkeypatch), []
     real = coordops.convex_hull
 
     def counting(points):
-        hulled.append(np.shape(points))
+        hulled.append(np.array(points))
         return real(points)
 
     monkeypatch.setattr(coordops, "convex_hull", counting)
     sym = coordops.g_symmetral(body)
-    assert len(calls) == 1 and calls[0][1] == 3
-    assert calls[0][0] >= sym.vertex_count
-    assert hulled == calls
+    assert len(calls) == 1 and [np.shape(c) for c in hulled] == calls
+    cloud = hulled[0]
+    rows = {r.tobytes() for r in cloud}
+    projections = (cloud[:, None, :] * (bodies._sign_matrix(3) > 0)).reshape(-1, 3)
+    corner = sym.vertices[np.all(sym.vertices >= 0, axis=1)]
+    assert np.all(cloud >= 0) and all(r.tobytes() in rows for r in projections)
+    assert all(v.tobytes() in rows for v in corner)
+    assert len(cloud) < sym.vertex_count
 
 
 def test_symmetral_budget_guard_in_three_dimensions(monkeypatch):

@@ -701,6 +701,34 @@ def test_angle_route_on_a_hull_with_points_on_lower_faces():
         assert vm(cut, m).value == pytest.approx(vm(exact, m).value, rel=1e-12)
 
 
+def _tiny_hull(scale: float) -> VPolytope:
+    """A fresh hull of 12 normal points in R^4 (default_rng(3)) scaled
+    before it is hulled, so that it has no dilate source to read."""
+    return convex_hull(scale * np.random.default_rng(3).standard_normal((12, 4)))
+
+
+def test_angles_of_a_hull_whose_faces_underflow_refuse():
+    """At 1e-100 scale the face contents of the 4-hull underflow and every
+    ridge looks flat: V_1 refuses with a library error instead of
+    np.add.reduceat's IndexError on the empty run of (d-3)-faces."""
+    with pytest.raises(UnsupportedMeasure, match="underflow"):
+        vm(_tiny_hull(1e-100), 1)
+
+
+@pytest.mark.parametrize("scale", [
+    pytest.param(1e-100, id="1e-100", marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 17: at 1e-100 V_2 reads an exact 0, where the true "
+        "value 2.3e-199 is a normal float"))),
+    pytest.param(1e-80, id="1e-80", marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 17: at 1e-80 V_2 is 1.2e-7 relative off and still "
+        "reported exact"))),
+])
+def test_v2_of_a_tiny_hull_is_the_scaled_value(scale):
+    """V_2 of the hull of scaled points is scale^2 times the unit hull's."""
+    want = scale ** 2 * vm(_tiny_hull(1.0), 2).value
+    assert vm(_tiny_hull(scale), 2).value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # dilates (bodies.scale_body) measured off their source
 
