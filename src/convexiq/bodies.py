@@ -201,12 +201,17 @@ class VPolytope:
 class Triangulation:
     """A closed boundary triangulation of a full-dimensional polytope put
     together from qhull output rather than returned by qhull, with the
-    arrays of ``ConvexHull`` that convexiq reads: the ``points``; the boundary ``simplices`` (rows of
-    point indices); ``neighbors[s, k]``, the simplex across the ridge of s
-    opposite its vertex k; ``equations``, each simplex's outer unit normal
-    and offset, bitwise equal on the simplices of one facet; ``vertices``,
-    the indices of the points that are vertices; and the boundary's
-    ``area`` and the ``volume`` it encloses."""
+    arrays of ``ConvexHull`` that convexiq reads: the ``points``; the
+    boundary ``simplices`` (rows of point indices); ``neighbors[s, k]``,
+    the simplex across the ridge of s opposite its vertex k;
+    ``equations``, each simplex's outer unit normal and offset, bitwise
+    equal on the simplices of one facet; ``vertices``, the indices of the
+    points that are vertices; and the boundary's ``area`` and the
+    ``volume`` it encloses.  ``coordops.g_symmetral`` builds one from the
+    qhull hull of one chamber of the signed permutations and its images
+    under the whole group, so its points and equations rows are closed bit
+    for bit under the group, and ``points`` holds points on the chamber's
+    walls that are not vertices (the cube's facet centres)."""
 
     points: np.ndarray
     simplices: np.ndarray

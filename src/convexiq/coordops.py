@@ -41,9 +41,8 @@ def _sum_budget(n: int) -> int:
 
     Exact symmetrals of complex bodies have combinatorially many
     vertices, and qhull memory grows much faster with point count in
-    dimension >= 4 than in 3.  The distinct seed tuples are checked before
-    they are assembled and the candidates before every hull, so a refusal
-    comes before the expensive work.
+    dimension >= 4 than in 3.  The candidates' orbits are counted before
+    every hull, so a refusal comes before the expensive work.
     """
     return 120_000 if n <= 3 else 2_000
 
@@ -295,7 +294,11 @@ class _ChainOracle:
     sigma[h] * u[pi[h]], an exact signed permutation of u; the paths meet
     each signed permutation A, handled as e = A^-1 (1, ..., n), once.  So
     a direction's argmax tuple (K's maximizing vertex on every path) is
-    its canonical direction's re-indexed (:meth:`paths`).
+    its canonical direction's re-indexed (:meth:`paths`), and the argmax
+    runs once per distinct canonical direction (:meth:`tabulate`).
+    :func:`g_symmetral` asks it at the canonical directions of its seeds
+    (:meth:`points` of their distinct tuples) and at its chamber hull's
+    facet normals (:meth:`at`), never at a whole orbit.
     """
 
     def __init__(self, vertices: np.ndarray):
@@ -308,9 +311,7 @@ class _ChainOracle:
         self.radix = (2 * n + 1) ** np.arange(n - 1, -1, -1)   # e -> (e + n) @ radix
         self.path_at = np.empty((2 * n + 1) ** n, dtype=np.intp)
         self.path_at[((w + n) @ self.radix).astype(np.intp)] = np.arange(self.order)
-        self.perms = np.array(list(itertools.permutations(range(n))))
-        self.signs, self.offsets = _b._sign_matrix(n), np.arange(self.order) * len(vertices)
-        self.units = _orbit(np.arange(1.0, n + 1)[None], self.perms, self.signs)
+        self.offsets = np.arange(self.order) * len(vertices)
         # row h |V| + v: path h's elements applied to vertex v, whose
         # product with u is vertex v's with path h's direction at u
         inv = np.argsort(self.pi, axis=1)
@@ -339,26 +340,6 @@ class _ChainOracle:
             d = (c[b:b + per, self.pi] * self.sigma).reshape(-1, v.shape[1])
             table[b:b + per] = np.argmax(d @ v.T, axis=1).reshape(-1, self.order)
         return c, table, index, e
-
-    def orbit_tuples(self, u: np.ndarray) -> np.ndarray:
-        """The distinct argmax tuples, in the smallest unsigned type, of the
-        distinct images A^-1 c of the canonical directions c of the rows
-        of u, refused past the cap before any is assembled."""
-        c, table = self.tabulate(u)[:2]
-        keep, n, per = _distinct(table, return_index=True)[1], u.shape[1], self.per
-        c, table, found = c[keep], table[keep], []
-        for b in range(0, len(c), max(1, per // n)):
-            images = _orbit(c[b:b + max(1, per // n)], self.perms, self.signs) + 0.0
-            pairs = b * self.order + _distinct(images, return_index=True)[1]
-            for p in range(0, pairs.size, per):
-                row, g = np.divmod(pairs[p:p + per], self.order)
-                t = table[row[:, None], self.paths(self.units[g])].astype(
-                    np.min_scalar_type(len(self.vertices) - 1))
-                found.append(t[_distinct(t, return_index=True)[1]])
-                if sum(map(len, found)) > _sum_budget(n):
-                    _merge(found, n)
-        _merge(found, n)
-        return found[0]
 
     def at(self, u: np.ndarray) -> np.ndarray:
         """The average's oracle point in every direction of the rows of u."""
@@ -390,14 +371,6 @@ def _distinct(a: np.ndarray, **kwargs):
     return np.unique(_b._byte_rows(a), **kwargs)
 
 
-def _merge(blocks: list, n: int) -> None:
-    """Replace blocks by one block of their distinct rows, capped by _sum_budget."""
-    w = np.vstack(blocks)
-    blocks.clear()
-    blocks.append(_distinct(w).view(w.dtype).reshape(-1, w.shape[1]))
-    _check_budget(len(blocks[0]), n)
-
-
 def _check_budget(count: int, n: int) -> None:
     """Refuse more than _sum_budget(n) distinct candidate points."""
     if count > _sum_budget(n):
@@ -417,6 +390,129 @@ def _orbit(x: np.ndarray, perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Every signed permutation x -> signs * x[perm] of each row of x,
     row-major: row r is the image of x[r // |G|] under element r % |G|."""
     return (x[:, perms][:, :, None, :] * signs).reshape(-1, x.shape[1])
+
+
+@cache
+def _group(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perms, signs): element p 2^n + s of G is x -> signs[s] * x[perms[p]],
+    :func:`_orbit`'s order."""
+    return _b._freeze_index(list(itertools.permutations(range(n)))), _b._sign_matrix(n)
+
+
+# The chamber C = {0 <= x_1 <= ... <= x_n} of the signed permutations.
+# Wall i is x_{i+1} = x_i, with x_0 = 0: wall 0 is x_1 = 0, and wall
+# i > 0 joins x_i and x_{i+1}.  A wall mask has bit i set for wall i.
+
+
+def _walls(x: np.ndarray) -> np.ndarray:
+    """Each row's wall mask: the walls it lies on exactly."""
+    return (np.diff(x, axis=1, prepend=0.0) == 0) @ (1 << np.arange(x.shape[1]))
+
+
+@cache
+def _runs(n: int, walls: int) -> tuple[tuple[int, int], ...]:
+    """The runs [lo, hi) of coordinates that the walls in the mask join;
+    with bit 0, the first run lies on x_1 = 0."""
+    bounds = [0] + [i for i in range(1, n) if not walls >> i & 1] + [n]
+    return tuple(zip(bounds[:-1], bounds[1:]))
+
+
+def _project(x: np.ndarray, walls: int) -> np.ndarray:
+    """The rows of x projected onto the walls in the mask, the mean of
+    their images under the group that the reflections in those walls
+    generate: each run the walls join replaced by its mean, and the run
+    through x_1 by +0.0 with bit 0.  A run whose entries are equal keeps
+    them bit for bit."""
+    out = x.copy()
+    for lo, hi in _runs(x.shape[1], walls):
+        if lo == 0 and walls & 1:
+            out[:, :hi] = 0.0
+        elif hi - lo > 1:
+            run = x[:, lo:hi]
+            out[:, lo:hi] = np.where(np.all(run == run[:, :1], axis=1), run[:, 0],
+                                     np.sum(run, axis=1) / (hi - lo))[:, None]
+    return out
+
+
+def _project_each(x: np.ndarray, walls: np.ndarray) -> np.ndarray:
+    """Row r of x projected onto the walls in walls[r] (:func:`_project`)."""
+    out = x.copy()
+    for w in np.unique(walls[walls != 0]):
+        out[walls == w] = _project(x[walls == w], int(w))
+    return out
+
+
+def _fold(x: np.ndarray, tol: float) -> np.ndarray:
+    """The distinct chamber points of the orbits of the rows of x:
+    sort(|x|), +0.0 for zeros, projected onto each wall it lies within
+    tol of (x_1 <= tol, or x_{i+1} - x_i <= 2 tol).  So every coordinate
+    of a projection onto other walls (:func:`_project`) moves by more
+    than tol or by nothing, and :func:`bodies.convex_hull` merges no
+    wall point with a point off that wall."""
+    y = np.sort(np.abs(x), axis=1)
+    slack = np.full(x.shape[1], 2.0 * tol)
+    slack[0] = tol
+    near = np.diff(y, axis=1, prepend=0.0) <= slack
+    return _distinct_rows(_project_each(y, near @ (1 << np.arange(x.shape[1]))))
+
+
+@cache
+def _stabilizers(n: int):
+    """(orbit, slot, rep, vertex) for the wall masks w of R^n: a point of C
+    on exactly the walls w has orbit[w] distinct images; element g maps it
+    to its image slot[w, g], and rep[w, j] is the first element mapping it
+    to image j.  vertex[w, f]: whether the normals at such a point, with
+    f the walls i where one of them has a_{i+1} != a_i (a_0 = 0), span
+    every irreducible part of its stabilizer's action (:func:`_unfold`)."""
+    perms, signs = _group(n)
+    masks, order = range(1 << n), len(perms) * len(signs)
+    orbit = np.empty(1 << n, dtype=np.intp)
+    slot = np.empty((1 << n, order), dtype=np.intp)
+    rep = np.zeros((1 << n, order), dtype=np.intp)
+    vertex = np.empty((1 << n, 1 << n), dtype=bool)
+    radix = (2 * n + 1) ** np.arange(n)
+    for w in masks:
+        label = np.zeros(n)
+        for r, (lo, hi) in enumerate(_runs(n, w)):
+            label[lo:hi] = 0 if lo == 0 and w & 1 else r + 1
+        codes = ((_orbit(label[None], perms, signs) + n) @ radix).astype(np.int64)
+        _, first, slot[w] = np.unique(codes, return_index=True, return_inverse=True)
+        orbit[w] = first.size
+        rep[w, :first.size] = first
+        # each run's joining walls, and wall 0 for the run on x_1 = 0:
+        # the irreducible parts of the stabilizer's action
+        blocks = [sum(1 << i for i in range(0 if lo == 0 and w & 1 else lo + 1, hi))
+                  for lo, hi in _runs(n, w)]
+        vertex[w] = [all(b & f for b in blocks if b) for f in masks]
+    for table in (orbit, slot, rep, vertex):
+        table.setflags(write=False)
+    return orbit, slot, rep, vertex
+
+
+@cache
+def _wall_products(n: int) -> np.ndarray:
+    """Row 0: every element g of G; row i + 1: the element g r_i, r_i the
+    reflection in wall i."""
+    perms, signs = _group(n)
+    radix = (2 * n + 1) ** np.arange(n)
+    e = np.arange(1.0, n + 1)
+    reflected = [e]   # r_i (1, ..., n)
+    for i in range(n):
+        r = e.copy()
+        if i:
+            r[[i - 1, i]] = r[[i, i - 1]]
+        else:
+            r[0] = -r[0]
+        reflected.append(r)
+    codes = ((_orbit(np.array(reflected), perms, signs) + n) @ radix).astype(np.int64)
+    index = np.empty(int(codes.max()) + 1, dtype=np.intp)
+    index[codes[:len(perms) * len(signs)]] = np.arange(len(perms) * len(signs))
+    return _b._freeze_index(index[codes].reshape(n + 1, -1))
+
+
+def _on_walls(h) -> np.ndarray:
+    """Each simplex's wall mask: the walls that hold all its vertices."""
+    return np.bitwise_and.reduce(_walls(h.points)[h.simplices], axis=1)
 
 
 def _cell_directions(k: VPolytope, perms: np.ndarray, signs: np.ndarray):
@@ -474,111 +570,102 @@ def _cell_directions(k: VPolytope, perms: np.ndarray, signs: np.ndarray):
     return np.vstack(out)
 
 
-def _orthant_cloud(cands: np.ndarray) -> np.ndarray:
-    """The candidates in the orthant x >= 0 and all their 2^n coordinate
-    projections (each subset of coordinates set to +0.0), distinct and
-    lexicographically sorted: for a sign-invariant cloud their hull is
-    the cloud's hull cut by the orthant, since an unconditional body
-    holds the coordinate projections of its points.  A coordinate within
-    DEDUP_TOL R of 0 (R the largest |coordinate|) is put on the mirror,
-    as :func:`bodies.convex_hull` would merge the point with its mirror
-    image."""
-    n, tol = cands.shape[1], _b.DEDUP_TOL * float(np.max(np.abs(cands)))
-    corner = cands[np.all(cands >= -tol, axis=1)]
-    corner = np.where(np.abs(corner) <= tol, 0.0, corner)   # +0.0, no -0.0
-    keep = _b._sign_matrix(n) > 0   # row r: the coordinates projection r keeps
-    return _distinct_rows((corner[:, None, :] * keep).reshape(-1, n))
-
-
 def _unfold(q: VPolytope) -> VPolytope:
-    """The unconditional polytope P whose cut by the orthant x >= 0 is q
-    (the hull of :func:`_orthant_cloud`), with its boundary triangulation
-    (:class:`bodies.Triangulation`) made from q's qhull triangulation and
-    its 2^n sign images, with no hull of P.
+    """The G-invariant polytope P whose cut by the chamber C is q (the
+    hull of :func:`g_symmetral`'s chamber cloud), with its boundary
+    triangulation (:class:`bodies.Triangulation`) made from q's qhull
+    triangulation and its |G| = 2^n n! images, with no hull of P.
 
-    q's simplices whose normal has an entry below -DEDUP_TOL lie on the
-    cuts x_i = 0 (normal -e_i) and drop out, and so do the flat simplices
-    that qhull puts in a cut (all vertices on one x_i = 0), which their
-    mirror images would repeat; the others are P's boundary in the
-    orthant.  A point on x_i = 0 is its own image under the sign change
-    of x_i, and a zero coordinate of an image is made +0.0.  A facet of q
-    with |a_i| <= DEDUP_TOL that holds a simplex with n - 1 vertices on
-    x_i = 0 is half of a facet of P that the mirror maps to itself, so
-    its a_i is set to 0 and both halves carry one equation bit for bit,
-    as qhull's merged facet does; a facet with a ridge on the mirror and
-    a larger a_i (a cross-polytope's) bends there.  Each simplex's
-    neighbour across a ridge is the one other simplex holding it
-    (:func:`_ridge_neighbors`).  P's volume is 2^n times q's, and its
-    area 2^n times q's without the cuts.
+    q's simplices whose vertices all lie on one wall are its facets on
+    the walls, or flat simplices that qhull puts in a wall, which an image
+    would repeat; they drop out, and the others are P's boundary in C.
+    Element g maps point p to the exact image g p, +0.0 for zeros; the
+    images of p are deduplicated by bytes through p's wall mask, since
+    the reflections in p's walls generate its stabilizer
+    (:func:`_stabilizers`).  A facet of q with a simplex that has n - 1
+    vertices on wall i and a normal within DEDUP_TOL of that wall (a_1
+    for wall 0, a_{i+1} - a_i for the others) is half of a facet of P
+    that the reflection r_i maps to itself: its normal is projected
+    onto the wall (:func:`_project`), so that both halves carry one
+    equation bit for bit, as qhull's merged facet does.  DEDUP_TOL is
+    that slack because qhull's unit normal of a facet of width w is off
+    by about eps R / w: the narrowest such facet seen, 6.6e-5 R wide, has
+    a_1 = -1.1e-12.  The neighbours come from q's own
+    (:func:`_chamber_neighbors`).  P's volume is |G| times q's, and its
+    area |G| times q's without the walls.
 
     The vertices of P are the points whose incident facet normals have
-    rank n.  A vertex p of q with zero coordinates Z is a vertex of q's
-    face x_Z = 0, so the uncut normals at p have rank n - |Z| outside
-    the coordinates Z; P's normals at p are their images under the sign
-    changes of Z, which add e_i for each i in Z where one of them has
-    a_i != 0.  So p is a vertex of P when every zero coordinate of p has
-    such a normal."""
-    h, n, images = q.qhull, q.n, 1 << q.n
-    pts, signs = h.points, _b._sign_matrix(n)   # sign row r: image r
-    uncut = (np.min(h.equations[:, :n], axis=1) >= -_b.DEDUP_TOL) & \
-        ~np.any(np.all(pts[h.simplices] == 0.0, axis=1), axis=1)
-    tri, eq, facet = h.simplices[uncut], h.equations[uncut], _b.facets(h)[uncut]
-    on_mirror = np.count_nonzero(pts[tri] == 0.0, axis=1) == n - 1   # simplex, axis
-    s, i = np.nonzero(on_mirror & (np.abs(eq[:, :n]) <= _b.DEDUP_TOL))
-    fixed = np.zeros((facet.max() + 1, n), dtype=bool)   # facets the mirror i maps to themselves
-    fixed[facet[s], i] = True
-    eq[:, :n][fixed[facet]] = 0.0
-    # image r of a point depends on the bits of r at its nonzero
-    # coordinates (coordinate j is bit n-1-j; :func:`bodies._sign_matrix`)
+    rank n.  A point p of q's simplices is a vertex of q, so its normals
+    in q and the normals of its walls have rank n; P's normals at p are
+    the images of q's under p's stabilizer, which add the span of its
+    irreducible parts (one per run of joined walls) that some normal
+    meets.  So p is a vertex of P when every run of walls at p has a
+    normal with a_{i+1} != a_i (a_0 = 0) at one of its walls i."""
+    h, n = q.qhull, q.n
+    perms, signs = _group(n)
+    order, bits = len(perms) * len(signs), 1 << np.arange(n)
+    orbit, slot_of, rep, vertex = _stabilizers(n)
+    walls, on = _walls(h.points), _on_walls(h)
+    uncut = on == 0
+    tri, eq, facet = h.simplices[uncut], h.equations[uncut].copy(), _b.facets(h)[uncut]
+    ridge = np.bitwise_and.reduce(walls[tri][:, _others(n)], axis=2)   # on the ridge opposite k
+    fixed = np.zeros(facet.max() + 1, dtype=np.intp)   # walls whose reflection fixes a facet
+    np.bitwise_or.at(fixed, facet, np.bitwise_or.reduce(ridge, axis=1) & (
+        (np.abs(np.diff(eq[:, :n], axis=1, prepend=0.0)) <= _b.DEDUP_TOL) @ bits))
+    eq[:, :n] = _project_each(eq[:, :n], fixed[facet])
+    neighbors = _chamber_neighbors(h, uncut, ridge)
+    # image g of used[u] is point base[u] + slot_of[kind[u], g]
     used, slot = np.unique(tri, return_inverse=True)
-    slot = slot.reshape(tri.shape)
-    live = pts[used] != 0.0
-    bits = live @ (1 << np.arange(n - 1, -1, -1))
-    keys = np.arange(used.size)[:, None] * images + (np.arange(images) & bits[:, None])
-    keys, image = np.unique(keys, return_inverse=True)
-    image = image.reshape(used.size, images)   # point of image r of used[u]
-    points = pts[used[keys // images]] * signs[keys % images] + 0.0
-    simplices = image[slot].transpose(2, 0, 1).reshape(-1, n)
-    equations = np.concatenate([
-        eq[None, :, :n] * signs[:, None, :] + 0.0,
-        np.broadcast_to(eq[None, :, n:], (images, len(eq), 1))], axis=2).reshape(-1, n + 1)
-    hit = np.zeros((used.size, n), dtype=bool)   # some uncut normal at u has a_i != 0
-    for j in range(n):
-        hit[slot[eq[:, j] != 0.0], j] = True
-    vertices = np.unique(image[np.all(hit | live, axis=1)])
-    cut = pts[h.simplices[~uncut]]   # rows: the normal, then the edges from vertex 0
+    slot, kind = slot.reshape(tri.shape), walls[used]
+    counts = orbit[kind]
+    base = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(used.size), counts)
+    element = rep[kind[owner], np.arange(owner.size) - base[owner]]
+    points = np.take_along_axis(h.points[used[owner]], perms[element // len(signs)], axis=1) \
+        * signs[element % len(signs)] + 0.0
+    image = base[:, None] + slot_of[kind]
+    simplices = image[slot].transpose(0, 2, 1).reshape(-1, n)
+    equations = np.hstack([_orbit(eq[:, :n], perms, signs) + 0.0,
+                           np.repeat(eq[:, n:], order, axis=0)])
+    meets = np.zeros(used.size, dtype=np.intp)   # walls i where a normal at u has a_{i+1} != a_i
+    np.bitwise_or.at(meets, slot.ravel(), np.repeat(
+        (np.diff(eq[:, :n], axis=1, prepend=0.0) != 0) @ bits, n))
+    vertices = np.flatnonzero(np.repeat(vertex[kind, meets], counts))
+    cut = h.points[h.simplices[~uncut]]   # rows: the normal, then the edges from vertex 0
     cut[:, 1:] -= cut[:, :1]
     cut[:, 0] = h.equations[~uncut, :n]
     area = h.area - float(np.sum(np.abs(np.linalg.det(cut)))) / math.factorial(n - 1)
     p = VPolytope(_b._lexsorted(points[vertices]))
-    vars(p)["qhull"] = _b.Triangulation(
-        points, simplices, _ridge_neighbors(simplices, len(points)), equations, vertices,
-        images * area, images * h.volume)
+    vars(p)["qhull"] = _b.Triangulation(points, simplices, neighbors, equations, vertices,
+                                        order * area, order * h.volume)
     return p
 
 
-def _ridge_neighbors(simplices: np.ndarray, points: int) -> np.ndarray:
-    """neighbors[s, k], the other simplex holding the ridge of s opposite
-    its vertex k (qhull's layout), where every ridge is held by exactly
-    two simplices; otherwise the triangulation does not close up and
-    :class:`UnsupportedOperation` is raised.  A ridge is keyed by its
-    sorted point indices in base ``points``, which fits an int64 under
-    :func:`_sum_budget`'s caps: a candidate in the orthant with k nonzero
-    coordinates has 2^k sign images and its projections have 3^k, so
-    there are at most (3/2)^n points per candidate."""
-    count, n = simplices.shape
-    opposite = (np.arange(n)[:, None] + np.arange(1, n)) % n   # row k: the slots but k
-    ridge = np.sort(simplices[:, opposite], axis=2).reshape(-1, n - 1)   # row s n + k
-    key = ridge.astype(np.int64) @ (points ** np.arange(n - 2, -1, -1, dtype=np.int64))
-    order = np.argsort(key)
-    same = key[order[1:]] == key[order[:-1]]
-    if order.size % 2 or not same[::2].all() or same[1::2].any():
-        raise UnsupportedOperation(
-            "the sign images of the symmetral's orthant hull do not close up")
-    a, b = order[::2], order[1::2]
-    neighbors = np.empty(order.size, dtype=np.intp)
-    neighbors[a], neighbors[b] = b // n, a // n
-    return neighbors.reshape(count, n)
+def _chamber_neighbors(h, uncut: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+    """neighbors[s |G| + g, k] of the unfolded triangulation (qhull's
+    layout: the simplex across the ridge opposite slot k), from q's qhull
+    ``neighbors``; s counts the uncut simplices, and ridge[s, k] is the
+    wall mask of that ridge.  Off the walls, the neighbour of g s is g
+    times q's neighbour of s; across a ridge on wall i, which r_i fixes
+    point by point, it is (g r_i) s.  A ridge on no wall whose neighbour
+    lies in a wall, a ridge on a wall whose neighbour does not, a ridge on
+    two walls, and a pairing that is not an involution do not close up:
+    :class:`UnsupportedOperation`."""
+    count, n = ridge.shape
+    products = _wall_products(n)
+    across, wall = h.neighbors[uncut], ridge != 0
+    if np.any(wall == uncut[across]) or np.any(ridge & (ridge - 1)):
+        raise UnsupportedOperation("the images of the symmetral's chamber hull do not close up")
+    partner = np.where(wall, np.arange(count)[:, None], (np.cumsum(uncut) - 1)[across])
+    back = np.where(wall, np.arange(n),   # the partner's slot across the same ridge
+                    np.argmax(h.neighbors[across] == np.flatnonzero(uncut)[:, None, None], axis=2))
+    element = np.where(wall, np.log2(np.maximum(ridge, 1)).astype(np.intp) + 1, 0)
+    neighbors = (partner[:, None, :] * products.shape[1]
+                 + products[element].transpose(0, 2, 1)).reshape(-1, n)
+    if np.any(neighbors[neighbors, np.repeat(back, products.shape[1], axis=0)]
+              != np.arange(len(neighbors))[:, None]):
+        raise UnsupportedOperation("the images of the symmetral's chamber hull do not close up")
+    return neighbors
 
 
 def g_symmetral(body: Body) -> VPolytope:
@@ -592,46 +679,32 @@ def g_symmetral(body: Body) -> VPolytope:
     its summands', so each of its facets is parallel to a facet of some
     gK or to edges of two images whose arcs cross.
 
-    The average is unconditional, so each round hulls one orthant of it
-    (:func:`bodies.convex_hull`, one qhull call): Q, the candidates in
-    the closed orthant x >= 0 and their coordinate projections
-    (:func:`_orthant_cloud`).  The candidates' sign images are candidates
-    bit for bit, and an unconditional body holds the coordinate
-    projections of its points, so Q's hull is the candidates' hull cut
-    by the orthant; without the projections it would lack its faces on
-    the mirrors x_i = 0 (the cube's Q would be one point).  The returned
-    polytope is Q's hull and its 2^n sign images (:func:`_unfold`),
-    whose triangulation is handed over as the result's ``qhull``
-    (:class:`bodies.Triangulation`), with no hull of the whole.  A facet
-    of Q with a ridge on x_i = 0 and |a_i| <= DEDUP_TOL is half of a
-    facet that the mirror fixes and gets a_i = 0, so that its halves are
-    one facet.  DEDUP_TOL is that rule's slack for the reason it is the
-    chamber's below: qhull's unit normal of a facet of width w is off by
-    about eps R / w, and the narrowest mirror facet seen (6.6e-5 R) has
-    a_i = -1.1e-12.
+    The average P is G-invariant, so it is hulled in one chamber
+    C = {0 <= x_1 <= ... <= x_n}, which meets every orbit once.  The
+    oracle answers at the distinct canonical directions of the seeds, one
+    per orbit; the point at g u is g times the point at u up to the order
+    of its sums, so each orbit of candidates is its point folded into C
+    (:func:`_fold`, which snaps it onto the walls it lies within
+    DEDUP_TOL R of).  For y in C, the points of C that y weakly
+    majorizes under signed permutations are the hull of y's 2^n wall
+    projections (:func:`_project`), so the candidates' G-hull cut by C
+    is the hull of the folded candidates and their wall projections:
+    each round makes that one hull (:func:`bodies.convex_hull`, one
+    qhull call).  The returned polytope is that hull and its |G| images
+    (:func:`_unfold`), whose triangulation is handed over as the result's
+    ``qhull`` (:class:`bodies.Triangulation`), with no hull of the whole.
 
-    Each round tests the hull's facets (a, b) for
-    h(a) > b + SUPPORT_TOL * scale.
-    The candidates are G-invariant up to roundoff: the seeds are whole
-    orbits, the oracle's point at g a is g times its point at a up to
-    the order of its sums, and a round adds whole orbits.  So the hull's
-    facets come in orbits, and (a, b) holds iff (g a, b) does, since the
-    average's h is G-invariant.  Every orbit of unit normals meets the
-    closed chamber 0 <= a_1 <= ... <= a_n (sort |a|), which lies in the
-    orthant, so only the facets of Q whose normal lies within DEDUP_TOL
-    of it are tested.  That slack is
-    for qhull's rounding: a facet of width w has its unit normal off by
-    about eps R / w, and a facet on a mirror (a_1 = 0 or a_i = a_{i+1})
-    has its chamber images only on the mirror.  A 5-vertex benchmark
-    body has one 6.6e-5 R wide with a_1 = -1.1e-12; DEDUP_TOL covers
-    widths down to about 2e-6 R, 30 times narrower.  A failing facet
-    adds the oracle points of its whole orbit of normals (:func:`_orbit`),
-    which keeps the next candidates G-invariant; when none fails, or the
-    oracle adds no new point (a near-duplicate vertex that
-    :func:`bodies.convex_hull` merged away), that hull unfolds to the
-    average.
-    :func:`_sum_budget` caps the distinct seed tuples before any is
-    assembled, and the candidates before every hull.
+    Each round tests the hull's facets off the walls, (a, b), for
+    h(a) > b + SUPPORT_TOL * scale, asking the oracle at sort(|a|).  Off
+    the walls, the chamber hull's
+    facets are the average's facets that meet the open chamber, whose
+    normals lie in C (a point x of int C on a facet with normal a has
+    <x, a> >= <x, g a> for every g), and they meet every orbit of the
+    candidates' hull's facets, since h is G-invariant.  A failing facet
+    adds its folded oracle point; when none fails, or the oracle adds no
+    new point (a near-duplicate vertex that :func:`bodies.convex_hull`
+    merged away), that hull unfolds to the average.  :func:`_sum_budget`
+    caps the candidates' orbits, sum |G| / |Stab(y)|, before every hull.
     """
     body = resolve(body)
     n = body.n
@@ -640,27 +713,30 @@ def g_symmetral(body: Body) -> VPolytope:
             f"group averaging refused for n={n} (2^n n! blow-up; cap 5)")
     k = _b.as_vpolytope(body)
     oracle, dim, seeds = _ChainOracle(k.vertices), _b.affine_dim(k), k.vertices
+    perms, signs = _group(n)
     if dim == n > 1:
         seeds = np.vstack([k.qhull.equations[:, :n], seeds])
     if dim == n == 3:
-        seeds = np.vstack([seeds, _cell_directions(k, oracle.perms, oracle.signs)])
-    cands = _distinct_rows(oracle.points(oracle.orbit_tuples(seeds)))
-    step = max(1, oracle.per // n)
-    while n > 1 and len(cands) > 1:   # else a point, or a segment in R^1
-        _check_budget(len(cands), n)   # the cap, before every hull
-        hull = convex_hull(_orthant_cloud(cands))
-        eq = hull.qhull.equations
-        chamber = np.all(np.diff(eq[:, :n], axis=1, prepend=0.0) >= -_b.DEDUP_TOL, axis=1)
-        eq = _distinct_rows(eq[chamber])
-        bound = SUPPORT_TOL * float(np.max(np.abs(cands))) - eq[:, n]
-        pts = oracle.at(eq[:, :n])
-        failed = eq[np.einsum("ij,ij->i", pts, eq[:, :n]) > bound, :n]
+        seeds = np.vstack([seeds, _cell_directions(k, perms, signs)])
+    table = oracle.tabulate(seeds)[1]
+    found = oracle.points(table[_distinct(table, return_index=True)[1]])
+    scale = float(np.max(np.abs(found)))
+    tol = _b.DEDUP_TOL * scale
+    cands = _fold(found, tol)
+    if n == 1 or not np.any(cands):   # a segment in R^1, or the origin
+        return convex_hull(_orbit(cands, perms, signs) + 0.0)
+    while True:
+        _check_budget(int(np.sum(_stabilizers(n)[0][_walls(cands)])), n)   # before every hull
+        hull = convex_hull(_distinct_rows(np.vstack(
+            [_project(cands, w) for w in range(1 << n)])))
+        h = hull.qhull
+        eq = _distinct_rows(h.equations[_on_walls(h) == 0])
+        bound = SUPPORT_TOL * scale - eq[:, n]
+        pts = oracle.at(np.sort(np.abs(eq[:, :n]), axis=1))   # at each normal's fold
+        failed = pts[np.einsum("ij,ij->i", pts, eq[:, :n]) > bound]
         if not len(failed):
             return _unfold(hull)
-        grown = _distinct_rows(np.vstack([cands] + [
-            oracle.at(_orbit(failed[b:b + step], oracle.perms, oracle.signs))
-            for b in range(0, len(failed), step)]))
+        grown = _distinct_rows(np.vstack([cands, _fold(failed, tol)]))
         if len(grown) == len(cands):   # the oracle adds nothing new
             return _unfold(hull)
         cands = grown
-    return convex_hull(cands)

@@ -483,28 +483,91 @@ SYMMETRAL_IDS = ["five-vertices", "segment", "flat-triangle", "cube2", "cube3", 
                  "cross3", "parallelepiped", "box", "five-vertices-shifted"]
 
 
+def _generator_images(x):
+    """The images of the rows of x under the n generators of the group:
+    the sign flip of x_1 and the n - 1 adjacent transpositions, +0.0 for
+    zeros."""
+    images = []
+    for i in range(x.shape[1]):
+        y = x.copy()
+        if i:
+            y[:, [i - 1, i]] = y[:, [i, i - 1]]
+        else:
+            y[:, 0] = -y[:, 0]
+        images.append(y + 0.0)
+    return images
+
+
+def _closed_bytewise(x):
+    """Whether the rows of x are closed bit for bit under the group."""
+    rows = {r.tobytes() for r in x}
+    return all(r.tobytes() in rows for y in _generator_images(x) for r in y)
+
+
+def _assert_matches_the_reference(sym, body):
+    """The symmetral is the pairwise sums' vertex list up to roundoff in
+    the points that lie on the chamber's walls: the same count, a
+    one-to-one match within 2e-15 R, every vertex in the open chamber
+    0 < x_1 < ... < x_n bit for bit, a list closed bit for bit under the
+    group, and the whole list's bytes when the body's vertices are
+    integers."""
+    ref = _pairwise_symmetral(body).vertices
+    got, scale = sym.vertices, float(np.max(np.abs(ref)))
+    assert got.shape == ref.shape
+    gap, nearest = cKDTree(ref).query(got, p=np.inf)
+    assert np.max(gap) <= 2e-15 * scale and np.unique(nearest).size == len(got)
+    inside = got[np.all(np.diff(got, axis=1, prepend=0.0) > 0, axis=1)]
+    assert {r.tobytes() for r in inside} <= {r.tobytes() for r in ref}
+    assert _closed_bytewise(got)
+    v = bodies.as_vpolytope(body).vertices
+    if np.array_equal(v, np.round(v)):
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("body", SYMMETRAL_BODIES, ids=SYMMETRAL_IDS)
 def test_symmetral_matches_pairwise_sums_bytewise(body):
-    sym = coordops.g_symmetral(body)
-    ref = _pairwise_symmetral(body)
-    assert sym.vertices.shape == ref.vertices.shape
-    assert sym.vertices.tobytes() == ref.vertices.tobytes()
+    _assert_matches_the_reference(coordops.g_symmetral(body), body)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: _bench_like(5, 1), lambda: _bench_like(6, 1), lambda: _bench_like(8, 1),
-    *[lambda b=b: b for b in SYMMETRAL_BODIES],
-    lambda: bodies.cube(4), lambda: bodies.cross_polytope(4), lambda: bodies.cross_polytope(5),
-], ids=["bench5", "bench6", "bench8", *SYMMETRAL_IDS, "cube4", "cross4", "cross5"])
-def test_the_handed_over_triangulation_measures_as_a_rehull(make):
-    """The symmetral's triangulation is one orthant's hull and its sign
-    images; every measure read off it agrees with qhull's hull of the
-    same vertex list: every V_m, and each shadow and section tuple at
-    every degree where the rehull's is exact, within 1e-12 relative.  The
-    cube's facet centres and edge midpoints are triangulation points but
-    not vertices, the cross-polytope's facets have an edge on a mirror
-    but bend there, and a zero coordinate's sign image is +0.0."""
+def _short_edge_body():
+    """FIVE_VERTICES and a sixth vertex 1e-9 R from one of them."""
+    v = FIVE_VERTICES.vertices
+    return bodies.convex_hull(np.vstack([v, v[1] + 1e-9 / np.sqrt(3.0)]))
+
+
+def _symmetral(monkeypatch, make, cell_seeds):
+    """g_symmetral of make(), with no arc-crossing seeds unless cell_seeds."""
+    if not cell_seeds:
+        monkeypatch.setattr(coordops, "_cell_directions", lambda k, perms, signs: np.zeros((0, 3)))
     sym = coordops.g_symmetral(make())
+    monkeypatch.undo()
+    return sym
+
+
+TRIANGULATED = [
+    (lambda: _bench_like(5, 1), True), (lambda: _bench_like(6, 1), True),
+    (lambda: _bench_like(8, 1), True),
+    *[(lambda b=b: b, True) for b in SYMMETRAL_BODIES],
+    (lambda: bodies.cube(4), True), (lambda: bodies.cross_polytope(4), True),
+    (lambda: bodies.cross_polytope(5), True),
+    (_short_edge_body, True), (_short_edge_body, False), (lambda: _bench_like(5, 2), False),
+]
+TRIANGULATED_IDS = ["bench5", "bench6", "bench8", *SYMMETRAL_IDS, "cube4", "cross4", "cross5",
+                    "short-edge", "short-edge-no-cell-seeds", "bench5-seed2-no-cell-seeds"]
+
+
+@pytest.mark.parametrize("make, cell_seeds", TRIANGULATED, ids=TRIANGULATED_IDS)
+def test_the_handed_over_triangulation_measures_as_a_rehull(monkeypatch, make, cell_seeds):
+    """The symmetral's triangulation is one chamber's hull and its images
+    under the group; every measure read off it agrees with qhull's hull
+    of the same vertex list: every V_m, and each shadow and section tuple
+    at every degree where the rehull's is exact, within 1e-12 relative.
+    The cube's facet centres and edge midpoints are triangulation points
+    but not vertices, the cross-polytope's facets have an edge on a wall
+    but bend there, a zero coordinate's image is +0.0, and the short
+    edge and the growth loop put vertices within DEDUP_TOL R of a wall,
+    where the images close up only once they are snapped onto it."""
+    sym = _symmetral(monkeypatch, make, cell_seeds)
     ref = bodies.VPolytope(sym.vertices)
     n = sym.n
     assert isinstance(sym.qhull, bodies.Triangulation)
@@ -542,6 +605,22 @@ def test_the_symmetral_vertices_are_the_points_of_rank_n(body):
     corners = hull.points[np.array(rank) == n]
     assert sym.vertices.tobytes() == bodies._lexsorted(corners).tobytes()
     assert np.array_equal(np.sort(hull.vertices), np.flatnonzero(np.array(rank) == n))
+
+
+@pytest.mark.parametrize("make, cell_seeds", TRIANGULATED, ids=TRIANGULATED_IDS)
+def test_the_symmetral_is_closed_under_the_generators_bytewise(monkeypatch, make, cell_seeds):
+    """The vertex list, the triangulation's points and its equations rows
+    are each closed bit for bit under the n generators, so under the
+    group, and each simplex's neighbour across a ridge holds that ridge."""
+    sym = _symmetral(monkeypatch, make, cell_seeds)
+    hull, n = sym.qhull, sym.n
+    assert _closed_bytewise(sym.vertices) and _closed_bytewise(hull.points)
+    rows = {r.tobytes() for r in hull.equations}
+    for normals in _generator_images(hull.equations[:, :n]):
+        assert all(r.tobytes() in rows for r in np.hstack([normals, hull.equations[:, n:]]))
+    for k in range(n):
+        ridge, across = np.delete(hull.simplices, k, axis=1), hull.simplices[hull.neighbors[:, k]]
+        assert np.all(np.any(across[:, :, None] == ridge[:, None, :], axis=1))
 
 
 def _recursive_argmax(vertices, levels, u):
@@ -700,8 +779,9 @@ def test_symmetral_facets_hold_on_the_group_average_of_benchmark_bodies(k):
                          ids=["five-vertices", "five-vertices-shifted"])
 def test_the_symmetral_grows_to_the_pairwise_sums_without_cell_seeds(monkeypatch, body):
     """With no arc-crossing seeds the first hull misses vertices, and the
-    orbit stop rule grows the candidates, whole orbits at a time, until
-    the hull is the group average, to the byte of the pairwise sums."""
+    stop rule grows the candidates, one orbit per failing facet, until
+    the hull is the group average: the pairwise sums' vertices, up to
+    roundoff on the chamber's walls."""
     hulled = []
     real = coordops.convex_hull
 
@@ -713,7 +793,7 @@ def test_the_symmetral_grows_to_the_pairwise_sums_without_cell_seeds(monkeypatch
     monkeypatch.setattr(coordops, "_cell_directions", lambda k, perms, signs: np.zeros((0, 3)))
     sym = coordops.g_symmetral(body)
     assert len(hulled) > 1 and hulled == sorted(hulled)
-    assert sym.vertices.tobytes() == _pairwise_symmetral(body).vertices.tobytes()
+    _assert_matches_the_reference(sym, body)
 
 
 @pytest.mark.parametrize("k, seed", [(5, 2), (6, 1), (8, 1)])
@@ -884,10 +964,12 @@ def test_a_width_ratio_hulls_only_the_body(monkeypatch):
 def test_the_symmetral_hulls_its_candidates_once(monkeypatch, body, k):
     """The arc-crossing seeds reach every vertex before the first hull,
     so the verification pass adds none and no second hull is built.  That
-    hull is one orthant's: its input is the candidates in x >= 0 and
-    their coordinate projections (every vertex of the result there, and
-    closed under setting coordinates to 0), fewer points than the
-    result's vertices.  It is made through coordops.convex_hull, the
+    hull is one chamber's: its input lies in 0 <= x_1 <= x_2 <= x_3, holds
+    every vertex of the result there and is closed under the projections
+    onto the walls (each run of joined coordinates replaced by its mean,
+    numpy's sum over its length, and the run through x_1 by 0): all 2^3
+    of them for a point in the open chamber.  It has fewer points than
+    the result's vertices.  It is made through coordops.convex_hull, the
     binding the benchmark tracer wraps, so it sees every qhull call."""
     assert body.vertex_count == k
     calls, hulled = _count_hulls(monkeypatch), []
@@ -902,22 +984,51 @@ def test_the_symmetral_hulls_its_candidates_once(monkeypatch, body, k):
     assert len(calls) == 1 and [np.shape(c) for c in hulled] == calls
     cloud = hulled[0]
     rows = {r.tobytes() for r in cloud}
-    projections = (cloud[:, None, :] * (bodies._sign_matrix(3) > 0)).reshape(-1, 3)
-    corner = sym.vertices[np.all(sym.vertices >= 0, axis=1)]
-    assert np.all(cloud >= 0) and all(r.tobytes() in rows for r in projections)
-    assert all(v.tobytes() in rows for v in corner)
+    assert np.all(np.diff(cloud, axis=1, prepend=0.0) >= 0)
+    inside = cloud[np.all(np.diff(cloud, axis=1, prepend=0.0) > 0, axis=1)]
+    for zero, runs in [(False, [[0, 1]]), (False, [[1, 2]]), (False, [[0, 1, 2]]),
+                       (True, [[0]]), (True, [[0, 1]]), (True, [[0], [1, 2]]),
+                       (True, [[0, 1, 2]])]:
+        y = inside.copy()
+        for run in runs:
+            y[:, run] = 0.0 if zero and 0 in run else (
+                inside[:, run].sum(axis=1) / len(run))[:, None]
+        assert all(r.tobytes() in rows for r in y)
+    closed = sym.vertices[np.all(np.diff(sym.vertices, axis=1, prepend=0.0) >= 0, axis=1)]
+    assert all(v.tobytes() in rows for v in closed)
     assert len(cloud) < sym.vertex_count
 
 
 def test_symmetral_budget_guard_in_three_dimensions(monkeypatch):
-    """The cap is checked on the distinct tuples of the seeds' and
-    arc-crossing cells' orbits before any is assembled, so before any
-    hull of the candidates."""
+    """The cap is checked on the candidates' orbits before every hull, so
+    before any hull of the candidates."""
     monkeypatch.setattr(coordops, "_sum_budget", lambda n: 1_000)
     calls = _count_hulls(monkeypatch)
     with pytest.raises(UnsupportedOperation):
         coordops.g_symmetral(FIVE_VERTICES)
     assert all(points <= 1_000 for points, _ in calls)
+
+
+def test_the_cap_counts_whole_orbits(monkeypatch):
+    """The cap gets sum |G| / |Stab(y)| over the folded candidates y, the
+    distinct points of their orbits: FIVE_VERTICES builds with the cap at
+    that sum, and one less refuses it before any qhull call."""
+    folded, counts = [], []
+    fold, check = coordops._fold, coordops._check_budget
+    monkeypatch.setattr(coordops, "_fold", lambda x, tol: folded.append(fold(x, tol)) or folded[-1])
+    monkeypatch.setattr(coordops, "_check_budget",
+                        lambda count, n: counts.append(count) or check(count, n))
+    coordops.g_symmetral(FIVE_VERTICES)
+    monkeypatch.undo()
+    images = np.vstack([folded[0] @ g.matrix().T for g in symmetry.hyperoctahedral_group(3)])
+    assert len(counts) == 1 and counts[0] == len(np.unique(images + 0.0, axis=0))
+    monkeypatch.setattr(coordops, "_sum_budget", lambda n: counts[0])
+    coordops.g_symmetral(FIVE_VERTICES)
+    monkeypatch.setattr(coordops, "_sum_budget", lambda n: counts[0] - 1)
+    calls = _count_hulls(monkeypatch)
+    with pytest.raises(UnsupportedOperation):
+        coordops.g_symmetral(FIVE_VERTICES)
+    assert calls == []
 
 
 def test_hull_consumers_index_the_hull_points():
