@@ -209,9 +209,15 @@ class Triangulation:
     points that are vertices; and the boundary's ``area`` and the
     ``volume`` it encloses.  ``coordops.g_symmetral`` builds one from the
     qhull hull of one chamber of the signed permutations and its images
-    under the whole group, so its points and equations rows are closed bit
-    for bit under the group, and ``points`` holds points on the chamber's
-    walls that are not vertices (the cube's facet centres)."""
+    under the whole group G, so its points and equations rows are closed
+    bit for bit under the group, and ``points`` holds points on the
+    chamber's walls that are not vertices (the cube's facet centres).
+
+    The rows are laid out by orbits: with ``order`` = |G| = 2^n n!, row
+    s |G| + g of ``simplices``, ``neighbors`` and ``equations`` is the
+    image of row s |G| under element g.  A sum over the boundary that G
+    leaves unchanged reads the rows s |G| only, weighted by |G|
+    (:func:`group_order`, :func:`orbit_ridges`)."""
 
     points: np.ndarray
     simplices: np.ndarray
@@ -220,6 +226,7 @@ class Triangulation:
     vertices: np.ndarray
     area: float
     volume: float
+    order: int
 
     def __post_init__(self):
         for name in ("points", "equations"):
@@ -228,6 +235,7 @@ class Triangulation:
             object.__setattr__(self, name, _freeze_index(getattr(self, name)))
         object.__setattr__(self, "area", float(self.area))
         object.__setattr__(self, "volume", float(self.volume))
+        object.__setattr__(self, "order", int(self.order))
 
 
 @dataclass(frozen=True)
@@ -518,6 +526,13 @@ def facets(hull: ConvexHull | Triangulation) -> np.ndarray:
     return np.unique(_byte_rows(hull.equations), return_inverse=True)[1]
 
 
+def group_order(hull: ConvexHull | Triangulation) -> int:
+    """|G| of a triangulation laid out by orbits of a group G
+    (:class:`Triangulation`); 1 for a qhull hull, whose rows are their own
+    orbits."""
+    return hull.order if isinstance(hull, Triangulation) else 1
+
+
 def bent_ridges(p: VPolytope):
     """(s, t, ridge) of a full-dimensional polytope, once per instance:
     every ridge of qhull's boundary triangulation between simplices of two
@@ -529,10 +544,33 @@ def bent_ridges(p: VPolytope):
     no silhouette."""
     def find():
         hull = p.qhull
-        tri, nb, rows = hull.simplices, hull.neighbors, _byte_rows(hull.equations)
-        s, k = np.nonzero((nb > np.arange(tri.shape[0])[:, None]) & (rows[:, None] != rows[nb]))
-        return s, nb[s, k], tri[s[:, None], (k[:, None] + np.arange(1, p.n)) % p.n]
+        return _bent(hull, 1, hull.neighbors > np.arange(len(hull.simplices))[:, None])
     return derived(p, "bent_ridges", find)
+
+
+def orbit_ridges(p: VPolytope):
+    """(s, t, ridge) of a full-dimensional polytope whose triangulation is
+    laid out by orbits of a group G (:class:`Triangulation`), once per
+    instance: every bent ridge of the simplices s |G|, one per orbit, seen
+    from each of their slots, as in :func:`bent_ridges` but with no t > s.
+    G maps bent ridges to bent ridges, as its images of the equations
+    rows are exact, and each ridge is seen from both of its simplices, so
+    a sum over the bent ridges that G leaves unchanged and that is
+    symmetric in s and t is |G| / 2 times its sum over these."""
+    def find():
+        hull = p.qhull
+        return _bent(hull, group_order(hull), True)
+    return derived(p, "orbit_ridges", find)
+
+
+def _bent(hull, step: int, keep) -> tuple:
+    """(s, t, ridge) at the slots k of every step-th simplex s where
+    ``keep`` holds and the neighbour t = neighbors[s, k] lies in another
+    facet; ridge holds the d - 1 point indices opposite slot k."""
+    tri, nb, rows = hull.simplices, hull.neighbors[::step], _byte_rows(hull.equations)
+    r, k = np.nonzero(keep & (rows[::step, None] != rows[nb]))
+    s, d = r * step, tri.shape[1]
+    return s, nb[r, k], tri[s[:, None], (k[:, None] + np.arange(1, d)) % d]
 
 
 def unconditional_hull(base) -> VPolytope:

@@ -592,7 +592,10 @@ def _unfold(q: VPolytope) -> VPolytope:
     by about eps R / w: the narrowest such facet seen, 6.6e-5 R wide, has
     a_1 = -1.1e-12.  The neighbours come from q's own
     (:func:`_chamber_neighbors`).  P's volume is |G| times q's, and its
-    area |G| times q's without the walls.
+    area |G| times q's without the walls.  Row s |G| + g of the simplices,
+    neighbours and equations is the image of q's s-th uncut simplex under
+    element g, and the triangulation carries |G| as its ``order``, so the
+    measures read a G-invariant sum off the rows s |G|.
 
     The vertices of P are the points whose incident facet normals have
     rank n.  A point p of q's simplices is a vertex of q, so its normals
@@ -637,7 +640,7 @@ def _unfold(q: VPolytope) -> VPolytope:
     area = h.area - float(np.sum(np.abs(np.linalg.det(cut)))) / math.factorial(n - 1)
     p = VPolytope(_b._lexsorted(points[vertices]))
     vars(p)["qhull"] = _b.Triangulation(points, simplices, neighbors, equations, vertices,
-                                        order * area, order * h.volume)
+                                        order * area, order * h.volume, order)
     return p
 
 

@@ -14,7 +14,10 @@ Exact paths:
   polytope K from K's own boundary triangulation, with no hull of the
   shadow (:func:`vm_shadows`, :func:`vm_projection`): Cauchy's
   projection formula over the boundary simplices and the projected
-  silhouette ridges;
+  silhouette ridges.  A signed-permutation symmetral's triangulation is
+  laid out by orbits (``bodies.Triangulation``), and its volumes, V_{d-2}
+  and coordinate shadows read one simplex per orbit, weighted by the
+  group order;
 * V_{n-1} and V_{n-2} of every section K ∩ e_i^perp of a full-dimensional
   polytope K from the same triangulation, with no hull of the section
   (:func:`vm_sections`): each boundary simplex that crosses the plane is
@@ -193,7 +196,12 @@ def vm_polytope_angles(p: VPolytope, m: int) -> float:
 
     * V_{d-2}: each R adds vol(R) * theta(n_s, n_t) / (2 pi), theta the
       angle between the outer normals (ridges inside a facet have angle 0
-      and are skipped).
+      and are skipped).  On a triangulation laid out by orbits of the
+      signed permutations (:class:`bodies.Triangulation`) the terms are
+      the same on every ridge of an orbit, so the sum runs over the bent
+      ridges of one simplex per orbit, seen from each of its slots
+      (:func:`bodies.orbit_ridges`), times |G| / 2: each ridge is seen
+      from both of its simplices.
     * V_{d-3}: the normal cone of a (d-3)-face G cuts a convex polygon
       from the sphere whose edges are the arcs (n_s, n_t) of the
       (d-2)-faces through G.  The bent ridges that are not flat tile
@@ -225,10 +233,13 @@ def vm_polytope_angles(p: VPolytope, m: int) -> float:
             "up, so its ridge angles do not give V_{d-2} or V_{d-3}")
     hull = p.qhull
     pts, tri, normals = hull.points, hull.simplices, hull.equations[:, :d]
-    s, t, ridge = _b.bent_ridges(p)
     if m == d - 2:
+        order = _b.group_order(hull)
+        s, t, ridge = _b.bent_ridges(p) if order == 1 else _b.orbit_ridges(p)
         v, angle = pts[ridge], _angle(normals[s], normals[t])
-        return float(np.sum(_simplex_content(v[:, 1:] - v[:, :1]) * angle)) / (2.0 * math.pi)
+        total = float(np.sum(_simplex_content(v[:, 1:] - v[:, :1]) * angle))
+        return (total if order == 1 else 0.5 * order * total) / (2.0 * math.pi)
+    s, t, ridge = _b.bent_ridges(p)
     facet = _b.facets(hull)
     # the faces sigma of each ridge, one per vertex left out
     sigma = ridge[:, [[c for c in range(d - 1) if c != j] for j in range(d - 1)]]
@@ -271,15 +282,21 @@ def _boundary(p: VPolytope) -> tuple[np.ndarray, bool]:
     qhull's area (it covers each facet once), both within CLOSURE_TOL of
     the total.  A hull whose input cloud holds many points on its
     lower faces can fail this, and then neither its boundary nor its
-    ridges measure K."""
+    ridges measure K.
+
+    On a triangulation laid out by orbits (:class:`bodies.Triangulation`:
+    row s |G| + g is the image of row s |G| under element g), the images
+    of a simplex have its volume, so det runs on the rows s |G| only and
+    each volume is repeated |G| times; both closure tests read the whole
+    repeated vector."""
     def measure():
         hull = p.qhull
-        normals = hull.equations[:, :p.n]
-        # rows n_s and the edges of s from its first vertex
-        rows = hull.points[hull.simplices]
+        order, normals = _b.group_order(hull), hull.equations[:, :p.n]
+        # rows n_s and the edges of s from its first vertex, one s per orbit
+        rows = hull.points[hull.simplices[::order]]
         rows[:, 1:] -= rows[:, :1]
-        rows[:, 0] = normals
-        vol = np.abs(np.linalg.det(rows)) / math.factorial(p.n - 1)
+        rows[:, 0] = normals[::order]
+        vol = np.repeat(np.abs(np.linalg.det(rows)) / math.factorial(p.n - 1), order)
         total = float(vol.sum())
         closed = (float(np.linalg.norm(vol @ normals)) <= CLOSURE_TOL * total
                   and abs(total - hull.area) <= CLOSURE_TOL * hull.area)
@@ -712,9 +729,14 @@ def _shadows(p: VPolytope, u: np.ndarray | None, m: int):
       avoid column i (Cauchy-Binet), taken for every i at once.
 
     The bent ridges are taken SECTION_BLOCK at a time (:func:`_blocks`).
+    Along the axes of a triangulation laid out by orbits of the signed
+    permutations, the sums run over one simplex per orbit, weighted by
+    |G| / n and |G| / (2 n) (:func:`_orbit_shadows`).
     """
     hull, n = p.qhull, p.n
-    normals = hull.equations[:, :n]
+    order, normals = _b.group_order(hull), hull.equations[:, :n]
+    if u is None and order > 1:
+        return _orbit_shadows(p, m, order)
     up = normals if u is None else normals @ u
     if m == n - 1:
         return 0.5 * (_boundary(p)[0] @ np.abs(up))
@@ -724,13 +746,44 @@ def _shadows(p: VPolytope, u: np.ndarray | None, m: int):
         e = pts[ridge[c, 1:]] - pts[ridge[c, :1]]
         weight = np.abs(sign[s[c]] - sign[t[c]])
         if u is None:
-            size = np.sqrt(_minors(e) ** 2 @ _avoiding(n, n - 2)) / math.factorial(n - 2)
             # np.sum adds the rows down axis 0 in order, so with the running
             # totals as the first row the blocks sum as one pass, bit for bit
-            total = np.sum(np.vstack([total, weight * size]), axis=0)
+            total = np.sum(np.vstack([total, weight * _axis_contents(e)]), axis=0)
         else:
             total = total + np.sum(weight * _simplex_content(e - (e @ u)[..., None] * u))
     return 0.25 * total
+
+
+def _orbit_shadows(p: VPolytope, m: int, order: int) -> np.ndarray:
+    """:func:`_shadows` along every axis of a polytope whose triangulation is
+    laid out by orbits of the signed permutations, |G| = order
+    (:class:`bodies.Triangulation`).  G maps the axes onto each other,
+    each |G| / n times, so entry i is 1/n times the sum of the terms over
+    all n axes, which G leaves unchanged: |G| times that sum over the
+    simplices s |G|, one per orbit, for V_{n-1}, and |G| / 2 times it over
+    their bent ridges (:func:`bodies.orbit_ridges`), each seen from both
+    of its simplices, for V_{n-2}.  So the n entries are equal bit for bit."""
+    hull, n = p.qhull, p.n
+    normals = hull.equations[:, :n]
+    if m == n - 1:
+        total = 0.5 * order * float(_boundary(p)[0][::order] @ np.abs(normals[::order]).sum(axis=1))
+    else:
+        s, t, ridge = _b.orbit_ridges(p)
+        pts, total = hull.points, 0.0
+        for c in _blocks(len(s), 1):
+            e = pts[ridge[c, 1:]] - pts[ridge[c, :1]]
+            weight = np.abs(np.sign(normals[s[c]]) - np.sign(normals[t[c]]))
+            total += float(np.sum(weight * _axis_contents(e)))
+        total *= 0.125 * order
+    return np.full(n, total / n)
+
+
+def _axis_contents(e: np.ndarray) -> np.ndarray:
+    """The content of the shadow along every axis e_i of each (n-2)-simplex
+    spanned by the edges e[r, :, :] in R^n: the root of the sum of its
+    squared (n-2)-minors that avoid column i over (n-2)! (Cauchy-Binet)."""
+    n = e.shape[-1]
+    return np.sqrt(_minors(e) ** 2 @ _avoiding(n, n - 2)) / math.factorial(n - 2)
 
 
 @cache

@@ -623,6 +623,79 @@ def test_the_symmetral_is_closed_under_the_generators_bytewise(monkeypatch, make
         assert np.all(np.any(across[:, :, None] == ridge[:, None, :], axis=1))
 
 
+CHAMBER_SUM_IDS = ["bench5", "bench8", "cube4"]
+
+
+@pytest.mark.parametrize("make, cell_seeds",
+                         [TRIANGULATED[TRIANGULATED_IDS.index(i)] for i in CHAMBER_SUM_IDS],
+                         ids=CHAMBER_SUM_IDS)
+def test_the_symmetral_is_measured_on_one_chamber(monkeypatch, spec3, make, cell_seeds):
+    """The G-invariant boundary sums of a symmetral read one simplex per
+    orbit: the boundary hands np.linalg.det len(simplices) / |G| rows,
+    and V_{n-2} and the coordinate shadows of degrees n-1 and n-2 (all of
+    mean_width_ratio in R^3) never ask for bodies.bent_ridges.  qhull's
+    hull of the same vertices has order 1 and hands det every row."""
+    sym = _symmetral(monkeypatch, make, cell_seeds)
+    ref = bodies.VPolytope(sym.vertices)
+    n, order = sym.n, bodies.group_order(sym.qhull)
+    assert order == 2 ** n * np.prod(np.arange(1, n + 1)) and bodies.group_order(ref.qhull) == 1
+    rows, det = [], np.linalg.det
+
+    def counting(a):
+        rows.append(len(a))
+        return det(a)
+
+    def refused(p):
+        raise AssertionError("bent_ridges asked for")
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    assert measures._boundary(sym)[1] and sum(rows) <= len(sym.qhull.simplices) / order
+    rows.clear()
+    assert measures._boundary(ref)[1] and sum(rows) == len(ref.qhull.simplices)
+    monkeypatch.setattr(bodies, "bent_ridges", refused)
+    if n == 3:
+        explorer.mean_width_ratio(sym, spec3)
+    measures.vm(sym, n - 2)
+    measures.vm_shadows(sym, n - 1)
+    measures.vm_shadows(sym, n - 2)
+
+
+def _full_row_shadows(p, m):
+    """The coordinate shadows' V_m, m = n-1 or n-2, summed over every row
+    of p's triangulation: Cauchy's formula over every boundary simplex,
+    and the silhouette sum over every bent ridge once."""
+    hull, n = p.qhull, p.n
+    normals = hull.equations[:, :n]
+    if m == n - 1:
+        rows = hull.points[hull.simplices]
+        rows[:, 1:] -= rows[:, :1]
+        rows[:, 0] = normals
+        vol = np.abs(np.linalg.det(rows)) / np.prod(np.arange(1.0, n))
+        return 0.5 * (vol @ np.abs(normals))
+    s, t, ridge = bodies.bent_ridges(p)
+    e = hull.points[ridge[:, 1:]] - hull.points[ridge[:, :1]]
+    size = np.sqrt(measures._minors(e) ** 2 @ measures._avoiding(n, n - 2)) \
+        / np.prod(np.arange(1.0, n - 1))
+    sign = np.sign(normals)
+    return 0.25 * (np.abs(sign[s] - sign[t]) * size).sum(axis=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _bench_like(5, 1), lambda: FIVE_VERTICES, lambda: bodies.cube(4),
+    lambda: bodies.unconditional_hull([[1.0, 2.0, 3.0, 4.0]]), lambda: bodies.cross_polytope(5),
+    lambda: bodies.unconditional_hull([[1.0, 2.0, 3.0, 4.0, 5.0]])],
+    ids=["bench5", "five-vertices", "cube4", "box4", "cross5", "box5"])
+def test_the_shadow_tuples_of_a_symmetral_are_equal(make):
+    """The group maps the axes onto each other, so the coordinate
+    shadows' V_{n-1} and V_{n-2} of a symmetral are one value, bit for
+    bit, within 1e-13 of the sum over every row of its triangulation."""
+    sym = coordops.g_symmetral(make())
+    for m in (sym.n - 1, sym.n - 2):
+        got = [v.value for v in measures.vm_shadows(sym, m)]
+        assert len({np.float64(v).tobytes() for v in got}) == 1
+        np.testing.assert_allclose(got, _full_row_shadows(sym, m), rtol=1e-13, atol=0.0)
+
+
 def _recursive_argmax(vertices, levels, u):
     """Reference oracle: for each row of u, a point of the chain's average
     maximizing <., u>, by recursion over the levels.  The last level's
